@@ -1,5 +1,5 @@
-"""Turn an LCS into the ordered chain of sub-problems (one per inevitable
-waypoint) and verify the chain against the path set at the abstract level.
+"""Turn an LCS into the ordered chain of sub-problems, one per inevitable
+waypoint.
 """
 
 from __future__ import annotations
@@ -7,8 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .graph import PathSet
-from .lcs import LcsResult, is_subsequence
+from .lcs import LcsResult
 from .model import PlanningProblem, alpha
 
 
@@ -64,10 +63,3 @@ def chain_from_lcs(problem: PlanningProblem, lcs: LcsResult) -> WaypointChain:
         entries=entries, source_lcs=lcs.sequence, deduplicated_repeats=deduped
     )
 
-
-def verify_chain_abstract(paths: PathSet, chain: WaypointChain) -> bool:
-    """True iff every path string contains the chain's location sequence as
-    a subsequence — the location-level rendering of the sub-problem
-    relation along the chain."""
-    seq = chain.locations
-    return all(is_subsequence(seq, p.locations) for p in paths.paths)

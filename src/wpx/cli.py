@@ -27,7 +27,7 @@ from .graph import (
     build_graph,
     enumerate_paths,
 )
-from .lcs import DEFAULT_CANDIDATE_CAP, lcs_multi
+from .lcs import lcs_multi
 from .model import PlanningProblem
 from .reach import bounded_reachable, extract_witness
 from .textio import (
@@ -55,7 +55,6 @@ class CliConfig:
     depth: Optional[int]
     json_output: bool
     max_paths: int
-    max_candidates: int
     parallel: int
     dump_lp: Optional[str]
     verbose: bool
@@ -82,11 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="JSON output")
         p.add_argument(
             "--max-paths", type=int, default=DEFAULT_PATH_CAP,
-            help="cap on enumerated paths",
-        )
-        p.add_argument(
-            "--max-candidates", type=int, default=DEFAULT_CANDIDATE_CAP,
-            help="cap on LCS candidate sequences",
+            help="cap on the number of bounded paths",
         )
         p.add_argument(
             "--parallel", type=int, default=1,
@@ -179,7 +174,7 @@ def cmd_waypoints(config: CliConfig) -> int:
         else:
             print("discrete-infeasible: no bounded path reaches the goal location")
         return EXIT_OK
-    lcs = lcs_multi(paths, cap=config.max_candidates)
+    lcs = lcs_multi(paths)
     chain = chain_from_lcs(problem, lcs)
     names = [e.location_name for e in chain.entries]
     trivial = len(chain) <= 2
@@ -284,7 +279,6 @@ def cmd_bench(config: CliConfig) -> int:
             depth=entry["depth"],
             json_output=False,
             max_paths=config.max_paths,
-            max_candidates=config.max_candidates,
             parallel=config.parallel,
             dump_lp=None,
             verbose=False,
@@ -336,12 +330,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         depth=args.depth,
         json_output=args.json,
         max_paths=args.max_paths,
-        max_candidates=args.max_candidates,
         parallel=args.parallel,
         dump_lp=args.dump_lp,
         verbose=args.verbose,
     )
-    if config.max_paths <= 0 or config.max_candidates <= 0 or config.parallel <= 0:
+    if config.max_paths <= 0 or config.parallel <= 0:
         print("caps and parallelism must be positive", file=sys.stderr)
         return EXIT_INPUT
     try:

@@ -1,9 +1,10 @@
 """End-to-end explanation of unsolvable bounded planning problems.
 
-Pipeline: enumerate the bounded path set of the discrete abstraction,
+Pipeline: count the bounded path set of the discrete abstraction and
 reduce it to the chain of inevitable waypoints via the multi-string LCS,
-then walk the chain with the widened sub-problems until the first waypoint
-whose bounded reachability check comes back infeasible.  Four mutually
+both symbolically (the walks are never listed), then walk the chain with
+the widened sub-problems until the first waypoint whose bounded
+reachability check comes back infeasible.  Four mutually
 exclusive outcomes cover every case, including the degenerate ones where
 the discrete abstraction already fails or where the original problem turns
 out to be solvable after all.

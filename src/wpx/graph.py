@@ -1,17 +1,22 @@
-"""Discrete abstraction: the location graph, bounded walk enumeration, and
-disconnecting articulation points.
+"""Discrete abstraction: the location graph, bounded walk counting and
+enumeration, and disconnecting articulation points.
 
 "Path" throughout means a walk: vertex repetition is allowed, and a
 self-loop consumes one depth unit.  Enumeration order is breadth first by
 length with ties broken by location id at every expansion, which makes the
 resulting path set (and everything derived from it downstream) fully
 deterministic.
+
+A ``PathSet`` is symbolic: it holds the graph, the endpoints, the depth and
+the walk count, and answers the two questions the LCS stage asks (which
+locations every walk visits, and the first walk in BFS order) without
+listing the walks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Tuple
 
 from .model import HybridAutomaton
 
@@ -69,11 +74,48 @@ class PathString:
 
 @dataclass(frozen=True)
 class PathSet:
-    paths: Tuple[PathString, ...]
+    """Every source-to-target walk of ``graph`` with edge count <= depth,
+    held symbolically; ``count`` is the number of such walks."""
+
+    graph: Graph
+    source: int
+    target: int
+    depth: int
+    count: int
 
     @property
-    def count(self) -> int:
-        return len(self.paths)
+    def paths(self) -> "WalkView":
+        return WalkView(self)
+
+    def first_walk(self) -> Tuple[int, ...]:
+        """The first walk in BFS order: a shortest one.  Requires a
+        non-empty set."""
+        return next(iter_walks(self.graph, self.source, self.target, self.depth))
+
+    @property
+    def kept_alphabet(self) -> FrozenSet[int]:
+        """The locations visited by every walk: the endpoints and the
+        disconnecting articulation points.  Requires a non-empty set."""
+        cuts = disconnecting_articulation_points(
+            self.graph, self.source, self.target, self.depth
+        )
+        return frozenset(cuts | {self.source, self.target})
+
+
+class WalkView:
+    """Lazy view of a path set's walks: ``len`` is the count, iteration
+    lists the walks in BFS order."""
+
+    def __init__(self, paths: PathSet):
+        self._paths = paths
+
+    def __len__(self) -> int:
+        return self._paths.count
+
+    def __iter__(self) -> Iterator[PathString]:
+        p = self._paths
+        for walk in iter_walks(p.graph, p.source, p.target, p.depth):
+            yield PathString(walk)
 
 
 def build_graph(automaton: HybridAutomaton) -> Graph:
@@ -122,23 +164,30 @@ def iter_walks(
     """
     dist = _reverse_distances(graph, target)
     missing = depth + 1
-
-    def exact(walk: List[int], vertex: int, edges_left: int) -> Iterator[Tuple[int, ...]]:
-        if edges_left == 0:
-            if vertex == target:
-                yield tuple(walk)
-            return
-        for succ in graph.successors(vertex):
-            if dist.get(succ, missing) <= edges_left - 1:
-                walk.append(succ)
-                yield from exact(walk, succ, edges_left - 1)
-                walk.pop()
-
     if dist.get(source, missing) > depth:
         return
-    for length in range(depth + 1):
-        if dist.get(source, missing) <= length:
-            yield from exact([source], source, length)
+    if source == target:
+        yield (source,)
+    for length in range(max(dist[source], 1), depth + 1):
+        # Depth-first over prefixes of exactly ``length`` edges, with one
+        # successor iterator per prefix vertex in place of recursion.
+        walk = [source]
+        stack = [iter(graph.successors(source))]
+        while stack:
+            edges_left = length - len(walk)
+            for succ in stack[-1]:
+                if dist.get(succ, missing) <= edges_left:
+                    break
+            else:
+                stack.pop()
+                walk.pop()
+                continue
+            walk.append(succ)
+            if edges_left == 0:
+                yield tuple(walk)  # distance 0: succ is the target
+                walk.pop()
+            else:
+                stack.append(iter(graph.successors(succ)))
 
 
 def enumerate_paths(
@@ -148,22 +197,18 @@ def enumerate_paths(
     depth: int,
     cap: int = DEFAULT_PATH_CAP,
 ) -> PathSet:
-    """Materialize PS: all bounded walks from source to target.
+    """PS: all bounded walks from source to target, counted, not listed.
 
-    Raises ResourceCapExceeded (rather than exhausting memory) when more
-    than ``cap`` walks exist.
+    Raises ResourceCapExceeded when more than ``cap`` walks exist.
     """
-    out: List[PathString] = []
-    for walk in iter_walks(graph, source, target, depth):
-        out.append(PathString(walk))
-        if len(out) > cap:
-            raise ResourceCapExceeded("path enumeration", cap)
-    return PathSet(tuple(out))
+    count = count_paths(graph, source, target, depth)
+    if count > cap:
+        raise ResourceCapExceeded("path enumeration", cap)
+    return PathSet(graph, source, target, depth, count)
 
 
 def count_paths(graph: Graph, source: int, target: int, depth: int) -> int:
-    """Walk count by dynamic programming; used for articulation tests so
-    that vertex removal checks never enumerate."""
+    """Walk count by dynamic programming over the depth-unrolled graph."""
     current: Dict[int, int] = {source: 1}
     total = 1 if source == target else 0
     for _ in range(depth):

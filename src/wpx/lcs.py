@@ -1,25 +1,26 @@
-"""Longest common subsequence of all path strings.
+"""Longest common subsequence of all walks in a path set.
 
-The pairwise candidate method: seed with all maximal common subsequences of
-the two shortest strings (classic DP table walked backwards), then filter
-each candidate against every remaining string by a linear subsequence scan.
-Every common subsequence of the whole set is a common subsequence of the
-seed pair, so the surviving candidates are guaranteed to contain an LCS of
-the whole set.
+The LCS of a bounded walk set is its first BFS walk reduced to the kept
+alphabet (the locations every walk visits), so it is read off one walk
+without listing the rest.
 
-Alphabet pruning keeps the exponential candidate step tractable: a symbol
-missing from any one string can never appear in a common subsequence, so it
-is deleted from every string first.
+Why: the first BFS walk A is a shortest walk, hence simple, and each of its
+prefixes is a shortest path.  Let c_1 .. c_m be A's kept symbols in order.
+Suppose some walk B within the bound does not contain them as a
+subsequence, and greedy matching in B stops after c_i.  Then A's prefix up
+to c_i, followed by B's suffix after its match of c_i, is a walk no longer
+than B that avoids c_{i+1}, contradicting that every walk visits c_{i+1}.
+So A's reduction is common to all walks; and since only kept symbols can
+occur in a common subsequence, and A holds each once, nothing longer is,
+and no other sequence of the same length exists to tie with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Tuple
 
-from .graph import PathSet, PathString, ResourceCapExceeded
-
-DEFAULT_CANDIDATE_CAP = 1 << 20
+from .graph import PathSet
 
 
 @dataclass(frozen=True)
@@ -32,114 +33,11 @@ class LcsResult:
         return len(self.sequence)
 
 
-def prune_alphabet(paths: PathSet) -> Tuple[Tuple[Tuple[int, ...], ...], FrozenSet[int]]:
-    """Delete from every string each symbol absent from at least one string.
-
-    Returns the reduced strings (original order) and the kept symbol set.
-    The LCS of the reduced set equals the LCS of the original set.
-    """
-    if not paths.paths:
+def lcs_multi(paths: PathSet) -> LcsResult:
+    """LCS of every walk in the path set: the first BFS walk reduced to the
+    kept alphabet.  Trivial when only the two endpoints remain."""
+    if paths.count == 0:
         raise ValueError("empty path set")
-    kept = frozenset.intersection(*(frozenset(p.locations) for p in paths.paths))
-    reduced = tuple(
-        tuple(sym for sym in p.locations if sym in kept) for p in paths.paths
-    )
-    return reduced, kept
-
-
-def is_subsequence(needle: Sequence[int], haystack: Sequence[int]) -> bool:
-    it = iter(haystack)
-    return all(sym in it for sym in needle)
-
-
-def common_subsequences_pair(
-    s1: Sequence[int], s2: Sequence[int], cap: int = DEFAULT_CANDIDATE_CAP
-) -> Tuple[Tuple[int, ...], ...]:
-    """Every distinct common subsequence of a pair, deduplicated.
-
-    Completeness matters: a shorter common subsequence of the seed pair can
-    be the longest one shared by the whole set, so nothing may be dropped
-    before filtering.  Memoized recursion over DP cell (i, j); raises a
-    resource error past ``cap`` distinct sequences in any cell.
-    """
-    memo: Dict[Tuple[int, int], FrozenSet[Tuple[int, ...]]] = {}
-
-    def acs(i: int, j: int) -> FrozenSet[Tuple[int, ...]]:
-        if i == 0 or j == 0:
-            return frozenset({()})
-        key = (i, j)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        results: set = set()
-        results |= acs(i - 1, j)
-        results |= acs(i, j - 1)
-        if s1[i - 1] == s2[j - 1]:
-            for tail in acs(i - 1, j - 1):
-                results.add(tail + (s1[i - 1],))
-        if len(results) > cap:
-            raise ResourceCapExceeded("LCS candidate generation", cap)
-        frozen = frozenset(results)
-        memo[key] = frozen
-        return frozen
-
-    return tuple(sorted(acs(len(s1), len(s2))))
-
-
-def _leftmost_embedding(candidate: Sequence[int], string: Sequence[int]) -> Tuple[int, ...]:
-    """Indices of the leftmost embedding of candidate in string; candidate
-    must be a subsequence of string."""
-    indices: List[int] = []
-    pos = 0
-    for sym in candidate:
-        while string[pos] != sym:
-            pos += 1
-        indices.append(pos)
-        pos += 1
-    return tuple(indices)
-
-
-def lcs_multi(paths: PathSet, cap: int = DEFAULT_CANDIDATE_CAP) -> LcsResult:
-    """LCS of every string in the path set, with a deterministic tie-break.
-
-    Seeds from the two shortest strings, filters against the rest in
-    ascending length order, then among the longest survivors picks the one
-    with the lexicographically smallest leftmost-embedding index sequence in
-    the first (BFS-order) string, breaking any remaining tie by symbol
-    sequence.
-    """
-    if not paths.paths:
-        raise ValueError("empty path set")
-    reduced, _kept = prune_alphabet(paths)
-    if len(reduced) == 1:
-        seq = reduced[0]
-        return LcsResult(sequence=seq, trivial=len(seq) == 2)
-
-    order = sorted(range(len(reduced)), key=lambda i: (len(reduced[i]), i))
-    first, second = reduced[order[0]], reduced[order[1]]
-    candidates = common_subsequences_pair(first, second, cap=cap)
-    # Path strings all start at the initial location and end at the goal
-    # location, so any maximal candidate is anchored at both; the filter is
-    # skipped for inputs without that shape.
-    if all(s and s[0] == first[0] and s[-1] == first[-1] for s in reduced):
-        head, tail = first[0], first[-1]
-        candidates = tuple(
-            c for c in candidates if c and c[0] == head and c[-1] == tail
-        )
-    for idx in order[2:]:
-        string = reduced[idx]
-        candidates = tuple(c for c in candidates if is_subsequence(c, string))
-        if not candidates:
-            break
-
-    if not candidates:
-        # Cannot happen for path strings (shared endpoints survive pruning),
-        # but keep the degenerate answer well defined.
-        return LcsResult(sequence=(), trivial=False)
-
-    best_len = max(len(c) for c in candidates)
-    finalists = [c for c in candidates if len(c) == best_len]
-    anchor = reduced[0]
-    finalists.sort(key=lambda c: (_leftmost_embedding(c, anchor), c))
-    chosen = finalists[0]
-    return LcsResult(sequence=chosen, trivial=len(chosen) == 2)
+    kept = paths.kept_alphabet
+    sequence = tuple(sym for sym in paths.first_walk() if sym in kept)
+    return LcsResult(sequence=sequence, trivial=len(sequence) == 2)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .graph import ResourceCapExceeded
+from .graph import DEFAULT_PATH_CAP, ResourceCapExceeded
 from .model import (
     HybridAutomaton,
     LinearConstraint,
@@ -32,8 +32,6 @@ from .model import (
     RunSegment,
     WitnessRun,
 )
-
-DEFAULT_PATH_CAP = 1 << 22
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,12 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+from wpx.graph import Graph, PathSet, PathString, ResourceCapExceeded
+from wpx.lcs import LcsResult
 from wpx.model import (
     HybridAutomaton,
     LinearConstraint,
@@ -148,6 +151,168 @@ def brute_lcs_length(strings: Sequence[Sequence[int]]) -> int:
     return best
 
 
+# --- explicit string-set LCS ---------------------------------------------
+
+
+@dataclass(frozen=True)
+class ExplicitPathSet:
+    """A listed set of strings, in the role of a materialized path set."""
+
+    paths: Tuple[PathString, ...]
+
+    @property
+    def count(self) -> int:
+        return len(self.paths)
+
+
+def is_subsequence(needle: Sequence[int], haystack: Sequence[int]) -> bool:
+    it = iter(haystack)
+    return all(sym in it for sym in needle)
+
+
+def prune_alphabet(
+    paths: ExplicitPathSet,
+) -> Tuple[Tuple[Tuple[int, ...], ...], FrozenSet[int]]:
+    """Delete from every string each symbol absent from at least one string.
+
+    Returns the reduced strings (original order) and the kept symbol set.
+    The LCS of the reduced set equals the LCS of the original set.
+    """
+    if not paths.paths:
+        raise ValueError("empty path set")
+    kept = frozenset.intersection(*(frozenset(p.locations) for p in paths.paths))
+    reduced = tuple(
+        tuple(sym for sym in p.locations if sym in kept) for p in paths.paths
+    )
+    return reduced, kept
+
+
+DEFAULT_CANDIDATE_CAP = 1 << 20
+
+
+def common_subsequences_pair(
+    s1: Sequence[int], s2: Sequence[int], cap: int = DEFAULT_CANDIDATE_CAP
+) -> Tuple[Tuple[int, ...], ...]:
+    """Every distinct common subsequence of a pair, deduplicated.
+
+    Completeness matters: a shorter common subsequence of the seed pair can
+    be the longest one shared by the whole set, so nothing may be dropped
+    before filtering.  Cell (i, j) of the DP table holds the common
+    subsequences of s1[:i] and s2[:j]; the table is filled row by row,
+    keeping two rows.  Raises a resource error past ``cap`` distinct
+    sequences in any cell.
+    """
+    empty: FrozenSet[Tuple[int, ...]] = frozenset({()})
+    prev = [empty] * (len(s2) + 1)
+    for sym in s1:
+        row = [empty]
+        for j, other in enumerate(s2, start=1):
+            results = set(prev[j])
+            results |= row[j - 1]
+            if sym == other:
+                results.update(tail + (sym,) for tail in prev[j - 1])
+            if len(results) > cap:
+                raise ResourceCapExceeded("LCS candidate generation", cap)
+            row.append(frozenset(results))
+        prev = row
+    return tuple(sorted(prev[-1]))
+
+
+def _leftmost_embedding(candidate: Sequence[int], string: Sequence[int]) -> Tuple[int, ...]:
+    indices: List[int] = []
+    pos = 0
+    for sym in candidate:
+        while string[pos] != sym:
+            pos += 1
+        indices.append(pos)
+        pos += 1
+    return tuple(indices)
+
+
+def explicit_lcs(paths: ExplicitPathSet, cap: int = DEFAULT_CANDIDATE_CAP) -> LcsResult:
+    """LCS of every listed string with a deterministic tie-break, by
+    filtering the pair candidates of the two shortest strings over every
+    string.
+
+    Seeds from the two shortest strings, filters against the rest in
+    ascending length order, then among the longest survivors picks the one
+    with the lexicographically smallest leftmost-embedding index sequence in
+    the first string, breaking any remaining tie by symbol sequence.
+    """
+    if not paths.paths:
+        raise ValueError("empty path set")
+    reduced, _kept = prune_alphabet(paths)
+    if len(reduced) == 1:
+        seq = reduced[0]
+        return LcsResult(sequence=seq, trivial=len(seq) == 2)
+
+    order = sorted(range(len(reduced)), key=lambda i: (len(reduced[i]), i))
+    first, second = reduced[order[0]], reduced[order[1]]
+    candidates = common_subsequences_pair(first, second, cap=cap)
+    # Path strings all start at the initial location and end at the goal
+    # location, so any maximal candidate is anchored at both; the filter is
+    # skipped for inputs without that shape.
+    if all(s and s[0] == first[0] and s[-1] == first[-1] for s in reduced):
+        head, tail = first[0], first[-1]
+        candidates = tuple(
+            c for c in candidates if c and c[0] == head and c[-1] == tail
+        )
+    for idx in order[2:]:
+        string = reduced[idx]
+        candidates = tuple(c for c in candidates if is_subsequence(c, string))
+        if not candidates:
+            break
+
+    if not candidates:
+        return LcsResult(sequence=(), trivial=False)
+
+    best_len = max(len(c) for c in candidates)
+    finalists = [c for c in candidates if len(c) == best_len]
+    anchor = reduced[0]
+    finalists.sort(key=lambda c: (_leftmost_embedding(c, anchor), c))
+    chosen = finalists[0]
+    return LcsResult(sequence=chosen, trivial=len(chosen) == 2)
+
+
+def verify_chain_abstract(paths, chain) -> bool:
+    """True iff every listed path string contains the chain's location
+    sequence as a subsequence."""
+    seq = chain.locations
+    return all(is_subsequence(seq, p.locations) for p in paths.paths)
+
+
+def misses(paths: PathSet, needle: Sequence[int]) -> bool:
+    """True iff some walk of a symbolic path set does not contain
+    ``needle`` as a subsequence, decided without listing the walks.
+
+    Breadth-first search over the product of the graph with the greedy
+    matching automaton of ``needle``: state (v, j) means a walk prefix ends
+    at v having matched needle[:j] leftmost.  A walk misses the needle iff
+    its prefix ending at the target reaches a state with j < len(needle)
+    within the depth bound; BFS gives the fewest edges to each state.
+    """
+    n = len(needle)
+
+    def advance(j: int, v: int) -> int:
+        return j + 1 if j < n and needle[j] == v else j
+
+    start = (paths.source, advance(0, paths.source))
+    seen = {start}
+    frontier = [start]
+    for _ in range(paths.depth + 1):
+        if any(v == paths.target and j < n for v, j in frontier):
+            return True
+        nxt = []
+        for v, j in frontier:
+            for w in paths.graph.successors(v):
+                state = (w, advance(j, w))
+                if state not in seen:
+                    seen.add(state)
+                    nxt.append(state)
+        frontier = nxt
+    return False
+
+
 # --- recursive bounded walk oracle ---------------------------------------
 
 
@@ -167,6 +332,16 @@ def recursive_walks(
     go((source,))
     out.sort(key=lambda w: (len(w), w))
     return out
+
+
+def graph_from_succ(n: int, succ: Dict[int, List[int]]) -> Graph:
+    """The location graph of a successor map, one transition per edge."""
+    edges = tuple(sorted((u, v) for u, vs in succ.items() for v in set(vs)))
+    return Graph(
+        vertex_count=n,
+        edges=edges,
+        transition_refs=tuple((e, (i,)) for i, e in enumerate(edges)),
+    )
 
 
 def random_digraph(rng: random.Random, max_vertices: int = 6):

@@ -14,7 +14,9 @@ import pytest
 
 from conftest import BENCH_ROOT, benchmark_problems, load_benchmark
 from oracles import (
+    ExplicitPathSet,
     brute_lcs_length,
+    explicit_lcs,
     fm_feasible,
     random_automaton,
     random_digraph,
@@ -24,7 +26,6 @@ from oracles import (
 from wpx.explain import explain
 from wpx.graph import (
     Graph,
-    PathSet,
     PathString,
     build_graph,
     disconnecting_articulation_points,
@@ -176,8 +177,8 @@ def test_criterion_6a_lcs_vs_brute_force():
     rng = random.Random(2026)
     for case in range(1000):
         strings = random_strings(rng)
-        paths = PathSet(paths=tuple(PathString(locations=s) for s in strings))
-        got = len(lcs_multi(paths).sequence)
+        paths = ExplicitPathSet(paths=tuple(PathString(locations=s) for s in strings))
+        got = len(explicit_lcs(paths).sequence)
         assert got == brute_lcs_length(strings), (case, strings)
 
 

@@ -3,8 +3,9 @@
 import pytest
 
 from conftest import load_benchmark
-from wpx.chain import chain_from_lcs, verify_chain_abstract
-from wpx.graph import PathSet, PathString, build_graph, enumerate_paths
+from oracles import ExplicitPathSet, verify_chain_abstract
+from wpx.chain import chain_from_lcs
+from wpx.graph import PathString, build_graph, enumerate_paths
 from wpx.lcs import LcsResult, lcs_multi
 
 
@@ -50,5 +51,5 @@ def test_verify_chain_abstract_on_benchmark():
 def test_verify_chain_abstract_rejects_noncovering_chain():
     problem = wlm_problem()
     chain = chain_from_lcs(problem, LcsResult(sequence=(0, 1, 5), trivial=False))
-    paths = PathSet((PathString((0, 4, 5)),))
+    paths = ExplicitPathSet((PathString((0, 4, 5)),))
     assert not verify_chain_abstract(paths, chain)

@@ -173,3 +173,15 @@ def test_dump_lp_directory(capsys, tmp_path):
     )
     assert code == EXIT_OK
     assert any(f.endswith(".lp") for f in os.listdir(dump))
+
+
+def test_paths_deep_depth_counts_and_lists(capsys):
+    problem = bench("wlm", "depth20.prob")
+    code, out, _ = run(capsys, "paths", "--problem", problem, "--depth", "1200")
+    assert code == EXIT_OK
+    count = int(out.strip())
+    code, out, _ = run(capsys, "paths", "--problem", problem, "--depth", "1200", "-v")
+    assert code == EXIT_OK
+    lines = out.strip().split("\n")
+    assert int(lines[0]) == count
+    assert len(lines) - 1 == count

@@ -4,9 +4,8 @@ import random
 
 import pytest
 
-from oracles import random_digraph, recursive_walks
+from oracles import graph_from_succ, random_digraph, recursive_walks
 from wpx.graph import (
-    Graph,
     PathString,
     ResourceCapExceeded,
     build_graph,
@@ -16,15 +15,6 @@ from wpx.graph import (
     iter_walks,
 )
 from conftest import load_benchmark
-
-
-def graph_from_succ(n, succ):
-    edges = tuple(sorted((u, v) for u, vs in succ.items() for v in set(vs)))
-    return Graph(
-        vertex_count=n,
-        edges=edges,
-        transition_refs=tuple((e, (i,)) for i, e in enumerate(edges)),
-    )
 
 
 DIAMOND = graph_from_succ(4, {0: [1, 2], 1: [3], 2: [3], 3: [0]})

@@ -1,4 +1,6 @@
-"""LCS engine: oracle agreement, pruning, determinism, tie-breaks."""
+"""LCS over listed strings: oracle agreement, pruning, determinism,
+tie-breaks.  The explicit engine lives in ``oracles``; the symbolic one in
+``wpx.lcs`` is checked against it in ``test_symbolic``."""
 
 import random
 
@@ -6,18 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_lcs_length
-from wpx.graph import PathSet, PathString, ResourceCapExceeded
-from wpx.lcs import (
+from oracles import (
+    ExplicitPathSet,
+    brute_lcs_length,
     common_subsequences_pair,
+    explicit_lcs,
     is_subsequence,
-    lcs_multi,
     prune_alphabet,
 )
+from wpx.graph import PathString, ResourceCapExceeded
 
 
 def path_set(*strings):
-    return PathSet(tuple(PathString(tuple(s)) for s in strings))
+    return ExplicitPathSet(tuple(PathString(tuple(s)) for s in strings))
 
 
 def test_is_subsequence():
@@ -46,19 +49,19 @@ def test_candidate_cap_enforced():
 
 
 def test_lcs_single_string_is_the_string():
-    result = lcs_multi(path_set((1, 2, 3)))
+    result = explicit_lcs(path_set((1, 2, 3)))
     assert result.sequence == (1, 2, 3)
     assert not result.trivial
 
 
 def test_lcs_trivial_flag_on_endpoints_only():
-    result = lcs_multi(path_set((0, 1, 5), (0, 2, 5), (0, 3, 5)))
+    result = explicit_lcs(path_set((0, 1, 5), (0, 2, 5), (0, 3, 5)))
     assert result.sequence == (0, 5)
     assert result.trivial
 
 
 def test_lcs_known_value():
-    result = lcs_multi(path_set((0, 1, 2, 3, 9), (0, 2, 1, 3, 9), (0, 1, 3, 2, 9)))
+    result = explicit_lcs(path_set((0, 1, 2, 3, 9), (0, 2, 1, 3, 9), (0, 1, 3, 2, 9)))
     # Common subsequences of all three: (0,1,3,9)? third has 1 before 3,
     # second has 1 after 2 but before 3 -> (0,1,3,9) works for 1,3 order.
     assert result.sequence == (0, 1, 3, 9)
@@ -67,7 +70,7 @@ def test_lcs_known_value():
 def test_lcs_deterministic_tiebreak_prefers_leftmost_embedding():
     # Both (0,1,9) and (0,2,9) are maximal; the first BFS string embeds
     # (0,1,9) leftmost.
-    result = lcs_multi(path_set((0, 1, 2, 9), (0, 2, 1, 9)))
+    result = explicit_lcs(path_set((0, 1, 2, 9), (0, 2, 1, 9)))
     assert result.sequence == (0, 1, 9)
 
 
@@ -80,7 +83,7 @@ def test_lcs_oracle_small_random():
         for _ in range(k):
             mid = [rng.randint(0, 7) for _ in range(rng.randint(0, 8))]
             strings.append(tuple([head] + mid + [tail]))
-        got = lcs_multi(path_set(*strings))
+        got = explicit_lcs(path_set(*strings))
         want = brute_lcs_length(strings)
         assert got.length == want
         for s in strings:
@@ -97,6 +100,6 @@ def test_lcs_oracle_small_random():
 )
 def test_lcs_property_matches_bruteforce(mids):
     strings = [tuple([90] + mid + [91]) for mid in mids]
-    got = lcs_multi(path_set(*strings))
+    got = explicit_lcs(path_set(*strings))
     assert got.length == brute_lcs_length(strings)
     assert got.sequence[0] == 90 and got.sequence[-1] == 91
