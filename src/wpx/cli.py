@@ -55,7 +55,6 @@ class CliConfig:
     depth: Optional[int]
     json_output: bool
     max_paths: int
-    parallel: int
     dump_lp: Optional[str]
     verbose: bool
 
@@ -84,10 +83,9 @@ def _build_parser() -> argparse.ArgumentParser:
             help="cap on the number of bounded paths",
         )
         p.add_argument(
-            "--parallel", type=int, default=1,
-            help="worker processes for reachability (output is identical for any value)",
+            "--dump-lp",
+            help="directory for per-path LP dumps (explain: one subdirectory per check)",
         )
-        p.add_argument("--dump-lp", help="directory for per-path LP dumps")
         p.add_argument(
             "-v", "--verbose", action="store_true", help="print full detail"
         )
@@ -227,7 +225,6 @@ def cmd_explain(config: CliConfig) -> int:
         problem,
         name=name,
         cap=config.max_paths,
-        parallel=config.parallel,
         dump_dir=config.dump_lp,
     )
     if config.json_output:
@@ -239,9 +236,7 @@ def cmd_explain(config: CliConfig) -> int:
 
 def cmd_check(config: CliConfig) -> int:
     _model, problem, _name = _load(config)
-    verdict = bounded_reachable(
-        problem, cap=config.max_paths, parallel=config.parallel, dump_dir=config.dump_lp
-    )
+    verdict = bounded_reachable(problem, cap=config.max_paths, dump_dir=config.dump_lp)
     if config.json_output:
         doc = {"status": verdict.status, "paths_checked": verdict.paths_checked}
         if verdict.is_sat:
@@ -279,14 +274,11 @@ def cmd_bench(config: CliConfig) -> int:
             depth=entry["depth"],
             json_output=False,
             max_paths=config.max_paths,
-            parallel=config.parallel,
             dump_lp=None,
             verbose=False,
         )
         _model, problem, name = _load(sub)
-        report = explain(
-            problem, name=name, cap=config.max_paths, parallel=config.parallel
-        )
+        report = explain(problem, name=name, cap=config.max_paths)
         actual = {
             "path_count": report.path_count,
             "chain_length": len(report.chain) if report.chain else 0,
@@ -330,12 +322,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         depth=args.depth,
         json_output=args.json,
         max_paths=args.max_paths,
-        parallel=args.parallel,
         dump_lp=args.dump_lp,
         verbose=args.verbose,
     )
-    if config.max_paths <= 0 or config.parallel <= 0:
-        print("caps and parallelism must be positive", file=sys.stderr)
+    if config.max_paths <= 0:
+        print("--max-paths must be positive", file=sys.stderr)
         return EXIT_INPUT
     try:
         return _COMMANDS[config.subcommand](config)

@@ -12,6 +12,7 @@ out to be solvable after all.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
@@ -104,15 +105,20 @@ def explain(
     problem: PlanningProblem,
     name: str = "problem",
     cap: int = DEFAULT_PATH_CAP,
-    parallel: int = 1,
     dump_dir: Optional[str] = None,
 ) -> ExplanationReport:
     """Locate the first unreachable inevitable waypoint of ``problem``.
 
     The first chain entry is skipped without an LP call when the init
     region syntactically entails the initial location's invariant, making
-    that sub-problem reachable by the zero-length run.
+    that sub-problem reachable by the zero-length run.  ``dump_dir`` gets
+    one subdirectory per reachability check: ``<position>_<location>`` for
+    a chain entry and ``goal`` for the final check of the exact goal.
     """
+
+    def dump_subdir(name: str) -> Optional[str]:
+        return None if dump_dir is None else os.path.join(dump_dir, name)
+
     annotations = []
     timings: Dict[str, float] = {}
     init_loc, _ = problem.init
@@ -163,7 +169,9 @@ def explain(
             )
             continue
         verdict = bounded_reachable(
-            entry.problem, cap=cap, parallel=parallel, dump_dir=dump_dir
+            entry.problem,
+            cap=cap,
+            dump_dir=dump_subdir("%d_%s" % (entry.position, entry.location_name)),
         )
         verdicts.append(
             WaypointVerdict(
@@ -195,7 +203,7 @@ def explain(
         )
 
     # Every waypoint is reachable: decide the original exact-goal problem.
-    final = bounded_reachable(problem, cap=cap, parallel=parallel, dump_dir=dump_dir)
+    final = bounded_reachable(problem, cap=cap, dump_dir=dump_subdir("goal"))
     timings["reachability"] = (time.perf_counter() - t2) * 1000.0
     if final.is_sat:
         annotations.append("the problem is solvable; no explanation exists")

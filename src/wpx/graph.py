@@ -5,7 +5,9 @@ enumeration, and disconnecting articulation points.
 self-loop consumes one depth unit.  Enumeration order is breadth first by
 length with ties broken by location id at every expansion, which makes the
 resulting path set (and everything derived from it downstream) fully
-deterministic.
+deterministic.  The same enumerator, ``iter_labelled_walks``, lists the
+concrete transition paths of the reachability stage, with ties broken by
+transition id.
 
 A ``PathSet`` is symbolic: it holds the graph, the endpoints, the depth and
 the walk count, and answers the two questions the LCS stage asks (which
@@ -16,7 +18,7 @@ listing the walks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Mapping, Sequence, Tuple
 
 from .model import HybridAutomaton
 
@@ -132,11 +134,15 @@ def build_graph(automaton: HybridAutomaton) -> Graph:
     )
 
 
-def _reverse_distances(graph: Graph, target: int) -> Dict[int, int]:
+Successors = Mapping[int, Sequence[Tuple[int, int]]]
+
+
+def _reverse_distances(succ: Successors, target: int) -> Dict[int, int]:
     """Shortest edge-count distance from every vertex to the target."""
     pred: Dict[int, List[int]] = {}
-    for s, t in graph.edges:
-        pred.setdefault(t, []).append(s)
+    for u, hops in succ.items():
+        for _label, v in hops:
+            pred.setdefault(v, []).append(u)
     dist = {target: 0}
     frontier = [target]
     while frontier:
@@ -150,44 +156,63 @@ def _reverse_distances(graph: Graph, target: int) -> Dict[int, int]:
     return dist
 
 
-def iter_walks(
-    graph: Graph, source: int, target: int, depth: int
-) -> Iterator[Tuple[int, ...]]:
-    """Yield every source-to-target walk with edge count <= depth in BFS
-    (length, then lexicographic-by-location-id) order.
+def iter_labelled_walks(
+    succ: Successors, source: int, target: int, depth: int
+) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+    """Yield ``(locations, labels)`` for every source-to-target walk with
+    edge count <= depth over the labelled successor map
+    ``{vertex: ((label, next), ...)}``, where ``labels[i]`` names the edge
+    from ``locations[i]`` to ``locations[i + 1]``.
 
-    Implemented as iterative deepening with distance-to-target pruning so
-    that memory stays proportional to the depth, not to the frontier; only
-    prefixes that can still complete within the remaining budget are
-    explored.  The zero-length walk [source] is yielded first iff
-    source = target.
+    Order is breadth first by length, then depth first in the map's own
+    successor order, so the caller fixes the tie-break.  Implemented as
+    iterative deepening with distance-to-target pruning over an explicit
+    stack, so memory stays proportional to the depth and no walk length
+    is limited by recursion; only prefixes that can still complete within
+    the remaining budget are explored.  The zero-length walk is yielded
+    first iff source = target.
     """
-    dist = _reverse_distances(graph, target)
+    dist = _reverse_distances(succ, target)
     missing = depth + 1
     if dist.get(source, missing) > depth:
         return
     if source == target:
-        yield (source,)
+        yield (source,), ()
     for length in range(max(dist[source], 1), depth + 1):
         # Depth-first over prefixes of exactly ``length`` edges, with one
         # successor iterator per prefix vertex in place of recursion.
         walk = [source]
-        stack = [iter(graph.successors(source))]
+        labels: List[int] = []
+        stack = [iter(succ.get(source, ()))]
         while stack:
             edges_left = length - len(walk)
-            for succ in stack[-1]:
-                if dist.get(succ, missing) <= edges_left:
+            for label, nxt in stack[-1]:
+                if dist.get(nxt, missing) <= edges_left:
                     break
             else:
                 stack.pop()
                 walk.pop()
+                if labels:
+                    labels.pop()
                 continue
-            walk.append(succ)
+            walk.append(nxt)
+            labels.append(label)
             if edges_left == 0:
-                yield tuple(walk)  # distance 0: succ is the target
+                yield tuple(walk), tuple(labels)  # distance 0: the target
                 walk.pop()
+                labels.pop()
             else:
-                stack.append(iter(graph.successors(succ)))
+                stack.append(iter(succ.get(nxt, ())))
+
+
+def iter_walks(
+    graph: Graph, source: int, target: int, depth: int
+) -> Iterator[Tuple[int, ...]]:
+    """Yield every source-to-target walk with edge count <= depth in BFS
+    (length, then lexicographic-by-location-id) order."""
+    succ = {v: tuple((w, w) for w in ws) for v, ws in graph._succ.items()}
+    for walk, _labels in iter_labelled_walks(succ, source, target, depth):
+        yield walk
 
 
 def enumerate_paths(

@@ -2,23 +2,22 @@
 
 Each concrete transition path is encoded as one linear-constraint
 feasibility problem over entry/exit valuations and dwell times, then decided
-exactly over the rationals.  The decision procedure is a phase-I simplex
-with exact rational pivoting and Bland's anti-cycling rule, preceded by an
-equality presolve (rate equalities, Keep resets and point constraints pin
-most valuation variables, leaving systems in roughly the dwell variables
-only) and a sign-based quick infeasibility check that resolves the common
-"resource budget exceeded" pattern without pivoting.
+exactly over the rationals.  The encoding substitutes exact rates, Keep
+resets and point resets away in one forward pass, leaving systems in
+roughly the dwell variables only; single-variable rows become bounds, a
+sign-based quick infeasibility check resolves the common "resource budget
+exceeded" pattern without pivoting, and a phase-I simplex with exact
+rational pivoting and Bland's anti-cycling rule decides the rest.
 """
 
 from __future__ import annotations
 
-import itertools
-from concurrent.futures import ProcessPoolExecutor
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .graph import DEFAULT_PATH_CAP, ResourceCapExceeded
+from .graph import DEFAULT_PATH_CAP, ResourceCapExceeded, iter_labelled_walks
 from .model import (
     HybridAutomaton,
     LinearConstraint,
@@ -32,6 +31,7 @@ from .model import (
     RunSegment,
     WitnessRun,
 )
+from .textio import format_rational
 
 
 @dataclass(frozen=True)
@@ -76,44 +76,10 @@ def enumerate_concrete_paths(
     succ: Dict[int, List[Tuple[int, int]]] = {}
     for t in automaton.transitions:
         succ.setdefault(t.source, []).append((t.id, t.target))
-    for v in succ:
-        succ[v].sort()
-
-    # Reverse shortest distances for pruning.
-    pred: Dict[int, List[int]] = {}
-    for t in automaton.transitions:
-        pred.setdefault(t.target, []).append(t.source)
-    dist = {goal_loc: 0}
-    frontier = [goal_loc]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for u in pred.get(v, ()):
-                if u not in dist:
-                    dist[u] = dist[v] + 1
-                    nxt.append(u)
-        frontier = nxt
-    missing = depth + 1
-    if dist.get(source, missing) > depth:
-        return
-
-    def exact(locs: List[int], trans: List[int], edges_left: int) -> Iterator[ConcretePath]:
-        vertex = locs[-1]
-        if edges_left == 0:
-            if vertex == goal_loc:
-                yield ConcretePath(tuple(locs), tuple(trans))
-            return
-        for tid, nxt_loc in succ.get(vertex, ()):
-            if dist.get(nxt_loc, missing) <= edges_left - 1:
-                locs.append(nxt_loc)
-                trans.append(tid)
-                yield from exact(locs, trans, edges_left - 1)
-                locs.pop()
-                trans.pop()
-
-    for length in range(depth + 1):
-        if dist.get(source, missing) <= length:
-            yield from exact([source], [], length)
+    for hops in succ.values():
+        hops.sort()
+    for locations, transitions in iter_labelled_walks(succ, source, goal_loc, depth):
+        yield ConcretePath(locations, transitions)
 
 
 def _var_in(var: str, pos: int) -> str:
@@ -244,78 +210,6 @@ def encode_path(problem: PlanningProblem, path: ConcretePath) -> LpProblem:
 
 
 # --- exact feasibility ----------------------------------------------------
-
-
-def _substitute(
-    coeffs: Dict[str, Rational],
-    constant: Rational,
-    solved: Dict[str, Tuple[Dict[str, Rational], Rational]],
-) -> Tuple[Dict[str, Rational], Rational]:
-    """Fully substitute solved variables into (coeffs, constant)."""
-    pending = True
-    while pending:
-        pending = False
-        for var in list(coeffs):
-            if var in solved:
-                factor = coeffs.pop(var)
-                sub_coeffs, sub_const = solved[var]
-                for v, k in sub_coeffs.items():
-                    coeffs[v] = coeffs.get(v, Fraction(0)) + factor * k
-                constant += factor * sub_const
-                pending = True
-        coeffs = {v: k for v, k in coeffs.items() if k != 0}
-    return coeffs, constant
-
-
-def _presolve(
-    lp: LpProblem,
-) -> Optional[
-    Tuple[List[Tuple[Dict[str, Rational], Rational]], Dict[str, Tuple[Dict[str, Rational], Rational]]]
-]:
-    """Eliminate equality constraints by Gaussian substitution.
-
-    Returns (rows, solved) where rows is a list of (coeffs, bound) meaning
-    sum(coeffs * x) <= bound over the remaining variables, and solved maps
-    an eliminated variable to (coeffs, constant) over remaining variables.
-    Returns None when an equality is contradictory on its own.
-    """
-    solved: Dict[str, Tuple[Dict[str, Rational], Rational]] = {}
-    rows: List[Tuple[Dict[str, Rational], Rational]] = []
-    inequalities: List[Tuple[Dict[str, Rational], Rational]] = []
-
-    for c in lp.constraints:
-        coeffs = dict(c.expression.coefficients)
-        constant = c.expression.constant
-        if c.relation is Relation.EQ:
-            coeffs, constant = _substitute(coeffs, constant, solved)
-            if not coeffs:
-                if constant != 0:
-                    return None
-                continue
-            # Deterministic pivot: first variable in sorted order.
-            pivot = sorted(coeffs)[0]
-            pk = coeffs.pop(pivot)
-            expr = {v: -k / pk for v, k in coeffs.items()}
-            const = -constant / pk
-            # Re-normalize earlier solutions that mention the pivot.
-            for var, (scoeffs, sconst) in list(solved.items()):
-                if pivot in scoeffs:
-                    factor = scoeffs.pop(pivot)
-                    for v, k in expr.items():
-                        scoeffs[v] = scoeffs.get(v, Fraction(0)) + factor * k
-                    sconst += factor * const
-                    solved[var] = ({v: k for v, k in scoeffs.items() if k != 0}, sconst)
-            solved[pivot] = (expr, const)
-        elif c.relation is Relation.LE:
-            inequalities.append((coeffs, constant))
-        else:  # GE: expr >= 0  ->  -expr <= 0
-            inequalities.append(({v: -k for v, k in coeffs.items()}, -constant))
-
-    for coeffs, constant in inequalities:
-        coeffs, constant = _substitute(dict(coeffs), constant, solved)
-        # expr + constant <= 0  ->  expr <= -constant
-        rows.append((coeffs, -constant))
-    return rows, solved
 
 
 def _phase_one_simplex(
@@ -540,36 +434,6 @@ def _solve_rows(
     return full
 
 
-def lp_feasible(lp: LpProblem) -> Verdict:
-    """Exact SAT/UNSAT decision with witness extraction."""
-    pres = _presolve(lp)
-    if pres is None:
-        return Verdict(status="UNSAT", witness=None, paths_checked=0)
-    rows, solved = pres
-
-    full = _solve_rows(rows)
-    if full is None:
-        return Verdict(status="UNSAT", witness=None, paths_checked=0)
-
-    for v in lp.variables:
-        if v not in full and v not in solved:
-            full[v] = Fraction(0)
-    # Back-substitute eliminated variables (solutions reference only
-    # remaining variables after presolve re-normalization).
-    for var, (coeffs, const) in solved.items():
-        value = const
-        for v, k in coeffs.items():
-            value += k * full[v]
-        full[var] = value
-
-    witness = tuple(sorted((v, full[v]) for v in lp.variables))
-    valuation = dict(witness)
-    for c in lp.constraints:
-        if not c.holds(valuation):
-            raise AssertionError("internal error: witness fails a constraint")
-    return Verdict(status="SAT", witness=witness, paths_checked=0)
-
-
 # --- interval pre-analysis ------------------------------------------------
 #
 # A step-indexed box (interval) abstraction of the path semantics.  Each
@@ -783,8 +647,8 @@ def _encode_reduced(
 ) -> Tuple[List[Tuple[Dict[str, Rational], Rational]], Dict[str, _Expr]]:
     """Encode a path with exact rates and Keep resets substituted away.
 
-    Semantically identical to ``encode_path`` + equality presolve, but
-    built in one forward pass: the valuation at each point is tracked as an
+    Semantically identical to ``encode_path`` with its equalities
+    substituted away, built in one forward pass: the valuation at each point is tracked as an
     affine expression over the surviving variables (dwells, interval-rate
     exits, interval-reset entries).  Returns the inequality rows and, for
     every variable of the full encoding, its expression over the survivors
@@ -897,49 +761,28 @@ def _check_path(problem: PlanningProblem, path: ConcretePath) -> Verdict:
     return Verdict(status="SAT", witness=witness, paths_checked=0)
 
 
-def _chunk_worker(args) -> List[Tuple[int, str, Optional[Tuple[Tuple[str, Rational], ...]]]]:
-    problem, paths = args
-    out = []
-    for idx, path in paths:
-        verdict = _check_path(problem, path)
-        out.append((idx, verdict.status, verdict.witness))
-    return out
-
-
 def bounded_reachable(
     problem: PlanningProblem,
     cap: int = DEFAULT_PATH_CAP,
-    parallel: int = 1,
     dump_dir: Optional[str] = None,
 ) -> Verdict:
-    """SAT iff some concrete path's LP is feasible; first SAT in enumeration
-    order wins regardless of parallelism.
+    """SAT iff some concrete path's LP is feasible; the first SAT path in
+    enumeration order wins.
 
-    ``dump_dir`` writes one plain-text constraint listing per checked path.
+    ``dump_dir`` writes one plain-text constraint listing per checked path;
+    a verdict the box pre-analysis decides checks no path and writes none.
     """
-    # The box pre-analysis can prove UNSAT without enumerating; skip it
-    # when per-path dumps were requested, since those require enumeration.
-    if dump_dir is None and _interval_unreachable(problem):
+    if _interval_unreachable(problem):
         return Verdict(status="UNSAT", witness=None, paths_checked=0)
 
     init_loc, _ = problem.init
     paths = enumerate_concrete_paths(
         problem.domain, init_loc, problem.goal.location, problem.depth
     )
-    checked = 0
-
     if dump_dir is not None:
-        import os
-
         os.makedirs(dump_dir, exist_ok=True)
 
     def dump(idx: int, path: ConcretePath) -> None:
-        if dump_dir is None:
-            return
-        import os
-
-        from .textio import format_rational
-
         lp = encode_path(problem, path)
         lines = ["# path %d" % idx]
         lines.append(
@@ -956,52 +799,21 @@ def bounded_reachable(
         with open(os.path.join(dump_dir, "path_%05d.lp" % idx), "w") as fh:
             fh.write("\n".join(lines) + "\n")
 
-    if parallel <= 1:
-        for idx, path in enumerate(paths):
-            if idx >= cap:
-                raise ResourceCapExceeded("concrete path enumeration", cap)
+    checked = 0
+    for idx, path in enumerate(paths):
+        if idx >= cap:
+            raise ResourceCapExceeded("concrete path enumeration", cap)
+        if dump_dir is not None:
             dump(idx, path)
-            verdict = _check_path(problem, path)
-            checked += 1
-            if verdict.is_sat:
-                return Verdict(
-                    status="SAT",
-                    witness=verdict.witness,
-                    paths_checked=checked,
-                    path=path,
-                )
-        return Verdict(status="UNSAT", witness=None, paths_checked=checked)
-
-    chunk_size = 32
-    indexed = enumerate(paths)
-    with ProcessPoolExecutor(max_workers=parallel) as pool:
-        while True:
-            batch: List[List[Tuple[int, ConcretePath]]] = []
-            batch_paths: Dict[int, ConcretePath] = {}
-            for _ in range(parallel):
-                chunk = list(itertools.islice(indexed, chunk_size))
-                if not chunk:
-                    break
-                for idx, path in chunk:
-                    if idx >= cap:
-                        raise ResourceCapExceeded("concrete path enumeration", cap)
-                    dump(idx, path)
-                    batch_paths[idx] = path
-                batch.append(chunk)
-            if not batch:
-                break
-            results = pool.map(_chunk_worker, [(problem, chunk) for chunk in batch])
-            flat = [item for sub in results for item in sub]
-            flat.sort(key=lambda item: item[0])
-            for idx, status, witness in flat:
-                checked += 1
-                if status == "SAT":
-                    return Verdict(
-                        status="SAT",
-                        witness=witness,
-                        paths_checked=checked,
-                        path=batch_paths[idx],
-                    )
+        verdict = _check_path(problem, path)
+        checked += 1
+        if verdict.is_sat:
+            return Verdict(
+                status="SAT",
+                witness=verdict.witness,
+                paths_checked=checked,
+                path=path,
+            )
     return Verdict(status="UNSAT", witness=None, paths_checked=checked)
 
 

@@ -19,7 +19,6 @@ def load_benchmark(dirname: str, probname: str, depth=None):
         depth=depth,
         json_output=False,
         max_paths=1 << 22,
-        parallel=1,
         dump_lp=None,
         verbose=False,
     )

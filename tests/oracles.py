@@ -11,7 +11,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from wpx.graph import Graph, PathSet, PathString, ResourceCapExceeded
 from wpx.lcs import LcsResult
@@ -26,18 +26,15 @@ from wpx.model import (
     Reset,
     Transition,
 )
-from wpx.reach import LpProblem
+from wpx.reach import ConcretePath, LpProblem, Verdict, _solve_rows
 
 
 # --- Fourier-Motzkin feasibility oracle ----------------------------------
 
 
-def fm_feasible(lp: LpProblem) -> bool:
-    """Decide feasibility by Fourier-Motzkin elimination.
-
-    Equalities are split into two inequalities; every row is kept as
-    (coeffs, bound) meaning sum(coeffs*x) <= bound.
-    """
+def lp_rows(lp: LpProblem) -> List[Tuple[Dict[str, Fraction], Fraction]]:
+    """The constraints as (coeffs, bound) rows meaning
+    sum(coeffs*x) <= bound; an equality becomes two rows."""
     rows: List[Tuple[Dict[str, Fraction], Fraction]] = []
     for c in lp.constraints:
         coeffs = dict(c.expression.coefficients)
@@ -46,6 +43,30 @@ def fm_feasible(lp: LpProblem) -> bool:
             rows.append((dict(coeffs), -const))
         if c.relation in (Relation.GE, Relation.EQ):
             rows.append(({v: -k for v, k in coeffs.items()}, const))
+    return rows
+
+
+def lp_feasible(lp: LpProblem) -> Verdict:
+    """Decide ``lp`` with the production solver ``_solve_rows``.
+
+    Variables no row mentions are set to 0, and a SAT witness must satisfy
+    every constraint.
+    """
+    full = _solve_rows(lp_rows(lp))
+    if full is None:
+        return Verdict(status="UNSAT", witness=None, paths_checked=0)
+    witness = tuple(sorted((v, full.get(v, Fraction(0))) for v in lp.variables))
+    valuation = dict(witness)
+    for c in lp.constraints:
+        if not c.holds(valuation):
+            raise AssertionError("witness fails a constraint: %r" % (c,))
+    return Verdict(status="SAT", witness=witness, paths_checked=0)
+
+
+def fm_feasible(lp: LpProblem) -> bool:
+    """Decide feasibility by Fourier-Motzkin elimination over
+    ``lp_rows(lp)``."""
+    rows = lp_rows(lp)
 
     def compact(rows):
         # Normalize scaling, drop exact duplicates, keep the tightest bound
@@ -332,6 +353,58 @@ def recursive_walks(
     go((source,))
     out.sort(key=lambda w: (len(w), w))
     return out
+
+
+# --- recursive concrete path oracle --------------------------------------
+
+
+def recursive_concrete_paths(
+    automaton: HybridAutomaton, source: int, goal_loc: int, depth: int
+) -> Iterator[ConcretePath]:
+    """Every transition-level walk of length <= depth from source to
+    goal_loc, BFS by length with transition-id tie-break (which refines the
+    location-id order because transitions are declared per edge)."""
+    succ: Dict[int, List[Tuple[int, int]]] = {}
+    for t in automaton.transitions:
+        succ.setdefault(t.source, []).append((t.id, t.target))
+    for v in succ:
+        succ[v].sort()
+
+    # Reverse shortest distances for pruning.
+    pred: Dict[int, List[int]] = {}
+    for t in automaton.transitions:
+        pred.setdefault(t.target, []).append(t.source)
+    dist = {goal_loc: 0}
+    frontier = [goal_loc]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for u in pred.get(v, ()):
+                if u not in dist:
+                    dist[u] = dist[v] + 1
+                    nxt.append(u)
+        frontier = nxt
+    missing = depth + 1
+    if dist.get(source, missing) > depth:
+        return
+
+    def exact(locs: List[int], trans: List[int], edges_left: int) -> Iterator[ConcretePath]:
+        vertex = locs[-1]
+        if edges_left == 0:
+            if vertex == goal_loc:
+                yield ConcretePath(tuple(locs), tuple(trans))
+            return
+        for tid, nxt_loc in succ.get(vertex, ()):
+            if dist.get(nxt_loc, missing) <= edges_left - 1:
+                locs.append(nxt_loc)
+                trans.append(tid)
+                yield from exact(locs, trans, edges_left - 1)
+                locs.pop()
+                trans.pop()
+
+    for length in range(depth + 1):
+        if dist.get(source, missing) <= length:
+            yield from exact([source], [], length)
 
 
 def graph_from_succ(n: int, succ: Dict[int, List[int]]) -> Graph:

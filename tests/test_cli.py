@@ -138,6 +138,13 @@ def test_invalid_cap_rejected(capsys):
         "--max-paths", "0",
     )
     assert code == EXIT_INPUT
+    assert "--max-paths" in err
+
+
+def test_parallel_flag_rejected():
+    with pytest.raises(SystemExit) as exc:
+        main(["explain", "--problem", bench("wlm", "depth20.prob"), "--parallel", "2"])
+    assert exc.value.code == EXIT_INPUT
 
 
 def test_bench_reports_rows(capsys):
@@ -150,29 +157,22 @@ def test_bench_reports_rows(capsys):
     assert "path_count: expected 12, got 13" in out
 
 
-def test_parallel_output_identical(capsys):
-    code1, out1, _ = run(
-        capsys, "explain", "--problem", bench("rover", "depth12.prob"), "--json"
-    )
-    code4, out4, _ = run(
-        capsys, "explain", "--problem", bench("rover", "depth12.prob"), "--json",
-        "--parallel", "4",
-    )
-    assert code1 == code4 == EXIT_OK
-    doc1, doc4 = json.loads(out1), json.loads(out4)
-    doc1.pop("timings_ms")
-    doc4.pop("timings_ms")
-    assert doc1 == doc4
-
-
 def test_dump_lp_directory(capsys, tmp_path):
     dump = tmp_path / "lps"
-    code, _, _ = run(
-        capsys, "check", "--problem", bench("wlm", "depth20.prob"),
-        "--dump-lp", str(dump),
+    problem = bench("wlm", "depth20.prob")
+    code, out, _ = run(capsys, "explain", "--problem", problem, "--json")
+    code_dump, out_dump, _ = run(
+        capsys, "explain", "--problem", problem, "--json", "--dump-lp", str(dump),
     )
-    assert code == EXIT_OK
-    assert any(f.endswith(".lp") for f in os.listdir(dump))
+    assert code == code_dump == EXIT_OK
+    doc, doc_dump = json.loads(out), json.loads(out_dump)
+    doc.pop("timings_ms")
+    doc_dump.pop("timings_ms")
+    assert doc == doc_dump
+    # One subdirectory per checked waypoint; l6 is decided by the box.
+    assert (dump / "0_l1" / "path_00000.lp").is_file()
+    assert (dump / "1_l5" / "path_00000.lp").is_file()
+    assert sorted(os.listdir(dump)) == ["0_l1", "1_l5"]
 
 
 def test_paths_deep_depth_counts_and_lists(capsys):

@@ -118,12 +118,3 @@ def test_chain_scan_stops_at_first_failure():
     assert [v.location_name for v in report.verdicts] == [
         "l11", "l6", "l1", "l2", "l3", "l8", "l13"
     ]
-
-
-def test_explain_parallel_identical():
-    _model, problem = load_benchmark("wlm", "depth20.prob")
-    seq = explain(problem, parallel=1)
-    par = explain(problem, parallel=4)
-    assert seq.outcome == par.outcome
-    assert seq.verdicts == par.verdicts
-    assert seq.chain_locations == par.chain_locations

@@ -1,5 +1,6 @@
 """Path-oriented reachability: encoding, exact feasibility, witnesses."""
 
+import itertools
 import os
 import random
 from fractions import Fraction
@@ -8,7 +9,13 @@ import pytest
 
 import wpx.reach as reach
 from conftest import load_benchmark
-from oracles import fm_feasible, random_automaton, random_lp
+from oracles import (
+    fm_feasible,
+    lp_feasible,
+    random_automaton,
+    random_lp,
+    recursive_concrete_paths,
+)
 from wpx.model import (
     GoalSpec,
     LinearConstraint,
@@ -25,7 +32,6 @@ from wpx.reach import (
     encode_path,
     enumerate_concrete_paths,
     extract_witness,
-    lp_feasible,
 )
 from wpx.textio import parse_model, parse_problem
 
@@ -70,6 +76,27 @@ def test_concrete_paths_respect_depth_zero():
     problem = hop_problem()
     assert list(enumerate_concrete_paths(problem.domain, 0, 0, 0))[0].locations == (0,)
     assert list(enumerate_concrete_paths(problem.domain, 0, 1, 0)) == []
+
+
+def test_concrete_paths_match_recursive_oracle():
+    # Same list in the same order: the order fixes paths_checked and which
+    # SAT path supplies the witness.
+    rng = random.Random(6060)
+    for case in range(1000):
+        automaton = random_automaton(rng)
+        n = len(automaton.locations)
+        source, goal = rng.randrange(n), rng.randrange(n)
+        depth = rng.randint(0, 6)
+        got = list(enumerate_concrete_paths(automaton, source, goal, depth))
+        want = list(recursive_concrete_paths(automaton, source, goal, depth))
+        assert got == want, case
+
+
+def test_concrete_paths_longer_than_the_recursion_limit():
+    _model, problem = load_benchmark("wlm", "depth20.prob")
+    init_loc, _ = problem.init
+    paths = enumerate_concrete_paths(problem.domain, init_loc, problem.goal.location, 1200)
+    assert max(p.length for p in itertools.islice(paths, 300)) > 1000
 
 
 def test_encode_path_variable_and_constraint_shape():
@@ -209,22 +236,18 @@ def test_interval_preanalysis_agrees_with_enumeration(monkeypatch):
     assert unsat_boxes > 0  # the pre-analysis actually fires sometimes
 
 
-def test_parallel_matches_sequential_on_benchmark():
-    _model, problem = load_benchmark("rover", "depth12.prob")
-    seq = bounded_reachable(problem)
-    par = bounded_reachable(problem, parallel=4)
-    assert (seq.status, seq.witness, seq.paths_checked) == (
-        par.status, par.witness, par.paths_checked
-    )
-
-
 def test_dump_lp_writes_one_file_per_path(tmp_path):
-    problem = hop_problem(goal="b", goal_region="{ x >= 100 }", depth=2)
+    problem = hop_problem()
     bounded_reachable(problem, dump_dir=str(tmp_path))
     files = sorted(os.listdir(tmp_path))
     assert files and all(f.endswith(".lp") for f in files)
     text = (tmp_path / files[0]).read_text()
     assert "# path 0" in text and "<= 0" in text
+    # The box pre-analysis decides this goal, so no path is checked or dumped.
+    boxed = hop_problem(goal="b", goal_region="{ x >= 100 }", depth=2)
+    boxed_dir = tmp_path / "boxed"
+    assert bounded_reachable(boxed, dump_dir=str(boxed_dir)) == bounded_reachable(boxed)
+    assert list(boxed_dir.rglob("*.lp")) == []
 
 
 def test_witness_values_are_exact_fractions():
