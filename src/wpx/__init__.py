@@ -22,7 +22,7 @@ from .model import (
     check_witness,
     validate_model,
 )
-from .reach import ConcretePath, LpProblem, Verdict, bounded_reachable, encode_path
+from .reach import ConcretePath, Verdict, bounded_reachable, encode_path
 from .textio import ParseError, parse_model, parse_problem, serialize_model, serialize_report
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .chain import chain_from_lcs
-from .explain import ExplanationReport, explain
+from .explain import ExplanationReport, classify_trivial_chain, explain
 from .graph import (
     DEFAULT_PATH_CAP,
     ResourceCapExceeded,
@@ -28,7 +28,7 @@ from .graph import (
     enumerate_paths,
 )
 from .lcs import lcs_multi
-from .model import PlanningProblem
+from .model import Plan, PlanningProblem
 from .reach import bounded_reachable, extract_witness
 from .textio import (
     ModelDocument,
@@ -73,22 +73,28 @@ def _build_parser() -> argparse.ArgumentParser:
         ("check", "decide bounded reachability of the problem as given"),
         ("bench", "run the bundled benchmarks against the expectations file"),
     ):
+        # Each subcommand registers only the flags it honours.
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--model", help="path to the .lha model file")
-        p.add_argument("--problem", help="path to the .prob problem file")
-        p.add_argument("--depth", type=int, help="override the problem depth")
-        p.add_argument("--json", action="store_true", help="JSON output")
+        if name != "bench":
+            p.add_argument("--model", help="path to the .lha model file")
+            p.add_argument("--problem", help="path to the .prob problem file")
+            p.add_argument("--depth", type=int, help="override the problem depth")
+            p.add_argument("--json", action="store_true", help="JSON output")
         p.add_argument(
             "--max-paths", type=int, default=DEFAULT_PATH_CAP,
             help="cap on the number of bounded paths",
         )
-        p.add_argument(
-            "--dump-lp",
-            help="directory for per-path LP dumps (explain: one subdirectory per check)",
-        )
-        p.add_argument(
-            "-v", "--verbose", action="store_true", help="print full detail"
-        )
+        if name in ("explain", "check"):
+            p.add_argument(
+                "--dump-lp",
+                help="directory for the per-path rows the solver decides "
+                "(explain: one subdirectory per check)",
+            )
+        if name == "paths":
+            p.add_argument("-v", "--verbose", action="store_true", help="list the paths")
+    parser.set_defaults(
+        model=None, problem=None, depth=None, json=False, dump_lp=None, verbose=False
+    )
     return parser
 
 
@@ -175,7 +181,7 @@ def cmd_waypoints(config: CliConfig) -> int:
     lcs = lcs_multi(paths)
     chain = chain_from_lcs(problem, lcs)
     names = [e.location_name for e in chain.entries]
-    trivial = len(chain) <= 2
+    trivial = classify_trivial_chain(chain)
     if config.json_output:
         doc = {"chain": names, "trivial": trivial}
         if chain.deduplicated_repeats:
@@ -188,6 +194,12 @@ def cmd_waypoints(config: CliConfig) -> int:
         if chain.deduplicated_repeats:
             print("note: consecutive repeats in the LCS were collapsed")
     return EXIT_OK
+
+
+def _print_plan(plan: Plan) -> None:
+    for t, label in plan.steps:
+        print("  plan step t=%s %s" % (format_rational(t), label))
+    print("  makespan %s" % format_rational(plan.makespan))
 
 
 def _print_text_report(report: ExplanationReport) -> None:
@@ -204,9 +216,7 @@ def _print_text_report(report: ExplanationReport) -> None:
         print("explanation: %s" % report.explanation_name)
     plan = report.witness_plan
     if plan is not None:
-        for t, label in plan.steps:
-            print("  plan step t=%s %s" % (format_rational(t), label))
-        print("  makespan %s" % format_rational(plan.makespan))
+        _print_plan(plan)
     for note in report.annotations:
         print("note: %s" % note)
     print(
@@ -250,9 +260,7 @@ def cmd_check(config: CliConfig) -> int:
         print("%s (paths_checked=%d)" % (verdict.status, verdict.paths_checked))
         if verdict.is_sat:
             _run, plan = extract_witness(problem, verdict)
-            for t, label in plan.steps:
-                print("  plan step t=%s %s" % (format_rational(t), label))
-            print("  makespan %s" % format_rational(plan.makespan))
+            _print_plan(plan)
     return EXIT_OK
 
 

@@ -128,111 +128,74 @@ def explain(
     paths = enumerate_paths(graph, init_loc, problem.goal.location, problem.depth, cap=cap)
     timings["path_enumeration"] = (time.perf_counter() - t0) * 1000.0
 
-    if paths.count == 0:
-        timings["lcs"] = 0.0
-        timings["reachability"] = 0.0
-        return ExplanationReport(
-            problem_name=name,
-            problem=problem,
-            outcome=OUTCOME_DISCRETE_INFEASIBLE,
-            path_count=0,
-            chain=None,
-            verdicts=(),
-            explanation=None,
-            explanation_name=None,
-            witness_verdict=None,
-            timings_ms=timings,
-            annotations=("no bounded discrete path reaches the goal location",),
-        )
-
-    t1 = time.perf_counter()
-    lcs = lcs_multi(paths)
-    chain = chain_from_lcs(problem, lcs)
-    timings["lcs"] = (time.perf_counter() - t1) * 1000.0
-    if chain.deduplicated_repeats:
-        annotations.append("consecutive repeats in the LCS were collapsed")
-    if classify_trivial_chain(chain):
-        annotations.append("chain is trivial (endpoints only)")
-
+    chain: Optional[WaypointChain] = None
     verdicts = []
     failed: Optional[int] = None
-    t2 = time.perf_counter()
-    for entry in chain.entries:
-        if entry.location == init_loc and entry.position == 0 and init_within_invariant(problem):
+    witness_verdict: Optional[Verdict] = None
+    if paths.count == 0:
+        outcome = OUTCOME_DISCRETE_INFEASIBLE
+        timings["lcs"] = 0.0
+        timings["reachability"] = 0.0
+        annotations.append("no bounded discrete path reaches the goal location")
+    else:
+        t1 = time.perf_counter()
+        lcs = lcs_multi(paths)
+        chain = chain_from_lcs(problem, lcs)
+        timings["lcs"] = (time.perf_counter() - t1) * 1000.0
+        if chain.deduplicated_repeats:
+            annotations.append("consecutive repeats in the LCS were collapsed")
+        if classify_trivial_chain(chain):
+            annotations.append("chain is trivial (endpoints only)")
+
+        t2 = time.perf_counter()
+        for entry in chain.entries:
+            if entry.location == init_loc and entry.position == 0 and init_within_invariant(problem):
+                status, paths_checked = STATUS_TRIVIAL, 0
+            else:
+                verdict = bounded_reachable(
+                    entry.problem,
+                    cap=cap,
+                    dump_dir=dump_subdir("%d_%s" % (entry.position, entry.location_name)),
+                )
+                status, paths_checked = verdict.status, verdict.paths_checked
             verdicts.append(
                 WaypointVerdict(
                     location=entry.location,
                     location_name=entry.location_name,
-                    status=STATUS_TRIVIAL,
-                    paths_checked=0,
+                    status=status,
+                    paths_checked=paths_checked,
                 )
             )
-            continue
-        verdict = bounded_reachable(
-            entry.problem,
-            cap=cap,
-            dump_dir=dump_subdir("%d_%s" % (entry.position, entry.location_name)),
-        )
-        verdicts.append(
-            WaypointVerdict(
-                location=entry.location,
-                location_name=entry.location_name,
-                status=verdict.status,
-                paths_checked=verdict.paths_checked,
-            )
-        )
-        if not verdict.is_sat:
-            failed = entry.location
-            break
+            if status == STATUS_UNSAT:
+                failed = entry.location
+                break
 
-    witness_verdict: Optional[Verdict] = None
-    if failed is not None:
+        if failed is not None:
+            outcome = OUTCOME_FIRST_UNREACHABLE
+        else:
+            # Every waypoint is reachable: decide the original exact-goal problem.
+            final = bounded_reachable(problem, cap=cap, dump_dir=dump_subdir("goal"))
+            if final.is_sat:
+                outcome = OUTCOME_SOLVABLE
+                witness_verdict = final
+                annotations.append("the problem is solvable; no explanation exists")
+            else:
+                outcome = OUTCOME_NO_WAYPOINT
+                annotations.append(
+                    "every inevitable waypoint is reachable but the exact goal is not"
+                )
         timings["reachability"] = (time.perf_counter() - t2) * 1000.0
-        return ExplanationReport(
-            problem_name=name,
-            problem=problem,
-            outcome=OUTCOME_FIRST_UNREACHABLE,
-            path_count=paths.count,
-            chain=chain,
-            verdicts=tuple(verdicts),
-            explanation=failed,
-            explanation_name=problem.domain.location(failed).name,
-            witness_verdict=None,
-            timings_ms=timings,
-            annotations=tuple(annotations),
-        )
 
-    # Every waypoint is reachable: decide the original exact-goal problem.
-    final = bounded_reachable(problem, cap=cap, dump_dir=dump_subdir("goal"))
-    timings["reachability"] = (time.perf_counter() - t2) * 1000.0
-    if final.is_sat:
-        annotations.append("the problem is solvable; no explanation exists")
-        return ExplanationReport(
-            problem_name=name,
-            problem=problem,
-            outcome=OUTCOME_SOLVABLE,
-            path_count=paths.count,
-            chain=chain,
-            verdicts=tuple(verdicts),
-            explanation=None,
-            explanation_name=None,
-            witness_verdict=final,
-            timings_ms=timings,
-            annotations=tuple(annotations),
-        )
-    annotations.append(
-        "every inevitable waypoint is reachable but the exact goal is not"
-    )
     return ExplanationReport(
         problem_name=name,
         problem=problem,
-        outcome=OUTCOME_NO_WAYPOINT,
+        outcome=outcome,
         path_count=paths.count,
         chain=chain,
         verdicts=tuple(verdicts),
-        explanation=None,
-        explanation_name=None,
-        witness_verdict=None,
+        explanation=failed,
+        explanation_name=None if failed is None else problem.domain.location(failed).name,
+        witness_verdict=witness_verdict,
         timings_ms=timings,
         annotations=tuple(annotations),
     )

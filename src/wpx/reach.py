@@ -1,13 +1,17 @@
 """Path-oriented bounded reachability for linear hybrid automata.
 
-Each concrete transition path is encoded as one linear-constraint
-feasibility problem over entry/exit valuations and dwell times, then decided
-exactly over the rationals.  The encoding substitutes exact rates, Keep
-resets and point resets away in one forward pass, leaving systems in
-roughly the dwell variables only; single-variable rows become bounds, a
-sign-based quick infeasibility check resolves the common "resource budget
-exceeded" pattern without pivoting, and a phase-I simplex with exact
-rational pivoting and Bland's anti-cycling rule decides the rest.
+Each concrete transition path is encoded once, by ``encode_path``, as one
+linear-constraint feasibility problem over entry/exit valuations and dwell
+times, then decided exactly over the rationals.  The encoding substitutes
+exact rates, Keep resets and point resets away in one forward pass, leaving
+systems in roughly the dwell variables only; single-variable rows become
+bounds, a sign-based quick infeasibility check resolves the common
+"resource budget exceeded" pattern without pivoting, and a phase-I simplex
+with exact rational pivoting and Bland's anti-cycling rule decides the
+rest.  A SAT witness is accepted only after it replays as a valid run
+through ``model.check_witness``; an UNSAT verdict carries no certificate
+yet.  ``bounded_reachable(..., dump_dir=...)`` (the CLI's ``--dump-lp``)
+lists the rows the simplex decides.
 """
 
 from __future__ import annotations
@@ -20,8 +24,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from .graph import DEFAULT_PATH_CAP, ResourceCapExceeded, iter_labelled_walks
 from .model import (
     HybridAutomaton,
-    LinearConstraint,
-    LinearExpression,
     Plan,
     PlanningProblem,
     Polyhedron,
@@ -30,8 +32,14 @@ from .model import (
     ResetKind,
     RunSegment,
     WitnessRun,
+    check_witness,
 )
 from .textio import format_rational
+
+# A row ``(coeffs, bound)`` means ``sum(coeffs*x) <= bound``; an affine
+# expression ``(coeffs, const)`` stands for ``sum(coeffs*x) + const``.
+_Row = Tuple[Dict[str, Rational], Rational]
+_Expr = Tuple[Dict[str, Rational], Rational]
 
 
 @dataclass(frozen=True)
@@ -44,12 +52,6 @@ class ConcretePath:
     @property
     def length(self) -> int:
         return len(self.transitions)
-
-
-@dataclass(frozen=True)
-class LpProblem:
-    variables: Tuple[str, ...]
-    constraints: Tuple[LinearConstraint, ...]
 
 
 @dataclass(frozen=True)
@@ -94,126 +96,11 @@ def _dwell(pos: int) -> str:
     return "d%d" % pos
 
 
-def _shift_constraint(c: LinearConstraint, rename: Dict[str, str]) -> LinearConstraint:
-    coeffs = {rename[v]: k for v, k in c.expression.coefficients}
-    return LinearConstraint(
-        LinearExpression.build(coeffs, c.expression.constant), c.relation
-    )
-
-
-def encode_path(problem: PlanningProblem, path: ConcretePath) -> LpProblem:
-    """Encode one concrete path as a feasibility system.
-
-    Variables per position i: entry value ``x@iin`` and exit value
-    ``x@iout`` for every automaton variable x, and the dwell ``di``.
-    Constraints: init region at position 0; invariant at both endpoints of
-    every position; dwell nonnegativity; interval rate displacement bounds;
-    guard at the exit of each transition's source; Keep/interval reset
-    linking; goal region and goal-location invariant at the final exit.
-    """
-    automaton = problem.domain
-    init_loc, init_region = problem.init
-    if path.locations[0] != init_loc or path.locations[-1] != problem.goal.location:
-        raise ValueError("path endpoints do not match the problem")
-
-    variables: List[str] = []
-    constraints: List[LinearConstraint] = []
-    n = len(path.locations)
-
-    for i, loc_id in enumerate(path.locations):
-        for var in automaton.variables:
-            variables.append(_var_in(var, i))
-            variables.append(_var_out(var, i))
-        variables.append(_dwell(i))
-
-    def add_region(region: Polyhedron, pos: int, which: str) -> None:
-        rename = {v: ("%s@%d%s" % (v, pos, which)) for v in automaton.variables}
-        for c in region.constraints:
-            constraints.append(_shift_constraint(c, rename))
-
-    add_region(init_region, 0, "in")
-
-    for i, loc_id in enumerate(path.locations):
-        loc = automaton.location(loc_id)
-        add_region(loc.invariant, i, "in")
-        add_region(loc.invariant, i, "out")
-        # d_i >= 0  encoded as  -d_i <= 0
-        constraints.append(
-            LinearConstraint(LinearExpression.build({_dwell(i): -1}), Relation.LE)
-        )
-        for var in automaton.variables:
-            iv = loc.rates.interval(var)
-            if iv is None:
-                continue
-            vin, vout, d = _var_in(var, i), _var_out(var, i), _dwell(i)
-            if iv.lower == iv.upper:
-                # exact rate: out - in - r*d = 0
-                constraints.append(
-                    LinearConstraint(
-                        LinearExpression.build({vout: 1, vin: -1, d: -iv.lower}),
-                        Relation.EQ,
-                    )
-                )
-            else:
-                constraints.append(
-                    LinearConstraint(
-                        LinearExpression.build({vout: -1, vin: 1, d: iv.lower}),
-                        Relation.LE,
-                    )
-                )
-                constraints.append(
-                    LinearConstraint(
-                        LinearExpression.build({vout: 1, vin: -1, d: -iv.upper}),
-                        Relation.LE,
-                    )
-                )
-
-    for i, tid in enumerate(path.transitions):
-        trans = automaton.transitions[tid]
-        add_region(trans.guard, i, "out")
-        for var in automaton.variables:
-            act = trans.reset.action(var)
-            vin_next = _var_in(var, i + 1)
-            if act.kind is ResetKind.KEEP:
-                constraints.append(
-                    LinearConstraint(
-                        LinearExpression.build({vin_next: 1, _var_out(var, i): -1}),
-                        Relation.EQ,
-                    )
-                )
-            else:
-                if act.lower == act.upper:
-                    constraints.append(
-                        LinearConstraint(
-                            LinearExpression.build({vin_next: 1}, -act.lower),
-                            Relation.EQ,
-                        )
-                    )
-                else:
-                    constraints.append(
-                        LinearConstraint(
-                            LinearExpression.build({vin_next: -1}, act.lower),
-                            Relation.LE,
-                        )
-                    )
-                    constraints.append(
-                        LinearConstraint(
-                            LinearExpression.build({vin_next: 1}, -act.upper),
-                            Relation.LE,
-                        )
-                    )
-
-    add_region(problem.goal.region, n - 1, "out")
-    add_region(automaton.location(problem.goal.location).invariant, n - 1, "out")
-
-    return LpProblem(variables=tuple(variables), constraints=tuple(constraints))
-
-
 # --- exact feasibility ----------------------------------------------------
 
 
 def _phase_one_simplex(
-    variables: List[str], rows: List[Tuple[Dict[str, Rational], Rational]]
+    variables: List[str], rows: List[_Row]
 ) -> Optional[Dict[str, Rational]]:
     """Decide feasibility of {sum(coeffs*x) <= bound} with free variables.
 
@@ -339,7 +226,7 @@ def _phase_one_simplex(
 
 
 def _solve_rows(
-    rows: List[Tuple[Dict[str, Rational], Rational]]
+    rows: List[_Row]
 ) -> Optional[Dict[str, Rational]]:
     """Decide {sum(coeffs*x) <= bound} over free rational variables.
 
@@ -352,7 +239,7 @@ def _solve_rows(
     """
     lower: Dict[str, Rational] = {}
     upper: Dict[str, Rational] = {}
-    general: List[Tuple[Dict[str, Rational], Rational]] = []
+    general: List[_Row] = []
     all_vars: set = set()
     for coeffs, bound in rows:
         all_vars.update(coeffs)
@@ -393,7 +280,7 @@ def _solve_rows(
                 return None
 
     # Shift lower-bounded variables to nonnegative ones: x = lo + x'.
-    shifted_rows: List[Tuple[Dict[str, Rational], Rational]] = []
+    shifted_rows: List[_Row] = []
     remaining_vars: set = set()
     for coeffs, bound in general:
         nb = bound
@@ -639,27 +526,30 @@ def _interval_unreachable(problem: PlanningProblem) -> bool:
 # --- bounded reachability -------------------------------------------------
 
 
-_Expr = Tuple[Dict[str, Rational], Rational]
-
-
-def _encode_reduced(
+def encode_path(
     problem: PlanningProblem, path: ConcretePath
-) -> Tuple[List[Tuple[Dict[str, Rational], Rational]], Dict[str, _Expr]]:
-    """Encode a path with exact rates and Keep resets substituted away.
+) -> Tuple[List[_Row], Dict[str, _Expr]]:
+    """Encode one concrete path as rows ``sum(coeffs*x) <= bound``.
 
-    Semantically identical to ``encode_path`` with its equalities
-    substituted away, built in one forward pass: the valuation at each point is tracked as an
-    affine expression over the surviving variables (dwells, interval-rate
-    exits, interval-reset entries).  Returns the inequality rows and, for
-    every variable of the full encoding, its expression over the survivors
-    so the complete witness can be reconstructed.
+    The system speaks of the entry value ``x@iin`` and exit value
+    ``x@iout`` of every automaton variable x at every position i, and of the
+    dwell ``di >= 0``: init region at position 0; invariant at both
+    endpoints of every position; ``lower*di <= x@iout - x@iin <= upper*di``
+    for each rate interval; guard at the exit of each transition's source;
+    Keep/interval reset linking; goal region and goal-location invariant at
+    the final exit.  Exact rates, Keep resets and point resets are
+    substituted away in one forward pass: the valuation at each point is
+    tracked as an affine expression over the surviving variables (dwells,
+    interval-rate exits, interval-reset entries).  Returns the rows and,
+    for every ``x@iin``, ``x@iout`` and ``di``, its expression over the
+    survivors, so the complete witness can be rebuilt.
     """
     automaton = problem.domain
     init_loc, init_region = problem.init
     if path.locations[0] != init_loc or path.locations[-1] != problem.goal.location:
         raise ValueError("path endpoints do not match the problem")
 
-    rows: List[Tuple[Dict[str, Rational], Rational]] = []
+    rows: List[_Row] = []
     symbolic: Dict[str, _Expr] = {}
     # Current value of each automaton variable as (coeffs, const).
     state: Dict[str, _Expr] = {}
@@ -741,8 +631,31 @@ def _encode_reduced(
     return rows, symbolic
 
 
-def _check_path(problem: PlanningProblem, path: ConcretePath) -> Verdict:
-    rows, symbolic = _encode_reduced(problem, path)
+def _witness_run(
+    problem: PlanningProblem, path: ConcretePath, values: Dict[str, Rational]
+) -> WitnessRun:
+    """The run that a path's witness values describe."""
+    variables = problem.domain.variables
+    segments = tuple(
+        RunSegment(
+            location=loc_id,
+            entry=tuple((v, values[_var_in(v, i)]) for v in variables),
+            dwell=values[_dwell(i)],
+            exit=tuple((v, values[_var_out(v, i)]) for v in variables),
+        )
+        for i, loc_id in enumerate(path.locations)
+    )
+    return WitnessRun(segments=segments, transitions=path.transitions)
+
+
+def _check_path(
+    problem: PlanningProblem,
+    path: ConcretePath,
+    rows: List[_Row],
+    symbolic: Dict[str, _Expr],
+) -> Verdict:
+    """Decide ``path`` from its encoding; a SAT witness must replay as a
+    valid run under the model semantics."""
     full = _solve_rows(rows)
     if full is None:
         return Verdict(status="UNSAT", witness=None, paths_checked=0)
@@ -752,13 +665,13 @@ def _check_path(problem: PlanningProblem, path: ConcretePath) -> Verdict:
         for v, k in coeffs.items():
             value += k * full.get(v, Fraction(0))
         witness_vals[name] = value
-    witness = tuple(sorted(witness_vals.items()))
-    # Safety net: replay the witness through the full per-path encoding.
-    valuation = dict(witness)
-    for c in encode_path(problem, path).constraints:
-        if not c.holds(valuation):
-            raise AssertionError("internal error: witness fails a constraint")
-    return Verdict(status="SAT", witness=witness, paths_checked=0)
+    run = _witness_run(problem, path, witness_vals)
+    violations = check_witness(problem.domain, problem.init, problem.goal, run)
+    if violations:
+        raise AssertionError(
+            "internal error: path witness fails check_witness: " + "; ".join(violations)
+        )
+    return Verdict(status="SAT", witness=tuple(sorted(witness_vals.items())), paths_checked=0)
 
 
 def bounded_reachable(
@@ -769,8 +682,9 @@ def bounded_reachable(
     """SAT iff some concrete path's LP is feasible; the first SAT path in
     enumeration order wins.
 
-    ``dump_dir`` writes one plain-text constraint listing per checked path;
-    a verdict the box pre-analysis decides checks no path and writes none.
+    ``dump_dir`` writes, per checked path, the rows the solver decides as a
+    plain-text listing; a verdict the box pre-analysis decides checks no
+    path and writes none.
     """
     if _interval_unreachable(problem):
         return Verdict(status="UNSAT", witness=None, paths_checked=0)
@@ -782,20 +696,17 @@ def bounded_reachable(
     if dump_dir is not None:
         os.makedirs(dump_dir, exist_ok=True)
 
-    def dump(idx: int, path: ConcretePath) -> None:
-        lp = encode_path(problem, path)
+    def dump(idx: int, path: ConcretePath, rows: List[_Row]) -> None:
         lines = ["# path %d" % idx]
         lines.append(
             "# locations: "
             + " ".join(problem.domain.location(l).name for l in path.locations)
         )
-        for c in lp.constraints:
+        for coeffs, bound in rows:
             terms = " + ".join(
-                "%s*%s" % (format_rational(k), v) for v, k in c.expression.coefficients
+                "%s*%s" % (format_rational(k), v) for v, k in sorted(coeffs.items())
             )
-            lines.append(
-                "%s + %s %s 0" % (terms, format_rational(c.expression.constant), c.relation.value)
-            )
+            lines.append("%s + %s <= 0" % (terms or "0", format_rational(-bound)))
         with open(os.path.join(dump_dir, "path_%05d.lp" % idx), "w") as fh:
             fh.write("\n".join(lines) + "\n")
 
@@ -803,9 +714,10 @@ def bounded_reachable(
     for idx, path in enumerate(paths):
         if idx >= cap:
             raise ResourceCapExceeded("concrete path enumeration", cap)
+        rows, symbolic = encode_path(problem, path)
         if dump_dir is not None:
-            dump(idx, path)
-        verdict = _check_path(problem, path)
+            dump(idx, path, rows)
+        verdict = _check_path(problem, path, rows, symbolic)
         checked += 1
         if verdict.is_sat:
             return Verdict(
@@ -826,26 +738,13 @@ def extract_witness(
     path = path or verdict.path
     if path is None:
         raise ValueError("verdict carries no path")
-    automaton = problem.domain
-    values = verdict.witness_dict()
-    segments: List[RunSegment] = []
-    for i, loc_id in enumerate(path.locations):
-        entry = tuple(
-            (v, values[_var_in(v, i)]) for v in automaton.variables
-        )
-        exit_ = tuple(
-            (v, values[_var_out(v, i)]) for v in automaton.variables
-        )
-        segments.append(
-            RunSegment(location=loc_id, entry=entry, dwell=values[_dwell(i)], exit=exit_)
-        )
-    run = WitnessRun(segments=tuple(segments), transitions=path.transitions)
+    run = _witness_run(problem, path, verdict.witness_dict())
 
     steps: List[Tuple[Rational, str]] = []
     elapsed = Fraction(0)
-    for i, tid in enumerate(path.transitions):
-        elapsed += segments[i].dwell
-        steps.append((elapsed, automaton.transitions[tid].label))
-    makespan = elapsed + segments[-1].dwell
+    for seg, tid in zip(run.segments, path.transitions):
+        elapsed += seg.dwell
+        steps.append((elapsed, problem.domain.transitions[tid].label))
+    makespan = elapsed + run.segments[-1].dwell
     plan = Plan(steps=tuple(steps), makespan=makespan)
     return run, plan

@@ -20,13 +20,140 @@ from wpx.model import (
     LinearConstraint,
     LinearExpression,
     Location,
+    PlanningProblem,
     Polyhedron,
     RateSpec,
     Relation,
     Reset,
+    ResetKind,
     Transition,
 )
-from wpx.reach import ConcretePath, LpProblem, Verdict, _solve_rows
+from wpx.reach import ConcretePath, Verdict, _dwell, _solve_rows, _var_in, _var_out
+
+
+# --- full path encoding ---------------------------------------------------
+
+
+@dataclass(frozen=True)
+class LpProblem:
+    variables: Tuple[str, ...]
+    constraints: Tuple[LinearConstraint, ...]
+
+
+def _shift_constraint(c: LinearConstraint, rename: Dict[str, str]) -> LinearConstraint:
+    coeffs = {rename[v]: k for v, k in c.expression.coefficients}
+    return LinearConstraint(
+        LinearExpression.build(coeffs, c.expression.constant), c.relation
+    )
+
+
+def full_encode_path(problem: PlanningProblem, path: ConcretePath) -> LpProblem:
+    """Encode one concrete path as a feasibility system, with every
+    entry/exit valuation and dwell a variable and nothing substituted away.
+
+    Variables per position i: entry value ``x@iin`` and exit value
+    ``x@iout`` for every automaton variable x, and the dwell ``di``.
+    Constraints: init region at position 0; invariant at both endpoints of
+    every position; dwell nonnegativity; interval rate displacement bounds;
+    guard at the exit of each transition's source; Keep/interval reset
+    linking; goal region and goal-location invariant at the final exit.
+    """
+    automaton = problem.domain
+    init_loc, init_region = problem.init
+    if path.locations[0] != init_loc or path.locations[-1] != problem.goal.location:
+        raise ValueError("path endpoints do not match the problem")
+
+    variables: List[str] = []
+    constraints: List[LinearConstraint] = []
+    n = len(path.locations)
+
+    for i, loc_id in enumerate(path.locations):
+        for var in automaton.variables:
+            variables.append(_var_in(var, i))
+            variables.append(_var_out(var, i))
+        variables.append(_dwell(i))
+
+    def add_region(region: Polyhedron, pos: int, which: str) -> None:
+        rename = {v: ("%s@%d%s" % (v, pos, which)) for v in automaton.variables}
+        for c in region.constraints:
+            constraints.append(_shift_constraint(c, rename))
+
+    add_region(init_region, 0, "in")
+
+    for i, loc_id in enumerate(path.locations):
+        loc = automaton.location(loc_id)
+        add_region(loc.invariant, i, "in")
+        add_region(loc.invariant, i, "out")
+        # d_i >= 0  encoded as  -d_i <= 0
+        constraints.append(
+            LinearConstraint(LinearExpression.build({_dwell(i): -1}), Relation.LE)
+        )
+        for var in automaton.variables:
+            iv = loc.rates.interval(var)
+            if iv is None:
+                continue
+            vin, vout, d = _var_in(var, i), _var_out(var, i), _dwell(i)
+            if iv.lower == iv.upper:
+                # exact rate: out - in - r*d = 0
+                constraints.append(
+                    LinearConstraint(
+                        LinearExpression.build({vout: 1, vin: -1, d: -iv.lower}),
+                        Relation.EQ,
+                    )
+                )
+            else:
+                constraints.append(
+                    LinearConstraint(
+                        LinearExpression.build({vout: -1, vin: 1, d: iv.lower}),
+                        Relation.LE,
+                    )
+                )
+                constraints.append(
+                    LinearConstraint(
+                        LinearExpression.build({vout: 1, vin: -1, d: -iv.upper}),
+                        Relation.LE,
+                    )
+                )
+
+    for i, tid in enumerate(path.transitions):
+        trans = automaton.transitions[tid]
+        add_region(trans.guard, i, "out")
+        for var in automaton.variables:
+            act = trans.reset.action(var)
+            vin_next = _var_in(var, i + 1)
+            if act.kind is ResetKind.KEEP:
+                constraints.append(
+                    LinearConstraint(
+                        LinearExpression.build({vin_next: 1, _var_out(var, i): -1}),
+                        Relation.EQ,
+                    )
+                )
+            else:
+                if act.lower == act.upper:
+                    constraints.append(
+                        LinearConstraint(
+                            LinearExpression.build({vin_next: 1}, -act.lower),
+                            Relation.EQ,
+                        )
+                    )
+                else:
+                    constraints.append(
+                        LinearConstraint(
+                            LinearExpression.build({vin_next: -1}, act.lower),
+                            Relation.LE,
+                        )
+                    )
+                    constraints.append(
+                        LinearConstraint(
+                            LinearExpression.build({vin_next: 1}, -act.upper),
+                            Relation.LE,
+                        )
+                    )
+
+    add_region(problem.goal.region, n - 1, "out")
+    add_region(automaton.location(problem.goal.location).invariant, n - 1, "out")
+
+    return LpProblem(variables=tuple(variables), constraints=tuple(constraints))
 
 
 # --- Fourier-Motzkin feasibility oracle ----------------------------------

@@ -147,6 +147,32 @@ def test_parallel_flag_rejected():
     assert exc.value.code == EXIT_INPUT
 
 
+# Every (subcommand, flag) pair that the subcommand would not honour.
+UNHONOURED_FLAGS = [
+    ("paths", ["--dump-lp", "D"]),
+    ("waypoints", ["--dump-lp", "D"]),
+    ("waypoints", ["-v"]),
+    ("explain", ["-v"]),
+    ("check", ["-v"]),
+    ("bench", ["--model", "M"]),
+    ("bench", ["--problem", "P"]),
+    ("bench", ["--depth", "3"]),
+    ("bench", ["--json"]),
+    ("bench", ["--dump-lp", "D"]),
+    ("bench", ["-v"]),
+]
+
+
+@pytest.mark.parametrize("subcommand,flag", UNHONOURED_FLAGS)
+def test_subcommand_rejects_flags_it_does_not_honour(subcommand, flag):
+    argv = [subcommand] + flag
+    if subcommand != "bench":
+        argv += ["--problem", bench("wlm", "depth20.prob")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_INPUT
+
+
 def test_bench_reports_rows(capsys):
     code, out, _ = run(capsys, "bench")
     assert code == EXIT_OK

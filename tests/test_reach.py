@@ -10,7 +10,9 @@ import pytest
 import wpx.reach as reach
 from conftest import load_benchmark
 from oracles import (
+    LpProblem,
     fm_feasible,
+    full_encode_path,
     lp_feasible,
     random_automaton,
     random_lp,
@@ -25,9 +27,9 @@ from wpx.model import (
     Relation,
     check_witness,
 )
+from wpx.cli import EXIT_INTERNAL, EXIT_OK, main
 from wpx.reach import (
     ConcretePath,
-    LpProblem,
     bounded_reachable,
     encode_path,
     enumerate_concrete_paths,
@@ -102,7 +104,7 @@ def test_concrete_paths_longer_than_the_recursion_limit():
 def test_encode_path_variable_and_constraint_shape():
     problem = hop_problem()
     path = ConcretePath((0, 1), (0,))
-    lp = encode_path(problem, path)
+    lp = full_encode_path(problem, path)
     assert "x@0in" in lp.variables and "x@1out" in lp.variables
     assert "d0" in lp.variables and "d1" in lp.variables
     # init equalities, invariants at both endpoints, dwell nonnegativity,
@@ -254,3 +256,104 @@ def test_witness_values_are_exact_fractions():
     problem = hop_problem()
     verdict = bounded_reachable(problem)
     assert all(isinstance(v, Fraction) for _k, v in verdict.witness)
+
+
+def test_encode_path_agrees_with_full_encoding_oracle():
+    # Both directions: the solver's rows are infeasible exactly when the full
+    # encoding is, and a SAT witness expanded through ``symbolic`` satisfies
+    # every constraint of the full encoding.
+    rng = random.Random(8080)
+    sat = unsat = 0
+    for case in range(200):
+        automaton = random_automaton(rng)
+        goal = rng.randrange(len(automaton.locations))
+        region = Polyhedron()
+        if rng.random() < 0.6:
+            bound = LinearExpression.build({"y": 1}, -rng.randint(-2, 6))
+            region = Polyhedron(
+                (LinearConstraint(bound, rng.choice([Relation.LE, Relation.GE])),)
+            )
+        problem = PlanningProblem(
+            domain=automaton,
+            init=automaton.initial,
+            goal=GoalSpec(location=goal, region=region),
+            depth=3,
+        )
+        for path in enumerate_concrete_paths(automaton, automaton.initial[0], goal, 3):
+            rows, symbolic = encode_path(problem, path)
+            assignment = reach._solve_rows(rows)
+            lp = full_encode_path(problem, path)
+            want = fm_feasible(lp) if path.length <= 2 else lp_feasible(lp).is_sat
+            assert (assignment is not None) == want, (case, path)
+            if assignment is None:
+                unsat += 1
+                continue
+            sat += 1
+            valuation = {
+                name: const + sum(k * assignment.get(v, 0) for v, k in coeffs.items())
+                for name, (coeffs, const) in symbolic.items()
+            }
+            assert set(valuation) == set(lp.variables)
+            for c in lp.constraints:
+                assert c.holds(valuation), (case, path, c)
+    assert sat > 100 and unsat > 100
+
+
+def shift_first_dwell(monkeypatch):
+    solve = reach._solve_rows
+
+    def shifted(rows):
+        assignment = solve(rows)
+        if assignment is not None:
+            assignment["d0"] += 2
+        return assignment
+
+    monkeypatch.setattr(reach, "_solve_rows", shifted)
+
+
+def test_witness_failing_check_witness_is_an_internal_error(monkeypatch):
+    shift_first_dwell(monkeypatch)
+    with pytest.raises(AssertionError, match="check_witness: segment 0 variable 'x' displacement"):
+        bounded_reachable(hop_problem())
+
+
+def test_check_exits_internal_on_a_witness_failing_check_witness(monkeypatch, tmp_path, capsys):
+    (tmp_path / "hop.lha").write_text(HOP)
+    (tmp_path / "hop.prob").write_text("model hop.lha\ngoal b\ndepth 2\n")
+    argv = ["check", "--problem", str(tmp_path / "hop.prob")]
+    assert main(argv) == EXIT_OK
+    shift_first_dwell(monkeypatch)
+    assert main(argv) == EXIT_INTERNAL
+    assert "check_witness" in capsys.readouterr().err
+
+
+def parse_dump_row(line):
+    terms, const = line[: -len(" <= 0")].rsplit(" + ", 1)
+    coeffs = {}
+    for term in terms.split(" + "):
+        if term != "0":
+            k, v = term.split("*")
+            coeffs[v] = Fraction(k)
+    return coeffs, -Fraction(const)
+
+
+def test_dump_lp_lists_the_rows_the_solver_decides(monkeypatch, tmp_path):
+    # With the box pre-analysis off every path is encoded, exactly once, and
+    # its dump holds the rows that encoding handed to the solver.
+    _model, problem = load_benchmark("wlm", "depth20.prob")
+    encoded = []
+
+    def encode(problem, path):
+        rows, symbolic = encode_path(problem, path)
+        encoded.append(rows)
+        return rows, symbolic
+
+    monkeypatch.setattr(reach, "_interval_unreachable", lambda p: False)
+    monkeypatch.setattr(reach, "encode_path", encode)
+    verdict = bounded_reachable(problem, dump_dir=str(tmp_path))
+    assert not verdict.is_sat and verdict.paths_checked == len(encoded) > 1
+    assert sorted(os.listdir(tmp_path)) == ["path_%05d.lp" % i for i in range(len(encoded))]
+    for idx, rows in enumerate(encoded):
+        lines = (tmp_path / ("path_%05d.lp" % idx)).read_text().splitlines()
+        assert lines[0] == "# path %d" % idx and lines[1].startswith("# locations: l1 ")
+        assert [parse_dump_row(line) for line in lines[2:]] == rows
