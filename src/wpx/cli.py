@@ -16,7 +16,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .chain import chain_from_lcs
@@ -44,20 +43,6 @@ EXIT_INPUT = 2
 EXIT_CAP = 3
 EXIT_INTERNAL = 4
 
-log = logging.getLogger("wpx")
-
-
-@dataclass
-class CliConfig:
-    subcommand: str
-    model: Optional[str]
-    problem: Optional[str]
-    depth: Optional[int]
-    json_output: bool
-    max_paths: int
-    dump_lp: Optional[str]
-    verbose: bool
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -80,10 +65,12 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--problem", help="path to the .prob problem file")
             p.add_argument("--depth", type=int, help="override the problem depth")
             p.add_argument("--json", action="store_true", help="JSON output")
-        p.add_argument(
-            "--max-paths", type=int, default=DEFAULT_PATH_CAP,
-            help="cap on the number of bounded paths",
-        )
+        if name != "waypoints":
+            p.add_argument(
+                "--max-paths", type=int, default=DEFAULT_PATH_CAP,
+                help="cap on the walks listed (paths -v) and the concrete "
+                "paths solved per reachability check",
+            )
         if name in ("explain", "check"):
             p.add_argument(
                 "--dump-lp",
@@ -92,9 +79,6 @@ def _build_parser() -> argparse.ArgumentParser:
             )
         if name == "paths":
             p.add_argument("-v", "--verbose", action="store_true", help="list the paths")
-    parser.set_defaults(
-        model=None, problem=None, depth=None, json=False, dump_lp=None, verbose=False
-    )
     return parser
 
 
@@ -104,21 +88,24 @@ def _configure_logging() -> None:
     logging.basicConfig(level=level, format="%(name)s %(levelname)s %(message)s")
 
 
-def _load(config: CliConfig) -> Tuple[ModelDocument, PlanningProblem, str]:
+def _load(
+    problem_path: Optional[str],
+    model_path: Optional[str] = None,
+    depth: Optional[int] = None,
+) -> Tuple[ModelDocument, PlanningProblem, str]:
     """Parse the model and problem; the model path may come from the
     problem file's ``model`` line, resolved relative to the problem file."""
-    if config.problem is None:
+    if problem_path is None:
         raise ParseError("a --problem file is required", 0, 0)
-    with open(config.problem, encoding="utf-8") as fh:
+    with open(problem_path, encoding="utf-8") as fh:
         problem_text = fh.read()
 
-    model_path = config.model
     if model_path is None:
         for raw in problem_text.split("\n"):
             stripped = raw.strip()
             if stripped.startswith("model "):
                 ref = stripped[len("model "):].strip()
-                model_path = os.path.join(os.path.dirname(config.problem), ref)
+                model_path = os.path.join(os.path.dirname(problem_path), ref)
                 break
     if model_path is None:
         raise ParseError(
@@ -127,31 +114,28 @@ def _load(config: CliConfig) -> Tuple[ModelDocument, PlanningProblem, str]:
     with open(model_path, encoding="utf-8") as fh:
         model_text = fh.read()
     model = parse_model(model_text, source=model_path)
-    doc = parse_problem(problem_text, model, source=config.problem)
-    problem = doc.problem
-    if config.depth is not None:
-        if config.depth < 0:
+    problem = parse_problem(problem_text, model, source=problem_path).problem
+    if depth is not None:
+        if depth < 0:
             raise ParseError("depth must be non-negative", 0, 0)
         problem = PlanningProblem(
-            domain=problem.domain,
-            init=problem.init,
-            goal=problem.goal,
-            depth=config.depth,
+            domain=problem.domain, init=problem.init, goal=problem.goal, depth=depth
         )
-    name = os.path.splitext(os.path.basename(config.problem))[0]
+    name = os.path.splitext(os.path.basename(problem_path))[0]
     return model, problem, name
 
 
-def cmd_paths(config: CliConfig) -> int:
-    _model, problem, _name = _load(config)
+def cmd_paths(args: argparse.Namespace) -> int:
+    _model, problem, _name = _load(args.problem, args.model, args.depth)
     graph = build_graph(problem.domain)
     init_loc, _ = problem.init
-    paths = enumerate_paths(
-        graph, init_loc, problem.goal.location, problem.depth, cap=config.max_paths
-    )
-    if config.json_output:
+    paths = enumerate_paths(graph, init_loc, problem.goal.location, problem.depth)
+    # The count is free; only listing the walks costs, so only it is capped.
+    if args.verbose and paths.count > args.max_paths:
+        raise ResourceCapExceeded("path listing", args.max_paths)
+    if args.json:
         doc = {"path_count": paths.count}
-        if config.verbose:
+        if args.verbose:
             doc["paths"] = [
                 [problem.domain.location(l).name for l in p.locations]
                 for p in paths.paths
@@ -159,21 +143,19 @@ def cmd_paths(config: CliConfig) -> int:
         print(json.dumps(doc, indent=2))
     else:
         print(paths.count)
-        if config.verbose:
+        if args.verbose:
             for p in paths.paths:
                 print(" ".join(problem.domain.location(l).name for l in p.locations))
     return EXIT_OK
 
 
-def cmd_waypoints(config: CliConfig) -> int:
-    _model, problem, _name = _load(config)
+def cmd_waypoints(args: argparse.Namespace) -> int:
+    _model, problem, _name = _load(args.problem, args.model, args.depth)
     graph = build_graph(problem.domain)
     init_loc, _ = problem.init
-    paths = enumerate_paths(
-        graph, init_loc, problem.goal.location, problem.depth, cap=config.max_paths
-    )
+    paths = enumerate_paths(graph, init_loc, problem.goal.location, problem.depth)
     if paths.count == 0:
-        if config.json_output:
+        if args.json:
             print(json.dumps({"chain": [], "note": "discrete-infeasible"}))
         else:
             print("discrete-infeasible: no bounded path reaches the goal location")
@@ -182,17 +164,12 @@ def cmd_waypoints(config: CliConfig) -> int:
     chain = chain_from_lcs(problem, lcs)
     names = [e.location_name for e in chain.entries]
     trivial = classify_trivial_chain(chain)
-    if config.json_output:
-        doc = {"chain": names, "trivial": trivial}
-        if chain.deduplicated_repeats:
-            doc["deduplicated_repeats"] = True
-        print(json.dumps(doc, indent=2))
+    if args.json:
+        print(json.dumps({"chain": names, "trivial": trivial}, indent=2))
     else:
         print(" ".join(names))
         if trivial:
             print("note: trivial chain (endpoints only)")
-        if chain.deduplicated_repeats:
-            print("note: consecutive repeats in the LCS were collapsed")
     return EXIT_OK
 
 
@@ -229,25 +206,20 @@ def _print_text_report(report: ExplanationReport) -> None:
     )
 
 
-def cmd_explain(config: CliConfig) -> int:
-    _model, problem, name = _load(config)
-    report = explain(
-        problem,
-        name=name,
-        cap=config.max_paths,
-        dump_dir=config.dump_lp,
-    )
-    if config.json_output:
+def cmd_explain(args: argparse.Namespace) -> int:
+    _model, problem, name = _load(args.problem, args.model, args.depth)
+    report = explain(problem, name=name, cap=args.max_paths, dump_dir=args.dump_lp)
+    if args.json:
         print(serialize_report(report))
     else:
         _print_text_report(report)
     return EXIT_OK
 
 
-def cmd_check(config: CliConfig) -> int:
-    _model, problem, _name = _load(config)
-    verdict = bounded_reachable(problem, cap=config.max_paths, dump_dir=config.dump_lp)
-    if config.json_output:
+def cmd_check(args: argparse.Namespace) -> int:
+    _model, problem, _name = _load(args.problem, args.model, args.depth)
+    verdict = bounded_reachable(problem, cap=args.max_paths, dump_dir=args.dump_lp)
+    if args.json:
         doc = {"status": verdict.status, "paths_checked": verdict.paths_checked}
         if verdict.is_sat:
             _run, plan = extract_witness(problem, verdict)
@@ -268,25 +240,19 @@ def benchmarks_root() -> str:
     return os.path.join(os.path.dirname(os.path.abspath(__file__)), "benchmarks")
 
 
-def cmd_bench(config: CliConfig) -> int:
+def cmd_bench(args: argparse.Namespace) -> int:
     root = benchmarks_root()
     with open(os.path.join(root, "expectations.json"), encoding="utf-8") as fh:
         expectations = json.load(fh)
     mismatches = 0
     for entry in expectations["rows"]:
         bench_dir = os.path.join(root, entry["dir"])
-        sub = CliConfig(
-            subcommand="explain",
-            model=os.path.join(bench_dir, entry["model"]),
-            problem=os.path.join(bench_dir, entry["problem"]),
-            depth=entry["depth"],
-            json_output=False,
-            max_paths=config.max_paths,
-            dump_lp=None,
-            verbose=False,
+        _model, problem, name = _load(
+            os.path.join(bench_dir, entry["problem"]),
+            os.path.join(bench_dir, entry["model"]),
+            entry["depth"],
         )
-        _model, problem, name = _load(sub)
-        report = explain(problem, name=name, cap=config.max_paths)
+        report = explain(problem, name=name, cap=args.max_paths)
         actual = {
             "path_count": report.path_count,
             "chain_length": len(report.chain) if report.chain else 0,
@@ -322,22 +288,16 @@ _COMMANDS = {
 
 def main(argv: Optional[List[str]] = None) -> int:
     _configure_logging()
+    if hasattr(sys, "set_int_max_str_digits"):
+        # Walk counts are exact and uncapped; deep ones run past the default
+        # 4,300-digit limit on printing an int.
+        sys.set_int_max_str_digits(0)
     args = _build_parser().parse_args(argv)
-    config = CliConfig(
-        subcommand=args.subcommand,
-        model=args.model,
-        problem=args.problem,
-        depth=args.depth,
-        json_output=args.json,
-        max_paths=args.max_paths,
-        dump_lp=args.dump_lp,
-        verbose=args.verbose,
-    )
-    if config.max_paths <= 0:
+    if getattr(args, "max_paths", DEFAULT_PATH_CAP) <= 0:
         print("--max-paths must be positive", file=sys.stderr)
         return EXIT_INPUT
     try:
-        return _COMMANDS[config.subcommand](config)
+        return _COMMANDS[args.subcommand](args)
     except (ParseError, OSError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT

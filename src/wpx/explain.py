@@ -12,6 +12,7 @@ out to be solvable after all.
 
 from __future__ import annotations
 
+import logging
 import os
 import time
 from dataclasses import dataclass, field
@@ -31,7 +32,8 @@ OUTCOME_SOLVABLE = "SolvableContradiction"
 STATUS_SAT = "SAT"
 STATUS_UNSAT = "UNSAT"
 STATUS_TRIVIAL = "TRIVIAL"
-STATUS_SKIPPED = "SKIPPED"
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -114,6 +116,8 @@ def explain(
     that sub-problem reachable by the zero-length run.  ``dump_dir`` gets
     one subdirectory per reachability check: ``<position>_<location>`` for
     a chain entry and ``goal`` for the final check of the exact goal.
+    ``cap`` bounds the concrete paths each check solves; the walk count is
+    never capped.
     """
 
     def dump_subdir(name: str) -> Optional[str]:
@@ -125,7 +129,7 @@ def explain(
     graph = build_graph(problem.domain)
 
     t0 = time.perf_counter()
-    paths = enumerate_paths(graph, init_loc, problem.goal.location, problem.depth, cap=cap)
+    paths = enumerate_paths(graph, init_loc, problem.goal.location, problem.depth)
     timings["path_enumeration"] = (time.perf_counter() - t0) * 1000.0
 
     chain: Optional[WaypointChain] = None
@@ -142,8 +146,6 @@ def explain(
         lcs = lcs_multi(paths)
         chain = chain_from_lcs(problem, lcs)
         timings["lcs"] = (time.perf_counter() - t1) * 1000.0
-        if chain.deduplicated_repeats:
-            annotations.append("consecutive repeats in the LCS were collapsed")
         if classify_trivial_chain(chain):
             annotations.append("chain is trivial (endpoints only)")
 
@@ -158,6 +160,10 @@ def explain(
                     dump_dir=dump_subdir("%d_%s" % (entry.position, entry.location_name)),
                 )
                 status, paths_checked = verdict.status, verdict.paths_checked
+                log.info(
+                    "check %d %s: %s paths_checked=%d",
+                    entry.position, entry.location_name, status, paths_checked,
+                )
             verdicts.append(
                 WaypointVerdict(
                     location=entry.location,
@@ -175,6 +181,11 @@ def explain(
         else:
             # Every waypoint is reachable: decide the original exact-goal problem.
             final = bounded_reachable(problem, cap=cap, dump_dir=dump_subdir("goal"))
+            log.info(
+                "check goal %s: %s paths_checked=%d",
+                problem.domain.location(problem.goal.location).name,
+                final.status, final.paths_checked,
+            )
             if final.is_sat:
                 outcome = OUTCOME_SOLVABLE
                 witness_verdict = final

@@ -38,11 +38,10 @@ DEFAULT_PATH_CAP = 1 << 22
 @dataclass(frozen=True)
 class Graph:
     """Vertex set = location ids; one directed edge per connected location
-    pair, with back-references to every underlying transition id."""
+    pair."""
 
     vertex_count: int
     edges: Tuple[Tuple[int, int], ...]
-    transition_refs: Tuple[Tuple[Tuple[int, int], Tuple[int, ...]], ...]
 
     def successors(self, v: int) -> Tuple[int, ...]:
         return self._succ.get(v, ())
@@ -54,12 +53,6 @@ class Graph:
         object.__setattr__(
             self, "_succ", {v: tuple(sorted(ts)) for v, ts in succ.items()}
         )
-
-    def transitions_for(self, source: int, target: int) -> Tuple[int, ...]:
-        for (s, t), refs in self.transition_refs:
-            if s == source and t == target:
-                return refs
-        return ()
 
 
 @dataclass(frozen=True)
@@ -123,15 +116,8 @@ class WalkView:
 def build_graph(automaton: HybridAutomaton) -> Graph:
     """Collapse parallel transitions between the same location pair into one
     graph edge; self-loops are preserved."""
-    refs: Dict[Tuple[int, int], List[int]] = {}
-    for t in automaton.transitions:
-        refs.setdefault((t.source, t.target), []).append(t.id)
-    edges = tuple(sorted(refs))
-    return Graph(
-        vertex_count=len(automaton.locations),
-        edges=edges,
-        transition_refs=tuple((e, tuple(sorted(refs[e]))) for e in edges),
-    )
+    edges = tuple(sorted({(t.source, t.target) for t in automaton.transitions}))
+    return Graph(vertex_count=len(automaton.locations), edges=edges)
 
 
 Successors = Mapping[int, Sequence[Tuple[int, int]]]
@@ -215,21 +201,9 @@ def iter_walks(
         yield walk
 
 
-def enumerate_paths(
-    graph: Graph,
-    source: int,
-    target: int,
-    depth: int,
-    cap: int = DEFAULT_PATH_CAP,
-) -> PathSet:
-    """PS: all bounded walks from source to target, counted, not listed.
-
-    Raises ResourceCapExceeded when more than ``cap`` walks exist.
-    """
-    count = count_paths(graph, source, target, depth)
-    if count > cap:
-        raise ResourceCapExceeded("path enumeration", cap)
-    return PathSet(graph, source, target, depth, count)
+def enumerate_paths(graph: Graph, source: int, target: int, depth: int) -> PathSet:
+    """PS: all bounded walks from source to target, counted, not listed."""
+    return PathSet(graph, source, target, depth, count_paths(graph, source, target, depth))
 
 
 def count_paths(graph: Graph, source: int, target: int, depth: int) -> int:

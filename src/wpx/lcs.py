@@ -26,18 +26,13 @@ from .graph import PathSet
 @dataclass(frozen=True)
 class LcsResult:
     sequence: Tuple[int, ...]
-    trivial: bool
-
-    @property
-    def length(self) -> int:
-        return len(self.sequence)
 
 
 def lcs_multi(paths: PathSet) -> LcsResult:
     """LCS of every walk in the path set: the first BFS walk reduced to the
-    kept alphabet.  Trivial when only the two endpoints remain."""
+    kept alphabet."""
     if paths.count == 0:
         raise ValueError("empty path set")
     kept = paths.kept_alphabet
     sequence = tuple(sym for sym in paths.first_walk() if sym in kept)
-    return LcsResult(sequence=sequence, trivial=len(sequence) == 2)
+    return LcsResult(sequence=sequence)

@@ -16,6 +16,7 @@ lists the rows the simplex decides.
 
 from __future__ import annotations
 
+import logging
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,6 +42,8 @@ from .textio import format_rational
 _Row = Tuple[Dict[str, Rational], Rational]
 _Expr = Tuple[Dict[str, Rational], Rational]
 
+log = logging.getLogger(__name__)
+
 
 @dataclass(frozen=True)
 class ConcretePath:
@@ -48,10 +51,6 @@ class ConcretePath:
 
     locations: Tuple[int, ...]
     transitions: Tuple[int, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.transitions)
 
 
 @dataclass(frozen=True)
@@ -682,6 +681,7 @@ def bounded_reachable(
     """SAT iff some concrete path's LP is feasible; the first SAT path in
     enumeration order wins.
 
+    Raises ResourceCapExceeded before solving more than ``cap`` paths.
     ``dump_dir`` writes, per checked path, the rows the solver decides as a
     plain-text listing; a verdict the box pre-analysis decides checks no
     path and writes none.
@@ -719,6 +719,10 @@ def bounded_reachable(
             dump(idx, path, rows)
         verdict = _check_path(problem, path, rows, symbolic)
         checked += 1
+        log.debug(
+            "path %d locations=%s transitions=%s: %s",
+            idx, path.locations, path.transitions, verdict.status,
+        )
         if verdict.is_sat:
             return Verdict(
                 status="SAT",

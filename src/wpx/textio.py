@@ -69,7 +69,6 @@ class ModelDocument:
 
 @dataclass(frozen=True)
 class ProblemDocument:
-    model_ref: Optional[str]
     problem: PlanningProblem
 
 
@@ -388,12 +387,10 @@ def parse_problem(text: str, model: ModelDocument, source: str = "<string>") -> 
     Sections: optional ``model <path>``, optional ``init <loc> { ... }``
     override, mandatory ``goal <loc> [{ ... }]`` and ``depth <n>``.
     """
-    model_ref: Optional[str] = None
     lines = text.split("\n")
     for i, raw in enumerate(lines):
         stripped = raw.strip()
         if stripped.startswith("model ") or stripped == "model":
-            model_ref = stripped[len("model"):].strip() or None
             lines[i] = ""
     text = "\n".join(lines)
 
@@ -409,6 +406,16 @@ def parse_problem(text: str, model: ModelDocument, source: str = "<string>") -> 
             raise ParseError("unknown location %r" % name_tok.text, name_tok.line, name_tok.column)
         return loc.id
 
+    def region(section: str, name_tok: _Token, constraints: List[LinearConstraint]) -> Polyhedron:
+        poly = Polyhedron(tuple(constraints))
+        for v in poly.variables():
+            if v not in automaton.variables:
+                raise ParseError(
+                    "%s region references undeclared variable %r" % (section, v),
+                    name_tok.line, name_tok.column,
+                )
+        return poly
+
     while p.peek().kind != "eof":
         word = _keyword(p)
         if word == "init":
@@ -419,7 +426,7 @@ def parse_problem(text: str, model: ModelDocument, source: str = "<string>") -> 
             if p.peek().kind != "}":
                 constraints.extend(p.parse_constraint_list())
             p.expect("}")
-            init = (resolve(name_tok), Polyhedron(tuple(constraints)))
+            init = (resolve(name_tok), region("init", name_tok, constraints))
         elif word == "goal":
             p.next()
             name_tok = p.expect("name")
@@ -428,7 +435,9 @@ def parse_problem(text: str, model: ModelDocument, source: str = "<string>") -> 
                 if p.peek().kind != "}":
                     constraints.extend(p.parse_constraint_list())
                 p.expect("}")
-            goal = GoalSpec(location=resolve(name_tok), region=Polyhedron(tuple(constraints)))
+            goal = GoalSpec(
+                location=resolve(name_tok), region=region("goal", name_tok, constraints)
+            )
         elif word == "depth":
             p.next()
             tok = p.expect("number")
@@ -444,7 +453,7 @@ def parse_problem(text: str, model: ModelDocument, source: str = "<string>") -> 
     if depth is None:
         raise ParseError("missing 'depth' section", p.peek().line, p.peek().column)
     problem = PlanningProblem(domain=automaton, init=init, goal=goal, depth=depth)
-    return ProblemDocument(model_ref=model_ref, problem=problem)
+    return ProblemDocument(problem=problem)
 
 
 # --- serialization -------------------------------------------------------

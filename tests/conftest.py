@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from wpx.cli import CliConfig, _load
+from wpx.cli import _load
 
 BENCH_ROOT = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -12,17 +12,7 @@ BENCH_ROOT = os.path.join(
 
 def load_benchmark(dirname: str, probname: str, depth=None):
     """Parse a bundled benchmark problem, optionally overriding the depth."""
-    config = CliConfig(
-        subcommand="explain",
-        model=None,
-        problem=os.path.join(BENCH_ROOT, dirname, probname),
-        depth=depth,
-        json_output=False,
-        max_paths=1 << 22,
-        dump_lp=None,
-        verbose=False,
-    )
-    model, problem, name = _load(config)
+    model, problem, _name = _load(os.path.join(BENCH_ROOT, dirname, probname), depth=depth)
     return model, problem
 
 

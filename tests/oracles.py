@@ -392,7 +392,7 @@ def explicit_lcs(paths: ExplicitPathSet, cap: int = DEFAULT_CANDIDATE_CAP) -> Lc
     reduced, _kept = prune_alphabet(paths)
     if len(reduced) == 1:
         seq = reduced[0]
-        return LcsResult(sequence=seq, trivial=len(seq) == 2)
+        return LcsResult(sequence=seq)
 
     order = sorted(range(len(reduced)), key=lambda i: (len(reduced[i]), i))
     first, second = reduced[order[0]], reduced[order[1]]
@@ -412,20 +412,20 @@ def explicit_lcs(paths: ExplicitPathSet, cap: int = DEFAULT_CANDIDATE_CAP) -> Lc
             break
 
     if not candidates:
-        return LcsResult(sequence=(), trivial=False)
+        return LcsResult(sequence=())
 
     best_len = max(len(c) for c in candidates)
     finalists = [c for c in candidates if len(c) == best_len]
     anchor = reduced[0]
     finalists.sort(key=lambda c: (_leftmost_embedding(c, anchor), c))
     chosen = finalists[0]
-    return LcsResult(sequence=chosen, trivial=len(chosen) == 2)
+    return LcsResult(sequence=chosen)
 
 
 def verify_chain_abstract(paths, chain) -> bool:
     """True iff every listed path string contains the chain's location
     sequence as a subsequence."""
-    seq = chain.locations
+    seq = tuple(e.location for e in chain.entries)
     return all(is_subsequence(seq, p.locations) for p in paths.paths)
 
 
@@ -537,11 +537,7 @@ def recursive_concrete_paths(
 def graph_from_succ(n: int, succ: Dict[int, List[int]]) -> Graph:
     """The location graph of a successor map, one transition per edge."""
     edges = tuple(sorted((u, v) for u, vs in succ.items() for v in set(vs)))
-    return Graph(
-        vertex_count=n,
-        edges=edges,
-        transition_refs=tuple((e, (i,)) for i, e in enumerate(edges)),
-    )
+    return Graph(vertex_count=n, edges=edges)
 
 
 def random_digraph(rng: random.Random, max_vertices: int = 6):

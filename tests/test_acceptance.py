@@ -24,6 +24,7 @@ from oracles import (
     random_lp,
     recursive_walks,
 )
+from wpx.cli import EXIT_OK, main
 from wpx.explain import explain
 from wpx.graph import (
     Graph,
@@ -225,11 +226,7 @@ def test_criterion_6d_path_enumeration_vs_recursion():
         edges = tuple(
             sorted((u, v) for u, targets in succ.items() for v in targets)
         )
-        graph = Graph(
-            vertex_count=n,
-            edges=edges,
-            transition_refs=tuple((e, (i,)) for i, e in enumerate(edges)),
-        )
+        graph = Graph(vertex_count=n, edges=edges)
         source, target = rng.randrange(n), rng.randrange(n)
         depth = rng.randint(0, 5)
         got = [
@@ -251,3 +248,39 @@ def test_criterion_7_timings_reported():
     assert all(
         isinstance(v, float) and v >= 0.0 for v in report.timings_ms.values()
     )
+
+
+# --- deep rows: caps bound work done, not walks counted ------------------
+#
+# Kept out of expectations.json, whose rows the benchmark's bundle workload
+# runs.  The walk counts of the first three run far past DEFAULT_PATH_CAP,
+# which caps only the walks `paths -v` lists and the concrete paths a check
+# solves; counting walks and reading off the LCS cost nothing.
+
+DEEP_ROWS = [
+    ("cr", "depth10.prob", 40, 712632778787655568, "l7"),
+    ("wa6x6", "depth12.prob", 40, 9540149310101210, "l28"),
+    ("nav", "depth10.prob", 40, 82351536042821925, "l6"),
+    ("wlm", "depth20.prob", 1000, 250, "l6"),
+]
+
+
+@pytest.mark.parametrize("dirname,probname,depth,path_count,explanation", DEEP_ROWS)
+def test_deep_rows_explain_at_the_default_cap(
+    capsys, dirname, probname, depth, path_count, explanation
+):
+    problem = os.path.join(BENCH_ROOT, dirname, probname)
+    code = main(["explain", "--problem", problem, "--depth", str(depth), "--json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == EXIT_OK
+    assert doc["path_count"] == path_count
+    assert doc["explanation"] == {
+        "outcome": "FirstUnreachableWaypoint", "location": explanation
+    }
+
+
+def test_paths_count_is_not_capped(capsys):
+    problem = os.path.join(BENCH_ROOT, "nav", "depth10.prob")
+    code = main(["paths", "--problem", problem, "--max-paths", "10"])
+    assert code == EXIT_OK
+    assert int(capsys.readouterr().out) == 2325

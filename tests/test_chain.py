@@ -16,28 +16,28 @@ def wlm_problem():
 
 def test_chain_entries_carry_widened_subproblems():
     problem = wlm_problem()
-    chain = chain_from_lcs(problem, LcsResult(sequence=(0, 4, 5), trivial=False))
-    assert chain.locations == (0, 4, 5)
+    chain = chain_from_lcs(problem, LcsResult(sequence=(0, 4, 5)))
+    assert tuple(e.location for e in chain.entries) == (0, 4, 5)
     assert [e.location_name for e in chain.entries] == ["l1", "l5", "l6"]
     for i, entry in enumerate(chain.entries):
         assert entry.position == i
         assert entry.problem.goal.location == entry.location
         assert entry.problem.goal.region == problem.domain.location(entry.location).invariant
         assert entry.problem.depth == problem.depth
-    assert not chain.deduplicated_repeats
 
 
-def test_chain_collapses_consecutive_repeats():
+def test_chain_rejects_repeated_symbols():
+    # The library LCS holds each location once (wpx.lcs), so a repeat is
+    # a caller error, consecutive or not.
     problem = wlm_problem()
-    chain = chain_from_lcs(problem, LcsResult(sequence=(0, 0, 4, 5), trivial=False))
-    assert chain.locations == (0, 4, 5)
-    assert chain.deduplicated_repeats
-    assert chain.source_lcs == (0, 0, 4, 5)
+    for sequence in ((0, 0, 4, 5), (0, 4, 0, 5)):
+        with pytest.raises(ValueError, match="repeats"):
+            chain_from_lcs(problem, LcsResult(sequence=sequence))
 
 
 def test_empty_lcs_rejected():
     with pytest.raises(ValueError):
-        chain_from_lcs(wlm_problem(), LcsResult(sequence=(), trivial=False))
+        chain_from_lcs(wlm_problem(), LcsResult(sequence=()))
 
 
 def test_verify_chain_abstract_on_benchmark():
@@ -50,6 +50,6 @@ def test_verify_chain_abstract_on_benchmark():
 
 def test_verify_chain_abstract_rejects_noncovering_chain():
     problem = wlm_problem()
-    chain = chain_from_lcs(problem, LcsResult(sequence=(0, 1, 5), trivial=False))
+    chain = chain_from_lcs(problem, LcsResult(sequence=(0, 1, 5)))
     paths = ExplicitPathSet((PathString((0, 4, 5)),))
     assert not verify_chain_abstract(paths, chain)

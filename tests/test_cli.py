@@ -1,6 +1,7 @@
 """CLI behavior: subcommands, output modes, exit codes."""
 
 import json
+import logging
 import os
 
 import pytest
@@ -125,7 +126,7 @@ def test_missing_file_exit_code(capsys):
 
 def test_cap_exit_code(capsys):
     code, _, err = run(
-        capsys, "paths", "--problem", bench("nav", "depth10.prob"),
+        capsys, "paths", "-v", "--problem", bench("nav", "depth10.prob"),
         "--max-paths", "10",
     )
     assert code == EXIT_CAP
@@ -160,6 +161,7 @@ UNHONOURED_FLAGS = [
     ("bench", ["--json"]),
     ("bench", ["--dump-lp", "D"]),
     ("bench", ["-v"]),
+    ("waypoints", ["--max-paths", "10"]),
 ]
 
 
@@ -171,6 +173,56 @@ def test_subcommand_rejects_flags_it_does_not_honour(subcommand, flag):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == EXIT_INPUT
+
+
+@pytest.mark.parametrize(
+    "subcommand,section",
+    [
+        ("check", "goal l6 { zz >= 1 }"),
+        ("check", "init l1 { qq = 1; }\ngoal l6"),
+        ("explain", "init l1 { qq = 1; }\ngoal l6"),
+    ],
+    ids=["check-goal", "check-init", "explain-init"],
+)
+def test_undeclared_problem_variable_is_an_input_error(capsys, tmp_path, subcommand, section):
+    prob = tmp_path / "p.prob"
+    prob.write_text("model %s\n%s\ndepth 20\n" % (bench("wlm", "wlm.lha"), section))
+    code, _, err = run(capsys, subcommand, "--problem", str(prob))
+    assert code == EXIT_INPUT
+    assert "undeclared variable" in err
+
+
+def test_wpx_log_info_names_each_check(caplog, capsys):
+    with caplog.at_level(logging.DEBUG, logger="wpx"):
+        code, _, _ = run(capsys, "explain", "--problem", bench("wlm", "depth20.prob"))
+    assert code == EXIT_OK
+    infos = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+    assert [m.split(":")[0] for m in infos] == ["check 0 l1", "check 1 l5", "check 2 l6"]
+    assert infos[-1] == "check 2 l6: UNSAT paths_checked=0"
+    # One debug line per concrete path solved: l1 and l5 take one each, and
+    # the box decides l6.
+    debugs = [r for r in caplog.records if r.levelno == logging.DEBUG]
+    assert [r.name for r in debugs] == ["wpx.reach", "wpx.reach"]
+
+
+def test_paths_prints_counts_of_any_size(capsys, tmp_path):
+    # Every location pair is an edge, so 2**depth - 1 walks reach b: at
+    # depth 15000 a count of 4,516 digits, past Python's default 4,300-digit
+    # limit on int-to-str conversion.
+    model = tmp_path / "m.lha"
+    model.write_text(
+        "vars x\nlocation a { rate x in [0,0]; }\nlocation b { rate x in [0,0]; }\n"
+        "trans a -> a { label: s; }\ntrans a -> b { label: s; }\n"
+        "trans b -> a { label: s; }\ntrans b -> b { label: s; }\ninit a {}\n"
+    )
+    prob = tmp_path / "p.prob"
+    prob.write_text("model m.lha\ngoal b\ndepth 15000\n")
+    code, out, _ = run(capsys, "paths", "--problem", str(prob))
+    assert code == EXIT_OK
+    assert len(out.strip()) == 4516
+    code, out, _ = run(capsys, "explain", "--problem", str(prob), "--json")
+    assert code == EXIT_OK
+    assert json.loads(out)["path_count"] == 2**15000 - 1
 
 
 def test_bench_reports_rows(capsys):

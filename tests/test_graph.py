@@ -14,6 +14,8 @@ from wpx.graph import (
     enumerate_paths,
     iter_walks,
 )
+from wpx.reach import bounded_reachable
+from wpx.textio import parse_model, parse_problem
 from conftest import load_benchmark
 
 
@@ -43,10 +45,27 @@ def test_self_loop_consumes_depth():
     assert (0, 0, 1) in walks and (0, 0, 0, 1) in walks
 
 
+# The graph {0: [0, 1]} as an automaton whose goal only a relational
+# constraint rules out, so the box pre-analysis cannot decide it and every
+# one of its 30 concrete paths at depth 30 goes to the solver.
+LOOP = """
+vars x y
+location a { rate x in [1, 1]; rate y in [1, 1]; }
+location b { rate x in [0, 0]; rate y in [0, 0]; }
+trans a -> a { label: loop; }
+trans a -> b { label: hop; }
+init a { x = 0; y = 0; }
+"""
+
+
 def test_enumerate_paths_cap():
-    g = graph_from_succ(2, {0: [0, 1]})
+    problem = parse_problem("goal b { x - y >= 1 }\ndepth 30\n", parse_model(LOOP)).problem
+    # Counting walks costs nothing and is never capped; solving concrete
+    # paths is.
+    assert enumerate_paths(build_graph(problem.domain), 0, 1, 30).count == 30
+    assert bounded_reachable(problem, cap=30).paths_checked == 30
     with pytest.raises(ResourceCapExceeded):
-        enumerate_paths(g, 0, 1, 30, cap=5)
+        bounded_reachable(problem, cap=5)
 
 
 def test_count_paths_matches_enumeration():
@@ -77,7 +96,6 @@ def test_build_graph_collapses_parallel_transitions():
     g = build_graph(problem.domain)
     assert g.vertex_count == 6
     assert len(g.edges) == 6
-    assert g.transitions_for(0, 1) == (0,)
 
 
 def test_path_string_length_is_edge_count():

@@ -51,13 +51,13 @@ def test_candidate_cap_enforced():
 def test_lcs_single_string_is_the_string():
     result = explicit_lcs(path_set((1, 2, 3)))
     assert result.sequence == (1, 2, 3)
-    assert not result.trivial
+    assert len(result.sequence) != 2
 
 
 def test_lcs_trivial_flag_on_endpoints_only():
     result = explicit_lcs(path_set((0, 1, 5), (0, 2, 5), (0, 3, 5)))
     assert result.sequence == (0, 5)
-    assert result.trivial
+    assert len(result.sequence) == 2
 
 
 def test_lcs_known_value():
@@ -85,7 +85,7 @@ def test_lcs_oracle_small_random():
             strings.append(tuple([head] + mid + [tail]))
         got = explicit_lcs(path_set(*strings))
         want = brute_lcs_length(strings)
-        assert got.length == want
+        assert len(got.sequence) == want
         for s in strings:
             assert is_subsequence(got.sequence, s)
 
@@ -101,5 +101,5 @@ def test_lcs_oracle_small_random():
 def test_lcs_property_matches_bruteforce(mids):
     strings = [tuple([90] + mid + [91]) for mid in mids]
     got = explicit_lcs(path_set(*strings))
-    assert got.length == brute_lcs_length(strings)
+    assert len(got.sequence) == brute_lcs_length(strings)
     assert got.sequence[0] == 90 and got.sequence[-1] == 91

@@ -71,7 +71,7 @@ def test_enumerate_concrete_paths_order_and_ids():
     )
     assert paths[0].locations == (0, 1)
     assert paths[0].transitions == (0,)
-    assert all(p.length == len(p.locations) - 1 for p in paths)
+    assert all(len(p.transitions) == len(p.locations) - 1 for p in paths)
 
 
 def test_concrete_paths_respect_depth_zero():
@@ -98,7 +98,7 @@ def test_concrete_paths_longer_than_the_recursion_limit():
     _model, problem = load_benchmark("wlm", "depth20.prob")
     init_loc, _ = problem.init
     paths = enumerate_concrete_paths(problem.domain, init_loc, problem.goal.location, 1200)
-    assert max(p.length for p in itertools.islice(paths, 300)) > 1000
+    assert max(len(p.transitions) for p in itertools.islice(paths, 300)) > 1000
 
 
 def test_encode_path_variable_and_constraint_shape():
@@ -283,7 +283,7 @@ def test_encode_path_agrees_with_full_encoding_oracle():
             rows, symbolic = encode_path(problem, path)
             assignment = reach._solve_rows(rows)
             lp = full_encode_path(problem, path)
-            want = fm_feasible(lp) if path.length <= 2 else lp_feasible(lp).is_sat
+            want = fm_feasible(lp) if len(path.transitions) <= 2 else lp_feasible(lp).is_sat
             assert (assignment is not None) == want, (case, path)
             if assignment is None:
                 unsat += 1
