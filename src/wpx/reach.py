@@ -4,14 +4,15 @@ Each concrete transition path is encoded once, by ``encode_path``, as one
 linear-constraint feasibility problem over entry/exit valuations and dwell
 times, then decided exactly over the rationals.  The encoding substitutes
 exact rates, Keep resets and point resets away in one forward pass, leaving
-systems in roughly the dwell variables only; single-variable rows become
-bounds, a sign-based quick infeasibility check resolves the common
-"resource budget exceeded" pattern without pivoting, and a phase-I simplex
-with exact rational pivoting and Bland's anti-cycling rule decides the
-rest.  A SAT witness is accepted only after it replays as a valid run
-through ``model.check_witness``; an UNSAT verdict carries no certificate
-yet.  ``bounded_reachable(..., dump_dir=...)`` (the CLI's ``--dump-lp``)
-lists the rows the simplex decides.
+systems in roughly the dwell variables only.  ``_solve_rows`` turns
+single-variable rows into bounds, settles the common "resource budget
+exceeded" pattern by a bound conflict or a sign-based interval check, and
+decides the rest with a bounded-variable simplex: one slack per
+multi-variable row, exact rational pivoting and Bland's rule.  A SAT
+witness is accepted only after it replays as a valid run through
+``model.check_witness``; an UNSAT verdict carries no certificate yet.
+``bounded_reachable(..., dump_dir=...)`` (the CLI's ``--dump-lp``) lists
+the rows the solver decides.
 """
 
 from __future__ import annotations
@@ -98,143 +99,25 @@ def _dwell(pos: int) -> str:
 # --- exact feasibility ----------------------------------------------------
 
 
-def _phase_one_simplex(
-    variables: List[str], rows: List[_Row]
-) -> Optional[Dict[str, Rational]]:
-    """Decide feasibility of {sum(coeffs*x) <= bound} with free variables.
-
-    Free variables are split into nonnegative pairs; phase-I minimizes the
-    sum of artificial variables with Bland's rule.  Returns a satisfying
-    assignment or None.
-    """
-    n = len(variables)
-    index = {v: i for i, v in enumerate(variables)}
-    m = len(rows)
-    # Columns: 0..n-1 positive parts, n..2n-1 negative parts,
-    # 2n..2n+m-1 slacks, then artificials.
-    ncols = 2 * n + m
-    tableau: List[List[Rational]] = []
-    rhs: List[Rational] = []
-    basis: List[int] = []
-    artificial_cols: List[int] = []
-
-    for r, (coeffs, bound) in enumerate(rows):
-        row = [Fraction(0)] * ncols
-        for v, k in coeffs.items():
-            row[index[v]] = k
-            row[n + index[v]] = -k
-        row[2 * n + r] = Fraction(1)
-        b = bound
-        if b < 0:
-            row = [-x for x in row]
-            b = -b
-            col = ncols + len(artificial_cols)
-            artificial_cols.append(col)
-            basis.append(col)
-        else:
-            basis.append(2 * n + r)
-        tableau.append(row)
-        rhs.append(b)
-
-    if not artificial_cols:
-        assignment = {v: Fraction(0) for v in variables}
-        return assignment
-
-    total_cols = ncols + len(artificial_cols)
-    for i, row in enumerate(tableau):
-        row.extend(Fraction(0) for _ in range(len(artificial_cols)))
-        if basis[i] >= ncols:
-            row[basis[i]] = Fraction(1)
-
-    # Objective: minimize sum of artificials; reduced costs start as
-    # -(sum of artificial rows) over non-artificial columns.
-    cost = [Fraction(0)] * total_cols
-    cost_const = Fraction(0)
-    for i, b in enumerate(basis):
-        if b >= ncols:
-            for j in range(total_cols):
-                cost[j] -= tableau[i][j]
-            cost_const += rhs[i]
-    for col in artificial_cols:
-        cost[col] += Fraction(1)
-
-    while True:
-        entering = -1
-        for j in range(total_cols):
-            if cost[j] < 0:
-                entering = j
-                break
-        if entering < 0:
-            break
-        leaving = -1
-        best_ratio: Optional[Rational] = None
-        for i in range(m):
-            a = tableau[i][entering]
-            if a > 0:
-                ratio = rhs[i] / a
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leaving])
-                ):
-                    best_ratio = ratio
-                    leaving = i
-        if leaving < 0:
-            # Unbounded phase-I objective cannot happen (bounded below by 0);
-            # defensive guard.
-            break
-        pivot = tableau[leaving][entering]
-        prow = tableau[leaving]
-        inv = Fraction(1) / pivot
-        for j in range(total_cols):
-            prow[j] *= inv
-        rhs[leaving] *= inv
-        for i in range(m):
-            if i == leaving:
-                continue
-            factor = tableau[i][entering]
-            if factor != 0:
-                row = tableau[i]
-                for j in range(total_cols):
-                    if prow[j] != 0:
-                        row[j] -= factor * prow[j]
-                rhs[i] -= factor * rhs[leaving]
-        factor = cost[entering]
-        if factor != 0:
-            for j in range(total_cols):
-                if prow[j] != 0:
-                    cost[j] -= factor * prow[j]
-            cost_const -= factor * rhs[leaving]
-        basis[leaving] = entering
-
-    # Optimum value of sum(artificials) is -cost_const ... track via basis:
-    objective = Fraction(0)
-    for i, b in enumerate(basis):
-        if b >= ncols:
-            objective += rhs[i]
-    if objective != 0:
-        return None
-
-    values = [Fraction(0)] * total_cols
-    for i, b in enumerate(basis):
-        values[b] = rhs[i]
-    assignment = {}
-    for v, i in index.items():
-        assignment[v] = values[i] - values[n + i]
-    return assignment
-
-
 def _solve_rows(
     rows: List[_Row]
 ) -> Optional[Dict[str, Rational]]:
     """Decide {sum(coeffs*x) <= bound} over free rational variables.
 
-    Pipeline: single-variable rows become bounds, an interval-arithmetic
-    pass refutes rows whose smallest possible left side already exceeds the
-    bound (which settles the common exhausted-budget pattern without any
-    pivoting), lower-bounded variables are shifted to nonnegative ones, and
-    a phase-I simplex decides the rest.  Returns an assignment covering
-    every variable that appears in any row, or None when infeasible.
+    Single-variable rows become bounds.  A bound conflict, and an interval
+    pass that refutes a row whose smallest possible left side already
+    exceeds its bound, settle the common exhausted-budget pattern without a
+    tableau.  A bounded-variable simplex (Dutertre and de Moura, CAV 2006)
+    decides the rest.  Each multi-variable row gets one slack: a basic
+    variable whose tableau row is the row's coefficients and whose upper
+    bound is the row's bound.  Every variable starts nonbasic at a value
+    within its bounds.  While some basic variable violates a bound, the
+    smallest such one is pivoted with the smallest nonbasic variable of its
+    row that can move it back, and set to the violated bound; when no
+    nonbasic variable can, the rows are infeasible.  Variables are ordered
+    by name, then slacks by row; taking the smallest on both sides is
+    Bland's rule, which ends the loop.  Returns an assignment covering every
+    variable that appears in any row, or None when infeasible.
     """
     lower: Dict[str, Rational] = {}
     upper: Dict[str, Rational] = {}
@@ -278,46 +161,62 @@ def _solve_rows(
             if minimum > bound:
                 return None
 
-    # Shift lower-bounded variables to nonnegative ones: x = lo + x'.
-    shifted_rows: List[_Row] = []
-    remaining_vars: set = set()
+    # Columns: the variables in name order, then one slack per general row.
+    names = sorted(all_vars)
+    index = {v: i for i, v in enumerate(names)}
+    low: List[Optional[Rational]] = [lower.get(v) for v in names]
+    high: List[Optional[Rational]] = [upper.get(v) for v in names]
+    value: List[Rational] = [
+        lo if lo is not None else Fraction(0) if hi is None else min(hi, Fraction(0))
+        for lo, hi in zip(low, high)
+    ]
+    # tableau[b] expresses the basic variable b over nonbasic ones.
+    tableau: Dict[int, Dict[int, Rational]] = {}
     for coeffs, bound in general:
-        nb = bound
-        for var, k in coeffs.items():
-            if var in lower:
-                nb -= k * lower[var]
-            remaining_vars.add(var)
-        shifted_rows.append((dict(coeffs), nb))
-    for var, ub in upper.items():
-        nb = ub - lower[var] if var in lower else ub
-        shifted_rows.append(({var: Fraction(1)}, nb))
-        remaining_vars.add(var)
+        tableau[len(value)] = {index[v]: k for v, k in coeffs.items()}
+        value.append(sum(k * value[index[v]] for v, k in coeffs.items()))
+        low.append(None)
+        high.append(bound)
 
-    var_order = sorted(remaining_vars)
-    # Shifted variables carry an explicit nonnegativity row; the simplex
-    # splits every variable, which is sound either way.
-    solver_rows = list(shifted_rows)
-    for v in var_order:
-        if v in lower:
-            solver_rows.append(({v: Fraction(-1)}, Fraction(0)))
-
-    assignment = _phase_one_simplex(var_order, solver_rows)
-    if assignment is None:
-        return None
-
-    full: Dict[str, Rational] = {}
-    for v in var_order:
-        full[v] = assignment[v] + lower.get(v, Fraction(0))
-    # Variables only seen in bound rows sit at a bound-respecting value.
-    for v in all_vars:
-        if v not in full:
-            if v in lower:
-                full[v] = lower[v]
-            elif v in upper:
-                full[v] = min(upper[v], Fraction(0))
-            else:
-                full[v] = Fraction(0)
-    return full
+    while True:
+        for b in sorted(tableau):
+            if low[b] is not None and value[b] < low[b]:
+                target, rise = low[b], True
+                break
+            if high[b] is not None and value[b] > high[b]:
+                target, rise = high[b], False
+                break
+        else:
+            return {v: value[i] for i, v in enumerate(names)}
+        row = tableau.pop(b)
+        for n in sorted(row):
+            if (row[n] > 0) == rise:
+                if high[n] is None or value[n] < high[n]:
+                    break
+            elif low[n] is None or value[n] > low[n]:
+                break
+        else:
+            return None
+        # Move n until b reaches target, then solve b's row for n and
+        # substitute it into every other row.
+        k = row[n]
+        theta = (target - value[b]) / k
+        value[b] = target
+        value[n] += theta
+        solved = {j: -c / k for j, c in row.items() if j != n}
+        solved[b] = 1 / k
+        for other, other_row in tableau.items():
+            c = other_row.pop(n, None)
+            if c is None:
+                continue
+            value[other] += c * theta
+            for j, d in solved.items():
+                e = other_row.get(j, 0) + c * d
+                if e:
+                    other_row[j] = e
+                else:
+                    del other_row[j]
+        tableau[n] = solved
 
 
 # --- interval pre-analysis ------------------------------------------------
@@ -488,6 +387,9 @@ def _interval_unreachable(problem: PlanningProblem) -> bool:
     }
     if init_loc == goal_loc and goal_hit(current.get(init_loc)):
         return False
+    # The next map depends only on the current one, so once a map repeats
+    # every later step repeats a goal test that already failed.
+    seen = set()
     for _ in range(problem.depth):
         nxt: Dict[int, Optional[_Box]] = {}
         for loc_id, entry in current.items():
@@ -519,6 +421,13 @@ def _interval_unreachable(problem: PlanningProblem) -> bool:
             break
         if goal_hit(current.get(goal_loc)):
             return False
+        key = tuple(
+            (loc_id, tuple(box[v] for v in variables))
+            for loc_id, box in sorted(current.items())
+        )
+        if key in seen:
+            return True
+        seen.add(key)
     return True
 
 

@@ -31,7 +31,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .model import (
     GoalSpec,
@@ -416,8 +416,12 @@ def parse_problem(text: str, model: ModelDocument, source: str = "<string>") -> 
                 )
         return poly
 
+    seen: Set[str] = set()
     while p.peek().kind != "eof":
         word = _keyword(p)
+        if word in seen:
+            raise p.fail("repeated %r section" % word)
+        seen.add(word)
         if word == "init":
             p.next()
             name_tok = p.expect("name")

@@ -22,6 +22,7 @@ from wpx.model import (
     Location,
     PlanningProblem,
     Polyhedron,
+    Rational,
     RateSpec,
     Relation,
     Reset,
@@ -251,6 +252,239 @@ def fm_feasible(lp: LpProblem) -> bool:
         rows = new_rows
     rows = compact(rows)
     return rows is not None
+
+
+# --- split-and-shift simplex reference ------------------------------------
+#
+# A second exact solver, built differently from the library's bounded-
+# variable simplex: bounds shift variables to nonnegative ones, then a dense
+# phase-I tableau over split variables, slacks and artificial columns
+# decides the rows.  Fourier-Motzkin blows up above about six variables, so
+# larger LPs are cross-checked against this instead.
+
+_Row = Tuple[Dict[str, Rational], Rational]
+
+
+def _phase_one_simplex(
+    variables: List[str], rows: List[_Row]
+) -> Optional[Dict[str, Rational]]:
+    """Decide feasibility of {sum(coeffs*x) <= bound} with free variables.
+
+    Free variables are split into nonnegative pairs; phase-I minimizes the
+    sum of artificial variables with Bland's rule.  Returns a satisfying
+    assignment or None.
+    """
+    n = len(variables)
+    index = {v: i for i, v in enumerate(variables)}
+    m = len(rows)
+    # Columns: 0..n-1 positive parts, n..2n-1 negative parts,
+    # 2n..2n+m-1 slacks, then artificials.
+    ncols = 2 * n + m
+    tableau: List[List[Rational]] = []
+    rhs: List[Rational] = []
+    basis: List[int] = []
+    artificial_cols: List[int] = []
+
+    for r, (coeffs, bound) in enumerate(rows):
+        row = [Fraction(0)] * ncols
+        for v, k in coeffs.items():
+            row[index[v]] = k
+            row[n + index[v]] = -k
+        row[2 * n + r] = Fraction(1)
+        b = bound
+        if b < 0:
+            row = [-x for x in row]
+            b = -b
+            col = ncols + len(artificial_cols)
+            artificial_cols.append(col)
+            basis.append(col)
+        else:
+            basis.append(2 * n + r)
+        tableau.append(row)
+        rhs.append(b)
+
+    if not artificial_cols:
+        assignment = {v: Fraction(0) for v in variables}
+        return assignment
+
+    total_cols = ncols + len(artificial_cols)
+    for i, row in enumerate(tableau):
+        row.extend(Fraction(0) for _ in range(len(artificial_cols)))
+        if basis[i] >= ncols:
+            row[basis[i]] = Fraction(1)
+
+    # Objective: minimize sum of artificials; reduced costs start as
+    # -(sum of artificial rows) over non-artificial columns.
+    cost = [Fraction(0)] * total_cols
+    cost_const = Fraction(0)
+    for i, b in enumerate(basis):
+        if b >= ncols:
+            for j in range(total_cols):
+                cost[j] -= tableau[i][j]
+            cost_const += rhs[i]
+    for col in artificial_cols:
+        cost[col] += Fraction(1)
+
+    while True:
+        entering = -1
+        for j in range(total_cols):
+            if cost[j] < 0:
+                entering = j
+                break
+        if entering < 0:
+            break
+        leaving = -1
+        best_ratio: Optional[Rational] = None
+        for i in range(m):
+            a = tableau[i][entering]
+            if a > 0:
+                ratio = rhs[i] / a
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[i] < basis[leaving])
+                ):
+                    best_ratio = ratio
+                    leaving = i
+        if leaving < 0:
+            # Unbounded phase-I objective cannot happen (bounded below by 0);
+            # defensive guard.
+            break
+        pivot = tableau[leaving][entering]
+        prow = tableau[leaving]
+        inv = Fraction(1) / pivot
+        for j in range(total_cols):
+            prow[j] *= inv
+        rhs[leaving] *= inv
+        for i in range(m):
+            if i == leaving:
+                continue
+            factor = tableau[i][entering]
+            if factor != 0:
+                row = tableau[i]
+                for j in range(total_cols):
+                    if prow[j] != 0:
+                        row[j] -= factor * prow[j]
+                rhs[i] -= factor * rhs[leaving]
+        factor = cost[entering]
+        if factor != 0:
+            for j in range(total_cols):
+                if prow[j] != 0:
+                    cost[j] -= factor * prow[j]
+            cost_const -= factor * rhs[leaving]
+        basis[leaving] = entering
+
+    # Optimum value of sum(artificials) is -cost_const ... track via basis:
+    objective = Fraction(0)
+    for i, b in enumerate(basis):
+        if b >= ncols:
+            objective += rhs[i]
+    if objective != 0:
+        return None
+
+    values = [Fraction(0)] * total_cols
+    for i, b in enumerate(basis):
+        values[b] = rhs[i]
+    assignment = {}
+    for v, i in index.items():
+        assignment[v] = values[i] - values[n + i]
+    return assignment
+
+
+def split_simplex_rows(
+    rows: List[_Row]
+) -> Optional[Dict[str, Rational]]:
+    """Decide {sum(coeffs*x) <= bound} over free rational variables.
+
+    Pipeline: single-variable rows become bounds, an interval-arithmetic
+    pass refutes rows whose smallest possible left side already exceeds the
+    bound (which settles the common exhausted-budget pattern without any
+    pivoting), lower-bounded variables are shifted to nonnegative ones, and
+    a phase-I simplex decides the rest.  Returns an assignment covering
+    every variable that appears in any row, or None when infeasible.
+    """
+    lower: Dict[str, Rational] = {}
+    upper: Dict[str, Rational] = {}
+    general: List[_Row] = []
+    all_vars: set = set()
+    for coeffs, bound in rows:
+        all_vars.update(coeffs)
+        if not coeffs:
+            if bound < 0:
+                return None
+            continue
+        if len(coeffs) == 1:
+            (var, k), = coeffs.items()
+            b = bound / k
+            if k > 0:
+                if var not in upper or b < upper[var]:
+                    upper[var] = b
+            else:
+                if var not in lower or b > lower[var]:
+                    lower[var] = b
+            continue
+        general.append((coeffs, bound))
+
+    for var, lo in lower.items():
+        if var in upper and lo > upper[var]:
+            return None
+
+    # Interval propagation: minimal possible left side vs the bound.
+    for coeffs, bound in general:
+        minimum = Fraction(0)
+        for var, k in coeffs.items():
+            if k > 0:
+                if var not in lower:
+                    break
+                minimum += k * lower[var]
+            else:
+                if var not in upper:
+                    break
+                minimum += k * upper[var]
+        else:
+            if minimum > bound:
+                return None
+
+    # Shift lower-bounded variables to nonnegative ones: x = lo + x'.
+    shifted_rows: List[_Row] = []
+    remaining_vars: set = set()
+    for coeffs, bound in general:
+        nb = bound
+        for var, k in coeffs.items():
+            if var in lower:
+                nb -= k * lower[var]
+            remaining_vars.add(var)
+        shifted_rows.append((dict(coeffs), nb))
+    for var, ub in upper.items():
+        nb = ub - lower[var] if var in lower else ub
+        shifted_rows.append(({var: Fraction(1)}, nb))
+        remaining_vars.add(var)
+
+    var_order = sorted(remaining_vars)
+    # Shifted variables carry an explicit nonnegativity row; the simplex
+    # splits every variable, which is sound either way.
+    solver_rows = list(shifted_rows)
+    for v in var_order:
+        if v in lower:
+            solver_rows.append(({v: Fraction(-1)}, Fraction(0)))
+
+    assignment = _phase_one_simplex(var_order, solver_rows)
+    if assignment is None:
+        return None
+
+    full: Dict[str, Rational] = {}
+    for v in var_order:
+        full[v] = assignment[v] + lower.get(v, Fraction(0))
+    # Variables only seen in bound rows sit at a bound-respecting value.
+    for v in all_vars:
+        if v not in full:
+            if v in lower:
+                full[v] = lower[v]
+            elif v in upper:
+                full[v] = min(upper[v], Fraction(0))
+            else:
+                full[v] = Fraction(0)
+    return full
 
 
 def random_lp(rng: random.Random, max_vars: int = 6, max_rows: int = 12) -> LpProblem:

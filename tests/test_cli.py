@@ -192,6 +192,14 @@ def test_undeclared_problem_variable_is_an_input_error(capsys, tmp_path, subcomm
     assert "undeclared variable" in err
 
 
+def test_repeated_problem_section_is_an_input_error(capsys, tmp_path):
+    prob = tmp_path / "p.prob"
+    prob.write_text("model %s\ngoal l1\ngoal l6\ndepth 5\n" % bench("wlm", "wlm.lha"))
+    code, out, err = run(capsys, "explain", "--problem", str(prob))
+    assert code == EXIT_INPUT and out == ""
+    assert "repeated 'goal' section" in err
+
+
 def test_wpx_log_info_names_each_check(caplog, capsys):
     with caplog.at_level(logging.DEBUG, logger="wpx"):
         code, _, _ = run(capsys, "explain", "--problem", bench("wlm", "depth20.prob"))

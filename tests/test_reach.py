@@ -14,9 +14,11 @@ from oracles import (
     fm_feasible,
     full_encode_path,
     lp_feasible,
+    lp_rows,
     random_automaton,
     random_lp,
     recursive_concrete_paths,
+    split_simplex_rows,
 )
 from wpx.model import (
     GoalSpec,
@@ -28,6 +30,7 @@ from wpx.model import (
     check_witness,
 )
 from wpx.cli import EXIT_INTERNAL, EXIT_OK, main
+from wpx.explain import explain
 from wpx.reach import (
     ConcretePath,
     bounded_reachable,
@@ -177,6 +180,42 @@ def test_sat_witness_satisfies_all_constraints():
     assert sats > 20
 
 
+def agrees_with_reference(rows):
+    """Whether the rows are feasible, after checking that the bounded simplex
+    and the split-and-shift reference agree and that a SAT assignment
+    covers and satisfies every row."""
+    assignment = reach._solve_rows(rows)
+    assert (assignment is None) == (split_simplex_rows(rows) is None)
+    if assignment is None:
+        return False
+    assert set(assignment) == {v for coeffs, _ in rows for v in coeffs}
+    for coeffs, bound in rows:
+        assert sum(k * assignment[v] for v, k in coeffs.items()) <= bound
+    return True
+
+
+def test_bounded_simplex_agrees_with_split_simplex_reference():
+    # Fourier-Motzkin does not finish on LPs this size; the reference does.
+    # Most of these draws pivot at least twice.
+    rng = random.Random(2024)
+    sat = sum(agrees_with_reference(lp_rows(random_lp(rng, 10, 24))) for _ in range(200))
+    assert 20 < sat < 180
+
+
+def test_bounded_simplex_ends_on_degenerate_rows():
+    # With every bound 0, every row is tight at the start point 0, which is
+    # then feasible; the one row sum(v) >= 1 makes the loop pivot away from
+    # that degenerate vertex, and it must still end.
+    rng = random.Random(9)
+    sat = 0
+    for _ in range(20):
+        rows = [(coeffs, Fraction(0)) for coeffs, _ in lp_rows(random_lp(rng, 10, 24))]
+        variables = sorted({v for coeffs, _ in rows for v in coeffs})
+        rows.append(({v: Fraction(-1) for v in variables}, Fraction(-1)))
+        sat += agrees_with_reference(rows)
+    assert 0 < sat < 20
+
+
 def test_bounded_reachable_sat_with_plan():
     problem = hop_problem()
     verdict = bounded_reachable(problem)
@@ -236,6 +275,27 @@ def test_interval_preanalysis_agrees_with_enumeration(monkeypatch):
             unsat_boxes += 1
     assert checked == 250
     assert unsat_boxes > 0  # the pre-analysis actually fires sometimes
+
+
+def test_box_preanalysis_stops_when_its_state_repeats(monkeypatch):
+    # wa6x6's per-location boxes start to cycle within a few steps, so a
+    # deeper bound adds no box work and changes no verdict.
+    dwell = reach._box_dwell
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return dwell(*args)
+
+    monkeypatch.setattr(reach, "_box_dwell", counted)
+    outcomes = []
+    for depth in (40, 400):
+        _model, problem = load_benchmark("wa6x6", "depth12.prob", depth=depth)
+        calls.clear()
+        report = explain(problem)
+        outcomes.append((len(calls), report.explanation_name, report.verdicts))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][1] == "l28"
 
 
 def test_dump_lp_writes_one_file_per_path(tmp_path):

@@ -96,6 +96,22 @@ def test_problem_requires_goal_and_depth():
         parse_problem("goal b\n", doc)
 
 
+@pytest.mark.parametrize(
+    "text,section",
+    [
+        ("init a { x = 0; }\ninit b { x = 2; }\ngoal b\ndepth 3\n", "init"),
+        ("goal a\ngoal b\ndepth 3\n", "goal"),
+        ("goal b\ndepth 3\ndepth 4\n", "depth"),
+    ],
+    ids=["init", "goal", "depth"],
+)
+def test_problem_rejects_repeated_section(text, section):
+    doc = parse_model(MINI)
+    with pytest.raises(ParseError) as err:
+        parse_problem(text, doc)
+    assert err.value.message == "repeated %r section" % section
+
+
 def test_mini_roundtrip():
     doc = parse_model(MINI)
     again = parse_model(serialize_model(doc.automaton))
