@@ -36,6 +36,7 @@ from .textio import (
     parse_model,
     parse_problem,
     serialize_report,
+    split_model_line,
 )
 
 EXIT_OK = 0
@@ -82,10 +83,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _configure_logging() -> None:
-    level_name = os.environ.get("WPX_LOG", "warning").upper()
-    level = getattr(logging, level_name, logging.WARNING)
+# WPX_LOG takes these names in any case; unset or empty means warning.
+_LOG_LEVELS = ("debug", "info", "warning", "warn", "error", "critical", "fatal", "notset")
+
+
+def _configure_logging() -> bool:
+    """Apply ``WPX_LOG``; False when it names no level."""
+    name = (os.environ.get("WPX_LOG") or "warning").lower()
+    if name not in _LOG_LEVELS:
+        return False
+    level = getattr(logging, name.upper())
     logging.basicConfig(level=level, format="%(name)s %(levelname)s %(message)s")
+    return True
 
 
 def _load(
@@ -101,16 +110,12 @@ def _load(
         problem_text = fh.read()
 
     if model_path is None:
-        for raw in problem_text.split("\n"):
-            stripped = raw.strip()
-            if stripped.startswith("model "):
-                ref = stripped[len("model "):].strip()
-                model_path = os.path.join(os.path.dirname(problem_path), ref)
-                break
-    if model_path is None:
-        raise ParseError(
-            "no --model given and the problem file has no 'model' line", 0, 0
-        )
+        ref, _text = split_model_line(problem_text)
+        if ref is None:
+            raise ParseError(
+                "no --model given and the problem file has no 'model' line", 0, 0
+            )
+        model_path = os.path.join(os.path.dirname(problem_path), ref)
     with open(model_path, encoding="utf-8") as fh:
         model_text = fh.read()
     model = parse_model(model_text, source=model_path)
@@ -219,10 +224,10 @@ def cmd_explain(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     _model, problem, _name = _load(args.problem, args.model, args.depth)
     verdict = bounded_reachable(problem, cap=args.max_paths, dump_dir=args.dump_lp)
+    plan = extract_witness(problem, verdict)[1] if verdict.is_sat else None
     if args.json:
         doc = {"status": verdict.status, "paths_checked": verdict.paths_checked}
-        if verdict.is_sat:
-            _run, plan = extract_witness(problem, verdict)
+        if plan is not None:
             doc["plan"] = {
                 "steps": [[format_rational(t), label] for t, label in plan.steps],
                 "makespan": format_rational(plan.makespan),
@@ -230,8 +235,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         print(json.dumps(doc, indent=2))
     else:
         print("%s (paths_checked=%d)" % (verdict.status, verdict.paths_checked))
-        if verdict.is_sat:
-            _run, plan = extract_witness(problem, verdict)
+        if plan is not None:
             _print_plan(plan)
     return EXIT_OK
 
@@ -287,7 +291,9 @@ _COMMANDS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    _configure_logging()
+    if not _configure_logging():
+        print("input error: WPX_LOG must be one of " + ", ".join(_LOG_LEVELS), file=sys.stderr)
+        return EXIT_INPUT
     if hasattr(sys, "set_int_max_str_digits"):
         # Walk counts are exact and uncapped; deep ones run past the default
         # 4,300-digit limit on printing an int.

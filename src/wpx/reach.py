@@ -10,7 +10,8 @@ exceeded" pattern by a bound conflict or a sign-based interval check, and
 decides the rest with a bounded-variable simplex: one slack per
 multi-variable row, exact rational pivoting and Bland's rule.  A SAT
 witness is accepted only after it replays as a valid run through
-``model.check_witness``; an UNSAT verdict carries no certificate yet.
+``model.check_witness``, and a SAT ``Verdict`` carries that checked run;
+an UNSAT verdict carries no certificate yet.
 ``bounded_reachable(..., dump_dir=...)`` (the CLI's ``--dump-lp``) lists
 the rows the solver decides.
 """
@@ -42,6 +43,8 @@ from .textio import format_rational
 # expression ``(coeffs, const)`` stands for ``sum(coeffs*x) + const``.
 _Row = Tuple[Dict[str, Rational], Rational]
 _Expr = Tuple[Dict[str, Rational], Rational]
+# A valuation: one expression per automaton variable, in declaration order.
+_Point = Tuple[_Expr, ...]
 
 log = logging.getLogger(__name__)
 
@@ -56,17 +59,19 @@ class ConcretePath:
 
 @dataclass(frozen=True)
 class Verdict:
-    status: str  # "SAT" | "UNSAT"
-    witness: Optional[Tuple[Tuple[str, Rational], ...]]
+    """A bounded reachability answer: SAT exactly when ``run`` holds the
+    witness run that ``check_witness`` accepted."""
+
     paths_checked: int
-    path: Optional[ConcretePath] = None
+    run: Optional[WitnessRun] = None
 
     @property
     def is_sat(self) -> bool:
-        return self.status == "SAT"
+        return self.run is not None
 
-    def witness_dict(self) -> Dict[str, Rational]:
-        return dict(self.witness or ())
+    @property
+    def status(self) -> str:
+        return "SAT" if self.run is not None else "UNSAT"
 
 
 def enumerate_concrete_paths(
@@ -436,7 +441,7 @@ def _interval_unreachable(problem: PlanningProblem) -> bool:
 
 def encode_path(
     problem: PlanningProblem, path: ConcretePath
-) -> Tuple[List[_Row], Dict[str, _Expr]]:
+) -> Tuple[List[_Row], List[Tuple[_Point, _Point]]]:
     """Encode one concrete path as rows ``sum(coeffs*x) <= bound``.
 
     The system speaks of the entry value ``x@iin`` and exit value
@@ -449,8 +454,9 @@ def encode_path(
     substituted away in one forward pass: the valuation at each point is
     tracked as an affine expression over the surviving variables (dwells,
     interval-rate exits, interval-reset entries).  Returns the rows and,
-    for every ``x@iin``, ``x@iout`` and ``di``, its expression over the
-    survivors, so the complete witness can be rebuilt.
+    per position, its entry and exit valuations as expressions over the
+    survivors in ``automaton.variables`` order, from which a solution of
+    the rows rebuilds the run.
     """
     automaton = problem.domain
     init_loc, init_region = problem.init
@@ -458,7 +464,7 @@ def encode_path(
         raise ValueError("path endpoints do not match the problem")
 
     rows: List[_Row] = []
-    symbolic: Dict[str, _Expr] = {}
+    points: List[Tuple[_Point, _Point]] = []
     # Current value of each automaton variable as (coeffs, const).
     state: Dict[str, _Expr] = {}
     for var in automaton.variables:
@@ -488,11 +494,9 @@ def encode_path(
 
     for i, loc_id in enumerate(path.locations):
         loc = automaton.location(loc_id)
-        for var in automaton.variables:
-            symbolic[_var_in(var, i)] = state[var]
+        entry = tuple(state[var] for var in automaton.variables)
         emit_region(loc.invariant)
         d = _dwell(i)
-        symbolic[d] = ({d: Fraction(1)}, Fraction(0))
         rows.append(({d: Fraction(-1)}, Fraction(0)))  # d_i >= 0
         for var in automaton.variables:
             iv = loc.rates.interval(var)
@@ -515,8 +519,7 @@ def encode_path(
                 hi_row[d] = hi_row.get(d, Fraction(0)) - iv.upper
                 rows.append(({v: k for v, k in hi_row.items() if k != 0}, const))
                 state[var] = ({out: Fraction(1)}, Fraction(0))
-        for var in automaton.variables:
-            symbolic[_var_out(var, i)] = state[var]
+        points.append((entry, tuple(state[var] for var in automaton.variables)))
         emit_region(loc.invariant)
 
         if i < len(path.transitions):
@@ -536,50 +539,39 @@ def encode_path(
 
     emit_region(problem.goal.region)
     emit_region(automaton.location(problem.goal.location).invariant)
-    return rows, symbolic
-
-
-def _witness_run(
-    problem: PlanningProblem, path: ConcretePath, values: Dict[str, Rational]
-) -> WitnessRun:
-    """The run that a path's witness values describe."""
-    variables = problem.domain.variables
-    segments = tuple(
-        RunSegment(
-            location=loc_id,
-            entry=tuple((v, values[_var_in(v, i)]) for v in variables),
-            dwell=values[_dwell(i)],
-            exit=tuple((v, values[_var_out(v, i)]) for v in variables),
-        )
-        for i, loc_id in enumerate(path.locations)
-    )
-    return WitnessRun(segments=segments, transitions=path.transitions)
+    return rows, points
 
 
 def _check_path(
     problem: PlanningProblem,
     path: ConcretePath,
     rows: List[_Row],
-    symbolic: Dict[str, _Expr],
-) -> Verdict:
-    """Decide ``path`` from its encoding; a SAT witness must replay as a
-    valid run under the model semantics."""
+    points: List[Tuple[_Point, _Point]],
+) -> Optional[WitnessRun]:
+    """Decide ``path`` from its encoding.  Returns None when the rows are
+    infeasible, else the run the solver's assignment describes, after it
+    replays as a valid run under the model semantics."""
     full = _solve_rows(rows)
     if full is None:
-        return Verdict(status="UNSAT", witness=None, paths_checked=0)
-    witness_vals: Dict[str, Rational] = {}
-    for name, (coeffs, const) in symbolic.items():
-        value = const
-        for v, k in coeffs.items():
-            value += k * full.get(v, Fraction(0))
-        witness_vals[name] = value
-    run = _witness_run(problem, path, witness_vals)
+        return None
+
+    def valuation(point: _Point) -> Tuple[Tuple[str, Rational], ...]:
+        return tuple(
+            (var, sum((k * full.get(v, Fraction(0)) for v, k in coeffs.items()), const))
+            for var, (coeffs, const) in zip(problem.domain.variables, point)
+        )
+
+    segments = tuple(
+        RunSegment(loc_id, valuation(entry), full[_dwell(i)], valuation(exit_))
+        for i, (loc_id, (entry, exit_)) in enumerate(zip(path.locations, points))
+    )
+    run = WitnessRun(segments=segments, transitions=path.transitions)
     violations = check_witness(problem.domain, problem.init, problem.goal, run)
     if violations:
         raise AssertionError(
             "internal error: path witness fails check_witness: " + "; ".join(violations)
         )
-    return Verdict(status="SAT", witness=tuple(sorted(witness_vals.items())), paths_checked=0)
+    return run
 
 
 def bounded_reachable(
@@ -596,7 +588,7 @@ def bounded_reachable(
     path and writes none.
     """
     if _interval_unreachable(problem):
-        return Verdict(status="UNSAT", witness=None, paths_checked=0)
+        return Verdict(paths_checked=0)
 
     init_loc, _ = problem.init
     paths = enumerate_concrete_paths(
@@ -623,41 +615,30 @@ def bounded_reachable(
     for idx, path in enumerate(paths):
         if idx >= cap:
             raise ResourceCapExceeded("concrete path enumeration", cap)
-        rows, symbolic = encode_path(problem, path)
+        rows, points = encode_path(problem, path)
         if dump_dir is not None:
             dump(idx, path, rows)
-        verdict = _check_path(problem, path, rows, symbolic)
         checked += 1
+        verdict = Verdict(checked, _check_path(problem, path, rows, points))
         log.debug(
             "path %d locations=%s transitions=%s: %s",
             idx, path.locations, path.transitions, verdict.status,
         )
         if verdict.is_sat:
-            return Verdict(
-                status="SAT",
-                witness=verdict.witness,
-                paths_checked=checked,
-                path=path,
-            )
-    return Verdict(status="UNSAT", witness=None, paths_checked=checked)
+            return verdict
+    return Verdict(paths_checked=checked)
 
 
 def extract_witness(
-    problem: PlanningProblem, verdict: Verdict, path: Optional[ConcretePath] = None
+    problem: PlanningProblem, verdict: Verdict
 ) -> Tuple[WitnessRun, Plan]:
-    """Rebuild the run and plan from a SAT verdict's LP assignment."""
-    if not verdict.is_sat:
+    """The run a SAT verdict carries, and the timed plan it describes."""
+    run = verdict.run
+    if run is None:
         raise ValueError("cannot extract a witness from an UNSAT verdict")
-    path = path or verdict.path
-    if path is None:
-        raise ValueError("verdict carries no path")
-    run = _witness_run(problem, path, verdict.witness_dict())
-
     steps: List[Tuple[Rational, str]] = []
     elapsed = Fraction(0)
-    for seg, tid in zip(run.segments, path.transitions):
+    for seg, tid in zip(run.segments, run.transitions):
         elapsed += seg.dwell
         steps.append((elapsed, problem.domain.transitions[tid].label))
-    makespan = elapsed + run.segments[-1].dwell
-    plan = Plan(steps=tuple(steps), makespan=makespan)
-    return run, plan
+    return run, Plan(steps=tuple(steps), makespan=run.makespan())

@@ -381,19 +381,31 @@ def parse_model(text: str, source: str = "<string>") -> ModelDocument:
     return ModelDocument(automaton=automaton, source=source)
 
 
+def split_model_line(text: str) -> Tuple[Optional[str], str]:
+    """The path a ``.prob`` document's ``model`` line names (None if none),
+    and the text with that line blanked.  The path ends at the line's end or
+    at a ``#`` comment; a second ``model`` line is a ParseError."""
+    ref: Optional[str] = None
+    seen = False
+    lines = text.split("\n")
+    for i, raw in enumerate(lines):
+        words = raw.split("#", 1)[0].split(None, 1)
+        if words[:1] == ["model"]:
+            if seen:
+                raise ParseError("repeated 'model' section", i + 1, raw.index("model") + 1)
+            seen = True
+            ref = words[1].strip() if len(words) > 1 else None
+            lines[i] = ""
+    return ref, "\n".join(lines)
+
+
 def parse_problem(text: str, model: ModelDocument, source: str = "<string>") -> ProblemDocument:
     """Parse a ``.prob`` document against an already-parsed model.
 
     Sections: optional ``model <path>``, optional ``init <loc> { ... }``
     override, mandatory ``goal <loc> [{ ... }]`` and ``depth <n>``.
     """
-    lines = text.split("\n")
-    for i, raw in enumerate(lines):
-        stripped = raw.strip()
-        if stripped.startswith("model ") or stripped == "model":
-            lines[i] = ""
-    text = "\n".join(lines)
-
+    _ref, text = split_model_line(text)
     p = _Parser(text)
     automaton = model.automaton
     init = automaton.initial

@@ -29,7 +29,7 @@ from wpx.model import (
     ResetKind,
     Transition,
 )
-from wpx.reach import ConcretePath, Verdict, _dwell, _solve_rows, _var_in, _var_out
+from wpx.reach import ConcretePath, _dwell, _solve_rows, _var_in, _var_out
 
 
 # --- full path encoding ---------------------------------------------------
@@ -174,21 +174,21 @@ def lp_rows(lp: LpProblem) -> List[Tuple[Dict[str, Fraction], Fraction]]:
     return rows
 
 
-def lp_feasible(lp: LpProblem) -> Verdict:
+def lp_feasible(lp: LpProblem) -> Optional[Dict[str, Rational]]:
     """Decide ``lp`` with the production solver ``_solve_rows``.
 
-    Variables no row mentions are set to 0, and a SAT witness must satisfy
-    every constraint.
+    Returns None when infeasible, else an assignment to every variable of
+    ``lp``, which must satisfy every constraint; variables no row mentions
+    are set to 0.
     """
     full = _solve_rows(lp_rows(lp))
     if full is None:
-        return Verdict(status="UNSAT", witness=None, paths_checked=0)
-    witness = tuple(sorted((v, full.get(v, Fraction(0))) for v in lp.variables))
-    valuation = dict(witness)
+        return None
+    valuation = {v: full.get(v, Fraction(0)) for v in lp.variables}
     for c in lp.constraints:
         if not c.holds(valuation):
             raise AssertionError("witness fails a constraint: %r" % (c,))
-    return Verdict(status="SAT", witness=witness, paths_checked=0)
+    return valuation
 
 
 def fm_feasible(lp: LpProblem) -> bool:

@@ -200,6 +200,37 @@ def test_repeated_problem_section_is_an_input_error(capsys, tmp_path):
     assert "repeated 'goal' section" in err
 
 
+def test_model_line_may_end_in_a_comment(capsys, tmp_path):
+    prob = tmp_path / "p.prob"
+    prob.write_text("model %s  # the model\ngoal l6\ndepth 20\n" % bench("wlm", "wlm.lha"))
+    code, out, _ = run(capsys, "paths", "--problem", str(prob))
+    assert code == EXIT_OK
+    assert out.strip() == "5"
+
+
+def test_repeated_model_line_is_an_input_error(capsys, tmp_path):
+    model = bench("wlm", "wlm.lha")
+    prob = tmp_path / "p.prob"
+    prob.write_text("model %s\nmodel %s\ngoal l6\ndepth 20\n" % (model, model))
+    code, out, err = run(capsys, "paths", "--problem", str(prob))
+    assert code == EXIT_INPUT and out == ""
+    assert "line 2, column 1: repeated 'model' section" in err
+
+
+@pytest.mark.parametrize(
+    "value,code", [("basic_format", EXIT_INPUT), ("bogus", EXIT_INPUT), ("INFO", EXIT_OK)]
+)
+def test_wpx_log_accepts_only_level_names(capsys, monkeypatch, value, code):
+    monkeypatch.setenv("WPX_LOG", value)
+    got, out, err = run(capsys, "paths", "--problem", bench("wlm", "depth20.prob"))
+    assert got == code
+    if code == EXIT_INPUT:
+        assert out == ""
+        assert err.startswith("input error: WPX_LOG must be one of debug, info, warning")
+    else:
+        assert out.strip() == "5"
+
+
 def test_wpx_log_info_names_each_check(caplog, capsys):
     with caplog.at_level(logging.DEBUG, logger="wpx"):
         code, _, _ = run(capsys, "explain", "--problem", bench("wlm", "depth20.prob"))

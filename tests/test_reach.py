@@ -30,7 +30,7 @@ from wpx.model import (
     check_witness,
 )
 from wpx.cli import EXIT_INTERNAL, EXIT_OK, main
-from wpx.explain import explain
+from wpx.explain import OUTCOME_SOLVABLE, explain
 from wpx.reach import (
     ConcretePath,
     bounded_reachable,
@@ -130,9 +130,8 @@ def test_lp_feasible_simple_sat_and_witness():
             LinearConstraint(LinearExpression.build({"v": 1}), Relation.GE),
         ),
     )
-    verdict = lp_feasible(lp)
-    assert verdict.is_sat
-    w = verdict.witness_dict()
+    w = lp_feasible(lp)
+    assert w is not None
     assert w["u"] + w["v"] == 4 and w["u"] >= 1 and w["v"] >= 0
 
 
@@ -144,7 +143,7 @@ def test_lp_feasible_contradictory_equalities():
             LinearConstraint(LinearExpression.build({"u": 1}, -2), Relation.EQ),
         ),
     )
-    assert not lp_feasible(lp).is_sat
+    assert lp_feasible(lp) is None
 
 
 def test_lp_feasible_unbounded_free_variable():
@@ -154,16 +153,16 @@ def test_lp_feasible_unbounded_free_variable():
             LinearConstraint(LinearExpression.build({"u": 1}, 100), Relation.LE),
         ),
     )
-    verdict = lp_feasible(lp)
-    assert verdict.is_sat
-    assert verdict.witness_dict()["u"] <= -100
+    w = lp_feasible(lp)
+    assert w is not None
+    assert w["u"] <= -100
 
 
 def test_lp_feasible_matches_fm_oracle_random():
     rng = random.Random(101)
     for _ in range(300):
         lp = random_lp(rng)
-        assert lp_feasible(lp).is_sat == fm_feasible(lp)
+        assert (lp_feasible(lp) is not None) == fm_feasible(lp)
 
 
 def test_sat_witness_satisfies_all_constraints():
@@ -171,10 +170,9 @@ def test_sat_witness_satisfies_all_constraints():
     sats = 0
     for _ in range(300):
         lp = random_lp(rng)
-        verdict = lp_feasible(lp)
-        if verdict.is_sat:
+        w = lp_feasible(lp)
+        if w is not None:
             sats += 1
-            w = verdict.witness_dict()
             for c in lp.constraints:
                 assert c.holds(w)
     assert sats > 20
@@ -233,7 +231,30 @@ def test_bounded_reachable_unsat_guard_conflict():
     problem = hop_problem(goal="b", goal_region="{ x >= 100 }")
     verdict = bounded_reachable(problem)
     assert not verdict.is_sat
-    assert verdict.witness is None
+    assert verdict.run is None
+
+
+def test_extract_witness_rejects_an_unsat_verdict():
+    problem = hop_problem(goal="b", goal_region="{ x >= 100 }")
+    with pytest.raises(ValueError, match="UNSAT verdict"):
+        extract_witness(problem, bounded_reachable(problem))
+
+
+def test_extract_witness_returns_the_run_check_witness_accepted(monkeypatch):
+    accepted = []
+    check = reach.check_witness
+
+    def recording(automaton, init, goal, run):
+        accepted.append(run)
+        return check(automaton, init, goal, run)
+
+    monkeypatch.setattr(reach, "check_witness", recording)
+    problem = hop_problem()
+    verdict = bounded_reachable(problem)
+    assert extract_witness(problem, verdict)[0] is accepted[-1]
+    report = explain(problem)
+    assert report.outcome == OUTCOME_SOLVABLE
+    assert extract_witness(problem, report.witness_verdict)[0] is accepted[-1]
 
 
 def test_goal_region_conjoined_with_goal_invariant():
@@ -315,12 +336,15 @@ def test_dump_lp_writes_one_file_per_path(tmp_path):
 def test_witness_values_are_exact_fractions():
     problem = hop_problem()
     verdict = bounded_reachable(problem)
-    assert all(isinstance(v, Fraction) for _k, v in verdict.witness)
+    values = [seg.dwell for seg in verdict.run.segments]
+    for seg in verdict.run.segments:
+        values.extend(v for _var, v in seg.entry + seg.exit)
+    assert values and all(isinstance(v, Fraction) for v in values)
 
 
 def test_encode_path_agrees_with_full_encoding_oracle():
     # Both directions: the solver's rows are infeasible exactly when the full
-    # encoding is, and a SAT witness expanded through ``symbolic`` satisfies
+    # encoding is, and a SAT witness expanded through ``points`` satisfies
     # every constraint of the full encoding.
     rng = random.Random(8080)
     sat = unsat = 0
@@ -340,19 +364,25 @@ def test_encode_path_agrees_with_full_encoding_oracle():
             depth=3,
         )
         for path in enumerate_concrete_paths(automaton, automaton.initial[0], goal, 3):
-            rows, symbolic = encode_path(problem, path)
+            rows, points = encode_path(problem, path)
             assignment = reach._solve_rows(rows)
             lp = full_encode_path(problem, path)
-            want = fm_feasible(lp) if len(path.transitions) <= 2 else lp_feasible(lp).is_sat
+            want = fm_feasible(lp) if len(path.transitions) <= 2 else lp_feasible(lp) is not None
             assert (assignment is not None) == want, (case, path)
             if assignment is None:
                 unsat += 1
                 continue
             sat += 1
-            valuation = {
-                name: const + sum(k * assignment.get(v, 0) for v, k in coeffs.items())
-                for name, (coeffs, const) in symbolic.items()
-            }
+            def value(expr):
+                coeffs, const = expr
+                return const + sum(k * assignment.get(v, 0) for v, k in coeffs.items())
+
+            valuation = {}
+            for i, (entry, exit_) in enumerate(points):
+                valuation["d%d" % i] = assignment["d%d" % i]
+                for var, e_in, e_out in zip(automaton.variables, entry, exit_):
+                    valuation["%s@%din" % (var, i)] = value(e_in)
+                    valuation["%s@%dout" % (var, i)] = value(e_out)
             assert set(valuation) == set(lp.variables)
             for c in lp.constraints:
                 assert c.holds(valuation), (case, path, c)
@@ -404,9 +434,9 @@ def test_dump_lp_lists_the_rows_the_solver_decides(monkeypatch, tmp_path):
     encoded = []
 
     def encode(problem, path):
-        rows, symbolic = encode_path(problem, path)
+        rows, points = encode_path(problem, path)
         encoded.append(rows)
-        return rows, symbolic
+        return rows, points
 
     monkeypatch.setattr(reach, "_interval_unreachable", lambda p: False)
     monkeypatch.setattr(reach, "encode_path", encode)
