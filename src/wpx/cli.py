@@ -35,6 +35,7 @@ from .textio import (
     format_rational,
     parse_model,
     parse_problem,
+    reading,
     serialize_report,
     split_model_line,
 )
@@ -105,15 +106,17 @@ def _load(
     """Parse the model and problem; the model path may come from the
     problem file's ``model`` line, resolved relative to the problem file."""
     if problem_path is None:
-        raise ParseError("a --problem file is required", 0, 0)
+        raise ParseError("a --problem file is required")
     with open(problem_path, encoding="utf-8") as fh:
         problem_text = fh.read()
 
     if model_path is None:
-        ref, _text = split_model_line(problem_text)
+        with reading(problem_path):
+            ref, _text = split_model_line(problem_text)
         if ref is None:
             raise ParseError(
-                "no --model given and the problem file has no 'model' line", 0, 0
+                "no --model given and the problem file has no 'model' line",
+                source=problem_path,
             )
         model_path = os.path.join(os.path.dirname(problem_path), ref)
     with open(model_path, encoding="utf-8") as fh:
@@ -122,7 +125,7 @@ def _load(
     problem = parse_problem(problem_text, model, source=problem_path).problem
     if depth is not None:
         if depth < 0:
-            raise ParseError("depth must be non-negative", 0, 0)
+            raise ParseError("depth must be non-negative")
         problem = PlanningProblem(
             domain=problem.domain, init=problem.init, goal=problem.goal, depth=depth
         )

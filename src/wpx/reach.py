@@ -8,10 +8,13 @@ systems in roughly the dwell variables only.  ``_solve_rows`` turns
 single-variable rows into bounds, settles the common "resource budget
 exceeded" pattern by a bound conflict or a sign-based interval check, and
 decides the rest with a bounded-variable simplex: one slack per
-multi-variable row, exact rational pivoting and Bland's rule.  A SAT
-witness is accepted only after it replays as a valid run through
-``model.check_witness``, and a SAT ``Verdict`` carries that checked run;
-an UNSAT verdict carries no certificate yet.
+multi-variable row and Bland's rule.  Its tableau rows are fraction-free,
+ints over a positive int denominator, pivoted by integer
+cross-multiplication; the variables' values and bounds, and so every
+answer, stay exact ``Fraction``s.  A SAT witness is accepted only after it
+replays as a valid run through ``model.check_witness``, and a SAT
+``Verdict`` carries that checked run; an UNSAT verdict carries no
+certificate yet.
 ``bounded_reachable(..., dump_dir=...)`` (the CLI's ``--dump-lp``) lists
 the rows the solver decides.
 """
@@ -22,6 +25,8 @@ import logging
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from math import gcd, lcm
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .graph import DEFAULT_PATH_CAP, ResourceCapExceeded, iter_labelled_walks
@@ -34,6 +39,7 @@ from .model import (
     Relation,
     ResetKind,
     RunSegment,
+    Transition,
     WitnessRun,
     check_witness,
 )
@@ -115,10 +121,16 @@ def _solve_rows(
     tableau.  A bounded-variable simplex (Dutertre and de Moura, CAV 2006)
     decides the rest.  Each multi-variable row gets one slack: a basic
     variable whose tableau row is the row's coefficients and whose upper
-    bound is the row's bound.  Every variable starts nonbasic at a value
-    within its bounds.  While some basic variable violates a bound, the
-    smallest such one is pivoted with the smallest nonbasic variable of its
-    row that can move it back, and set to the violated bound; when no
+    bound is the row's bound.  A tableau row is held fraction-free, as a
+    positive int ``den`` and int ``nums`` with ``den*x_b =
+    sum(nums[j]*x_j)`` and no common factor; a pivot cross-multiplies
+    rows and divides out their gcd, so it represents the same rationals as
+    a Fraction tableau and every decision, which reads only signs and exact
+    comparisons, comes out the same.  Values, bounds and the returned
+    assignment are exact Fractions.  Every variable starts nonbasic at a
+    value within its bounds.  While some basic variable violates a bound,
+    the smallest such one is pivoted with the smallest nonbasic variable of
+    its row that can move it back, and set to the violated bound; when no
     nonbasic variable can, the rows are infeasible.  Variables are ordered
     by name, then slacks by row; taking the smallest on both sides is
     Bland's rule, which ends the loop.  Returns an assignment covering every
@@ -175,10 +187,15 @@ def _solve_rows(
         lo if lo is not None else Fraction(0) if hi is None else min(hi, Fraction(0))
         for lo, hi in zip(low, high)
     ]
-    # tableau[b] expresses the basic variable b over nonbasic ones.
-    tableau: Dict[int, Dict[int, Rational]] = {}
+    # tableau[b] = (den, nums) expresses the basic variable b over nonbasic
+    # ones as den*x_b = sum(nums[j]*x_j), in ints with den > 0 and no common
+    # factor.  A row scaled by the lcm of its denominators starts that way.
+    tableau: Dict[int, Tuple[int, Dict[int, int]]] = {}
     for coeffs, bound in general:
-        tableau[len(value)] = {index[v]: k for v, k in coeffs.items()}
+        den = lcm(*(k.denominator for k in coeffs.values()))
+        tableau[len(value)] = (
+            den, {index[v]: k.numerator * (den // k.denominator) for v, k in coeffs.items()}
+        )
         value.append(sum(k * value[index[v]] for v, k in coeffs.items()))
         low.append(None)
         high.append(bound)
@@ -193,7 +210,7 @@ def _solve_rows(
                 break
         else:
             return {v: value[i] for i, v in enumerate(names)}
-        row = tableau.pop(b)
+        den, row = tableau.pop(b)
         for n in sorted(row):
             if (row[n] > 0) == rise:
                 if high[n] is None or value[n] < high[n]:
@@ -202,26 +219,46 @@ def _solve_rows(
                 break
         else:
             return None
-        # Move n until b reaches target, then solve b's row for n and
-        # substitute it into every other row.
-        k = row[n]
-        theta = (target - value[b]) / k
+        # Move n until b reaches target.  Then solve b's row,
+        # den*x_b = k*x_n + sum(row[j]*x_j), for n as k*x_n = den*x_b -
+        # sum(row[j]*x_j), negated if need be so that k > 0, and substitute
+        # it into every other row.  The solved row has the entries of b's
+        # row, so it has no common factor either.
+        k = row.pop(n)
+        theta = (target - value[b]) * den / k
         value[b] = target
         value[n] += theta
-        solved = {j: -c / k for j, c in row.items() if j != n}
-        solved[b] = 1 / k
-        for other, other_row in tableau.items():
-            c = other_row.pop(n, None)
+        if k > 0:
+            for j in row:
+                row[j] = -row[j]
+            row[b] = den
+        else:
+            row[b] = -den
+            k = -k
+        for other, (oden, orow) in tableau.items():
+            c = orow.pop(n, None)
             if c is None:
                 continue
-            value[other] += c * theta
-            for j, d in solved.items():
-                e = other_row.get(j, 0) + c * d
+            value[other] += c * theta / oden
+            # oden*x_o = c*x_n + rest  becomes  k*oden*x_o = c*(k*x_n) + k*rest.
+            if k != 1:
+                oden *= k
+                for j in orow:
+                    orow[j] *= k
+            for j, d in row.items():
+                e = orow.get(j, 0) + c * d
                 if e:
-                    other_row[j] = e
+                    orow[j] = e
                 else:
-                    del other_row[j]
-        tableau[n] = solved
+                    del orow[j]
+            if oden != 1:
+                g = gcd(oden, *orow.values())
+                if g != 1:
+                    oden //= g
+                    for j in orow:
+                        orow[j] //= g
+            tableau[other] = (oden, orow)
+        tableau[n] = (k, row)
 
 
 # --- interval pre-analysis ------------------------------------------------
@@ -368,12 +405,27 @@ def _interval_unreachable(problem: PlanningProblem) -> bool:
     init_loc, init_region = problem.init
     goal_loc = problem.goal.location
 
-    inv_box = {
-        loc.id: _box_from_region(loc.invariant, variables)
-        for loc in automaton.locations
-    }
+    outgoing: Dict[int, List[Transition]] = {}
+    for trans in automaton.transitions:
+        outgoing.setdefault(trans.source, []).append(trans)
+
+    # The boxes of the locations and transitions the walk reaches, each
+    # built once per call, on first use.
+    @cache
+    def inv_box(loc_id: int) -> Optional[_Box]:
+        return _box_from_region(automaton.location(loc_id).invariant, variables)
+
+    @cache
+    def exits(loc_id: int) -> List[Tuple[Transition, Optional[_Box]]]:
+        """The outgoing transitions, each with its exit requirement
+        inv(source) & guard."""
+        return [
+            (trans, _box_intersect(inv_box(loc_id), _box_from_region(trans.guard, variables)))
+            for trans in outgoing.get(loc_id, ())
+        ]
+
     goal_box = _box_intersect(
-        _box_from_region(problem.goal.region, variables), inv_box[goal_loc]
+        _box_from_region(problem.goal.region, variables), inv_box(goal_loc)
     )
 
     def goal_hit(entry: Optional[_Box]) -> bool:
@@ -382,12 +434,12 @@ def _interval_unreachable(problem: PlanningProblem) -> bool:
         # The goal is tested at the exit of a final dwell in the goal
         # location.
         loc = automaton.location(goal_loc)
-        exit_box = _box_dwell(entry, loc.rates, variables, inv_box[goal_loc])
+        exit_box = _box_dwell(entry, loc.rates, variables, inv_box(goal_loc))
         return _box_intersect(exit_box, goal_box) is not None
 
     current: Dict[int, Optional[_Box]] = {
         init_loc: _box_intersect(
-            _box_from_region(init_region, variables), inv_box[init_loc]
+            _box_from_region(init_region, variables), inv_box(init_loc)
         )
     }
     if init_loc == goal_loc and goal_hit(current.get(init_loc)):
@@ -401,12 +453,7 @@ def _interval_unreachable(problem: PlanningProblem) -> bool:
             if entry is None:
                 continue
             loc = automaton.location(loc_id)
-            for trans in automaton.transitions:
-                if trans.source != loc_id:
-                    continue
-                exit_req = _box_intersect(
-                    inv_box[loc_id], _box_from_region(trans.guard, variables)
-                )
+            for trans, exit_req in exits(loc_id):
                 exit_box = _box_dwell(entry, loc.rates, variables, exit_req)
                 if exit_box is None:
                     continue
@@ -417,7 +464,7 @@ def _interval_unreachable(problem: PlanningProblem) -> bool:
                         landed[var] = exit_box[var]
                     else:
                         landed[var] = (act.lower, act.upper)
-                landed2 = _box_intersect(landed, inv_box[trans.target])
+                landed2 = _box_intersect(landed, inv_box(trans.target))
                 if landed2 is None:
                     continue
                 nxt[trans.target] = _box_join(nxt.get(trans.target), landed2)

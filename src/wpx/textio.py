@@ -29,9 +29,10 @@ from __future__ import annotations
 
 import json
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from .model import (
     GoalSpec,
@@ -54,11 +55,39 @@ from .model import (
 
 
 class ParseError(ValueError):
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__("line %d, column %d: %s" % (line, column, message))
+    """An input error.  Its text names the file (``source``) and the
+    position (``line``, ``column``) that it refers to, where they are
+    known."""
+
+    def __init__(
+        self,
+        message: str,
+        line: Optional[int] = None,
+        column: Optional[int] = None,
+        source: Optional[str] = None,
+    ):
+        super().__init__(message)
         self.message = message
         self.line = line
         self.column = column
+        self.source = source
+
+    def __str__(self) -> str:
+        where = [] if self.source is None else [self.source]
+        if self.line is not None:
+            where.append("line %d, column %d" % (self.line, self.column))
+        return ": ".join(where + [self.message])
+
+
+@contextmanager
+def reading(source: str) -> Iterator[None]:
+    """Name ``source`` in a ParseError raised in the block."""
+    try:
+        yield
+    except ParseError as exc:
+        if exc.source is None:
+            exc.source = source
+        raise
 
 
 @dataclass(frozen=True)
@@ -247,7 +276,14 @@ def _keyword(parser: _Parser) -> Optional[str]:
 
 
 def parse_model(text: str, source: str = "<string>") -> ModelDocument:
-    """Parse an ``.lha`` document into a validated automaton."""
+    """Parse an ``.lha`` document into a validated automaton; a ParseError
+    names ``source``."""
+    with reading(source):
+        automaton = _parse_automaton(text)
+    return ModelDocument(automaton=automaton, source=source)
+
+
+def _parse_automaton(text: str) -> HybridAutomaton:
     p = _Parser(text)
     variables: List[str] = []
     locations: List[Location] = []
@@ -378,7 +414,7 @@ def parse_model(text: str, source: str = "<string>") -> ModelDocument:
     violations = validate_model(automaton)
     if violations:
         raise ParseError("; ".join(violations), 1, 1)
-    return ModelDocument(automaton=automaton, source=source)
+    return automaton
 
 
 def split_model_line(text: str) -> Tuple[Optional[str], str]:
@@ -400,14 +436,19 @@ def split_model_line(text: str) -> Tuple[Optional[str], str]:
 
 
 def parse_problem(text: str, model: ModelDocument, source: str = "<string>") -> ProblemDocument:
-    """Parse a ``.prob`` document against an already-parsed model.
+    """Parse a ``.prob`` document against an already-parsed model; a
+    ParseError names ``source``.
 
     Sections: optional ``model <path>``, optional ``init <loc> { ... }``
     override, mandatory ``goal <loc> [{ ... }]`` and ``depth <n>``.
     """
+    with reading(source):
+        return ProblemDocument(problem=_parse_problem(text, model.automaton))
+
+
+def _parse_problem(text: str, automaton: HybridAutomaton) -> PlanningProblem:
     _ref, text = split_model_line(text)
     p = _Parser(text)
-    automaton = model.automaton
     init = automaton.initial
     goal: Optional[GoalSpec] = None
     depth: Optional[int] = None
@@ -468,8 +509,7 @@ def parse_problem(text: str, model: ModelDocument, source: str = "<string>") -> 
         raise ParseError("missing 'goal' section", p.peek().line, p.peek().column)
     if depth is None:
         raise ParseError("missing 'depth' section", p.peek().line, p.peek().column)
-    problem = PlanningProblem(domain=automaton, init=init, goal=goal, depth=depth)
-    return ProblemDocument(problem=problem)
+    return PlanningProblem(domain=automaton, init=init, goal=goal, depth=depth)
 
 
 # --- serialization -------------------------------------------------------

@@ -487,6 +487,134 @@ def split_simplex_rows(
     return full
 
 
+# --- Fraction-tableau reference -------------------------------------------
+#
+# The bounded-variable simplex as it was before its tableau rows became
+# fraction-free: the same algorithm with every tableau entry a Fraction.
+# The library's integer tableau must pick the same pivots and so return
+# exactly the same assignment.
+
+
+def fraction_tableau_rows(
+    rows: List[_Row]
+) -> Optional[Dict[str, Rational]]:
+    """Decide {sum(coeffs*x) <= bound} over free rational variables.
+
+    Single-variable rows become bounds.  A bound conflict, and an interval
+    pass that refutes a row whose smallest possible left side already
+    exceeds its bound, settle the common exhausted-budget pattern without a
+    tableau.  A bounded-variable simplex (Dutertre and de Moura, CAV 2006)
+    decides the rest.  Each multi-variable row gets one slack: a basic
+    variable whose tableau row is the row's coefficients and whose upper
+    bound is the row's bound.  Every variable starts nonbasic at a value
+    within its bounds.  While some basic variable violates a bound, the
+    smallest such one is pivoted with the smallest nonbasic variable of its
+    row that can move it back, and set to the violated bound; when no
+    nonbasic variable can, the rows are infeasible.  Variables are ordered
+    by name, then slacks by row; taking the smallest on both sides is
+    Bland's rule, which ends the loop.  Returns an assignment covering every
+    variable that appears in any row, or None when infeasible.
+    """
+    lower: Dict[str, Rational] = {}
+    upper: Dict[str, Rational] = {}
+    general: List[_Row] = []
+    all_vars: set = set()
+    for coeffs, bound in rows:
+        all_vars.update(coeffs)
+        if not coeffs:
+            if bound < 0:
+                return None
+            continue
+        if len(coeffs) == 1:
+            (var, k), = coeffs.items()
+            b = bound / k
+            if k > 0:
+                if var not in upper or b < upper[var]:
+                    upper[var] = b
+            else:
+                if var not in lower or b > lower[var]:
+                    lower[var] = b
+            continue
+        general.append((coeffs, bound))
+
+    for var, lo in lower.items():
+        if var in upper and lo > upper[var]:
+            return None
+
+    # Interval propagation: minimal possible left side vs the bound.
+    for coeffs, bound in general:
+        minimum = Fraction(0)
+        for var, k in coeffs.items():
+            if k > 0:
+                if var not in lower:
+                    break
+                minimum += k * lower[var]
+            else:
+                if var not in upper:
+                    break
+                minimum += k * upper[var]
+        else:
+            if minimum > bound:
+                return None
+
+    # Columns: the variables in name order, then one slack per general row.
+    names = sorted(all_vars)
+    index = {v: i for i, v in enumerate(names)}
+    low: List[Optional[Rational]] = [lower.get(v) for v in names]
+    high: List[Optional[Rational]] = [upper.get(v) for v in names]
+    value: List[Rational] = [
+        lo if lo is not None else Fraction(0) if hi is None else min(hi, Fraction(0))
+        for lo, hi in zip(low, high)
+    ]
+    # tableau[b] expresses the basic variable b over nonbasic ones.
+    tableau: Dict[int, Dict[int, Rational]] = {}
+    for coeffs, bound in general:
+        tableau[len(value)] = {index[v]: k for v, k in coeffs.items()}
+        value.append(sum(k * value[index[v]] for v, k in coeffs.items()))
+        low.append(None)
+        high.append(bound)
+
+    while True:
+        for b in sorted(tableau):
+            if low[b] is not None and value[b] < low[b]:
+                target, rise = low[b], True
+                break
+            if high[b] is not None and value[b] > high[b]:
+                target, rise = high[b], False
+                break
+        else:
+            return {v: value[i] for i, v in enumerate(names)}
+        row = tableau.pop(b)
+        for n in sorted(row):
+            if (row[n] > 0) == rise:
+                if high[n] is None or value[n] < high[n]:
+                    break
+            elif low[n] is None or value[n] > low[n]:
+                break
+        else:
+            return None
+        # Move n until b reaches target, then solve b's row for n and
+        # substitute it into every other row.
+        k = row[n]
+        theta = (target - value[b]) / k
+        value[b] = target
+        value[n] += theta
+        solved = {j: -c / k for j, c in row.items() if j != n}
+        solved[b] = 1 / k
+        for other, other_row in tableau.items():
+            c = other_row.pop(n, None)
+            if c is None:
+                continue
+            value[other] += c * theta
+            for j, d in solved.items():
+                e = other_row.get(j, 0) + c * d
+                if e:
+                    other_row[j] = e
+                else:
+                    del other_row[j]
+        tableau[n] = solved
+
+
 def random_lp(rng: random.Random, max_vars: int = 6, max_rows: int = 12) -> LpProblem:
     nvars = rng.randint(1, max_vars)
     variables = tuple("v%d" % i for i in range(nvars))

@@ -302,3 +302,45 @@ def test_paths_deep_depth_counts_and_lists(capsys):
     lines = out.strip().split("\n")
     assert int(lines[0]) == count
     assert len(lines) - 1 == count
+
+
+def test_input_errors_name_their_file(capsys, tmp_path):
+    # With two input files, each error says which one is at fault.
+    with open(bench("wlm", "wlm.lha"), encoding="utf-8") as fh:
+        model = fh.read()
+    (tmp_path / "good.lha").write_text(model)
+    (tmp_path / "bad.lha").write_text(model.replace("inv: x <= 12;", "inv: x < 12;"))
+    bad_prob = tmp_path / "bad.prob"
+    bad_prob.write_text("model good.lha\ngoal l6 { x >> 1 }\ndepth 3\n")
+    code, out, err = run(capsys, "check", "--problem", str(bad_prob))
+    assert code == EXIT_INPUT and out == ""
+    assert err.startswith(
+        "input error: %s: line 2, column 13: strict comparison '>'" % bad_prob
+    )
+    bad_model_prob = tmp_path / "p.prob"
+    bad_model_prob.write_text("model bad.lha\ngoal l6\ndepth 3\n")
+    code, out, err = run(capsys, "check", "--problem", str(bad_model_prob))
+    assert code == EXIT_INPUT and out == ""
+    assert err.startswith(
+        "input error: %s: line 6, column 10: strict comparison '<'" % (tmp_path / "bad.lha")
+    )
+
+
+def test_input_errors_without_a_position_print_none(capsys, tmp_path):
+    no_model = tmp_path / "p.prob"
+    no_model.write_text("goal l6\ndepth 3\n")
+    cases = [
+        (("check",), "input error: a --problem file is required\n"),
+        (
+            ("check", "--problem", str(no_model)),
+            "input error: %s: no --model given and the problem file has no 'model' line\n"
+            % no_model,
+        ),
+        (
+            ("check", "--problem", bench("wlm", "depth20.prob"), "--depth", "-1"),
+            "input error: depth must be non-negative\n",
+        ),
+    ]
+    for argv, want in cases:
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (EXIT_INPUT, "", want), argv

@@ -12,6 +12,7 @@ from conftest import load_benchmark
 from oracles import (
     LpProblem,
     fm_feasible,
+    fraction_tableau_rows,
     full_encode_path,
     lp_feasible,
     lp_rows,
@@ -200,18 +201,74 @@ def test_bounded_simplex_agrees_with_split_simplex_reference():
     assert 20 < sat < 180
 
 
+def degenerate(rows):
+    # Every bound 0, plus the one row sum(v) >= 1 that forces pivots.
+    rows = [(coeffs, Fraction(0)) for coeffs, _ in rows]
+    variables = sorted({v for coeffs, _ in rows for v in coeffs})
+    return rows + [({v: Fraction(-1) for v in variables}, Fraction(-1))]
+
+
 def test_bounded_simplex_ends_on_degenerate_rows():
     # With every bound 0, every row is tight at the start point 0, which is
     # then feasible; the one row sum(v) >= 1 makes the loop pivot away from
     # that degenerate vertex, and it must still end.
     rng = random.Random(9)
-    sat = 0
-    for _ in range(20):
-        rows = [(coeffs, Fraction(0)) for coeffs, _ in lp_rows(random_lp(rng, 10, 24))]
-        variables = sorted({v for coeffs, _ in rows for v in coeffs})
-        rows.append(({v: Fraction(-1) for v in variables}, Fraction(-1)))
-        sat += agrees_with_reference(rows)
+    sat = sum(agrees_with_reference(degenerate(lp_rows(random_lp(rng, 10, 24)))) for _ in range(20))
     assert 0 < sat < 20
+
+
+def same_as_fraction_tableau(rows):
+    """Whether the rows are feasible, after checking that the integer
+    tableau returns exactly the Fraction tableau's answer, in Fractions."""
+    assignment = reach._solve_rows(rows)
+    assert assignment == fraction_tableau_rows(rows)
+    if assignment is None:
+        return False
+    assert all(type(x) is Fraction for x in assignment.values())
+    return True
+
+
+def test_integer_tableau_matches_fraction_tableau_on_random_lps():
+    # Same pivots, so the same vertex: the assignments are equal, not just
+    # both feasible.
+    rng = random.Random(4242)
+    sat = sum(same_as_fraction_tableau(lp_rows(random_lp(rng, 10, 24))) for _ in range(300))
+    assert 30 < sat < 270
+    sat = sum(same_as_fraction_tableau(degenerate(lp_rows(random_lp(rng, 10, 24)))) for _ in range(40))
+    assert 0 < sat < 40
+    # Rows with fractional coefficients enter scaled by their lcm.
+    sat = 0
+    for _ in range(100):
+        rows = [
+            ({v: k / rng.choice((1, 2, 3, 4)) for v, k in coeffs.items()}, bound)
+            for coeffs, bound in lp_rows(random_lp(rng, 10, 24))
+        ]
+        sat += same_as_fraction_tableau(rows)
+    assert 10 < sat < 90
+
+
+def test_integer_tableau_matches_fraction_tableau_on_path_lps():
+    rng = random.Random(3131)
+    sat = unsat = 0
+    for _ in range(120):
+        automaton = random_automaton(rng)
+        goal = rng.randrange(len(automaton.locations))
+        bound = LinearExpression.build({"y": 1}, -rng.randint(-2, 6))
+        problem = PlanningProblem(
+            domain=automaton,
+            init=automaton.initial,
+            goal=GoalSpec(
+                location=goal,
+                region=Polyhedron((LinearConstraint(bound, rng.choice([Relation.LE, Relation.GE])),)),
+            ),
+            depth=4,
+        )
+        for path in enumerate_concrete_paths(automaton, automaton.initial[0], goal, 4):
+            if same_as_fraction_tableau(encode_path(problem, path)[0]):
+                sat += 1
+            else:
+                unsat += 1
+    assert sat > 100 and unsat > 100
 
 
 def test_bounded_reachable_sat_with_plan():
