@@ -1,10 +1,25 @@
-"""``explain --json`` on the 14 pinned rows, byte for byte.
+"""CLI renderings pinned byte for byte.
 
-The files under ``golden/`` hold each row's report without its
-``timings_ms`` key, the one part that changes from run to run.  A report is
-re-serialised by ``json.dumps(..., indent=2)`` after that key is dropped,
-which reproduces every other byte of the CLI's output.  Regenerate a file
-only for an intended change of output, and say so in CHANGES.md.
+The files under ``golden/`` hold, for each of the 14 pinned rows:
+
+- ``<row>.json``: ``explain --json`` without its ``timings_ms`` key, the one
+  part that changes from run to run.  A report is re-serialised by
+  ``json.dumps(..., indent=2)`` after that key is dropped, which reproduces
+  every other byte of the CLI's output;
+- ``<row>.explain.txt``: text ``explain`` without its ``timings_ms:`` line;
+- ``<row>.waypoints.json`` and ``<row>.paths.json``: ``waypoints --json``
+  and ``paths --json`` as printed;
+- ``<row>.paths-v.txt``: text ``paths -v``, for the rows with at most
+  ``LISTED_WALKS`` walks.
+
+``golden/half/`` holds a small solvable problem whose plan has a
+non-integer time, with its ``explain --json`` (without ``timings_ms``),
+text ``explain``, ``check --json`` and text ``check``.  ``check --json``
+writes plan numbers as strings, while ``explain --json`` writes integers as
+JSON integers; the files pin both.
+
+Regenerate a file only for an intended change of output, and say so in
+CHANGES.md.
 """
 
 import contextlib
@@ -18,19 +33,79 @@ from conftest import BENCH_ROOT
 from wpx.cli import EXIT_OK, main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+HALF = os.path.join(GOLDEN, "half", "half.prob")
+LISTED_WALKS = 200
 
 with open(os.path.join(BENCH_ROOT, "expectations.json"), encoding="utf-8") as _fh:
     ROWS = [(row["dir"], row["problem"]) for row in json.load(_fh)["rows"]]
 
 
-@pytest.mark.parametrize("dirname,probname", ROWS, ids=["/".join(r) for r in ROWS])
-def test_explain_json_matches_golden(dirname, probname):
+def run(argv):
+    """The CLI's standard output for ``argv``; the exit code must be 0."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(["explain", "--problem", os.path.join(BENCH_ROOT, dirname, probname), "--json"])
+        code = main(argv)
     assert code == EXIT_OK
-    doc = json.loads(out.getvalue())
-    del doc["timings_ms"]
-    name = "%s_%s.json" % (dirname, os.path.splitext(probname)[0])
+    return out.getvalue()
+
+
+def without_timings(argv):
+    """``argv``'s output with its timings dropped (JSON key or text line)."""
+    text = run(argv)
+    if "--json" in argv:
+        doc = json.loads(text)
+        del doc["timings_ms"]
+        return json.dumps(doc, indent=2) + "\n"
+    return "".join(
+        line for line in text.splitlines(True) if not line.startswith("timings_ms:")
+    )
+
+
+def row_file(dirname, probname, suffix):
+    return "%s_%s%s" % (dirname, os.path.splitext(probname)[0], suffix)
+
+
+def row_renderings():
+    """``(golden file, render)`` for the rows' pinned renderings other than
+    ``explain --json``."""
+    out = []
+    for dirname, probname in ROWS:
+        prob = os.path.join(BENCH_ROOT, dirname, probname)
+        out += [
+            (row_file(dirname, probname, ".explain.txt"),
+             lambda p=prob: without_timings(["explain", "--problem", p])),
+            (row_file(dirname, probname, ".waypoints.json"),
+             lambda p=prob: run(["waypoints", "--problem", p, "--json"])),
+            (row_file(dirname, probname, ".paths.json"),
+             lambda p=prob: run(["paths", "--problem", p, "--json"])),
+        ]
+        if int(run(["paths", "--problem", prob])) <= LISTED_WALKS:
+            out.append((row_file(dirname, probname, ".paths-v.txt"),
+                        lambda p=prob: run(["paths", "--problem", p, "-v"])))
+    return out
+
+
+HALF_RENDERINGS = [
+    ("half/explain.json", lambda: without_timings(["explain", "--problem", HALF, "--json"])),
+    ("half/explain.txt", lambda: without_timings(["explain", "--problem", HALF])),
+    ("half/check.json", lambda: run(["check", "--problem", HALF, "--json"])),
+    ("half/check.txt", lambda: run(["check", "--problem", HALF])),
+]
+
+RENDERINGS = row_renderings() + HALF_RENDERINGS
+
+
+def read_golden(name):
     with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
-        assert json.dumps(doc, indent=2) + "\n" == fh.read()
+        return fh.read()
+
+
+@pytest.mark.parametrize("dirname,probname", ROWS, ids=["/".join(r) for r in ROWS])
+def test_explain_json_matches_golden(dirname, probname):
+    argv = ["explain", "--problem", os.path.join(BENCH_ROOT, dirname, probname), "--json"]
+    assert without_timings(argv) == read_golden(row_file(dirname, probname, ".json"))
+
+
+@pytest.mark.parametrize("name,render", RENDERINGS, ids=[n for n, _r in RENDERINGS])
+def test_rendering_matches_golden(name, render):
+    assert render() == read_golden(name)
