@@ -1,9 +1,9 @@
 """Waypoint-chain explanations for unsolvable bounded planning problems on
 linear hybrid automata."""
 
-from .chain import ChainEntry, WaypointChain, chain_from_lcs
+from .chain import ChainEntry, chain_from_lcs
 from .explain import ExplanationReport, WaypointVerdict, explain
-from .graph import PathSet, PathString, ResourceCapExceeded, build_graph, enumerate_paths
+from .graph import PathSet, ResourceCapExceeded, build_graph, enumerate_paths
 from .lcs import LcsResult, lcs_multi
 from .model import (
     GoalSpec,
@@ -23,6 +23,6 @@ from .model import (
     validate_model,
 )
 from .reach import ConcretePath, Verdict, bounded_reachable, encode_path
-from .textio import ParseError, parse_model, parse_problem, serialize_model, serialize_report
+from .textio import ParseError, parse_model, parse_problem, serialize_report
 
 __version__ = "0.1.0"

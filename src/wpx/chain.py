@@ -1,5 +1,6 @@
 """Turn an LCS into the ordered chain of sub-problems, one per inevitable
-waypoint.
+waypoint.  The chain is a tuple of entries; an entry's position is its
+index.
 """
 
 from __future__ import annotations
@@ -15,19 +16,10 @@ from .model import PlanningProblem, alpha
 class ChainEntry:
     location: int
     location_name: str
-    position: int
     problem: PlanningProblem
 
 
-@dataclass(frozen=True)
-class WaypointChain:
-    entries: Tuple[ChainEntry, ...]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-def chain_from_lcs(problem: PlanningProblem, lcs: LcsResult) -> WaypointChain:
+def chain_from_lcs(problem: PlanningProblem, lcs: LcsResult) -> Tuple[ChainEntry, ...]:
     """Entry i is the sub-problem whose goal is the invariant of symbol i.
 
     The LCS holds each location once (see ``wpx.lcs``); a repeated symbol
@@ -37,14 +29,11 @@ def chain_from_lcs(problem: PlanningProblem, lcs: LcsResult) -> WaypointChain:
         raise ValueError("empty LCS")
     if len(set(lcs.sequence)) != len(lcs.sequence):
         raise ValueError("LCS repeats a location: %r" % (lcs.sequence,))
-    return WaypointChain(
-        entries=tuple(
-            ChainEntry(
-                location=sym,
-                location_name=problem.domain.location(sym).name,
-                position=i,
-                problem=alpha(problem, sym),
-            )
-            for i, sym in enumerate(lcs.sequence)
+    return tuple(
+        ChainEntry(
+            location=sym,
+            location_name=problem.domain.location(sym).name,
+            problem=alpha(problem, sym),
         )
+        for sym in lcs.sequence
     )

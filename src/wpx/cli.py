@@ -30,7 +30,6 @@ from .lcs import lcs_multi
 from .model import Plan, PlanningProblem
 from .reach import bounded_reachable, extract_witness
 from .textio import (
-    ModelDocument,
     ParseError,
     format_rational,
     parse_model,
@@ -98,17 +97,25 @@ def _configure_logging() -> bool:
     return True
 
 
+def _read(path: str) -> str:
+    """The text of a UTF-8 file; any other bytes are an input error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError("not UTF-8 text (%s)" % exc.reason, source=path)
+
+
 def _load(
     problem_path: Optional[str],
     model_path: Optional[str] = None,
     depth: Optional[int] = None,
-) -> Tuple[ModelDocument, PlanningProblem, str]:
+) -> Tuple[PlanningProblem, str]:
     """Parse the model and problem; the model path may come from the
     problem file's ``model`` line, resolved relative to the problem file."""
     if problem_path is None:
         raise ParseError("a --problem file is required")
-    with open(problem_path, encoding="utf-8") as fh:
-        problem_text = fh.read()
+    problem_text = _read(problem_path)
 
     if model_path is None:
         with reading(problem_path):
@@ -119,10 +126,8 @@ def _load(
                 source=problem_path,
             )
         model_path = os.path.join(os.path.dirname(problem_path), ref)
-    with open(model_path, encoding="utf-8") as fh:
-        model_text = fh.read()
-    model = parse_model(model_text, source=model_path)
-    problem = parse_problem(problem_text, model, source=problem_path).problem
+    automaton = parse_model(_read(model_path), source=model_path)
+    problem = parse_problem(problem_text, automaton, source=problem_path).problem
     if depth is not None:
         if depth < 0:
             raise ParseError("depth must be non-negative")
@@ -130,11 +135,11 @@ def _load(
             domain=problem.domain, init=problem.init, goal=problem.goal, depth=depth
         )
     name = os.path.splitext(os.path.basename(problem_path))[0]
-    return model, problem, name
+    return problem, name
 
 
 def cmd_paths(args: argparse.Namespace) -> int:
-    _model, problem, _name = _load(args.problem, args.model, args.depth)
+    problem, _name = _load(args.problem, args.model, args.depth)
     graph = build_graph(problem.domain)
     init_loc, _ = problem.init
     paths = enumerate_paths(graph, init_loc, problem.goal.location, problem.depth)
@@ -145,20 +150,19 @@ def cmd_paths(args: argparse.Namespace) -> int:
         doc = {"path_count": paths.count}
         if args.verbose:
             doc["paths"] = [
-                [problem.domain.location(l).name for l in p.locations]
-                for p in paths.paths
+                [problem.domain.location(l).name for l in walk] for walk in paths.paths
             ]
         print(json.dumps(doc, indent=2))
     else:
         print(paths.count)
         if args.verbose:
-            for p in paths.paths:
-                print(" ".join(problem.domain.location(l).name for l in p.locations))
+            for walk in paths.paths:
+                print(" ".join(problem.domain.location(l).name for l in walk))
     return EXIT_OK
 
 
 def cmd_waypoints(args: argparse.Namespace) -> int:
-    _model, problem, _name = _load(args.problem, args.model, args.depth)
+    problem, _name = _load(args.problem, args.model, args.depth)
     graph = build_graph(problem.domain)
     init_loc, _ = problem.init
     paths = enumerate_paths(graph, init_loc, problem.goal.location, problem.depth)
@@ -170,7 +174,7 @@ def cmd_waypoints(args: argparse.Namespace) -> int:
         return EXIT_OK
     lcs = lcs_multi(paths)
     chain = chain_from_lcs(problem, lcs)
-    names = [e.location_name for e in chain.entries]
+    names = [e.location_name for e in chain]
     trivial = classify_trivial_chain(chain)
     if args.json:
         print(json.dumps({"chain": names, "trivial": trivial}, indent=2))
@@ -191,7 +195,7 @@ def _print_text_report(report: ExplanationReport) -> None:
     print("outcome: %s" % report.outcome)
     print("path_count: %d" % report.path_count)
     if report.chain is not None:
-        print("chain: %s" % " ".join(e.location_name for e in report.chain.entries))
+        print("chain: %s" % " ".join(e.location_name for e in report.chain))
     for v in report.verdicts:
         status = "unreachable" if v.status == "UNSAT" else "reachable"
         print(
@@ -215,7 +219,7 @@ def _print_text_report(report: ExplanationReport) -> None:
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
-    _model, problem, name = _load(args.problem, args.model, args.depth)
+    problem, name = _load(args.problem, args.model, args.depth)
     report = explain(problem, name=name, cap=args.max_paths, dump_dir=args.dump_lp)
     if args.json:
         print(serialize_report(report))
@@ -225,7 +229,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    _model, problem, _name = _load(args.problem, args.model, args.depth)
+    problem, _name = _load(args.problem, args.model, args.depth)
     verdict = bounded_reachable(problem, cap=args.max_paths, dump_dir=args.dump_lp)
     plan = extract_witness(problem, verdict)[1] if verdict.is_sat else None
     if args.json:
@@ -254,7 +258,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     mismatches = 0
     for entry in expectations["rows"]:
         bench_dir = os.path.join(root, entry["dir"])
-        _model, problem, name = _load(
+        problem, name = _load(
             os.path.join(bench_dir, entry["problem"]),
             os.path.join(bench_dir, entry["model"]),
             entry["depth"],

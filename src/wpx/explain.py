@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from .chain import WaypointChain, chain_from_lcs
+from .chain import ChainEntry, chain_from_lcs
 from .graph import DEFAULT_PATH_CAP, build_graph, enumerate_paths
 from .lcs import lcs_multi
 from .model import PlanningProblem, init_within_invariant
@@ -38,7 +38,6 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class WaypointVerdict:
-    location: int
     location_name: str
     status: str
     paths_checked: int
@@ -50,9 +49,8 @@ class ExplanationReport:
     problem: PlanningProblem
     outcome: str
     path_count: int
-    chain: Optional[WaypointChain]
+    chain: Optional[Tuple[ChainEntry, ...]]
     verdicts: Tuple[WaypointVerdict, ...]
-    explanation: Optional[int]
     explanation_name: Optional[str]
     witness_verdict: Optional[Verdict]
     timings_ms: Dict[str, float] = field(default_factory=dict)
@@ -65,28 +63,8 @@ class ExplanationReport:
             1 for v in self.verdicts if v.status in (STATUS_SAT, STATUS_TRIVIAL)
         )
 
-    # --- serialization adapters ------------------------------------------
-
-    @property
-    def problem_summary(self) -> Dict[str, object]:
-        domain = self.problem.domain
-        init_loc, _ = self.problem.init
-        return {
-            "name": self.problem_name,
-            "init_location": domain.location(init_loc).name,
-            "goal_location": domain.location(self.problem.goal.location).name,
-            "depth": self.problem.depth,
-        }
-
-    @property
-    def chain_locations(self) -> Tuple[str, ...]:
-        if self.chain is None:
-            return ()
-        return tuple(e.location_name for e in self.chain.entries)
-
-    def explanation_json(self) -> Dict[str, object]:
-        return {"outcome": self.outcome, "location": self.explanation_name}
-
+    # Computed on each access: wpxbench/tests/test_run.py pins the number of
+    # extract_witness calls per SAT report.
     @property
     def witness_plan(self):
         if self.witness_verdict is None or not self.witness_verdict.is_sat:
@@ -97,7 +75,7 @@ class ExplanationReport:
         return plan
 
 
-def classify_trivial_chain(chain: WaypointChain) -> bool:
+def classify_trivial_chain(chain: Tuple[ChainEntry, ...]) -> bool:
     """A chain holding only the endpoints carries no interior waypoint and
     therefore cannot localize a cause beyond the goal itself."""
     return len(chain) <= 2
@@ -132,9 +110,9 @@ def explain(
     paths = enumerate_paths(graph, init_loc, problem.goal.location, problem.depth)
     timings["path_enumeration"] = (time.perf_counter() - t0) * 1000.0
 
-    chain: Optional[WaypointChain] = None
+    chain: Optional[Tuple[ChainEntry, ...]] = None
     verdicts = []
-    failed: Optional[int] = None
+    failed: Optional[str] = None
     witness_verdict: Optional[Verdict] = None
     if paths.count == 0:
         outcome = OUTCOME_DISCRETE_INFEASIBLE
@@ -150,30 +128,29 @@ def explain(
             annotations.append("chain is trivial (endpoints only)")
 
         t2 = time.perf_counter()
-        for entry in chain.entries:
-            if entry.location == init_loc and entry.position == 0 and init_within_invariant(problem):
+        for position, entry in enumerate(chain):
+            if entry.location == init_loc and position == 0 and init_within_invariant(problem):
                 status, paths_checked = STATUS_TRIVIAL, 0
             else:
                 verdict = bounded_reachable(
                     entry.problem,
                     cap=cap,
-                    dump_dir=dump_subdir("%d_%s" % (entry.position, entry.location_name)),
+                    dump_dir=dump_subdir("%d_%s" % (position, entry.location_name)),
                 )
                 status, paths_checked = verdict.status, verdict.paths_checked
                 log.info(
                     "check %d %s: %s paths_checked=%d",
-                    entry.position, entry.location_name, status, paths_checked,
+                    position, entry.location_name, status, paths_checked,
                 )
             verdicts.append(
                 WaypointVerdict(
-                    location=entry.location,
                     location_name=entry.location_name,
                     status=status,
                     paths_checked=paths_checked,
                 )
             )
             if status == STATUS_UNSAT:
-                failed = entry.location
+                failed = entry.location_name
                 break
 
         if failed is not None:
@@ -204,8 +181,7 @@ def explain(
         path_count=paths.count,
         chain=chain,
         verdicts=tuple(verdicts),
-        explanation=failed,
-        explanation_name=None if failed is None else problem.domain.location(failed).name,
+        explanation_name=failed,
         witness_verdict=witness_verdict,
         timings_ms=timings,
         annotations=tuple(annotations),

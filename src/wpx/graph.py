@@ -1,6 +1,10 @@
 """Discrete abstraction: the location graph, bounded walk counting and
 enumeration, and disconnecting articulation points.
 
+The location graph is a successor map, ``{location: sorted targets}``,
+with one edge per connected location pair; a location with no outgoing
+transition has no key.
+
 "Path" throughout means a walk: vertex repetition is allowed, and a
 self-loop consumes one depth unit.  Enumeration order is breadth first by
 length with ties broken by location id at every expansion, which makes the
@@ -9,10 +13,10 @@ deterministic.  The same enumerator, ``iter_labelled_walks``, lists the
 concrete transition paths of the reachability stage, with ties broken by
 transition id.
 
-A ``PathSet`` is symbolic: it holds the graph, the endpoints, the depth and
-the walk count, and answers the two questions the LCS stage asks (which
-locations every walk visits, and the first walk in BFS order) without
-listing the walks.
+A ``PathSet`` is symbolic: it holds the successor map, the endpoints, the
+depth and the walk count, and answers the two questions the LCS stage asks
+(which locations every walk visits, and the first walk in BFS order)
+without listing the walks.
 """
 
 from __future__ import annotations
@@ -35,36 +39,7 @@ class ResourceCapExceeded(RuntimeError):
 DEFAULT_PATH_CAP = 1 << 22
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Vertex set = location ids; one directed edge per connected location
-    pair."""
-
-    vertex_count: int
-    edges: Tuple[Tuple[int, int], ...]
-
-    def successors(self, v: int) -> Tuple[int, ...]:
-        return self._succ.get(v, ())
-
-    def __post_init__(self):
-        succ: Dict[int, List[int]] = {}
-        for s, t in self.edges:
-            succ.setdefault(s, []).append(t)
-        object.__setattr__(
-            self, "_succ", {v: tuple(sorted(ts)) for v, ts in succ.items()}
-        )
-
-
-@dataclass(frozen=True)
-class PathString:
-    """A bounded walk from the initial location to the goal location."""
-
-    locations: Tuple[int, ...]
-
-    @property
-    def length(self) -> int:
-        """Edge count."""
-        return len(self.locations) - 1
+LocationGraph = Mapping[int, Tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -72,12 +47,13 @@ class PathSet:
     """Every source-to-target walk of ``graph`` with edge count <= depth,
     held symbolically; ``count`` is the number of such walks."""
 
-    graph: Graph
+    graph: LocationGraph
     source: int
     target: int
     depth: int
     count: int
 
+    # Kept for wpxbench/spans.py, which takes ``len(paths.paths)``.
     @property
     def paths(self) -> "WalkView":
         return WalkView(self)
@@ -97,9 +73,10 @@ class PathSet:
         return frozenset(cuts | {self.source, self.target})
 
 
+# Kept for wpxbench/spans.py (see ``PathSet.paths``).
 class WalkView:
     """Lazy view of a path set's walks: ``len`` is the count, iteration
-    lists the walks in BFS order."""
+    lists the walks, as tuples of location ids, in BFS order."""
 
     def __init__(self, paths: PathSet):
         self._paths = paths
@@ -107,17 +84,19 @@ class WalkView:
     def __len__(self) -> int:
         return self._paths.count
 
-    def __iter__(self) -> Iterator[PathString]:
+    def __iter__(self) -> Iterator[Tuple[int, ...]]:
         p = self._paths
-        for walk in iter_walks(p.graph, p.source, p.target, p.depth):
-            yield PathString(walk)
+        return iter_walks(p.graph, p.source, p.target, p.depth)
 
 
-def build_graph(automaton: HybridAutomaton) -> Graph:
-    """Collapse parallel transitions between the same location pair into one
-    graph edge; self-loops are preserved."""
-    edges = tuple(sorted({(t.source, t.target) for t in automaton.transitions}))
-    return Graph(vertex_count=len(automaton.locations), edges=edges)
+def build_graph(automaton: HybridAutomaton) -> LocationGraph:
+    """The successor map of the location graph: parallel transitions between
+    the same location pair collapse into one edge; self-loops are
+    preserved."""
+    succ: Dict[int, set] = {}
+    for t in automaton.transitions:
+        succ.setdefault(t.source, set()).add(t.target)
+    return {v: tuple(sorted(ts)) for v, ts in sorted(succ.items())}
 
 
 Successors = Mapping[int, Sequence[Tuple[int, int]]]
@@ -192,28 +171,28 @@ def iter_labelled_walks(
 
 
 def iter_walks(
-    graph: Graph, source: int, target: int, depth: int
+    graph: LocationGraph, source: int, target: int, depth: int
 ) -> Iterator[Tuple[int, ...]]:
     """Yield every source-to-target walk with edge count <= depth in BFS
     (length, then lexicographic-by-location-id) order."""
-    succ = {v: tuple((w, w) for w in ws) for v, ws in graph._succ.items()}
+    succ = {v: tuple((w, w) for w in ws) for v, ws in graph.items()}
     for walk, _labels in iter_labelled_walks(succ, source, target, depth):
         yield walk
 
 
-def enumerate_paths(graph: Graph, source: int, target: int, depth: int) -> PathSet:
+def enumerate_paths(graph: LocationGraph, source: int, target: int, depth: int) -> PathSet:
     """PS: all bounded walks from source to target, counted, not listed."""
     return PathSet(graph, source, target, depth, count_paths(graph, source, target, depth))
 
 
-def count_paths(graph: Graph, source: int, target: int, depth: int) -> int:
+def count_paths(graph: LocationGraph, source: int, target: int, depth: int) -> int:
     """Walk count by dynamic programming over the depth-unrolled graph."""
     current: Dict[int, int] = {source: 1}
     total = 1 if source == target else 0
     for _ in range(depth):
         nxt: Dict[int, int] = {}
         for v, k in current.items():
-            for w in graph.successors(v):
+            for w in graph.get(v, ()):
                 nxt[w] = nxt.get(w, 0) + k
         current = nxt
         total += current.get(target, 0)
@@ -222,7 +201,9 @@ def count_paths(graph: Graph, source: int, target: int, depth: int) -> int:
     return total
 
 
-def _bounded_connected(graph: Graph, source: int, target: int, depth: int, removed: int) -> bool:
+def _bounded_connected(
+    graph: LocationGraph, source: int, target: int, depth: int, removed: int
+) -> bool:
     if source == removed or target == removed:
         return False
     reached = {source}
@@ -232,7 +213,7 @@ def _bounded_connected(graph: Graph, source: int, target: int, depth: int, remov
             return True
         nxt = []
         for v in frontier:
-            for w in graph.successors(v):
+            for w in graph.get(v, ()):
                 if w != removed and w not in reached:
                     reached.add(w)
                     nxt.append(w)
@@ -243,14 +224,17 @@ def _bounded_connected(graph: Graph, source: int, target: int, depth: int, remov
 
 
 def disconnecting_articulation_points(
-    graph: Graph, source: int, target: int, depth: int
+    graph: LocationGraph, source: int, target: int, depth: int
 ) -> set[int]:
     """Vertices (other than the endpoints) whose removal leaves no
-    source-to-target walk of length <= depth; brute force by removal."""
+    source-to-target walk of length <= depth; brute force by removal.
+
+    Only vertices with an outgoing edge are tried: any other one lies on no
+    walk to the target, so removing it disconnects nothing."""
     if not _bounded_connected(graph, source, target, depth, removed=-1):
         return set()
     result = set()
-    for v in range(graph.vertex_count):
+    for v in graph:
         if v in (source, target):
             continue
         if not _bounded_connected(graph, source, target, depth, removed=v):

@@ -23,6 +23,7 @@ from typing import Tuple
 from .graph import PathSet
 
 
+# Kept for wpxbench/spans.py, which reads ``.sequence``.
 @dataclass(frozen=True)
 class LcsResult:
     sequence: Tuple[int, ...]

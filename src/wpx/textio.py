@@ -1,5 +1,5 @@
 """Text formats: the ``.lha`` model grammar, the ``.prob`` problem grammar,
-model serialization, and the JSON explanation report.
+and the JSON explanation report.
 
 The model grammar is line-oriented and sectioned::
 
@@ -22,7 +22,8 @@ The model grammar is line-oriented and sectioned::
 Constraints are conjunctions of closed linear comparisons
 (``expr <= expr``, ``expr >= expr``, ``expr = expr``); strict comparisons
 are rejected with a dedicated message.  Rational literals may be integers,
-exact decimals (``1.25``) or fractions (``7/2``).  ``#`` starts a comment.
+exact decimals (``1.25``) or fractions of integers (``7/2``) with a nonzero
+denominator.  ``#`` starts a comment.
 """
 
 from __future__ import annotations
@@ -43,12 +44,9 @@ from .model import (
     PlanningProblem,
     Polyhedron,
     Rational,
-    RateInterval,
     RateSpec,
     Relation,
     Reset,
-    ResetAction,
-    ResetKind,
     Transition,
     validate_model,
 )
@@ -90,12 +88,8 @@ def reading(source: str) -> Iterator[None]:
         raise
 
 
-@dataclass(frozen=True)
-class ModelDocument:
-    automaton: HybridAutomaton
-    source: str
-
-
+# Kept for wpxbench/run.py and wpxbench/tests/test_gen.py, which read
+# ``.problem``.
 @dataclass(frozen=True)
 class ProblemDocument:
     problem: PlanningProblem
@@ -181,6 +175,14 @@ class _Parser:
             return self.next()
         return None
 
+    def number(self) -> Rational:
+        """The next token, a number literal, as an exact rational."""
+        tok = self.expect("number")
+        try:
+            return Fraction(tok.text)
+        except (ValueError, ZeroDivisionError):
+            raise ParseError("malformed number %r" % tok.text, tok.line, tok.column)
+
     # --- rationals and linear expressions -------------------------------
 
     def parse_rational(self) -> Rational:
@@ -192,8 +194,7 @@ class _Parser:
                 pass
             else:
                 break
-        tok = self.expect("number")
-        return sign * Fraction(tok.text)
+        return sign * self.number()
 
     def parse_linear_expression(self) -> LinearExpression:
         coeffs: Dict[str, Rational] = {}
@@ -214,7 +215,7 @@ class _Parser:
             first = False
             tok = self.peek()
             if tok.kind == "number":
-                value = Fraction(self.next().text)
+                value = self.number()
                 if self.accept("*"):
                     var = self.expect("name").text
                     coeffs[var] = coeffs.get(var, Fraction(0)) + sign * value
@@ -275,12 +276,11 @@ def _keyword(parser: _Parser) -> Optional[str]:
     return None
 
 
-def parse_model(text: str, source: str = "<string>") -> ModelDocument:
+def parse_model(text: str, source: str = "<string>") -> HybridAutomaton:
     """Parse an ``.lha`` document into a validated automaton; a ParseError
     names ``source``."""
     with reading(source):
-        automaton = _parse_automaton(text)
-    return ModelDocument(automaton=automaton, source=source)
+        return _parse_automaton(text)
 
 
 def _parse_automaton(text: str) -> HybridAutomaton:
@@ -435,15 +435,17 @@ def split_model_line(text: str) -> Tuple[Optional[str], str]:
     return ref, "\n".join(lines)
 
 
-def parse_problem(text: str, model: ModelDocument, source: str = "<string>") -> ProblemDocument:
-    """Parse a ``.prob`` document against an already-parsed model; a
+def parse_problem(
+    text: str, automaton: HybridAutomaton, source: str = "<string>"
+) -> ProblemDocument:
+    """Parse a ``.prob`` document against an already-parsed automaton; a
     ParseError names ``source``.
 
     Sections: optional ``model <path>``, optional ``init <loc> { ... }``
     override, mandatory ``goal <loc> [{ ... }]`` and ``depth <n>``.
     """
     with reading(source):
-        return ProblemDocument(problem=_parse_problem(text, model.automaton))
+        return ProblemDocument(problem=_parse_problem(text, automaton))
 
 
 def _parse_problem(text: str, automaton: HybridAutomaton) -> PlanningProblem:
@@ -521,71 +523,6 @@ def format_rational(value: Rational) -> str:
     return "%d/%d" % (value.numerator, value.denominator)
 
 
-def _format_expression(expr: LinearExpression) -> str:
-    parts: List[str] = []
-    for var, coeff in expr.coefficients:
-        if coeff == 1:
-            term = var
-        elif coeff == -1:
-            term = "-" + var
-        else:
-            term = "%s*%s" % (format_rational(coeff), var)
-        if parts and not term.startswith("-"):
-            parts.append("+ " + term)
-        elif parts:
-            parts.append("- " + term.lstrip("-"))
-        else:
-            parts.append(term)
-    if expr.constant != 0 or not parts:
-        c = expr.constant
-        if parts:
-            parts.append(("+ " if c >= 0 else "- ") + format_rational(abs(c)))
-        else:
-            parts.append(format_rational(c))
-    return " ".join(parts)
-
-
-def _format_constraint(c: LinearConstraint) -> str:
-    return "%s %s 0" % (_format_expression(c.expression), c.relation.value)
-
-
-def serialize_model(automaton: HybridAutomaton) -> str:
-    """Render an automaton back to the ``.lha`` grammar (round-trip stable)."""
-    lines: List[str] = []
-    lines.append("vars " + " ".join(automaton.variables))
-    lines.append("")
-    for loc in automaton.locations:
-        lines.append("location %s {" % loc.name)
-        for c in loc.invariant.constraints:
-            lines.append("  inv: %s;" % _format_constraint(c))
-        for var, iv in loc.rates.intervals:
-            lines.append(
-                "  rate %s in [%s, %s];" % (var, format_rational(iv.lower), format_rational(iv.upper))
-            )
-        lines.append("}")
-    lines.append("")
-    for t in automaton.transitions:
-        src = automaton.location(t.source).name
-        dst = automaton.location(t.target).name
-        lines.append("trans %s -> %s {" % (src, dst))
-        lines.append("  label: %s;" % t.label)
-        for c in t.guard.constraints:
-            lines.append("  guard: %s;" % _format_constraint(c))
-        for var, act in t.reset.actions:
-            if act.kind is ResetKind.ASSIGN_INTERVAL:
-                lines.append(
-                    "  reset %s in [%s, %s];"
-                    % (var, format_rational(act.lower), format_rational(act.upper))
-                )
-        lines.append("}")
-    lines.append("")
-    init_loc, init_region = automaton.initial
-    body = " ".join("%s;" % _format_constraint(c) for c in init_region.constraints)
-    lines.append("init %s { %s }" % (automaton.location(init_loc).name, body))
-    lines.append("")
-    return "\n".join(lines)
-
-
 def _json_number(value: Rational):
     if value.denominator == 1:
         return value.numerator
@@ -597,10 +534,17 @@ def serialize_report(report) -> str:
 
     Non-integral rationals are emitted as exact ``p/q`` strings.
     """
+    problem = report.problem
+    domain = problem.domain
     doc = {
-        "problem": report.problem_summary,
+        "problem": {
+            "name": report.problem_name,
+            "init_location": domain.location(problem.init[0]).name,
+            "goal_location": domain.location(problem.goal.location).name,
+            "depth": problem.depth,
+        },
         "path_count": report.path_count,
-        "chain": list(report.chain_locations),
+        "chain": [e.location_name for e in report.chain or ()],
         "verdicts": [
             {
                 "location": v.location_name,
@@ -609,7 +553,7 @@ def serialize_report(report) -> str:
             }
             for v in report.verdicts
         ],
-        "explanation": report.explanation_json(),
+        "explanation": {"outcome": report.outcome, "location": report.explanation_name},
         "timings_ms": {
             "path_enumeration": report.timings_ms["path_enumeration"],
             "lcs": report.timings_ms["lcs"],

@@ -12,8 +12,8 @@ BENCH_ROOT = os.path.join(
 
 def load_benchmark(dirname: str, probname: str, depth=None):
     """Parse a bundled benchmark problem, optionally overriding the depth."""
-    model, problem, _name = _load(os.path.join(BENCH_ROOT, dirname, probname), depth=depth)
-    return model, problem
+    problem, _name = _load(os.path.join(BENCH_ROOT, dirname, probname), depth=depth)
+    return problem
 
 
 def benchmark_problems():

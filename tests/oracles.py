@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
-from wpx.graph import Graph, PathSet, PathString, ResourceCapExceeded
+from wpx.graph import LocationGraph, PathSet, ResourceCapExceeded
 from wpx.lcs import LcsResult
 from wpx.model import (
     HybridAutomaton,
@@ -30,6 +30,7 @@ from wpx.model import (
     Transition,
 )
 from wpx.reach import ConcretePath, _dwell, _solve_rows, _var_in, _var_out
+from wpx.textio import format_rational
 
 
 # --- full path encoding ---------------------------------------------------
@@ -668,7 +669,7 @@ def brute_lcs_length(strings: Sequence[Sequence[int]]) -> int:
 class ExplicitPathSet:
     """A listed set of strings, in the role of a materialized path set."""
 
-    paths: Tuple[PathString, ...]
+    paths: Tuple[Tuple[int, ...], ...]
 
     @property
     def count(self) -> int:
@@ -690,10 +691,8 @@ def prune_alphabet(
     """
     if not paths.paths:
         raise ValueError("empty path set")
-    kept = frozenset.intersection(*(frozenset(p.locations) for p in paths.paths))
-    reduced = tuple(
-        tuple(sym for sym in p.locations if sym in kept) for p in paths.paths
-    )
+    kept = frozenset.intersection(*(frozenset(p) for p in paths.paths))
+    reduced = tuple(tuple(sym for sym in p if sym in kept) for p in paths.paths)
     return reduced, kept
 
 
@@ -787,8 +786,8 @@ def explicit_lcs(paths: ExplicitPathSet, cap: int = DEFAULT_CANDIDATE_CAP) -> Lc
 def verify_chain_abstract(paths, chain) -> bool:
     """True iff every listed path string contains the chain's location
     sequence as a subsequence."""
-    seq = tuple(e.location for e in chain.entries)
-    return all(is_subsequence(seq, p.locations) for p in paths.paths)
+    seq = tuple(e.location for e in chain)
+    return all(is_subsequence(seq, p) for p in paths.paths)
 
 
 def misses(paths: PathSet, needle: Sequence[int]) -> bool:
@@ -814,7 +813,7 @@ def misses(paths: PathSet, needle: Sequence[int]) -> bool:
             return True
         nxt = []
         for v, j in frontier:
-            for w in paths.graph.successors(v):
+            for w in paths.graph.get(v, ()):
                 state = (w, advance(j, w))
                 if state not in seen:
                     seen.add(state)
@@ -896,10 +895,9 @@ def recursive_concrete_paths(
             yield from exact([source], [], length)
 
 
-def graph_from_succ(n: int, succ: Dict[int, List[int]]) -> Graph:
-    """The location graph of a successor map, one transition per edge."""
-    edges = tuple(sorted((u, v) for u, vs in succ.items() for v in set(vs)))
-    return Graph(vertex_count=n, edges=edges)
+def graph_from_succ(succ: Dict[int, List[int]]) -> LocationGraph:
+    """The location graph of a successor map, as ``build_graph`` returns it."""
+    return {u: tuple(sorted(set(vs))) for u, vs in sorted(succ.items()) if vs}
 
 
 def random_digraph(rng: random.Random, max_vertices: int = 6):
@@ -985,3 +983,71 @@ def random_automaton(rng: random.Random, max_locs: int = 4) -> HybridAutomaton:
         labels=("go",),
         initial=(0, init_region),
     )
+
+
+# --- model serialization ---------------------------------------------------
+
+
+def _format_expression(expr: LinearExpression) -> str:
+    parts: List[str] = []
+    for var, coeff in expr.coefficients:
+        if coeff == 1:
+            term = var
+        elif coeff == -1:
+            term = "-" + var
+        else:
+            term = "%s*%s" % (format_rational(coeff), var)
+        if parts and not term.startswith("-"):
+            parts.append("+ " + term)
+        elif parts:
+            parts.append("- " + term.lstrip("-"))
+        else:
+            parts.append(term)
+    if expr.constant != 0 or not parts:
+        c = expr.constant
+        if parts:
+            parts.append(("+ " if c >= 0 else "- ") + format_rational(abs(c)))
+        else:
+            parts.append(format_rational(c))
+    return " ".join(parts)
+
+
+def _format_constraint(c: LinearConstraint) -> str:
+    return "%s %s 0" % (_format_expression(c.expression), c.relation.value)
+
+
+def serialize_model(automaton: HybridAutomaton) -> str:
+    """Render an automaton back to the ``.lha`` grammar (round-trip stable)."""
+    lines: List[str] = []
+    lines.append("vars " + " ".join(automaton.variables))
+    lines.append("")
+    for loc in automaton.locations:
+        lines.append("location %s {" % loc.name)
+        for c in loc.invariant.constraints:
+            lines.append("  inv: %s;" % _format_constraint(c))
+        for var, iv in loc.rates.intervals:
+            lines.append(
+                "  rate %s in [%s, %s];" % (var, format_rational(iv.lower), format_rational(iv.upper))
+            )
+        lines.append("}")
+    lines.append("")
+    for t in automaton.transitions:
+        src = automaton.location(t.source).name
+        dst = automaton.location(t.target).name
+        lines.append("trans %s -> %s {" % (src, dst))
+        lines.append("  label: %s;" % t.label)
+        for c in t.guard.constraints:
+            lines.append("  guard: %s;" % _format_constraint(c))
+        for var, act in t.reset.actions:
+            if act.kind is ResetKind.ASSIGN_INTERVAL:
+                lines.append(
+                    "  reset %s in [%s, %s];"
+                    % (var, format_rational(act.lower), format_rational(act.upper))
+                )
+        lines.append("}")
+    lines.append("")
+    init_loc, init_region = automaton.initial
+    body = " ".join("%s;" % _format_constraint(c) for c in init_region.constraints)
+    lines.append("init %s { %s }" % (automaton.location(init_loc).name, body))
+    lines.append("")
+    return "\n".join(lines)

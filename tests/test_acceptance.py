@@ -18,6 +18,7 @@ from oracles import (
     brute_lcs_length,
     explicit_lcs,
     fm_feasible,
+    graph_from_succ,
     lp_feasible,
     random_automaton,
     random_digraph,
@@ -27,8 +28,6 @@ from oracles import (
 from wpx.cli import EXIT_OK, main
 from wpx.explain import explain
 from wpx.graph import (
-    Graph,
-    PathString,
     build_graph,
     disconnecting_articulation_points,
     enumerate_paths,
@@ -39,10 +38,14 @@ from wpx.reach import bounded_reachable, extract_witness
 
 
 def timed_explain(dirname, probname, **kw):
-    _model, problem = load_benchmark(dirname, probname)
+    problem = load_benchmark(dirname, probname)
     t0 = time.perf_counter()
     report = explain(problem, **kw)
     return report, time.perf_counter() - t0, problem
+
+
+def chain_names(report):
+    return tuple(e.location_name for e in report.chain)
 
 
 # --- criterion 1: water level monitor table row ---------------------------
@@ -73,17 +76,16 @@ def test_criterion_1_monitor_depth50_path_count():
     # there.  The chain and explanation are the same under both conventions.
     report, _, problem = timed_explain("wlm", "depth50.prob")
     assert report.path_count == 13
-    _model, reference_problem = load_benchmark(
+    reference_problem = load_benchmark(
         "wlm", "depth50.prob", depth=problem.depth - 1
     )
     reference = explain(reference_problem)
     assert reference.path_count == 12
-    assert reference.chain_locations == report.chain_locations
+    assert chain_names(reference) == chain_names(report)
     assert reference.feasible_count == report.feasible_count
     assert reference.explanation_name == report.explanation_name
 
-    g = build_graph(problem.domain)
-    succ = {v: list(g.successors(v)) for v in range(g.vertex_count)}
+    succ = build_graph(problem.domain)
     source, target = problem.init[0], problem.goal.location
     assert len(recursive_walks(succ, source, target, problem.depth)) == 13
     assert len(recursive_walks(succ, source, target, problem.depth - 1)) == 12
@@ -95,7 +97,7 @@ def test_criterion_1_monitor_depth50_path_count():
 def test_criterion_2_rover_depth12():
     report, elapsed, _ = timed_explain("rover", "depth12.prob")
     assert report.path_count == 3
-    assert report.chain_locations == (
+    assert chain_names(report) == (
         "l11", "l6", "l1", "l2", "l3", "l8", "l13", "l14", "l25"
     )
     assert report.feasible_count == 6
@@ -137,9 +139,9 @@ def test_criterion_4_warehouse_depth_sensitivity():
     assert len(r17.chain) == 6
     # The looser bound admits detours, so its chain is a strict
     # subsequence of the tight-bound chain.
-    it = iter(r12.chain_locations)
-    assert all(name in it for name in r17.chain_locations)
-    assert set(r17.chain_locations) < set(r12.chain_locations)
+    it = iter(chain_names(r12))
+    assert all(name in it for name in chain_names(r17))
+    assert set(chain_names(r17)) < set(chain_names(r12))
 
 
 # --- criterion 5: articulation points are always among the waypoints ---------
@@ -147,7 +149,7 @@ def test_criterion_4_warehouse_depth_sensitivity():
 
 def test_criterion_5_articulation_points_in_lcs():
     for dirname, probname in benchmark_problems():
-        _model, problem = load_benchmark(dirname, probname)
+        problem = load_benchmark(dirname, probname)
         init_loc, _ = problem.init
         graph = build_graph(problem.domain)
         cuts = disconnecting_articulation_points(
@@ -179,7 +181,7 @@ def test_criterion_6a_lcs_vs_brute_force():
     rng = random.Random(2026)
     for case in range(1000):
         strings = random_strings(rng)
-        paths = ExplicitPathSet(paths=tuple(PathString(locations=s) for s in strings))
+        paths = ExplicitPathSet(paths=tuple(strings))
         got = len(explicit_lcs(paths).sequence)
         assert got == brute_lcs_length(strings), (case, strings)
 
@@ -223,16 +225,10 @@ def test_criterion_6d_path_enumeration_vs_recursion():
     rng = random.Random(31337)
     for case in range(1000):
         n, succ = random_digraph(rng)
-        edges = tuple(
-            sorted((u, v) for u, targets in succ.items() for v in targets)
-        )
-        graph = Graph(vertex_count=n, edges=edges)
+        graph = graph_from_succ(succ)
         source, target = rng.randrange(n), rng.randrange(n)
         depth = rng.randint(0, 5)
-        got = [
-            p.locations
-            for p in enumerate_paths(graph, source, target, depth).paths
-        ]
+        got = list(enumerate_paths(graph, source, target, depth).paths)
         want = recursive_walks(succ, source, target, depth)
         assert got == want, (case, succ, source, target, depth)
 

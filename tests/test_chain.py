@@ -5,22 +5,20 @@ import pytest
 from conftest import load_benchmark
 from oracles import ExplicitPathSet, verify_chain_abstract
 from wpx.chain import chain_from_lcs
-from wpx.graph import PathString, build_graph, enumerate_paths
+from wpx.graph import build_graph, enumerate_paths
 from wpx.lcs import LcsResult, lcs_multi
 
 
 def wlm_problem():
-    _model, problem = load_benchmark("wlm", "depth20.prob")
-    return problem
+    return load_benchmark("wlm", "depth20.prob")
 
 
 def test_chain_entries_carry_widened_subproblems():
     problem = wlm_problem()
     chain = chain_from_lcs(problem, LcsResult(sequence=(0, 4, 5)))
-    assert tuple(e.location for e in chain.entries) == (0, 4, 5)
-    assert [e.location_name for e in chain.entries] == ["l1", "l5", "l6"]
-    for i, entry in enumerate(chain.entries):
-        assert entry.position == i
+    assert tuple(e.location for e in chain) == (0, 4, 5)
+    assert [e.location_name for e in chain] == ["l1", "l5", "l6"]
+    for entry in chain:
         assert entry.problem.goal.location == entry.location
         assert entry.problem.goal.region == problem.domain.location(entry.location).invariant
         assert entry.problem.depth == problem.depth
@@ -51,5 +49,5 @@ def test_verify_chain_abstract_on_benchmark():
 def test_verify_chain_abstract_rejects_noncovering_chain():
     problem = wlm_problem()
     chain = chain_from_lcs(problem, LcsResult(sequence=(0, 1, 5)))
-    paths = ExplicitPathSet((PathString((0, 4, 5)),))
+    paths = ExplicitPathSet(((0, 4, 5),))
     assert not verify_chain_abstract(paths, chain)

@@ -344,3 +344,43 @@ def test_input_errors_without_a_position_print_none(capsys, tmp_path):
     for argv, want in cases:
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (EXIT_INPUT, "", want), argv
+
+
+MALFORMED_NUMBERS = ("1/0", "0/0", "1.5/2")
+SMALL_MODEL = (
+    "vars x\n"
+    "location a { rate x in [RATE, 1]; }\n"
+    "location b { rate x in [0, 0]; }\n"
+    "trans a -> b { label: hop; reset x in [RESET, 3]; }\n"
+    "init a { x = 0; }\n"
+)
+
+
+@pytest.mark.parametrize("literal", MALFORMED_NUMBERS)
+@pytest.mark.parametrize("place", ["rate", "reset", "goal"])
+def test_malformed_number_is_an_input_error(capsys, tmp_path, place, literal):
+    model = SMALL_MODEL.replace("RATE", literal if place == "rate" else "1")
+    model = model.replace("RESET", literal if place == "reset" else "2")
+    goal = "goal b { x <= %s }" % (literal if place == "goal" else "1")
+    (tmp_path / "m.lha").write_text(model)
+    prob = tmp_path / "p.prob"
+    prob.write_text("model m.lha\n%s\ndepth 3\n" % goal)
+    bad, text = (prob, prob.read_text()) if place == "goal" else (tmp_path / "m.lha", model)
+    line = next(i for i, l in enumerate(text.split("\n"), 1) if literal in l)
+    column = text.split("\n")[line - 1].index(literal) + 1
+    code, out, err = run(capsys, "check", "--problem", str(prob))
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == "input error: %s: line %d, column %d: malformed number %r\n" % (
+        bad, line, column, literal
+    )
+
+
+@pytest.mark.parametrize("bad", ["p.prob", "m.lha"])
+def test_non_utf8_file_is_an_input_error(capsys, tmp_path, bad):
+    (tmp_path / "m.lha").write_text(SMALL_MODEL.replace("RATE", "1").replace("RESET", "2"))
+    (tmp_path / "p.prob").write_text("model m.lha\ngoal b\ndepth 3\n")
+    path = tmp_path / bad
+    path.write_bytes(path.read_bytes() + b"# \xff\n")
+    code, out, err = run(capsys, "check", "--problem", str(tmp_path / "p.prob"))
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == "input error: %s: not UTF-8 text (invalid start byte)\n" % path

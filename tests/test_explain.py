@@ -47,8 +47,8 @@ init a { x = 0; t = 0; }
 
 
 def line_problem(guard, goal="c", depth=4, region=""):
-    doc = parse_model(LINE.replace("GUARD", guard))
-    return parse_problem("goal %s %s\ndepth %d\n" % (goal, region, depth), doc).problem
+    automaton = parse_model(LINE.replace("GUARD", guard))
+    return parse_problem("goal %s %s\ndepth %d\n" % (goal, region, depth), automaton).problem
 
 
 def test_first_unreachable_waypoint():
@@ -79,17 +79,17 @@ def test_no_waypoint_explanation():
     # not (x never grows in c).
     report = explain(line_problem("5", region="{ x >= 50 }"))
     assert report.outcome == OUTCOME_NO_WAYPOINT
-    assert report.explanation is None
+    assert report.explanation_name is None
     assert all(v.status != "UNSAT" for v in report.verdicts)
 
 
 def test_trivial_init_entry_is_skipped():
     # Init region listing the invariant constraint verbatim skips the LP.
-    doc = parse_model(
+    automaton = parse_model(
         LINE.replace("GUARD", "10").replace("init a { x = 0; t = 0; }",
                                             "init a { x >= 0; t = 0; }")
     )
-    problem = parse_problem("goal c\ndepth 4\n", doc).problem
+    problem = parse_problem("goal c\ndepth 4\n", automaton).problem
     report = explain(problem)
     assert report.verdicts[0].status == STATUS_TRIVIAL
     assert report.verdicts[0].paths_checked == 0
@@ -103,14 +103,14 @@ def test_timings_present_and_nonnegative():
 
 
 def test_classify_trivial_chain():
-    _model, problem = load_benchmark("nav", "depth10.prob")
+    problem = load_benchmark("nav", "depth10.prob")
     report = explain(problem)
     assert classify_trivial_chain(report.chain)
     assert "chain is trivial (endpoints only)" in report.annotations
 
 
 def test_chain_scan_stops_at_first_failure():
-    _model, problem = load_benchmark("rover", "depth12.prob")
+    problem = load_benchmark("rover", "depth12.prob")
     report = explain(problem)
     assert report.outcome == OUTCOME_FIRST_UNREACHABLE
     assert report.explanation_name == "l13"

@@ -1,0 +1,99 @@
+"""What the benchmark harness under ``wpxbench/`` reads from wpx.
+
+``wpxbench/run.py`` parses each input with ``parse_problem(text,
+parse_model(text, source)).problem``; ``wpxbench/spans.py`` wraps the
+stage functions in ``wpx.explain``'s globals and ``wpx.reach``'s
+``extract_witness`` by name, and reads ``.count`` of the path set,
+``len(.paths)`` of the path set it is given, ``.sequence`` of the LCS and
+``len`` of the chain.  A change that breaks one of these reads fails here,
+not only in the harness.
+"""
+
+import importlib
+import os
+
+import pytest
+
+import wpx
+import wpx.graph
+import wpx.reach
+from conftest import load_benchmark
+from oracles import recursive_walks
+from wpx.cli import _load
+
+# ``wpx.explain`` is the re-exported function; the harness, like this
+# file, takes the module from ``sys.modules``.
+EXPLAIN = importlib.import_module("wpx.explain")
+HALF = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "half")
+
+
+def wlm_paths():
+    problem = load_benchmark("wlm", "depth50.prob")
+    graph = wpx.build_graph(problem.domain)
+    paths = wpx.enumerate_paths(graph, problem.init[0], problem.goal.location, problem.depth)
+    return problem, graph, paths
+
+
+def test_path_set_count_is_the_walk_count():
+    problem, graph, paths = wlm_paths()
+    walks = recursive_walks(graph, problem.init[0], problem.goal.location, problem.depth)
+    assert paths.count == len(walks) == 13
+
+
+def test_len_of_paths_lists_no_walk(monkeypatch):
+    _problem, _graph, paths = wlm_paths()
+
+    def listing(*args, **kwargs):
+        raise AssertionError("a walk was listed")
+
+    monkeypatch.setattr(wpx.graph, "iter_walks", listing)
+    assert len(paths.paths) == paths.count
+
+
+def test_lcs_sequence_and_chain_length():
+    problem, _graph, paths = wlm_paths()
+    lcs = wpx.lcs_multi(paths)
+    assert lcs.sequence == (0, 4, 5)
+    assert len(wpx.chain_from_lcs(problem, lcs)) == 3
+
+
+def test_parse_problem_of_parse_model_has_a_problem():
+    with open(os.path.join(HALF, "half.lha"), encoding="utf-8") as fh:
+        model_text = fh.read()
+    with open(os.path.join(HALF, "half.prob"), encoding="utf-8") as fh:
+        problem_text = fh.read()
+    problem = wpx.parse_problem(problem_text, wpx.parse_model(model_text, "half.lha")).problem
+    assert problem.depth == 2
+    assert problem.domain.location(problem.goal.location).name == "c"
+
+
+@pytest.mark.parametrize(
+    "name", ["enumerate_paths", "lcs_multi", "chain_from_lcs", "bounded_reachable"]
+)
+def test_explain_calls_its_stages_through_module_globals(monkeypatch, name):
+    calls = []
+    original = getattr(EXPLAIN, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(EXPLAIN, name, counting)
+    wpx.explain(load_benchmark("wlm", "depth20.prob"))
+    assert calls
+
+
+def test_witness_plan_looks_up_extract_witness_at_call_time(monkeypatch):
+    problem, _name = _load(os.path.join(HALF, "half.prob"))
+    report = wpx.explain(problem)
+    calls = []
+    original = wpx.reach.extract_witness
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(wpx.reach, "extract_witness", counting)
+    assert [str(t) for t, _label in report.witness_plan.steps] == ["3/2", "4"]
+    assert len(calls) == 1
+

@@ -16,11 +16,11 @@ from oracles import (
     is_subsequence,
     prune_alphabet,
 )
-from wpx.graph import PathString, ResourceCapExceeded
+from wpx.graph import ResourceCapExceeded
 
 
 def path_set(*strings):
-    return ExplicitPathSet(tuple(PathString(tuple(s)) for s in strings))
+    return ExplicitPathSet(tuple(tuple(s) for s in strings))
 
 
 def test_is_subsequence():

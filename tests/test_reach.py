@@ -63,8 +63,8 @@ init a { x = 0; t = 0; }
 
 
 def hop_problem(goal="b", depth=2, goal_region=""):
-    doc = parse_model(HOP)
-    prob = parse_problem("goal %s %s\ndepth %d\n" % (goal, goal_region, depth), doc)
+    automaton = parse_model(HOP)
+    prob = parse_problem("goal %s %s\ndepth %d\n" % (goal, goal_region, depth), automaton)
     return prob.problem
 
 
@@ -99,7 +99,7 @@ def test_concrete_paths_match_recursive_oracle():
 
 
 def test_concrete_paths_longer_than_the_recursion_limit():
-    _model, problem = load_benchmark("wlm", "depth20.prob")
+    problem = load_benchmark("wlm", "depth20.prob")
     init_loc, _ = problem.init
     paths = enumerate_concrete_paths(problem.domain, init_loc, problem.goal.location, 1200)
     assert max(len(p.transitions) for p in itertools.islice(paths, 300)) > 1000
@@ -368,7 +368,7 @@ def test_box_preanalysis_stops_when_its_state_repeats(monkeypatch):
     monkeypatch.setattr(reach, "_box_dwell", counted)
     outcomes = []
     for depth in (40, 400):
-        _model, problem = load_benchmark("wa6x6", "depth12.prob", depth=depth)
+        problem = load_benchmark("wa6x6", "depth12.prob", depth=depth)
         calls.clear()
         report = explain(problem)
         outcomes.append((len(calls), report.explanation_name, report.verdicts))
@@ -487,7 +487,7 @@ def parse_dump_row(line):
 def test_dump_lp_lists_the_rows_the_solver_decides(monkeypatch, tmp_path):
     # With the box pre-analysis off every path is encoded, exactly once, and
     # its dump holds the rows that encoding handed to the solver.
-    _model, problem = load_benchmark("wlm", "depth20.prob")
+    problem = load_benchmark("wlm", "depth20.prob")
     encoded = []
 
     def encode(problem, path):

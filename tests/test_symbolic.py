@@ -16,7 +16,7 @@ from oracles import (
     recursive_walks,
 )
 from wpx.explain import explain
-from wpx.graph import PathString, build_graph, enumerate_paths
+from wpx.graph import build_graph, enumerate_paths
 from wpx.lcs import lcs_multi
 
 
@@ -25,7 +25,7 @@ def test_symbolic_stage_matches_explicit_oracles():
     nonempty = 0
     for case in range(1200):
         n, succ = random_digraph(rng)
-        graph = graph_from_succ(n, succ)
+        graph = graph_from_succ(succ)
         source, target = rng.randrange(n), rng.randrange(n)
         depth = rng.randint(0, 7)
         walks = recursive_walks(succ, source, target, depth)
@@ -34,7 +34,7 @@ def test_symbolic_stage_matches_explicit_oracles():
         if not walks:
             continue
         nonempty += 1
-        explicit = ExplicitPathSet(tuple(PathString(w) for w in walks))
+        explicit = ExplicitPathSet(tuple(walks))
         _reduced, kept = prune_alphabet(explicit)
         assert paths.kept_alphabet == kept, case
         assert lcs_multi(paths) == explicit_lcs(explicit), case
@@ -43,7 +43,7 @@ def test_symbolic_stage_matches_explicit_oracles():
 
 def test_misses_detects_the_one_walk_that_skips_a_waypoint():
     # 0 -> 1 -> 3 and 0 -> 2 -> 3; only the second walk misses (0, 1, 3).
-    graph = graph_from_succ(4, {0: [1, 2], 1: [3], 2: [3]})
+    graph = graph_from_succ({0: [1, 2], 1: [3], 2: [3]})
     paths = enumerate_paths(graph, 0, 3, 2)
     assert misses(paths, (0, 1, 3))
     assert misses(paths, (0, 1))
@@ -58,7 +58,7 @@ def test_bundled_lcs_is_common_to_every_walk():
     # listing them.  The LCS holds every kept location once, so nothing
     # longer is common to all walks.
     for dirname, probname in benchmark_problems():
-        _model, problem = load_benchmark(dirname, probname)
+        problem = load_benchmark(dirname, probname)
         init_loc, _ = problem.init
         paths = enumerate_paths(
             build_graph(problem.domain), init_loc, problem.goal.location, problem.depth
@@ -71,7 +71,7 @@ def test_bundled_lcs_is_common_to_every_walk():
 
 
 def test_explain_draws_one_walk(monkeypatch):
-    _model, problem = load_benchmark("wa6x6", "depth17.prob")
+    problem = load_benchmark("wa6x6", "depth17.prob")
     drawn = []
     original = wpx.graph.iter_walks
 

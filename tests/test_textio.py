@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import BENCH_ROOT, benchmark_problems, load_benchmark
+from oracles import serialize_model
 from wpx.explain import explain
 from wpx.model import Relation, validate_model
 from wpx.textio import (
@@ -14,7 +15,6 @@ from wpx.textio import (
     format_rational,
     parse_model,
     parse_problem,
-    serialize_model,
     serialize_report,
 )
 
@@ -40,8 +40,7 @@ init a { x = 1.5; t = 0; }
 
 
 def test_parse_minimal_model():
-    doc = parse_model(MINI)
-    automaton = doc.automaton
+    automaton = parse_model(MINI)
     assert [l.name for l in automaton.locations] == ["a", "b"]
     assert automaton.variables == ("x", "t")
     assert automaton.initial[0] == 0
@@ -77,10 +76,18 @@ def test_validation_failure_surfaces_as_parse_error():
     assert "missing rate interval" in str(err.value)
 
 
+@pytest.mark.parametrize("literal", ["1/0", "0/0", "1.5/2"])
+def test_malformed_number_literal_rejected(literal):
+    with pytest.raises(ParseError) as err:
+        parse_model(MINI.replace("rate x in [1, 2]", "rate x in [%s, 2]" % literal))
+    assert (err.value.line, err.value.column) == (6, 14)
+    assert err.value.message == "malformed number %r" % literal
+
+
 def test_problem_parsing_with_override_and_depth():
-    doc = parse_model(MINI)
+    automaton = parse_model(MINI)
     prob = parse_problem(
-        "model some/file.lha\ninit b { x = 2; }\ngoal b { x >= 1; }\ndepth 7\n", doc
+        "model some/file.lha\ninit b { x = 2; }\ngoal b { x >= 1; }\ndepth 7\n", automaton
     ).problem
     assert prob.depth == 7
     assert prob.init[0] == 1
@@ -89,11 +96,11 @@ def test_problem_parsing_with_override_and_depth():
 
 
 def test_problem_requires_goal_and_depth():
-    doc = parse_model(MINI)
+    automaton = parse_model(MINI)
     with pytest.raises(ParseError):
-        parse_problem("depth 3\n", doc)
+        parse_problem("depth 3\n", automaton)
     with pytest.raises(ParseError):
-        parse_problem("goal b\n", doc)
+        parse_problem("goal b\n", automaton)
 
 
 @pytest.mark.parametrize(
@@ -106,24 +113,22 @@ def test_problem_requires_goal_and_depth():
     ids=["init", "goal", "depth"],
 )
 def test_problem_rejects_repeated_section(text, section):
-    doc = parse_model(MINI)
+    automaton = parse_model(MINI)
     with pytest.raises(ParseError) as err:
-        parse_problem(text, doc)
+        parse_problem(text, automaton)
     assert err.value.message == "repeated %r section" % section
 
 
 def test_mini_roundtrip():
-    doc = parse_model(MINI)
-    again = parse_model(serialize_model(doc.automaton))
-    assert again.automaton == doc.automaton
+    automaton = parse_model(MINI)
+    assert parse_model(serialize_model(automaton)) == automaton
 
 
 @pytest.mark.parametrize("dirname,probname", benchmark_problems())
 def test_benchmark_roundtrip_and_validation(dirname, probname):
-    model, _problem = load_benchmark(dirname, probname)
-    assert validate_model(model.automaton) == []
-    again = parse_model(serialize_model(model.automaton))
-    assert again.automaton == model.automaton
+    automaton = load_benchmark(dirname, probname).domain
+    assert validate_model(automaton) == []
+    assert parse_model(serialize_model(automaton)) == automaton
 
 
 def test_format_rational():
@@ -132,7 +137,7 @@ def test_format_rational():
 
 
 def test_serialize_report_schema_keys():
-    _model, problem = load_benchmark("wlm", "depth20.prob")
+    problem = load_benchmark("wlm", "depth20.prob")
     report = explain(problem, name="wlm")
     doc = json.loads(serialize_report(report))
     assert set(doc) >= {
@@ -150,6 +155,6 @@ def test_serialize_report_validates_against_shipped_schema():
     )
     with open(schema_path, encoding="utf-8") as fh:
         schema = json.load(fh)
-    _model, problem = load_benchmark("rover", "depth12.prob")
+    problem = load_benchmark("rover", "depth12.prob")
     report = explain(problem, name="rover")
     jsonschema.validate(json.loads(serialize_report(report)), schema)
