@@ -1,10 +1,15 @@
 """Waypoint-chain explanations for unsolvable bounded planning problems on
 linear hybrid automata."""
 
-from .chain import ChainEntry, chain_from_lcs
-from .explain import ExplanationReport, WaypointVerdict, explain
-from .graph import PathSet, ResourceCapExceeded, build_graph, enumerate_paths
-from .lcs import LcsResult, lcs_multi
+from .explain import ChainEntry, ExplanationReport, WaypointVerdict, chain_from_lcs, explain
+from .graph import (
+    LcsResult,
+    PathSet,
+    ResourceCapExceeded,
+    build_graph,
+    enumerate_paths,
+    lcs_multi,
+)
 from .model import (
     GoalSpec,
     HybridAutomaton,

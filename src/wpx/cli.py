@@ -18,15 +18,14 @@ import os
 import sys
 from typing import List, Optional, Tuple
 
-from .chain import chain_from_lcs
-from .explain import ExplanationReport, classify_trivial_chain, explain
+from .explain import ExplanationReport, chain_from_lcs, classify_trivial_chain, explain
 from .graph import (
     DEFAULT_PATH_CAP,
     ResourceCapExceeded,
     build_graph,
     enumerate_paths,
+    lcs_multi,
 )
-from .lcs import lcs_multi
 from .model import Plan, PlanningProblem
 from .reach import bounded_reachable, extract_witness
 from .textio import (
@@ -34,6 +33,7 @@ from .textio import (
     format_rational,
     parse_model,
     parse_problem,
+    plan_json,
     reading,
     serialize_report,
     split_model_line,
@@ -235,10 +235,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     if args.json:
         doc = {"status": verdict.status, "paths_checked": verdict.paths_checked}
         if plan is not None:
-            doc["plan"] = {
-                "steps": [[format_rational(t), label] for t, label in plan.steps],
-                "makespan": format_rational(plan.makespan),
-            }
+            doc["plan"] = plan_json(plan.steps, plan.makespan)
         print(json.dumps(doc, indent=2))
     else:
         print("%s (paths_checked=%d)" % (verdict.status, verdict.paths_checked))

@@ -4,10 +4,11 @@ Pipeline: count the bounded path set of the discrete abstraction and
 reduce it to the chain of inevitable waypoints via the multi-string LCS,
 both symbolically (the walks are never listed), then walk the chain with
 the widened sub-problems until the first waypoint whose bounded
-reachability check comes back infeasible.  Four mutually
-exclusive outcomes cover every case, including the degenerate ones where
-the discrete abstraction already fails or where the original problem turns
-out to be solvable after all.
+reachability check comes back infeasible.  The chain is a tuple of
+entries, one sub-problem per inevitable waypoint; an entry's position is
+its index.  Four mutually exclusive outcomes cover every case, including
+the degenerate ones where the discrete abstraction already fails or where
+the original problem turns out to be solvable after all.
 """
 
 from __future__ import annotations
@@ -18,10 +19,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from .chain import ChainEntry, chain_from_lcs
-from .graph import DEFAULT_PATH_CAP, build_graph, enumerate_paths
-from .lcs import lcs_multi
-from .model import PlanningProblem, init_within_invariant
+from .graph import DEFAULT_PATH_CAP, LcsResult, build_graph, enumerate_paths, lcs_multi
+from .model import PlanningProblem, alpha, init_within_invariant
 from .reach import Verdict, bounded_reachable
 
 OUTCOME_DISCRETE_INFEASIBLE = "DiscreteInfeasible"
@@ -34,6 +33,33 @@ STATUS_UNSAT = "UNSAT"
 STATUS_TRIVIAL = "TRIVIAL"
 
 log = logging.getLogger(__name__)
+
+
+@dataclass(frozen=True)
+class ChainEntry:
+    location: int
+    location_name: str
+    problem: PlanningProblem
+
+
+def chain_from_lcs(problem: PlanningProblem, lcs: LcsResult) -> Tuple[ChainEntry, ...]:
+    """Entry i is the sub-problem whose goal is the invariant of symbol i.
+
+    The LCS holds each location once (see ``wpx.graph.lcs_multi``); a
+    repeated symbol would give duplicate sub-problems and is rejected.
+    """
+    if not lcs.sequence:
+        raise ValueError("empty LCS")
+    if len(set(lcs.sequence)) != len(lcs.sequence):
+        raise ValueError("LCS repeats a location: %r" % (lcs.sequence,))
+    return tuple(
+        ChainEntry(
+            location=sym,
+            location_name=problem.domain.location(sym).name,
+            problem=alpha(problem, sym),
+        )
+        for sym in lcs.sequence
+    )
 
 
 @dataclass(frozen=True)

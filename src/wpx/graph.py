@@ -1,5 +1,5 @@
 """Discrete abstraction: the location graph, bounded walk counting and
-enumeration, and disconnecting articulation points.
+enumeration, and the longest common subsequence of every walk.
 
 The location graph is a successor map, ``{location: sorted targets}``,
 with one edge per connected location pair; a location with no outgoing
@@ -14,15 +14,14 @@ concrete transition paths of the reachability stage, with ties broken by
 transition id.
 
 A ``PathSet`` is symbolic: it holds the successor map, the endpoints, the
-depth and the walk count, and answers the two questions the LCS stage asks
-(which locations every walk visits, and the first walk in BFS order)
-without listing the walks.
+depth and the walk count.  ``lcs_multi`` reads the LCS of all its walks off
+the first one, so no stage lists the walks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
 
 from .model import HybridAutomaton
 
@@ -57,20 +56,6 @@ class PathSet:
     @property
     def paths(self) -> "WalkView":
         return WalkView(self)
-
-    def first_walk(self) -> Tuple[int, ...]:
-        """The first walk in BFS order: a shortest one.  Requires a
-        non-empty set."""
-        return next(iter_walks(self.graph, self.source, self.target, self.depth))
-
-    @property
-    def kept_alphabet(self) -> FrozenSet[int]:
-        """The locations visited by every walk: the endpoints and the
-        disconnecting articulation points.  Requires a non-empty set."""
-        cuts = disconnecting_articulation_points(
-            self.graph, self.source, self.target, self.depth
-        )
-        return frozenset(cuts | {self.source, self.target})
 
 
 # Kept for wpxbench/spans.py (see ``PathSet.paths``).
@@ -201,42 +186,44 @@ def count_paths(graph: LocationGraph, source: int, target: int, depth: int) -> i
     return total
 
 
-def _bounded_connected(
-    graph: LocationGraph, source: int, target: int, depth: int, removed: int
-) -> bool:
-    if source == removed or target == removed:
-        return False
-    reached = {source}
-    frontier = [source]
-    for _ in range(depth):
-        if target in reached:
+# Kept for wpxbench/spans.py, which reads ``.sequence``.
+@dataclass(frozen=True)
+class LcsResult:
+    sequence: Tuple[int, ...]
+
+
+def lcs_multi(paths: PathSet) -> LcsResult:
+    """LCS of every walk in the path set: the first BFS walk reduced to the
+    locations that every walk visits.
+
+    Only the first walk's locations are tested: every walk visits each
+    inevitable location, and the first walk is a walk.  An interior
+    location v is inevitable iff, with v removed from the graph, the
+    source is farther than the depth from the target (or unreached).
+
+    Why this is the LCS: the first BFS walk A is a shortest walk, hence
+    simple, and each of its prefixes is a shortest path.  Let c_1 .. c_m be
+    A's inevitable locations in order.  Suppose some walk B within the
+    bound does not contain them as a subsequence, and greedy matching in B
+    stops after c_i.  Then A's prefix up to c_i, followed by B's suffix
+    after its match of c_i, is a walk no longer than B that avoids
+    c_{i+1}, contradicting that every walk visits c_{i+1}.  So A's
+    reduction is common to all walks; and since only inevitable locations
+    can occur in a common subsequence, and A holds each once, nothing
+    longer is, and no other sequence of the same length exists to tie with
+    it.
+    """
+    if paths.count == 0:
+        raise ValueError("empty path set")
+    walk = next(iter_walks(paths.graph, paths.source, paths.target, paths.depth))
+    succ = {u: tuple((w, w) for w in ws) for u, ws in paths.graph.items()}
+
+    def inevitable(v: int) -> bool:
+        if v in (paths.source, paths.target):
             return True
-        nxt = []
-        for v in frontier:
-            for w in graph.get(v, ()):
-                if w != removed and w not in reached:
-                    reached.add(w)
-                    nxt.append(w)
-        frontier = nxt
-        if not frontier:
-            break
-    return target in reached
+        # Without its outgoing edges, v reaches no target: this removes it.
+        without_v = {u: hops for u, hops in succ.items() if u != v}
+        dist = _reverse_distances(without_v, paths.target)
+        return dist.get(paths.source, paths.depth + 1) > paths.depth
 
-
-def disconnecting_articulation_points(
-    graph: LocationGraph, source: int, target: int, depth: int
-) -> set[int]:
-    """Vertices (other than the endpoints) whose removal leaves no
-    source-to-target walk of length <= depth; brute force by removal.
-
-    Only vertices with an outgoing edge are tried: any other one lies on no
-    walk to the target, so removing it disconnects nothing."""
-    if not _bounded_connected(graph, source, target, depth, removed=-1):
-        return set()
-    result = set()
-    for v in graph:
-        if v in (source, target):
-            continue
-        if not _bounded_connected(graph, source, target, depth, removed=v):
-            result.add(v)
-    return result
+    return LcsResult(sequence=tuple(v for v in walk if inevitable(v)))

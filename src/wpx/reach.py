@@ -496,14 +496,15 @@ def encode_path(
     dwell ``di >= 0``: init region at position 0; invariant at both
     endpoints of every position; ``lower*di <= x@iout - x@iin <= upper*di``
     for each rate interval; guard at the exit of each transition's source;
-    Keep/interval reset linking; goal region and goal-location invariant at
-    the final exit.  Exact rates, Keep resets and point resets are
-    substituted away in one forward pass: the valuation at each point is
-    tracked as an affine expression over the surviving variables (dwells,
-    interval-rate exits, interval-reset entries).  Returns the rows and,
-    per position, its entry and exit valuations as expressions over the
-    survivors in ``automaton.variables`` order, from which a solution of
-    the rows rebuilds the run.
+    Keep/interval reset linking; goal region at the final exit (the goal
+    location's invariant there is the last position's exit invariant).
+    Exact rates, Keep resets and point resets are substituted away in one
+    forward pass: the valuation at each point is tracked as an affine
+    expression over the surviving variables (dwells, interval-rate exits,
+    interval-reset entries).  Returns the rows and, per position, its entry
+    and exit valuations as expressions over the survivors in
+    ``automaton.variables`` order, from which a solution of the rows
+    rebuilds the run.
     """
     automaton = problem.domain
     init_loc, init_region = problem.init
@@ -585,7 +586,6 @@ def encode_path(
                     state[var] = ({fresh: Fraction(1)}, Fraction(0))
 
     emit_region(problem.goal.region)
-    emit_region(automaton.location(problem.goal.location).invariant)
     return rows, points
 
 

@@ -21,9 +21,12 @@ The model grammar is line-oriented and sectioned::
 
 Constraints are conjunctions of closed linear comparisons
 (``expr <= expr``, ``expr >= expr``, ``expr = expr``); strict comparisons
-are rejected with a dedicated message.  Rational literals may be integers,
-exact decimals (``1.25``) or fractions of integers (``7/2``) with a nonzero
-denominator.  ``#`` starts a comment.
+are rejected with a dedicated message.  Repeated ``inv:`` and ``guard:``
+clauses are conjoined; a second ``init`` section, a second ``label:`` in
+one transition, or a second ``rate`` or ``reset`` for one variable in one
+block is a ParseError.  Rational literals may be integers, exact decimals
+(``1.25``) or fractions of integers (``7/2``) with a nonzero denominator.
+``#`` starts a comment.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .model import (
     GoalSpec,
@@ -268,6 +271,21 @@ class _Parser:
         self.expect("]")
         return lo, hi
 
+    def parse_interval_clause(self, into: Dict[str, Tuple[Rational, Rational]]) -> None:
+        """``rate|reset <var> in [lo, hi]`` with an optional ';', stored in
+        ``into``; a second clause for the same variable is a ParseError."""
+        clause = self.next()
+        var = self.expect("name").text
+        in_tok = self.expect("name")
+        if in_tok.text != "in":
+            raise ParseError("expected 'in'", in_tok.line, in_tok.column)
+        if var in into:
+            raise ParseError(
+                "repeated %s for variable %r" % (clause.text, var), clause.line, clause.column
+            )
+        into[var] = self.parse_interval()
+        self.accept(";")
+
 
 def _keyword(parser: _Parser) -> Optional[str]:
     tok = parser.peek()
@@ -316,13 +334,7 @@ def _parse_automaton(text: str) -> HybridAutomaton:
                     p.expect(":")
                     inv_constraints.extend(p.parse_constraint_list())
                 elif inner == "rate":
-                    p.next()
-                    var = p.expect("name").text
-                    in_tok = p.expect("name")
-                    if in_tok.text != "in":
-                        raise ParseError("expected 'in'", in_tok.line, in_tok.column)
-                    rates[var] = p.parse_interval()
-                    p.accept(";")
+                    p.parse_interval_clause(rates)
                 else:
                     raise p.fail("expected 'inv', 'rate' or '}'")
             loc_ids[name_tok.text] = len(locations)
@@ -340,12 +352,14 @@ def _parse_automaton(text: str) -> HybridAutomaton:
             p.expect("arrow")
             dst_tok = p.expect("name")
             p.expect("{")
-            label = "act"
+            label: Optional[str] = None
             guard_constraints: List[LinearConstraint] = []
             resets: Dict[str, Tuple[Rational, Rational]] = {}
             while not p.accept("}"):
                 inner = _keyword(p)
                 if inner == "label":
+                    if label is not None:
+                        raise p.fail("repeated 'label' clause")
                     p.next()
                     p.expect(":")
                     label = p.expect("name").text
@@ -355,15 +369,11 @@ def _parse_automaton(text: str) -> HybridAutomaton:
                     p.expect(":")
                     guard_constraints.extend(p.parse_constraint_list())
                 elif inner == "reset":
-                    p.next()
-                    var = p.expect("name").text
-                    in_tok = p.expect("name")
-                    if in_tok.text != "in":
-                        raise ParseError("expected 'in'", in_tok.line, in_tok.column)
-                    resets[var] = p.parse_interval()
-                    p.accept(";")
+                    p.parse_interval_clause(resets)
                 else:
                     raise p.fail("expected 'label', 'guard', 'reset' or '}'")
+            if label is None:
+                label = "act"
             pending_transitions.append(
                 (src_tok.text, dst_tok.text, label,
                  Polyhedron(tuple(guard_constraints)), Reset.build(resets),
@@ -372,6 +382,8 @@ def _parse_automaton(text: str) -> HybridAutomaton:
             if label not in labels:
                 labels.append(label)
         elif word == "init":
+            if initial is not None:
+                raise p.fail("repeated 'init' section")
             p.next()
             name_tok = p.expect("name")
             init_constraints: List[LinearConstraint] = []
@@ -529,6 +541,15 @@ def _json_number(value: Rational):
     return format_rational(value)
 
 
+def plan_json(steps: Sequence[Tuple[Rational, str]], makespan: Rational) -> dict:
+    """A plan's ``steps`` (``(time, label)`` pairs) and makespan as JSON:
+    integers as JSON integers, other rationals as ``p/q`` strings."""
+    return {
+        "steps": [[_json_number(t), label] for t, label in steps],
+        "makespan": _json_number(makespan),
+    }
+
+
 def serialize_report(report) -> str:
     """Serialize an ExplanationReport to deterministic JSON.
 
@@ -563,10 +584,7 @@ def serialize_report(report) -> str:
     if report.annotations:
         doc["annotations"] = list(report.annotations)
     if report.witness_plan is not None:
-        doc["witness_plan"] = {
-            "steps": [
-                [_json_number(t), label] for t, label in report.witness_plan.steps
-            ],
-            "makespan": _json_number(report.witness_plan.makespan),
-        }
+        doc["witness_plan"] = plan_json(
+            report.witness_plan.steps, report.witness_plan.makespan
+        )
     return json.dumps(doc, indent=2, sort_keys=False)

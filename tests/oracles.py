@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
-from wpx.graph import LocationGraph, PathSet, ResourceCapExceeded
-from wpx.lcs import LcsResult
+from wpx.graph import LcsResult, LocationGraph, PathSet, ResourceCapExceeded
 from wpx.model import (
     HybridAutomaton,
     LinearConstraint,
@@ -841,6 +840,50 @@ def recursive_walks(
     go((source,))
     out.sort(key=lambda w: (len(w), w))
     return out
+
+
+# --- all-vertex forward-BFS cut reference ---------------------------------
+
+
+def _bounded_connected(
+    graph: LocationGraph, source: int, target: int, depth: int, removed: int
+) -> bool:
+    if source == removed or target == removed:
+        return False
+    reached = {source}
+    frontier = [source]
+    for _ in range(depth):
+        if target in reached:
+            return True
+        nxt = []
+        for v in frontier:
+            for w in graph.get(v, ()):
+                if w != removed and w not in reached:
+                    reached.add(w)
+                    nxt.append(w)
+        frontier = nxt
+        if not frontier:
+            break
+    return target in reached
+
+
+def disconnecting_articulation_points(
+    graph: LocationGraph, source: int, target: int, depth: int
+) -> set[int]:
+    """Vertices (other than the endpoints) whose removal leaves no
+    source-to-target walk of length <= depth; brute force by removal.
+
+    Only vertices with an outgoing edge are tried: any other one lies on no
+    walk to the target, so removing it disconnects nothing."""
+    if not _bounded_connected(graph, source, target, depth, removed=-1):
+        return set()
+    result = set()
+    for v in graph:
+        if v in (source, target):
+            continue
+        if not _bounded_connected(graph, source, target, depth, removed=v):
+            result.add(v)
+    return result
 
 
 # --- recursive concrete path oracle --------------------------------------

@@ -16,6 +16,7 @@ from conftest import BENCH_ROOT, benchmark_problems, load_benchmark
 from oracles import (
     ExplicitPathSet,
     brute_lcs_length,
+    disconnecting_articulation_points,
     explicit_lcs,
     fm_feasible,
     graph_from_succ,
@@ -27,12 +28,7 @@ from oracles import (
 )
 from wpx.cli import EXIT_OK, main
 from wpx.explain import explain
-from wpx.graph import (
-    build_graph,
-    disconnecting_articulation_points,
-    enumerate_paths,
-)
-from wpx.lcs import lcs_multi
+from wpx.graph import build_graph, enumerate_paths, lcs_multi
 from wpx.model import GoalSpec, PlanningProblem, Polyhedron, check_witness
 from wpx.reach import bounded_reachable, extract_witness
 

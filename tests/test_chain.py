@@ -4,9 +4,8 @@ import pytest
 
 from conftest import load_benchmark
 from oracles import ExplicitPathSet, verify_chain_abstract
-from wpx.chain import chain_from_lcs
-from wpx.graph import build_graph, enumerate_paths
-from wpx.lcs import LcsResult, lcs_multi
+from wpx.explain import chain_from_lcs
+from wpx.graph import LcsResult, build_graph, enumerate_paths, lcs_multi
 
 
 def wlm_problem():
@@ -25,7 +24,7 @@ def test_chain_entries_carry_widened_subproblems():
 
 
 def test_chain_rejects_repeated_symbols():
-    # The library LCS holds each location once (wpx.lcs), so a repeat is
+    # The library LCS holds each location once (lcs_multi), so a repeat is
     # a caller error, consecutive or not.
     problem = wlm_problem()
     for sequence in ((0, 0, 4, 5), (0, 4, 0, 5)):

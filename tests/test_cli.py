@@ -200,6 +200,18 @@ def test_repeated_problem_section_is_an_input_error(capsys, tmp_path):
     assert "repeated 'goal' section" in err
 
 
+def test_repeated_model_clause_is_an_input_error(capsys, tmp_path):
+    with open(bench("wlm", "wlm.lha"), encoding="utf-8") as fh:
+        text = fh.read()
+    model = tmp_path / "m.lha"
+    model.write_text(text.replace("rate x in [2, 2];", "rate x in [2, 2]; rate x in [5, 5];", 1))
+    prob = tmp_path / "p.prob"
+    prob.write_text("model %s\ngoal l6\ndepth 20\n" % model)
+    code, out, err = run(capsys, "check", "--problem", str(prob))
+    assert code == EXIT_INPUT and out == ""
+    assert "m.lha: line 7, column 21: repeated rate for variable 'x'" in err
+
+
 def test_model_line_may_end_in_a_comment(capsys, tmp_path):
     prob = tmp_path / "p.prob"
     prob.write_text("model %s  # the model\ngoal l6\ndepth 20\n" % bench("wlm", "wlm.lha"))

@@ -14,9 +14,9 @@ The files under ``golden/`` hold, for each of the 14 pinned rows:
 
 ``golden/half/`` holds a small solvable problem whose plan has a
 non-integer time, with its ``explain --json`` (without ``timings_ms``),
-text ``explain``, ``check --json`` and text ``check``.  ``check --json``
-writes plan numbers as strings, while ``explain --json`` writes integers as
-JSON integers; the files pin both.
+text ``explain``, ``check --json`` and text ``check``.  Both JSON outputs
+write integer plan numbers as JSON integers and other rationals as ``p/q``
+strings.
 
 Regenerate a file only for an intended change of output, and say so in
 CHANGES.md.

@@ -4,12 +4,16 @@ import random
 
 import pytest
 
-from oracles import graph_from_succ, random_digraph, recursive_walks
+from oracles import (
+    disconnecting_articulation_points,
+    graph_from_succ,
+    random_digraph,
+    recursive_walks,
+)
 from wpx.graph import (
     ResourceCapExceeded,
     build_graph,
     count_paths,
-    disconnecting_articulation_points,
     enumerate_paths,
     iter_walks,
 )

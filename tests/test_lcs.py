@@ -1,6 +1,6 @@
 """LCS over listed strings: oracle agreement, pruning, determinism,
 tie-breaks.  The explicit engine lives in ``oracles``; the symbolic one in
-``wpx.lcs`` is checked against it in ``test_symbolic``."""
+``wpx.graph.lcs_multi`` is checked against it in ``test_symbolic``."""
 
 import random
 

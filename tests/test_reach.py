@@ -355,6 +355,42 @@ def test_interval_preanalysis_agrees_with_enumeration(monkeypatch):
     assert unsat_boxes > 0  # the pre-analysis actually fires sometimes
 
 
+# Bundled rows whose box-decided UNSAT verdicts the LP regime re-decides in
+# about a second together, with the LP regime's ``paths_checked`` at the
+# explanation.
+LP_REGIME_ROWS = [
+    ("wlm", "depth20.prob", 5),
+    ("wlm", "depth50.prob", 13),
+    ("rover", "depth12.prob", 2),
+    ("rover", "depth20.prob", 92),
+    ("nrs", "depth15.prob", 8),
+    ("nrs", "depth20.prob", 14),
+    ("wa6x4", "depth8.prob", 5),
+    ("wa10x10", "depth12.prob", 25),
+]
+
+
+@pytest.mark.parametrize(
+    "dirname,probname,paths_checked",
+    LP_REGIME_ROWS,
+    ids=["%s/%s" % row[:2] for row in LP_REGIME_ROWS],
+)
+def test_box_unsat_verdicts_agree_with_the_lp_regime(
+    monkeypatch, dirname, probname, paths_checked
+):
+    problem = load_benchmark(dirname, probname)
+    default = explain(problem)
+    monkeypatch.setattr(reach, "_interval_unreachable", lambda p: False)
+    lp = explain(problem)
+    assert [(v.location_name, v.status) for v in lp.verdicts] == [
+        (v.location_name, v.status) for v in default.verdicts
+    ]
+    assert (lp.outcome, lp.explanation_name) == (default.outcome, default.explanation_name)
+    assert default.verdicts[-1].status == "UNSAT"
+    assert default.verdicts[-1].paths_checked == 0  # the box decided it
+    assert lp.verdicts[-1].paths_checked == paths_checked
+
+
 def test_box_preanalysis_stops_when_its_state_repeats(monkeypatch):
     # wa6x6's per-location boxes start to cycle within a few steps, so a
     # deeper bound adds no box work and changes no verdict.

@@ -1,6 +1,7 @@
 """The symbolic discrete stage against the explicit oracles: walk count,
 kept alphabet and the full LCS result, tie-break included; and, on the
-bundled problems, against a product check that needs no listing."""
+bundled problems, against a product check that needs no listing and the
+all-vertex cut scan."""
 
 import random
 
@@ -8,6 +9,7 @@ import wpx.graph
 from conftest import benchmark_problems, load_benchmark
 from oracles import (
     ExplicitPathSet,
+    disconnecting_articulation_points,
     explicit_lcs,
     graph_from_succ,
     misses,
@@ -16,8 +18,7 @@ from oracles import (
     recursive_walks,
 )
 from wpx.explain import explain
-from wpx.graph import build_graph, enumerate_paths
-from wpx.lcs import lcs_multi
+from wpx.graph import build_graph, enumerate_paths, lcs_multi
 
 
 def test_symbolic_stage_matches_explicit_oracles():
@@ -36,7 +37,7 @@ def test_symbolic_stage_matches_explicit_oracles():
         nonempty += 1
         explicit = ExplicitPathSet(tuple(walks))
         _reduced, kept = prune_alphabet(explicit)
-        assert paths.kept_alphabet == kept, case
+        assert set(lcs_multi(paths).sequence) == kept, case
         assert lcs_multi(paths) == explicit_lcs(explicit), case
     assert nonempty > 500  # the suite must actually exercise the LCS
 
@@ -59,15 +60,16 @@ def test_bundled_lcs_is_common_to_every_walk():
     # longer is common to all walks.
     for dirname, probname in benchmark_problems():
         problem = load_benchmark(dirname, probname)
-        init_loc, _ = problem.init
-        paths = enumerate_paths(
-            build_graph(problem.domain), init_loc, problem.goal.location, problem.depth
-        )
+        init_loc, goal_loc = problem.init[0], problem.goal.location
+        graph = build_graph(problem.domain)
+        paths = enumerate_paths(graph, init_loc, goal_loc, problem.depth)
         if paths.count == 0:
             continue
         lcs = lcs_multi(paths)
         assert not misses(paths, lcs.sequence), (dirname, probname)
-        assert sorted(lcs.sequence) == sorted(paths.kept_alphabet), (dirname, probname)
+        assert len(set(lcs.sequence)) == len(lcs.sequence), (dirname, probname)
+        cuts = disconnecting_articulation_points(graph, init_loc, goal_loc, problem.depth)
+        assert set(lcs.sequence) == cuts | {init_loc, goal_loc}, (dirname, probname)
 
 
 def test_explain_draws_one_walk(monkeypatch):

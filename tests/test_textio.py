@@ -84,6 +84,35 @@ def test_malformed_number_literal_rejected(literal):
     assert err.value.message == "malformed number %r" % literal
 
 
+@pytest.mark.parametrize(
+    "old,new,where,message",
+    [
+        ("rate x in [1, 2];", "rate x in [1, 2]; rate x in [5, 5];", (6, 21),
+         "repeated rate for variable 'x'"),
+        ("reset t in [0, 0];", "reset t in [0, 0]; reset t in [7, 7];", (16, 22),
+         "repeated reset for variable 't'"),
+        ("label: hop;", "label: hop; label: stop;", (14, 15), "repeated 'label' clause"),
+        ("init a { x = 1.5; t = 0; }", "init a { x = 1.5; t = 0; }\ninit b { x = 0; t = 0; }",
+         (19, 1), "repeated 'init' section"),
+    ],
+    ids=["rate", "reset", "label", "init"],
+)
+def test_model_rejects_repeated_clause(old, new, where, message):
+    with pytest.raises(ParseError) as err:
+        parse_model(MINI.replace(old, new), "m.lha")
+    assert (err.value.line, err.value.column) == where
+    assert err.value.message == message
+    assert str(err.value) == "m.lha: line %d, column %d: %s" % (where + (message,))
+
+
+def test_repeated_inv_and_guard_clauses_are_conjoined():
+    one = MINI.replace("guard: 2*x - t >= 1;", "guard: 2*x - t >= 1; x <= 9;")
+    split = MINI.replace("inv: x >= 0; x <= 10;", "inv: x >= 0;\n  inv: x <= 10;").replace(
+        "guard: 2*x - t >= 1;", "guard: 2*x - t >= 1;\n  guard: x <= 9;"
+    )
+    assert parse_model(split) == parse_model(one)
+
+
 def test_problem_parsing_with_override_and_depth():
     automaton = parse_model(MINI)
     prob = parse_problem(
