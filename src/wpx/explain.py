@@ -21,7 +21,7 @@ from typing import Dict, Optional, Tuple
 
 from .graph import DEFAULT_PATH_CAP, LcsResult, build_graph, enumerate_paths, lcs_multi
 from .model import PlanningProblem, alpha, init_within_invariant
-from .reach import Verdict, bounded_reachable
+from .reach import BoxSteps, Verdict, bounded_reachable
 
 OUTCOME_DISCRETE_INFEASIBLE = "DiscreteInfeasible"
 OUTCOME_FIRST_UNREACHABLE = "FirstUnreachableWaypoint"
@@ -154,6 +154,9 @@ def explain(
             annotations.append("chain is trivial (endpoints only)")
 
         t2 = time.perf_counter()
+        # Every check below differs only in its goal, so they share one
+        # box pass.
+        box = BoxSteps(problem)
         for position, entry in enumerate(chain):
             if entry.location == init_loc and position == 0 and init_within_invariant(problem):
                 status, paths_checked = STATUS_TRIVIAL, 0
@@ -162,6 +165,7 @@ def explain(
                     entry.problem,
                     cap=cap,
                     dump_dir=dump_subdir("%d_%s" % (position, entry.location_name)),
+                    box=box,
                 )
                 status, paths_checked = verdict.status, verdict.paths_checked
                 log.info(
@@ -183,7 +187,9 @@ def explain(
             outcome = OUTCOME_FIRST_UNREACHABLE
         else:
             # Every waypoint is reachable: decide the original exact-goal problem.
-            final = bounded_reachable(problem, cap=cap, dump_dir=dump_subdir("goal"))
+            final = bounded_reachable(
+                problem, cap=cap, dump_dir=dump_subdir("goal"), box=box
+            )
             log.info(
                 "check goal %s: %s paths_checked=%d",
                 problem.domain.location(problem.goal.location).name,

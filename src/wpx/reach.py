@@ -17,6 +17,13 @@ replays as a valid run through ``model.check_witness``, and a SAT
 certificate yet.
 ``bounded_reachable(..., dump_dir=...)`` (the CLI's ``--dump-lp``) lists
 the rows the solver decides.
+
+Before any path is enumerated, a box (interval) abstraction may prove the
+goal unreachable.  Its step maps depend only on the automaton, the init and
+the depth, so ``explain`` builds one lazy ``BoxSteps`` pass and every check
+of that run, each differing only in its goal, reads and extends the same
+maps; a direct ``bounded_reachable`` call builds its own.  No pass outlives
+the call that built it.
 """
 
 from __future__ import annotations
@@ -25,7 +32,6 @@ import logging
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from math import gcd, lcm
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -397,63 +403,91 @@ def _box_dwell(
     return _box_intersect(out, exit_box)
 
 
-def _interval_unreachable(problem: PlanningProblem) -> bool:
-    """True when the box abstraction proves no bounded run reaches the
-    goal; False is inconclusive."""
-    automaton = problem.domain
-    variables = automaton.variables
-    init_loc, init_region = problem.init
-    goal_loc = problem.goal.location
+class BoxSteps:
+    """The box abstraction's forward step maps for one automaton, init and
+    depth, shared by every check of problems that have them.
 
-    outgoing: Dict[int, List[Transition]] = {}
-    for trans in automaton.transitions:
-        outgoing.setdefault(trans.source, []).append(trans)
+    Map i holds, per location, the box of the valuations on entering it
+    after i transitions.  Maps are computed on first use and kept, so
+    checks that differ only in their goal (``model.alpha``) step the
+    abstraction once between them, and building a pass does no step work.
+    The list stops at an empty map, at a map that repeats an earlier one
+    (the next map depends only on the current one, so every later map
+    repeats a goal test that already failed), or at the depth.  The box of
+    each region is built once per pass, on first use.
+    """
 
-    # The boxes of the locations and transitions the walk reaches, each
-    # built once per call, on first use.
-    @cache
-    def inv_box(loc_id: int) -> Optional[_Box]:
-        return _box_from_region(automaton.location(loc_id).invariant, variables)
+    def __init__(self, problem: PlanningProblem) -> None:
+        self.domain = problem.domain
+        self.init = problem.init
+        self.depth = problem.depth
+        self.maps: List[Dict[int, Optional[_Box]]] = []
+        self._stopped = False
+        self._seen: set = set()
+        # Keyed by id; the region is kept alongside so the id stays its own.
+        self._boxes: Dict[int, Tuple[Polyhedron, Optional[_Box]]] = {}
+        self._exits: Dict[int, List[Tuple[Transition, Optional[_Box]]]] = {}
+        self._outgoing: Optional[Dict[int, List[Transition]]] = None
 
-    @cache
-    def exits(loc_id: int) -> List[Tuple[Transition, Optional[_Box]]]:
+    def region_box(self, region: Polyhedron) -> Optional[_Box]:
+        hit = self._boxes.get(id(region))
+        if hit is None:
+            hit = self._boxes[id(region)] = (
+                region, _box_from_region(region, self.domain.variables)
+            )
+        return hit[1]
+
+    def inv_box(self, loc_id: int) -> Optional[_Box]:
+        return self.region_box(self.domain.location(loc_id).invariant)
+
+    def exits(self, loc_id: int) -> List[Tuple[Transition, Optional[_Box]]]:
         """The outgoing transitions, each with its exit requirement
         inv(source) & guard."""
-        return [
-            (trans, _box_intersect(inv_box(loc_id), _box_from_region(trans.guard, variables)))
-            for trans in outgoing.get(loc_id, ())
-        ]
+        out = self._exits.get(loc_id)
+        if out is None:
+            if self._outgoing is None:
+                self._outgoing = {}
+                for trans in self.domain.transitions:
+                    self._outgoing.setdefault(trans.source, []).append(trans)
+            out = self._exits[loc_id] = [
+                (trans, _box_intersect(self.inv_box(loc_id), self.region_box(trans.guard)))
+                for trans in self._outgoing.get(loc_id, ())
+            ]
+        return out
 
-    goal_box = _box_intersect(
-        _box_from_region(problem.goal.region, variables), inv_box(goal_loc)
-    )
+    def map(self, step: int) -> Optional[Dict[int, Optional[_Box]]]:
+        """Map ``step``, computing the maps up to it on first use; None when
+        the list stops before it."""
+        while len(self.maps) <= step and not self._stopped:
+            self._extend()
+        return self.maps[step] if step < len(self.maps) else None
 
-    def goal_hit(entry: Optional[_Box]) -> bool:
-        if entry is None:
-            return False
-        # The goal is tested at the exit of a final dwell in the goal
-        # location.
-        loc = automaton.location(goal_loc)
-        exit_box = _box_dwell(entry, loc.rates, variables, inv_box(goal_loc))
-        return _box_intersect(exit_box, goal_box) is not None
+    def _extend(self) -> None:
+        if not self.maps:
+            init_loc, init_region = self.init
+            nxt = {init_loc: _box_intersect(self.region_box(init_region), self.inv_box(init_loc))}
+        else:
+            nxt = self._successor(self.maps[-1])
+            key = tuple(
+                (loc_id, tuple(box[v] for v in self.domain.variables))
+                for loc_id, box in sorted(nxt.items())
+            )
+            if not nxt or key in self._seen:
+                self._stopped = True
+                return
+            self._seen.add(key)
+        self.maps.append(nxt)
+        self._stopped = len(self.maps) > self.depth
 
-    current: Dict[int, Optional[_Box]] = {
-        init_loc: _box_intersect(
-            _box_from_region(init_region, variables), inv_box(init_loc)
-        )
-    }
-    if init_loc == goal_loc and goal_hit(current.get(init_loc)):
-        return False
-    # The next map depends only on the current one, so once a map repeats
-    # every later step repeats a goal test that already failed.
-    seen = set()
-    for _ in range(problem.depth):
+    def _successor(self, current: Dict[int, Optional[_Box]]) -> Dict[int, Optional[_Box]]:
+        """The map one transition after ``current``."""
+        variables = self.domain.variables
         nxt: Dict[int, Optional[_Box]] = {}
         for loc_id, entry in current.items():
             if entry is None:
                 continue
-            loc = automaton.location(loc_id)
-            for trans, exit_req in exits(loc_id):
+            loc = self.domain.location(loc_id)
+            for trans, exit_req in self.exits(loc_id):
                 exit_box = _box_dwell(entry, loc.rates, variables, exit_req)
                 if exit_box is None:
                     continue
@@ -464,22 +498,32 @@ def _interval_unreachable(problem: PlanningProblem) -> bool:
                         landed[var] = exit_box[var]
                     else:
                         landed[var] = (act.lower, act.upper)
-                landed2 = _box_intersect(landed, inv_box(trans.target))
+                landed2 = _box_intersect(landed, self.inv_box(trans.target))
                 if landed2 is None:
                     continue
                 nxt[trans.target] = _box_join(nxt.get(trans.target), landed2)
-        current = nxt
-        if not current:
-            break
-        if goal_hit(current.get(goal_loc)):
-            return False
-        key = tuple(
-            (loc_id, tuple(box[v] for v in variables))
-            for loc_id, box in sorted(current.items())
-        )
-        if key in seen:
-            return True
-        seen.add(key)
+        return nxt
+
+
+def _interval_unreachable(problem: PlanningProblem, box: BoxSteps) -> bool:
+    """True when the box abstraction proves no bounded run reaches the
+    goal; False is inconclusive.  ``box`` is a pass for ``problem``'s
+    automaton, init and depth; the goal is tested on each of its maps."""
+    automaton = problem.domain
+    goal_loc = problem.goal.location
+    rates = automaton.location(goal_loc).rates
+    goal_inv = box.inv_box(goal_loc)
+    goal_box = _box_intersect(box.region_box(problem.goal.region), goal_inv)
+    step = 0
+    while (current := box.map(step)) is not None:
+        entry = current.get(goal_loc)
+        # The goal is tested at the exit of a final dwell in the goal
+        # location.
+        if entry is not None:
+            exit_box = _box_dwell(entry, rates, automaton.variables, goal_inv)
+            if _box_intersect(exit_box, goal_box) is not None:
+                return False
+        step += 1
     return True
 
 
@@ -625,6 +669,7 @@ def bounded_reachable(
     problem: PlanningProblem,
     cap: int = DEFAULT_PATH_CAP,
     dump_dir: Optional[str] = None,
+    box: Optional[BoxSteps] = None,
 ) -> Verdict:
     """SAT iff some concrete path's LP is feasible; the first SAT path in
     enumeration order wins.
@@ -632,9 +677,15 @@ def bounded_reachable(
     Raises ResourceCapExceeded before solving more than ``cap`` paths.
     ``dump_dir`` writes, per checked path, the rows the solver decides as a
     plain-text listing; a verdict the box pre-analysis decides checks no
-    path and writes none.
+    path and writes none.  ``box`` is the box pass to share with other
+    checks of the same automaton, init and depth; without one the call
+    builds its own.
     """
-    if _interval_unreachable(problem):
+    if box is None:
+        box = BoxSteps(problem)
+    elif (problem.domain, problem.init, problem.depth) != (box.domain, box.init, box.depth):
+        raise ValueError("the box pass is for another automaton, init or depth")
+    if _interval_unreachable(problem, box):
         return Verdict(paths_checked=0)
 
     init_loc, _ = problem.init

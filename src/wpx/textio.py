@@ -23,8 +23,10 @@ Constraints are conjunctions of closed linear comparisons
 (``expr <= expr``, ``expr >= expr``, ``expr = expr``); strict comparisons
 are rejected with a dedicated message.  Repeated ``inv:`` and ``guard:``
 clauses are conjoined; a second ``init`` section, a second ``label:`` in
-one transition, or a second ``rate`` or ``reset`` for one variable in one
-block is a ParseError.  Rational literals may be integers, exact decimals
+one transition, a second ``rate`` or ``reset`` for one variable in one
+block, or a second declaration of one variable is a ParseError at the
+repeat, and a location without a rate for every variable is one at its
+``location`` keyword.  Rational literals may be integers, exact decimals
 (``1.25``) or fractions of integers (``7/2``) with a nonzero denominator.
 ``#`` starts a comment.
 """
@@ -310,6 +312,9 @@ def _parse_automaton(text: str) -> HybridAutomaton:
     labels: List[str] = []
     initial: Optional[Tuple[int, Polyhedron]] = None
     pending_transitions: List[Tuple[str, str, str, Polyhedron, Reset, int, int]] = []
+    # The ``location`` keyword of each location, where its missing rates
+    # are reported.
+    loc_toks: List[_Token] = []
 
     while p.peek().kind != "eof":
         word = _keyword(p)
@@ -318,9 +323,15 @@ def _parse_automaton(text: str) -> HybridAutomaton:
             while p.peek().kind == "name" and p.peek().text not in (
                 "vars", "location", "trans", "init"
             ):
-                variables.append(p.next().text)
+                var_tok = p.next()
+                if var_tok.text in variables:
+                    raise ParseError(
+                        "duplicate variable declaration %r" % var_tok.text,
+                        var_tok.line, var_tok.column,
+                    )
+                variables.append(var_tok.text)
         elif word == "location":
-            p.next()
+            loc_toks.append(p.next())
             name_tok = p.expect("name")
             if name_tok.text in loc_ids:
                 raise ParseError("duplicate location %r" % name_tok.text, name_tok.line, name_tok.column)
@@ -416,6 +427,16 @@ def _parse_automaton(text: str) -> HybridAutomaton:
             )
         )
 
+    # Variables may be declared after a location, so its rates are checked
+    # once every declaration is read.
+    for loc, tok in zip(locations, loc_toks):
+        for var in variables:
+            if loc.rates.interval(var) is None:
+                raise ParseError(
+                    "location %s missing rate interval for variable %r" % (loc.name, var),
+                    tok.line, tok.column,
+                )
+
     automaton = HybridAutomaton(
         locations=tuple(locations),
         variables=tuple(variables),
@@ -425,7 +446,7 @@ def _parse_automaton(text: str) -> HybridAutomaton:
     )
     violations = validate_model(automaton)
     if violations:
-        raise ParseError("; ".join(violations), 1, 1)
+        raise ParseError("; ".join(violations))
     return automaton
 
 

@@ -2,6 +2,7 @@ import os
 
 import pytest
 
+import wpx.reach as reach
 from wpx.cli import _load
 
 BENCH_ROOT = os.path.join(
@@ -14,6 +15,13 @@ def load_benchmark(dirname: str, probname: str, depth=None):
     """Parse a bundled benchmark problem, optionally overriding the depth."""
     problem, _name = _load(os.path.join(BENCH_ROOT, dirname, probname), depth=depth)
     return problem
+
+
+def box_off(monkeypatch):
+    """Turn the box pre-analysis off for the rest of ``monkeypatch``'s
+    scope (the LP regime): every check enumerates and solves its concrete
+    paths."""
+    monkeypatch.setattr(reach, "_interval_unreachable", lambda problem, box: False)
 
 
 def benchmark_problems():

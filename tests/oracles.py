@@ -11,6 +11,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from wpx.graph import LcsResult, LocationGraph, PathSet, ResourceCapExceeded
@@ -28,7 +29,18 @@ from wpx.model import (
     ResetKind,
     Transition,
 )
-from wpx.reach import ConcretePath, _dwell, _solve_rows, _var_in, _var_out
+from wpx.reach import (
+    ConcretePath,
+    _box_dwell,
+    _box_from_region,
+    _box_intersect,
+    _box_join,
+    _Box,
+    _dwell,
+    _solve_rows,
+    _var_in,
+    _var_out,
+)
 from wpx.textio import format_rational
 
 
@@ -936,6 +948,97 @@ def recursive_concrete_paths(
     for length in range(depth + 1):
         if dist.get(source, missing) <= length:
             yield from exact([source], [], length)
+
+
+# --- per-check box pre-analysis ------------------------------------------
+
+
+def per_check_box_unreachable(problem: PlanningProblem) -> bool:
+    """True when the box abstraction proves no bounded run reaches the
+    goal; False is inconclusive.  The box pre-analysis as one check ran it
+    before ``wpx.reach.BoxSteps`` shared the step maps between checks:
+    every box and every map is rebuilt in each call."""
+    automaton = problem.domain
+    variables = automaton.variables
+    init_loc, init_region = problem.init
+    goal_loc = problem.goal.location
+
+    outgoing: Dict[int, List[Transition]] = {}
+    for trans in automaton.transitions:
+        outgoing.setdefault(trans.source, []).append(trans)
+
+    # The boxes of the locations and transitions the walk reaches, each
+    # built once per call, on first use.
+    @cache
+    def inv_box(loc_id: int) -> Optional[_Box]:
+        return _box_from_region(automaton.location(loc_id).invariant, variables)
+
+    @cache
+    def exits(loc_id: int) -> List[Tuple[Transition, Optional[_Box]]]:
+        """The outgoing transitions, each with its exit requirement
+        inv(source) & guard."""
+        return [
+            (trans, _box_intersect(inv_box(loc_id), _box_from_region(trans.guard, variables)))
+            for trans in outgoing.get(loc_id, ())
+        ]
+
+    goal_box = _box_intersect(
+        _box_from_region(problem.goal.region, variables), inv_box(goal_loc)
+    )
+
+    def goal_hit(entry: Optional[_Box]) -> bool:
+        if entry is None:
+            return False
+        # The goal is tested at the exit of a final dwell in the goal
+        # location.
+        loc = automaton.location(goal_loc)
+        exit_box = _box_dwell(entry, loc.rates, variables, inv_box(goal_loc))
+        return _box_intersect(exit_box, goal_box) is not None
+
+    current: Dict[int, Optional[_Box]] = {
+        init_loc: _box_intersect(
+            _box_from_region(init_region, variables), inv_box(init_loc)
+        )
+    }
+    if init_loc == goal_loc and goal_hit(current.get(init_loc)):
+        return False
+    # The next map depends only on the current one, so once a map repeats
+    # every later step repeats a goal test that already failed.
+    seen = set()
+    for _ in range(problem.depth):
+        nxt: Dict[int, Optional[_Box]] = {}
+        for loc_id, entry in current.items():
+            if entry is None:
+                continue
+            loc = automaton.location(loc_id)
+            for trans, exit_req in exits(loc_id):
+                exit_box = _box_dwell(entry, loc.rates, variables, exit_req)
+                if exit_box is None:
+                    continue
+                landed: _Box = {}
+                for var in variables:
+                    act = trans.reset.action(var)
+                    if act.kind is ResetKind.KEEP:
+                        landed[var] = exit_box[var]
+                    else:
+                        landed[var] = (act.lower, act.upper)
+                landed2 = _box_intersect(landed, inv_box(trans.target))
+                if landed2 is None:
+                    continue
+                nxt[trans.target] = _box_join(nxt.get(trans.target), landed2)
+        current = nxt
+        if not current:
+            break
+        if goal_hit(current.get(goal_loc)):
+            return False
+        key = tuple(
+            (loc_id, tuple(box[v] for v in variables))
+            for loc_id, box in sorted(current.items())
+        )
+        if key in seen:
+            return True
+        seen.add(key)
+    return True
 
 
 def graph_from_succ(succ: Dict[int, List[int]]) -> LocationGraph:

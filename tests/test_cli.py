@@ -212,6 +212,29 @@ def test_repeated_model_clause_is_an_input_error(capsys, tmp_path):
     assert "m.lha: line 7, column 21: repeated rate for variable 'x'" in err
 
 
+@pytest.mark.parametrize(
+    "old,new,want",
+    [
+        ("vars x t", "vars x t x", "line 3, column 10: duplicate variable declaration 'x'"),
+        ("rate x in [2, 2];\n  rate t in [1, 1];\n}\n\nlocation l2",
+         "rate x in [2, 2];\n}\n\nlocation l2",
+         "line 5, column 1: location l1 missing rate interval for variable 't'"),
+    ],
+    ids=["duplicate-var", "missing-rate"],
+)
+def test_model_validation_error_names_its_position(capsys, tmp_path, old, new, want):
+    with open(bench("wlm", "wlm.lha"), encoding="utf-8") as fh:
+        text = fh.read()
+    assert text.count(old) == 1
+    model = tmp_path / "m.lha"
+    model.write_text(text.replace(old, new))
+    prob = tmp_path / "p.prob"
+    prob.write_text("model %s\ngoal l6\ndepth 20\n" % model)
+    code, out, err = run(capsys, "explain", "--problem", str(prob))
+    assert code == EXIT_INPUT and out == ""
+    assert err == "input error: %s: %s\n" % (model, want)
+
+
 def test_model_line_may_end_in_a_comment(capsys, tmp_path):
     prob = tmp_path / "p.prob"
     prob.write_text("model %s  # the model\ngoal l6\ndepth 20\n" % bench("wlm", "wlm.lha"))

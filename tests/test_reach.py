@@ -1,5 +1,6 @@
 """Path-oriented reachability: encoding, exact feasibility, witnesses."""
 
+import dataclasses
 import itertools
 import os
 import random
@@ -8,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import wpx.reach as reach
-from conftest import load_benchmark
+from conftest import box_off, load_benchmark
 from oracles import (
     LpProblem,
     fm_feasible,
@@ -16,6 +17,7 @@ from oracles import (
     full_encode_path,
     lp_feasible,
     lp_rows,
+    per_check_box_unreachable,
     random_automaton,
     random_lp,
     recursive_concrete_paths,
@@ -28,6 +30,7 @@ from wpx.model import (
     PlanningProblem,
     Polyhedron,
     Relation,
+    alpha,
     check_witness,
 )
 from wpx.cli import EXIT_INTERNAL, EXIT_OK, main
@@ -344,12 +347,12 @@ def test_interval_preanalysis_agrees_with_enumeration(monkeypatch):
             depth=rng.randint(0, 4),
         )
         with monkeypatch.context() as m:
-            m.setattr(reach, "_interval_unreachable", lambda p: False)
+            box_off(m)
             exact = bounded_reachable(problem).status
         fast = bounded_reachable(problem).status
         assert fast == exact
         checked += 1
-        if fast == "UNSAT" and reach._interval_unreachable(problem):
+        if fast == "UNSAT" and reach._interval_unreachable(problem, reach.BoxSteps(problem)):
             unsat_boxes += 1
     assert checked == 250
     assert unsat_boxes > 0  # the pre-analysis actually fires sometimes
@@ -380,7 +383,7 @@ def test_box_unsat_verdicts_agree_with_the_lp_regime(
 ):
     problem = load_benchmark(dirname, probname)
     default = explain(problem)
-    monkeypatch.setattr(reach, "_interval_unreachable", lambda p: False)
+    box_off(monkeypatch)
     lp = explain(problem)
     assert [(v.location_name, v.status) for v in lp.verdicts] == [
         (v.location_name, v.status) for v in default.verdicts
@@ -410,6 +413,110 @@ def test_box_preanalysis_stops_when_its_state_repeats(monkeypatch):
         outcomes.append((len(calls), report.explanation_name, report.verdicts))
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][1] == "l28"
+
+
+def test_shared_box_pass_agrees_with_the_per_check_reference():
+    # One pass per draw decides every location's alpha sub-problem and the
+    # exact goal, in shuffled order, as the per-check analysis does.
+    rng = random.Random(1212)
+    checks = unsat = 0
+    for _ in range(1000):
+        automaton = random_automaton(rng)
+        n = len(automaton.locations)
+        region = Polyhedron()
+        if rng.random() < 0.6:
+            # y >= k, against a resource that the draw may drain
+            need = LinearExpression.build({"y": -1}, rng.randint(-2, 6))
+            region = Polyhedron((LinearConstraint(need, Relation.LE),))
+        problem = PlanningProblem(
+            domain=automaton,
+            init=automaton.initial,
+            goal=GoalSpec(location=rng.randrange(n), region=region),
+            depth=rng.randint(0, 8),
+        )
+        subproblems = [alpha(problem, loc) for loc in range(n)] + [problem]
+        rng.shuffle(subproblems)
+        box = reach.BoxSteps(problem)
+        assert box.maps == []  # building the pass does no step work
+        for sub in subproblems:
+            want = per_check_box_unreachable(sub)
+            assert reach._interval_unreachable(sub, box) == want
+            checks += 1
+            unsat += want
+        # The list stops at the depth and at the first repeated map.
+        assert len(box.maps) <= problem.depth + 1
+        keys = [
+            tuple((loc, tuple(b[v] for v in automaton.variables)) for loc, b in sorted(m.items()))
+            for m in box.maps[1:]
+        ]
+        assert len(set(keys)) == len(keys)
+    assert checks > 3000 and unsat > 1000
+
+
+def test_shared_box_pass_at_step_zero_and_depth_zero():
+    # init location == goal location: the goal is hit before any step.
+    problem = hop_problem(goal="a", depth=2)
+    box = reach.BoxSteps(problem)
+    assert not reach._interval_unreachable(problem, box)
+    assert len(box.maps) == 1
+    # Depth 0 with the goal elsewhere: only the init map is ever built.
+    problem = hop_problem(goal="b", depth=0)
+    box = reach.BoxSteps(problem)
+    assert reach._interval_unreachable(problem, box)
+    assert len(box.maps) == 1 and box.map(1) is None
+
+
+def test_shared_box_pass_stops_on_an_empty_map():
+    # b has no outgoing transition, so the map after b's is empty and the
+    # list ends there, well before the depth.
+    problem = hop_problem(goal="b", depth=9, goal_region="{ x >= 100 }")
+    box = reach.BoxSteps(problem)
+    assert reach._interval_unreachable(problem, box)
+    assert [sorted(m) for m in box.maps] == [[0], [1]]
+    assert box.map(2) is None
+    assert not reach._interval_unreachable(alpha(problem, 1), box)
+    assert len(box.maps) == 2
+
+
+def test_bounded_reachable_rejects_a_box_pass_of_another_problem():
+    problem = hop_problem(depth=2)
+    box = reach.BoxSteps(problem)
+    assert bounded_reachable(alpha(problem, 0), box=box).is_sat
+    for other in (
+        dataclasses.replace(problem, depth=3),
+        dataclasses.replace(problem, init=(1, Polyhedron())),
+    ):
+        with pytest.raises(ValueError, match="box pass"):
+            bounded_reachable(other, box=box)
+
+
+def test_one_explain_builds_each_box_once(monkeypatch):
+    # On wa10x10 d12 the 11 checks of one explain share one box pass: each
+    # invariant and guard box is built once, and the step maps are stepped
+    # once between all of them.
+    problem = load_benchmark("wa10x10", "depth12.prob")
+    dwell, from_region = reach._box_dwell, reach._box_from_region
+    dwells = []
+    regions = []
+
+    def counted_dwell(*args):
+        dwells.append(1)
+        return dwell(*args)
+
+    def counted_from_region(region, variables):
+        regions.append(region)
+        return from_region(region, variables)
+
+    monkeypatch.setattr(reach, "_box_dwell", counted_dwell)
+    monkeypatch.setattr(reach, "_box_from_region", counted_from_region)
+    report = explain(problem)
+    assert (report.explanation_name, len(report.verdicts)) == ("l63", 11)
+    assert len(dwells) == 250
+    automaton = problem.domain
+    shared = [loc.invariant for loc in automaton.locations]
+    shared += [t.guard for t in automaton.transitions]
+    for region in shared:
+        assert sum(1 for r in regions if r is region) <= 1
 
 
 def test_dump_lp_writes_one_file_per_path(tmp_path):
@@ -531,7 +638,7 @@ def test_dump_lp_lists_the_rows_the_solver_decides(monkeypatch, tmp_path):
         encoded.append(rows)
         return rows, points
 
-    monkeypatch.setattr(reach, "_interval_unreachable", lambda p: False)
+    box_off(monkeypatch)
     monkeypatch.setattr(reach, "encode_path", encode)
     verdict = bounded_reachable(problem, dump_dir=str(tmp_path))
     assert not verdict.is_sat and verdict.paths_checked == len(encoded) > 1

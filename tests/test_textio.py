@@ -105,6 +105,31 @@ def test_model_rejects_repeated_clause(old, new, where, message):
     assert str(err.value) == "m.lha: line %d, column %d: %s" % (where + (message,))
 
 
+@pytest.mark.parametrize(
+    "old,new,where,message",
+    [
+        ("vars x t", "vars x t x", (3, 10), "duplicate variable declaration 'x'"),
+        ("rate x in [-1/2, 0];\n  rate t in [1, 1];", "rate x in [-1/2, 0];", (9, 1),
+         "location b missing rate interval for variable 't'"),
+    ],
+    ids=["duplicate-var", "missing-rate"],
+)
+def test_model_validation_errors_point_at_their_cause(old, new, where, message):
+    assert MINI.count(old) == 1
+    with pytest.raises(ParseError) as err:
+        parse_model(MINI.replace(old, new), "m.lha")
+    assert (err.value.line, err.value.column) == where
+    assert str(err.value) == "m.lha: line %d, column %d: %s" % (where + (message,))
+
+
+def test_other_model_violations_print_no_position():
+    with pytest.raises(ParseError) as err:
+        parse_model(MINI.replace("rate x in [1, 2];", "rate x in [1, 2]; rate z in [0, 0];"),
+                    "m.lha")
+    assert err.value.line is None
+    assert str(err.value) == "m.lha: location a rate for undeclared variable 'z'"
+
+
 def test_repeated_inv_and_guard_clauses_are_conjoined():
     one = MINI.replace("guard: 2*x - t >= 1;", "guard: 2*x - t >= 1; x <= 9;")
     split = MINI.replace("inv: x >= 0; x <= 10;", "inv: x >= 0;\n  inv: x <= 10;").replace(
