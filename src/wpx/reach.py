@@ -90,8 +90,10 @@ def enumerate_concrete_paths(
     automaton: HybridAutomaton, source: int, goal_loc: int, depth: int
 ) -> Iterator[ConcretePath]:
     """Every transition-level walk of length <= depth from source to
-    goal_loc, BFS by length with transition-id tie-break (which refines the
-    location-id order because transitions are declared per edge)."""
+    goal_loc, BFS by length with transition-id tie-break.  Transition ids
+    follow declaration order, not location ids: with ``trans a -> c``
+    declared before ``trans a -> b``, the walk through c comes first, where
+    ``graph.iter_walks`` lists the one through b first."""
     succ: Dict[int, List[Tuple[int, int]]] = {}
     for t in automaton.transitions:
         succ.setdefault(t.source, []).append((t.id, t.target))
@@ -347,6 +349,7 @@ def _box_dwell(
     dwell interval."""
     if exit_box is None:
         return None
+    intervals = dict(rates.intervals)
     t_lo = Fraction(0)
     t_hi: Optional[Rational] = None
 
@@ -365,7 +368,7 @@ def _box_dwell(
         return True
 
     for var in variables:
-        iv = rates.interval(var)
+        iv = intervals.get(var)
         if iv is None:
             continue
         a_lo, a_hi = entry[var]
@@ -382,7 +385,7 @@ def _box_dwell(
 
     out: _Box = {}
     for var in variables:
-        iv = rates.interval(var)
+        iv = intervals.get(var)
         if iv is None:
             out[var] = entry[var]
             continue

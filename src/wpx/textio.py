@@ -26,9 +26,13 @@ clauses are conjoined; a second ``init`` section, a second ``label:`` in
 one transition, a second ``rate`` or ``reset`` for one variable in one
 block, or a second declaration of one variable is a ParseError at the
 repeat, and a location without a rate for every variable is one at its
-``location`` keyword.  Rational literals may be integers, exact decimals
-(``1.25``) or fractions of integers (``7/2``) with a nonzero denominator.
-``#`` starts a comment.
+``location`` keyword.  The clause words ``inv``, ``rate``, ``label``,
+``guard`` and ``reset`` cannot name a variable.  Rational literals may be
+integers, exact decimals (``1.25``) or fractions of integers (``7/2``) with
+a nonzero denominator.  ``#`` starts a comment.
+
+Tokens carry their offset in the text; an error's line and column are
+computed from that offset only when the error is raised.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from .model import (
     GoalSpec,
@@ -102,60 +106,55 @@ class ProblemDocument:
 
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>[ \t\r]+)
-    | (?P<comment>\#[^\n]*)
-    | (?P<newline>\n)
+      (?P<skip>(?:[ \t\r\n]+|\#[^\n]*)+)
     | (?P<number>\d+(?:\.\d+)?(?:/\d+)?)
     | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<arrow>->)
-    | (?P<strict_ne>!=|<(?!=)|>(?!=))
+    | (?P<strict>!=|<(?!=)|>(?!=))
     | (?P<op><=|>=|=|\{|\}|\[|\]|\(|\)|,|;|:|\+|-|\*)
+    | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
+# The words that open a clause inside a ``location`` or ``trans`` block; a
+# constraint list stops before one, so none can name a variable.
+_CLAUSE_WORDS = frozenset(("inv", "rate", "label", "guard", "reset"))
 
-@dataclass(frozen=True)
-class _Token:
+
+class _Token(NamedTuple):
     kind: str
     text: str
-    line: int
-    column: int
-
-
-def _tokenize(text: str) -> List[_Token]:
-    tokens: List[_Token] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError("unexpected character %r" % text[pos], line, col)
-        kind = m.lastgroup or ""
-        value = m.group()
-        if kind == "newline":
-            line += 1
-            col = 1
-        else:
-            if kind == "strict_ne":
-                raise ParseError(
-                    "strict comparison %r is not supported; only closed constraints "
-                    "(<=, >=, =) are accepted" % value,
-                    line,
-                    col,
-                )
-            if kind not in ("ws", "comment"):
-                tokens.append(_Token(kind if kind != "op" else value, value, line, col))
-            col += len(value)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
-    return tokens
+    offset: int
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.tokens: List[_Token] = []
+        for m in _TOKEN_RE.finditer(text):
+            kind, value = m.lastgroup, m.group()
+            if kind == "skip":
+                continue
+            if kind == "bad":
+                raise self.error("unexpected character %r" % value, m.start())
+            if kind == "strict":
+                raise self.error(
+                    "strict comparison %r is not supported; only closed constraints "
+                    "(<=, >=, =) are accepted" % value,
+                    m.start(),
+                )
+            self.tokens.append(_Token(value if kind == "op" else kind, value, m.start()))
+        self.tokens.append(_Token("eof", "", len(text)))
         self.index = 0
+
+    def error(self, message: str, at: Union[_Token, int, None] = None) -> ParseError:
+        """A ParseError at token or offset ``at`` (the next token if None)."""
+        if at is None:
+            at = self.peek()
+        offset = at.offset if isinstance(at, _Token) else at
+        line_start = self.text.rfind("\n", 0, offset) + 1
+        return ParseError(message, self.text.count("\n", 0, offset) + 1, offset - line_start + 1)
 
     def peek(self) -> _Token:
         return self.tokens[self.index]
@@ -165,14 +164,10 @@ class _Parser:
         self.index += 1
         return tok
 
-    def fail(self, message: str) -> "ParseError":
-        tok = self.peek()
-        return ParseError(message, tok.line, tok.column)
-
     def expect(self, kind: str) -> _Token:
         tok = self.peek()
         if tok.kind != kind:
-            raise self.fail("expected %r, found %r" % (kind, tok.text or "end of input"))
+            raise self.error("expected %r, found %r" % (kind, tok.text or "end of input"))
         return self.next()
 
     def accept(self, kind: str) -> Optional[_Token]:
@@ -186,7 +181,7 @@ class _Parser:
         try:
             return Fraction(tok.text)
         except (ValueError, ZeroDivisionError):
-            raise ParseError("malformed number %r" % tok.text, tok.line, tok.column)
+            raise self.error("malformed number %r" % tok.text, tok)
 
     # --- rationals and linear expressions -------------------------------
 
@@ -202,36 +197,29 @@ class _Parser:
         return sign * self.number()
 
     def parse_linear_expression(self) -> LinearExpression:
+        """Terms ``[sign] number``, ``[sign] number * name`` or ``[sign]
+        name``; every term after the first has its sign."""
         coeffs: Dict[str, Rational] = {}
         constant = Fraction(0)
-        first = True
         while True:
-            tok = self.peek()
-            if first:
-                sign = Fraction(1)
-                if tok.kind in ("+", "-"):
-                    sign = Fraction(-1) if tok.kind == "-" else Fraction(1)
-                    self.next()
-            else:
-                if tok.kind not in ("+", "-"):
-                    break
-                sign = Fraction(-1) if tok.kind == "-" else Fraction(1)
-                self.next()
-            first = False
+            sign = -1 if self.accept("-") else 1
+            if sign == 1:
+                self.accept("+")
             tok = self.peek()
             if tok.kind == "number":
-                value = self.number()
+                value = sign * self.number()
                 if self.accept("*"):
                     var = self.expect("name").text
-                    coeffs[var] = coeffs.get(var, Fraction(0)) + sign * value
+                    coeffs[var] = coeffs.get(var, 0) + value
                 else:
-                    constant += sign * value
+                    constant += value
             elif tok.kind == "name":
                 var = self.next().text
-                coeffs[var] = coeffs.get(var, Fraction(0)) + sign
+                coeffs[var] = coeffs.get(var, 0) + sign
             else:
-                raise self.fail("expected a number or variable")
-        return LinearExpression.build(coeffs, constant)
+                raise self.error("expected a number or variable")
+            if self.peek().kind not in ("+", "-"):
+                return LinearExpression.build(coeffs, constant)
 
     def parse_constraint(self) -> LinearConstraint:
         left = self.parse_linear_expression()
@@ -243,7 +231,7 @@ class _Parser:
         elif tok.kind == "=":
             relation = Relation.EQ
         else:
-            raise self.fail("expected a relation (<=, >=, =)")
+            raise self.error("expected a relation (<=, >=, =)")
         self.next()
         right = self.parse_linear_expression()
         coeffs = dict(left.coefficients)
@@ -253,17 +241,24 @@ class _Parser:
         return LinearConstraint(expr, relation)
 
     def parse_constraint_list(self) -> List[LinearConstraint]:
-        """Semicolon-separated constraints, stopping before '}' or a keyword."""
+        """Semicolon-separated constraints, stopping before '}', the end or
+        a clause word."""
         out: List[LinearConstraint] = []
         while True:
             out.append(self.parse_constraint())
             if not self.accept(";"):
                 break
-            if self.peek().kind in ("}", "eof"):
-                break
-            if self.peek().kind == "name" and self.peek().text in ("rate", "inv", "label", "guard", "reset"):
+            tok = self.peek()
+            if tok.kind in ("}", "eof") or (tok.kind == "name" and tok.text in _CLAUSE_WORDS):
                 break
         return out
+
+    def parse_block(self) -> Polyhedron:
+        """``{ constraint; ... }``, possibly empty."""
+        self.expect("{")
+        constraints = [] if self.peek().kind == "}" else self.parse_constraint_list()
+        self.expect("}")
+        return Polyhedron(tuple(constraints))
 
     def parse_interval(self) -> Tuple[Rational, Rational]:
         self.expect("[")
@@ -280,20 +275,11 @@ class _Parser:
         var = self.expect("name").text
         in_tok = self.expect("name")
         if in_tok.text != "in":
-            raise ParseError("expected 'in'", in_tok.line, in_tok.column)
+            raise self.error("expected 'in'", in_tok)
         if var in into:
-            raise ParseError(
-                "repeated %s for variable %r" % (clause.text, var), clause.line, clause.column
-            )
+            raise self.error("repeated %s for variable %r" % (clause.text, var), clause)
         into[var] = self.parse_interval()
         self.accept(";")
-
-
-def _keyword(parser: _Parser) -> Optional[str]:
-    tok = parser.peek()
-    if tok.kind == "name":
-        return tok.text
-    return None
 
 
 def parse_model(text: str, source: str = "<string>") -> HybridAutomaton:
@@ -311,35 +297,34 @@ def _parse_automaton(text: str) -> HybridAutomaton:
     transitions: List[Transition] = []
     labels: List[str] = []
     initial: Optional[Tuple[int, Polyhedron]] = None
-    pending_transitions: List[Tuple[str, str, str, Polyhedron, Reset, int, int]] = []
+    pending_transitions: List[Tuple[_Token, str, str, Polyhedron, Reset]] = []
     # The ``location`` keyword of each location, where its missing rates
     # are reported.
     loc_toks: List[_Token] = []
 
     while p.peek().kind != "eof":
-        word = _keyword(p)
+        tok = p.next()
+        word = tok.text
         if word == "vars":
-            p.next()
             while p.peek().kind == "name" and p.peek().text not in (
                 "vars", "location", "trans", "init"
             ):
                 var_tok = p.next()
+                if var_tok.text in _CLAUSE_WORDS:
+                    raise p.error("reserved word %r cannot name a variable" % var_tok.text, var_tok)
                 if var_tok.text in variables:
-                    raise ParseError(
-                        "duplicate variable declaration %r" % var_tok.text,
-                        var_tok.line, var_tok.column,
-                    )
+                    raise p.error("duplicate variable declaration %r" % var_tok.text, var_tok)
                 variables.append(var_tok.text)
         elif word == "location":
-            loc_toks.append(p.next())
+            loc_toks.append(tok)
             name_tok = p.expect("name")
             if name_tok.text in loc_ids:
-                raise ParseError("duplicate location %r" % name_tok.text, name_tok.line, name_tok.column)
+                raise p.error("duplicate location %r" % name_tok.text, name_tok)
             p.expect("{")
             inv_constraints: List[LinearConstraint] = []
             rates: Dict[str, Tuple[Rational, Rational]] = {}
             while not p.accept("}"):
-                inner = _keyword(p)
+                inner = p.peek().text
                 if inner == "inv":
                     p.next()
                     p.expect(":")
@@ -347,7 +332,7 @@ def _parse_automaton(text: str) -> HybridAutomaton:
                 elif inner == "rate":
                     p.parse_interval_clause(rates)
                 else:
-                    raise p.fail("expected 'inv', 'rate' or '}'")
+                    raise p.error("expected 'inv', 'rate' or '}'")
             loc_ids[name_tok.text] = len(locations)
             locations.append(
                 Location(
@@ -358,19 +343,18 @@ def _parse_automaton(text: str) -> HybridAutomaton:
                 )
             )
         elif word == "trans":
-            p.next()
             src_tok = p.expect("name")
             p.expect("arrow")
-            dst_tok = p.expect("name")
+            dst = p.expect("name").text
             p.expect("{")
             label: Optional[str] = None
             guard_constraints: List[LinearConstraint] = []
             resets: Dict[str, Tuple[Rational, Rational]] = {}
             while not p.accept("}"):
-                inner = _keyword(p)
+                inner = p.peek().text
                 if inner == "label":
                     if label is not None:
-                        raise p.fail("repeated 'label' clause")
+                        raise p.error("repeated 'label' clause")
                     p.next()
                     p.expect(":")
                     label = p.expect("name").text
@@ -382,44 +366,36 @@ def _parse_automaton(text: str) -> HybridAutomaton:
                 elif inner == "reset":
                     p.parse_interval_clause(resets)
                 else:
-                    raise p.fail("expected 'label', 'guard', 'reset' or '}'")
+                    raise p.error("expected 'label', 'guard', 'reset' or '}'")
             if label is None:
                 label = "act"
             pending_transitions.append(
-                (src_tok.text, dst_tok.text, label,
-                 Polyhedron(tuple(guard_constraints)), Reset.build(resets),
-                 src_tok.line, src_tok.column)
+                (src_tok, dst, label, Polyhedron(tuple(guard_constraints)), Reset.build(resets))
             )
             if label not in labels:
                 labels.append(label)
         elif word == "init":
             if initial is not None:
-                raise p.fail("repeated 'init' section")
-            p.next()
+                raise p.error("repeated 'init' section", tok)
             name_tok = p.expect("name")
-            init_constraints: List[LinearConstraint] = []
-            p.expect("{")
-            if p.peek().kind != "}":
-                init_constraints.extend(p.parse_constraint_list())
-            p.expect("}")
+            region = p.parse_block()
             if name_tok.text not in loc_ids:
-                raise ParseError("unknown initial location %r" % name_tok.text, name_tok.line, name_tok.column)
-            initial = (loc_ids[name_tok.text], Polyhedron(tuple(init_constraints)))
+                raise p.error("unknown initial location %r" % name_tok.text, name_tok)
+            initial = (loc_ids[name_tok.text], region)
         else:
-            raise p.fail("expected 'vars', 'location', 'trans' or 'init'")
+            raise p.error("expected 'vars', 'location', 'trans' or 'init'", tok)
 
     if initial is None:
-        raise ParseError("missing 'init' section", p.peek().line, p.peek().column)
+        raise p.error("missing 'init' section")
 
-    for src, dst, label, guard, reset, line, col in pending_transitions:
-        if src not in loc_ids:
-            raise ParseError("unknown location %r in transition" % src, line, col)
-        if dst not in loc_ids:
-            raise ParseError("unknown location %r in transition" % dst, line, col)
+    for src_tok, dst, label, guard, reset in pending_transitions:
+        for name in (src_tok.text, dst):
+            if name not in loc_ids:
+                raise p.error("unknown location %r in transition" % name, src_tok)
         transitions.append(
             Transition(
                 id=len(transitions),
-                source=loc_ids[src],
+                source=loc_ids[src_tok.text],
                 target=loc_ids[dst],
                 label=label,
                 guard=guard,
@@ -432,9 +408,8 @@ def _parse_automaton(text: str) -> HybridAutomaton:
     for loc, tok in zip(locations, loc_toks):
         for var in variables:
             if loc.rates.interval(var) is None:
-                raise ParseError(
-                    "location %s missing rate interval for variable %r" % (loc.name, var),
-                    tok.line, tok.column,
+                raise p.error(
+                    "location %s missing rate interval for variable %r" % (loc.name, var), tok
                 )
 
     automaton = HybridAutomaton(
@@ -488,62 +463,46 @@ def _parse_problem(text: str, automaton: HybridAutomaton) -> PlanningProblem:
     goal: Optional[GoalSpec] = None
     depth: Optional[int] = None
 
-    def resolve(name_tok: _Token) -> int:
+    def located(section: str, name_tok: _Token, region: Polyhedron) -> Tuple[int, Polyhedron]:
+        """The id of the location ``name_tok`` names, and ``region``, whose
+        variables the automaton must declare."""
         loc = automaton.location_by_name(name_tok.text)
         if loc is None:
-            raise ParseError("unknown location %r" % name_tok.text, name_tok.line, name_tok.column)
-        return loc.id
-
-    def region(section: str, name_tok: _Token, constraints: List[LinearConstraint]) -> Polyhedron:
-        poly = Polyhedron(tuple(constraints))
-        for v in poly.variables():
+            raise p.error("unknown location %r" % name_tok.text, name_tok)
+        for v in region.variables():
             if v not in automaton.variables:
-                raise ParseError(
-                    "%s region references undeclared variable %r" % (section, v),
-                    name_tok.line, name_tok.column,
+                raise p.error(
+                    "%s region references undeclared variable %r" % (section, v), name_tok
                 )
-        return poly
+        return loc.id, region
 
     seen: Set[str] = set()
     while p.peek().kind != "eof":
-        word = _keyword(p)
+        tok = p.next()
+        word = tok.text
         if word in seen:
-            raise p.fail("repeated %r section" % word)
+            raise p.error("repeated %r section" % word, tok)
         seen.add(word)
         if word == "init":
-            p.next()
             name_tok = p.expect("name")
-            constraints: List[LinearConstraint] = []
-            p.expect("{")
-            if p.peek().kind != "}":
-                constraints.extend(p.parse_constraint_list())
-            p.expect("}")
-            init = (resolve(name_tok), region("init", name_tok, constraints))
+            init = located("init", name_tok, p.parse_block())
         elif word == "goal":
-            p.next()
             name_tok = p.expect("name")
-            constraints = []
-            if p.accept("{"):
-                if p.peek().kind != "}":
-                    constraints.extend(p.parse_constraint_list())
-                p.expect("}")
-            goal = GoalSpec(
-                location=resolve(name_tok), region=region("goal", name_tok, constraints)
-            )
+            region = p.parse_block() if p.peek().kind == "{" else Polyhedron(())
+            goal = GoalSpec(*located("goal", name_tok, region))
         elif word == "depth":
-            p.next()
-            tok = p.expect("number")
+            depth_tok = p.expect("number")
             try:
-                depth = int(tok.text)
+                depth = int(depth_tok.text)
             except ValueError:
-                raise ParseError("depth must be a non-negative integer", tok.line, tok.column)
+                raise p.error("depth must be a non-negative integer", depth_tok)
         else:
-            raise p.fail("expected 'model', 'init', 'goal' or 'depth'")
+            raise p.error("expected 'model', 'init', 'goal' or 'depth'", tok)
 
     if goal is None:
-        raise ParseError("missing 'goal' section", p.peek().line, p.peek().column)
+        raise p.error("missing 'goal' section")
     if depth is None:
-        raise ParseError("missing 'depth' section", p.peek().line, p.peek().column)
+        raise p.error("missing 'depth' section")
     return PlanningProblem(domain=automaton, init=init, goal=goal, depth=depth)
 
 

@@ -219,8 +219,9 @@ def test_repeated_model_clause_is_an_input_error(capsys, tmp_path):
         ("rate x in [2, 2];\n  rate t in [1, 1];\n}\n\nlocation l2",
          "rate x in [2, 2];\n}\n\nlocation l2",
          "line 5, column 1: location l1 missing rate interval for variable 't'"),
+        ("vars x t", "vars x t rate", "line 3, column 10: reserved word 'rate' cannot name a variable"),
     ],
-    ids=["duplicate-var", "missing-rate"],
+    ids=["duplicate-var", "missing-rate", "clause-word"],
 )
 def test_model_validation_error_names_its_position(capsys, tmp_path, old, new, want):
     with open(bench("wlm", "wlm.lha"), encoding="utf-8") as fh:

@@ -2,12 +2,13 @@
 
 import json
 import os
+import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import BENCH_ROOT, benchmark_problems, load_benchmark
-from oracles import serialize_model
+from oracles import random_automaton, serialize_model
 from wpx.explain import explain
 from wpx.model import Relation, validate_model
 from wpx.textio import (
@@ -37,6 +38,8 @@ trans a -> b {
 }
 init a { x = 1.5; t = 0; }
 """
+
+STRICT = "strict comparison %r is not supported; only closed constraints (<=, >=, =) are accepted"
 
 
 def test_parse_minimal_model():
@@ -111,8 +114,26 @@ def test_model_rejects_repeated_clause(old, new, where, message):
         ("vars x t", "vars x t x", (3, 10), "duplicate variable declaration 'x'"),
         ("rate x in [-1/2, 0];\n  rate t in [1, 1];", "rate x in [-1/2, 0];", (9, 1),
          "location b missing rate interval for variable 't'"),
+        ("x >= 0;", "x >= 0 $;", (5, 15), "unexpected character '$'"),
+        ("x >= 0;", "x != 0;", (5, 10), STRICT % "!="),
+        ("t = 0; }", "t = 1/0; }", (18, 23), "malformed number '1/0'"),
+        ("trans a -> b", "trans a b", (13, 9), "expected 'arrow', found 'b'"),
+        ("rate x in [1, 2]", "rate x on [1, 2]", (6, 10), "expected 'in'"),
+        ("x <= 10;", "x 10;", (5, 18), "expected a relation (<=, >=, =)"),
+        ("x <= 10;", "x <= ;", (5, 21), "expected a number or variable"),
+        ("vars x t", "vars x t 3", (3, 10), "expected 'vars', 'location', 'trans' or 'init'"),
+        ("label: hop;", "label: hop; lable: hop;", (14, 15),
+         "expected 'label', 'guard', 'reset' or '}'"),
+        ("location b {", "location a {", (9, 10), "duplicate location 'a'"),
+        ("trans a -> b", "trans a -> zz", (13, 7), "unknown location 'zz' in transition"),
+        ("trans a -> b", "trans zz -> b", (13, 7), "unknown location 'zz' in transition"),
+        ("init a", "init zz", (18, 6), "unknown initial location 'zz'"),
+        ("init a { x = 1.5; t = 0; }\n", "", (18, 1), "missing 'init' section"),
     ],
-    ids=["duplicate-var", "missing-rate"],
+    ids=["duplicate-var", "missing-rate", "unexpected-character", "strict", "malformed-number",
+         "expected-token", "expected-in", "expected-relation", "expected-term",
+         "expected-section", "expected-clause", "duplicate-location", "unknown-target",
+         "unknown-source", "unknown-init", "missing-init"],
 )
 def test_model_validation_errors_point_at_their_cause(old, new, where, message):
     assert MINI.count(old) == 1
@@ -120,6 +141,56 @@ def test_model_validation_errors_point_at_their_cause(old, new, where, message):
         parse_model(MINI.replace(old, new), "m.lha")
     assert (err.value.line, err.value.column) == where
     assert str(err.value) == "m.lha: line %d, column %d: %s" % (where + (message,))
+
+
+@pytest.mark.parametrize("word", ["inv", "rate", "label", "guard", "reset"])
+def test_clause_words_cannot_name_variables(word):
+    # A constraint list stops before a clause word, so ``inv: x <= 5; rate
+    # <= 3;`` could not read a variable named ``rate``.
+    with pytest.raises(ParseError) as err:
+        parse_model(MINI.replace("vars x t", "vars x %s t" % word))
+    assert (err.value.line, err.value.column) == (3, 8)
+    assert err.value.message == "reserved word %r cannot name a variable" % word
+
+
+@pytest.mark.parametrize(
+    "newline,indent,where",
+    [("\r\n", "  ", (15, 14)), ("\n", "\t", (15, 13))],
+    ids=["crlf", "tab"],
+)
+def test_model_error_columns_count_characters_on_their_line(newline, indent, where):
+    text = MINI.replace("guard: 2*x", "guard: 2*x >").replace("  ", indent)
+    with pytest.raises(ParseError) as err:
+        parse_model(text.replace("\n", newline))
+    assert (err.value.line, err.value.column, err.value.message) == where + (STRICT % ">",)
+
+
+@pytest.mark.parametrize(
+    "text,where,message",
+    [
+        ("depth 3\n", (2, 1), "missing 'goal' section"),
+        ("goal b", (1, 7), "missing 'depth' section"),
+        ("goal zz\ndepth 3\n", (1, 6), "unknown location 'zz'"),
+        ("init a { y = 0; }\ngoal b\ndepth 3\n", (1, 6),
+         "init region references undeclared variable 'y'"),
+        ("goal b { z >= 1; }\ndepth 3\n", (1, 6),
+         "goal region references undeclared variable 'z'"),
+        ("goal b\ndepth 1.5\n", (2, 7), "depth must be a non-negative integer"),
+        ("goal b\ndepth x\n", (2, 7), "expected 'number', found 'x'"),
+        ("goal b\n  depth 3\ndepth 4\n", (3, 1), "repeated 'depth' section"),
+        ("goal b\ndepth 3\nbudget 4\n", (3, 1), "expected 'model', 'init', 'goal' or 'depth'"),
+        ("model a.lha\ngoal b\n  model b.lha\ndepth 3\n", (3, 3), "repeated 'model' section"),
+        ("model a.lha\r\ngoal b\r\ndepth 3\r\ngoal a\r\n", (4, 1), "repeated 'goal' section"),
+        ("goal b\n\tdepth 2.0\n", (2, 8), "depth must be a non-negative integer"),
+    ],
+    ids=["missing-goal", "missing-depth", "unknown-goal", "init-variable", "goal-variable",
+         "fractional-depth", "expected-number", "repeated-depth", "expected-section",
+         "repeated-model", "crlf", "tab"],
+)
+def test_problem_errors_point_at_their_cause(text, where, message):
+    with pytest.raises(ParseError) as err:
+        parse_problem(text, parse_model(MINI), "p.prob")
+    assert str(err.value) == "p.prob: line %d, column %d: %s" % (where + (message,))
 
 
 def test_other_model_violations_print_no_position():
@@ -183,6 +254,65 @@ def test_benchmark_roundtrip_and_validation(dirname, probname):
     automaton = load_benchmark(dirname, probname).domain
     assert validate_model(automaton) == []
     assert parse_model(serialize_model(automaton)) == automaton
+
+
+def test_random_automata_roundtrip():
+    rng = random.Random(500)
+    for _ in range(500):
+        automaton = random_automaton(rng)
+        assert parse_model(serialize_model(automaton)) == automaton
+
+
+# Grammar pieces, and characters no token matches, that a mutation splices in.
+_PIECES = [
+    "{", "}", ";", ":", ",", "[", "]", "(", ")", "=", "<=", ">=", "<", "!=", "->", "-", "+",
+    "*", "2", "-3/4", "1/0", "1.5/2", "0.", "x", "in", "vars", "location", "trans", "init",
+    "inv", "rate", "label", "guard", "reset", "model", "goal", "depth", "#", "\n", "\r",
+    "\t", " ", "$", "\u00e9",
+]
+
+
+def _mutate(rng, text):
+    """``text`` with one to three random deletions, splices or duplications."""
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        j = min(len(text), i + rng.randint(0, 8))
+        edit = rng.randrange(3)
+        if edit == 0:
+            text = text[:i] + text[j:]
+        elif edit == 1:
+            text = text[:i] + rng.choice(_PIECES) + text[j:]
+        else:
+            text = text[:i] + text[i:j] + text[i:]
+    return text
+
+
+def test_mutated_inputs_raise_only_parse_errors():
+    # Every bundled problem, and every bundled model under 7 KB: wa6x6,
+    # wa8x8 and wa10x10 repeat wa6x4's clauses over more locations and would
+    # take most of the time.
+    docs = {}
+    for dirname, probname in benchmark_problems():
+        automaton = load_benchmark(dirname, probname).domain
+        for name, parsed_model in ((probname, automaton), (dirname + ".lha", None)):
+            with open(os.path.join(BENCH_ROOT, dirname, name), encoding="utf-8") as fh:
+                text = fh.read()
+            if parsed_model is not None or len(text) < 7000:
+                docs[dirname, name] = (text, parsed_model)
+    docs = list(docs.values())
+    rng = random.Random(13)
+    for _ in range(2000):
+        text, automaton = rng.choice(docs)
+        mutated = _mutate(rng, text)
+        try:
+            if automaton is None:
+                parse_model(mutated)
+            else:
+                parse_problem(mutated, automaton)
+        except ParseError:
+            pass
+        except Exception as exc:  # anything else is a parser fault
+            pytest.fail("%r on input %r" % (exc, mutated))
 
 
 def test_format_rational():
