@@ -8,13 +8,14 @@ systems in roughly the dwell variables only.  ``_solve_rows`` turns
 single-variable rows into bounds, settles the common "resource budget
 exceeded" pattern by a bound conflict or a sign-based interval check, and
 decides the rest with a bounded-variable simplex: one slack per
-multi-variable row and Bland's rule.  Its tableau rows are fraction-free,
-ints over a positive int denominator, pivoted by integer
-cross-multiplication; the variables' values and bounds, and so every
-answer, stay exact ``Fraction``s.  A SAT witness is accepted only after it
-replays as a valid run through ``model.check_witness``, and a SAT
-``Verdict`` carries that checked run; an UNSAT verdict carries no
-certificate yet.
+multi-variable row and Bland's rule.  The simplex does only integer
+arithmetic: its tableau rows are ints over a positive int denominator,
+pivoted by integer cross-multiplication, and the variables' values and
+bounds are ints over one common denominator.  The rows, the returned
+assignment and the witnesses are exact ``Fraction``s.  A SAT witness is
+accepted only after it replays as a valid run through
+``model.check_witness``, and a SAT ``Verdict`` carries that checked run;
+an UNSAT verdict carries no certificate yet.
 ``bounded_reachable(..., dump_dir=...)`` (the CLI's ``--dump-lp``) lists
 the rows the solver decides.
 
@@ -57,6 +58,11 @@ _Row = Tuple[Dict[str, Rational], Rational]
 _Expr = Tuple[Dict[str, Rational], Rational]
 # A valuation: one expression per automaton variable, in declaration order.
 _Point = Tuple[_Expr, ...]
+
+# Shared constants: Fractions are immutable, so rows may hold these.
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+_MINUS_ONE = Fraction(-1)
 
 log = logging.getLogger(__name__)
 
@@ -126,23 +132,29 @@ def _solve_rows(
     Single-variable rows become bounds.  A bound conflict, and an interval
     pass that refutes a row whose smallest possible left side already
     exceeds its bound, settle the common exhausted-budget pattern without a
-    tableau.  A bounded-variable simplex (Dutertre and de Moura, CAV 2006)
+    pivot.  A bounded-variable simplex (Dutertre and de Moura, CAV 2006)
     decides the rest.  Each multi-variable row gets one slack: a basic
     variable whose tableau row is the row's coefficients and whose upper
-    bound is the row's bound.  A tableau row is held fraction-free, as a
-    positive int ``den`` and int ``nums`` with ``den*x_b =
-    sum(nums[j]*x_j)`` and no common factor; a pivot cross-multiplies
-    rows and divides out their gcd, so it represents the same rationals as
-    a Fraction tableau and every decision, which reads only signs and exact
-    comparisons, comes out the same.  Values, bounds and the returned
-    assignment are exact Fractions.  Every variable starts nonbasic at a
-    value within its bounds.  While some basic variable violates a bound,
-    the smallest such one is pivoted with the smallest nonbasic variable of
-    its row that can move it back, and set to the violated bound; when no
+    bound is the row's bound.  Every variable starts nonbasic at a value
+    within its bounds.  While some basic variable violates a bound, the
+    smallest such one is pivoted with the smallest nonbasic variable of its
+    row that can move it back, and set to the violated bound; when no
     nonbasic variable can, the rows are infeasible.  Variables are ordered
     by name, then slacks by row; taking the smallest on both sides is
     Bland's rule, which ends the loop.  Returns an assignment covering every
     variable that appears in any row, or None when infeasible.
+
+    The simplex does only integer arithmetic.  A tableau row is held
+    fraction-free, as a positive int ``den`` and int ``nums`` with
+    ``den*x_b = sum(nums[j]*x_j)`` and no common factor; a pivot
+    cross-multiplies rows and divides out their gcd.  A nonbasic variable
+    always sits at 0 or at one of its bounds, so with D the lcm of the
+    denominators of every finite bound its value is an int ``V`` over D,
+    and bounds are held as ints over D too; a basic variable's value is an
+    int ``N = sum(nums[j]*V_j)`` over ``den*D``.  These represent the same
+    rationals as a Fraction tableau, and every decision reads only signs
+    and exact comparisons, so the pivots and the assignment come out the
+    same.  Fractions are built only for the returned assignment.
     """
     lower: Dict[str, Rational] = {}
     upper: Dict[str, Rational] = {}
@@ -170,29 +182,24 @@ def _solve_rows(
         if var in upper and lo > upper[var]:
             return None
 
-    # Interval propagation: minimal possible left side vs the bound.
-    for coeffs, bound in general:
-        minimum = Fraction(0)
-        for var, k in coeffs.items():
-            if k > 0:
-                if var not in lower:
-                    break
-                minimum += k * lower[var]
-            else:
-                if var not in upper:
-                    break
-                minimum += k * upper[var]
-        else:
-            if minimum > bound:
-                return None
+    # Every finite bound, scaled to an int over the common denominator.
+    scale = lcm(
+        *(b.denominator for b in lower.values()),
+        *(b.denominator for b in upper.values()),
+        *(bound.denominator for _, bound in general),
+    )
+
+    def scaled(b: Optional[Rational]) -> Optional[int]:
+        return None if b is None else b.numerator * (scale // b.denominator)
 
     # Columns: the variables in name order, then one slack per general row.
     names = sorted(all_vars)
     index = {v: i for i, v in enumerate(names)}
-    low: List[Optional[Rational]] = [lower.get(v) for v in names]
-    high: List[Optional[Rational]] = [upper.get(v) for v in names]
-    value: List[Rational] = [
-        lo if lo is not None else Fraction(0) if hi is None else min(hi, Fraction(0))
+    low: List[Optional[int]] = [scaled(lower.get(v)) for v in names]
+    high: List[Optional[int]] = [scaled(upper.get(v)) for v in names]
+    # value[i] is V_i for a nonbasic variable and N_i for a basic one.
+    value: List[int] = [
+        lo if lo is not None else 0 if hi is None else min(hi, 0)
         for lo, hi in zip(low, high)
     ]
     # tableau[b] = (den, nums) expresses the basic variable b over nonbasic
@@ -201,23 +208,39 @@ def _solve_rows(
     tableau: Dict[int, Tuple[int, Dict[int, int]]] = {}
     for coeffs, bound in general:
         den = lcm(*(k.denominator for k in coeffs.values()))
-        tableau[len(value)] = (
-            den, {index[v]: k.numerator * (den // k.denominator) for v, k in coeffs.items()}
-        )
-        value.append(sum(k * value[index[v]] for v, k in coeffs.items()))
+        row = {index[v]: k.numerator * (den // k.denominator) for v, k in coeffs.items()}
+        tableau[len(value)] = (den, row)
+        value.append(sum(c * value[j] for j, c in row.items()))
         low.append(None)
-        high.append(bound)
+        high.append(scaled(bound))
+
+    # Interval propagation: each row's smallest possible left side vs its
+    # bound, both scaled by den*D.
+    for b, (den, row) in tableau.items():
+        minimum = 0
+        for j, c in row.items():
+            edge = low[j] if c > 0 else high[j]
+            if edge is None:
+                break
+            minimum += c * edge
+        else:
+            if minimum > den * high[b]:
+                return None
 
     while True:
         for b in sorted(tableau):
-            if low[b] is not None and value[b] < low[b]:
+            den = tableau[b][0]
+            if low[b] is not None and value[b] < den * low[b]:
                 target, rise = low[b], True
                 break
-            if high[b] is not None and value[b] > high[b]:
+            if high[b] is not None and value[b] > den * high[b]:
                 target, rise = high[b], False
                 break
         else:
-            return {v: value[i] for i, v in enumerate(names)}
+            return {
+                v: Fraction(value[i], tableau[i][0] * scale if i in tableau else scale)
+                for i, v in enumerate(names)
+            }
         den, row = tableau.pop(b)
         for n in sorted(row):
             if (row[n] > 0) == rise:
@@ -227,28 +250,31 @@ def _solve_rows(
                 break
         else:
             return None
-        # Move n until b reaches target.  Then solve b's row,
-        # den*x_b = k*x_n + sum(row[j]*x_j), for n as k*x_n = den*x_b -
-        # sum(row[j]*x_j), negated if need be so that k > 0, and substitute
-        # it into every other row.  The solved row has the entries of b's
-        # row, so it has no common factor either.
+        # Set b to target and solve b's row, den*x_b = k*x_n + rest, for n
+        # as k*x_n = den*x_b - rest, negated if need be so that k > 0; then
+        # substitute it into every other row.  The solved row has the
+        # entries of b's row, so it has no common factor either.
         k = row.pop(n)
-        theta = (target - value[b]) * den / k
+        moved = value[n]
+        rest = value[b] - k * moved
         value[b] = target
-        value[n] += theta
         if k > 0:
             for j in row:
                 row[j] = -row[j]
             row[b] = den
+            value[n] = den * target - rest
         else:
             row[b] = -den
             k = -k
+            value[n] = rest - den * target
+        entered = value[n]
         for other, (oden, orow) in tableau.items():
             c = orow.pop(n, None)
             if c is None:
                 continue
-            value[other] += c * theta / oden
-            # oden*x_o = c*x_n + rest  becomes  k*oden*x_o = c*(k*x_n) + k*rest.
+            # oden*x_o = c*x_n + r  becomes  k*oden*x_o = c*(k*x_n) + k*r,
+            # where r's value is N_o - c*V_n at n's old value.
+            value[other] = k * (value[other] - c * moved) + c * entered
             if k != 1:
                 oden *= k
                 for j in orow:
@@ -265,6 +291,7 @@ def _solve_rows(
                     oden //= g
                     for j in orow:
                         orow[j] //= g
+                    value[other] //= g
             tableau[other] = (oden, orow)
         tableau[n] = (k, row)
 
@@ -561,10 +588,9 @@ def encode_path(
     rows: List[_Row] = []
     points: List[Tuple[_Point, _Point]] = []
     # Current value of each automaton variable as (coeffs, const).
-    state: Dict[str, _Expr] = {}
-    for var in automaton.variables:
-        name = _var_in(var, 0)
-        state[var] = ({name: Fraction(1)}, Fraction(0))
+    state: Dict[str, _Expr] = {
+        var: ({_var_in(var, 0): _ONE}, _ZERO) for var in automaton.variables
+    }
 
     def emit_region(region: Polyhedron) -> None:
         for c in region.constraints:
@@ -573,9 +599,13 @@ def encode_path(
             for var, k in c.expression.coefficients:
                 scoeffs, sconst = state[var]
                 for v, sk in scoeffs.items():
-                    coeffs[v] = coeffs.get(v, Fraction(0)) + k * sk
-                const += k * sconst
-            coeffs = {v: k for v, k in coeffs.items() if k != 0}
+                    if v in coeffs:
+                        coeffs[v] += k * sk
+                    else:
+                        coeffs[v] = k * sk
+                if sconst:
+                    const += k * sconst
+            coeffs = {v: k for v, k in coeffs.items() if k}
             # expr REL 0  ->  rows of the form coeffs*x <= bound
             if c.relation is Relation.LE:
                 rows.append((coeffs, -const))
@@ -589,48 +619,54 @@ def encode_path(
 
     for i, loc_id in enumerate(path.locations):
         loc = automaton.location(loc_id)
+        rates = dict(loc.rates.intervals)
         entry = tuple(state[var] for var in automaton.variables)
         emit_region(loc.invariant)
+        # d_i, x@iout and x@i+1in are fresh here: no expression holds them yet.
         d = _dwell(i)
-        rows.append(({d: Fraction(-1)}, Fraction(0)))  # d_i >= 0
+        rows.append(({d: _MINUS_ONE}, _ZERO))  # d_i >= 0
         for var in automaton.variables:
-            iv = loc.rates.interval(var)
+            iv = rates.get(var)
             if iv is None:
                 continue
             coeffs, const = state[var]
             if iv.lower == iv.upper:
-                ncoeffs = dict(coeffs)
-                ncoeffs[d] = ncoeffs.get(d, Fraction(0)) + iv.lower
-                state[var] = ({v: k for v, k in ncoeffs.items() if k != 0}, const)
+                if iv.lower:
+                    coeffs = dict(coeffs)
+                    coeffs[d] = iv.lower
+                    state[var] = (coeffs, const)
             else:
                 out = _var_out(var, i)
                 # lower*d <= out - in <= upper*d
                 lo_row = dict(coeffs)
-                lo_row[out] = lo_row.get(out, Fraction(0)) - 1
-                lo_row[d] = lo_row.get(d, Fraction(0)) + iv.lower
-                rows.append(({v: k for v, k in lo_row.items() if k != 0}, -const))
+                lo_row[out] = _MINUS_ONE
+                if iv.lower:
+                    lo_row[d] = iv.lower
+                rows.append((lo_row, -const))
                 hi_row = {v: -k for v, k in coeffs.items()}
-                hi_row[out] = hi_row.get(out, Fraction(0)) + 1
-                hi_row[d] = hi_row.get(d, Fraction(0)) - iv.upper
-                rows.append(({v: k for v, k in hi_row.items() if k != 0}, const))
-                state[var] = ({out: Fraction(1)}, Fraction(0))
+                hi_row[out] = _ONE
+                if iv.upper:
+                    hi_row[d] = -iv.upper
+                rows.append((hi_row, const))
+                state[var] = ({out: _ONE}, _ZERO)
         points.append((entry, tuple(state[var] for var in automaton.variables)))
         emit_region(loc.invariant)
 
         if i < len(path.transitions):
             trans = automaton.transitions[path.transitions[i]]
             emit_region(trans.guard)
+            resets = dict(trans.reset.actions)
             for var in automaton.variables:
-                act = trans.reset.action(var)
-                if act.kind is ResetKind.KEEP:
+                act = resets.get(var)
+                if act is None or act.kind is ResetKind.KEEP:
                     continue
                 if act.lower == act.upper:
                     state[var] = ({}, act.lower)
                 else:
                     fresh = _var_in(var, i + 1)
-                    rows.append(({fresh: Fraction(-1)}, -act.lower))
-                    rows.append(({fresh: Fraction(1)}, act.upper))
-                    state[var] = ({fresh: Fraction(1)}, Fraction(0))
+                    rows.append(({fresh: _MINUS_ONE}, -act.lower))
+                    rows.append(({fresh: _ONE}, act.upper))
+                    state[var] = ({fresh: _ONE}, _ZERO)
 
     emit_region(problem.goal.region)
     return rows, points

@@ -16,7 +16,9 @@ The files under ``golden/`` hold, for each of the 14 pinned rows:
 non-integer time, with its ``explain --json`` (without ``timings_ms``),
 text ``explain``, ``check --json`` and text ``check``.  Both JSON outputs
 write integer plan numbers as JSON integers and other rationals as ``p/q``
-strings.
+strings.  ``half/check.dump-lp.txt`` lists the files ``check --dump-lp``
+writes for it, each under a ``== <file> ==`` line, so that an encoder change
+that moves a row shows up.
 
 Regenerate a file only for an intended change of output, and say so in
 CHANGES.md.
@@ -26,6 +28,7 @@ import contextlib
 import io
 import json
 import os
+import tempfile
 
 import pytest
 
@@ -85,11 +88,23 @@ def row_renderings():
     return out
 
 
+def dump_listing(argv):
+    """The files ``argv`` plus ``--dump-lp`` writes, each under its name."""
+    with tempfile.TemporaryDirectory() as out:
+        run(argv + ["--dump-lp", out])
+        parts = []
+        for name in sorted(os.listdir(out)):
+            with open(os.path.join(out, name), encoding="utf-8") as fh:
+                parts.append("== %s ==\n%s" % (name, fh.read()))
+    return "".join(parts)
+
+
 HALF_RENDERINGS = [
     ("half/explain.json", lambda: without_timings(["explain", "--problem", HALF, "--json"])),
     ("half/explain.txt", lambda: without_timings(["explain", "--problem", HALF])),
     ("half/check.json", lambda: run(["check", "--problem", HALF, "--json"])),
     ("half/check.txt", lambda: run(["check", "--problem", HALF])),
+    ("half/check.dump-lp.txt", lambda: dump_listing(["check", "--problem", HALF])),
 ]
 
 RENDERINGS = row_renderings() + HALF_RENDERINGS

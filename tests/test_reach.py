@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 import os
 import random
 from fractions import Fraction
@@ -248,6 +249,97 @@ def test_integer_tableau_matches_fraction_tableau_on_random_lps():
         ]
         sat += same_as_fraction_tableau(rows)
     assert 10 < sat < 90
+
+
+PRIMES = (1009, 1013, 1019, 1021, 1031, 1033, 1039, 1049)
+
+
+def test_integer_values_match_fraction_tableau_with_large_coprime_denominators():
+    # Every bound over its own large prime, so the common denominator of the
+    # values is the product of up to eight of them.
+    rng = random.Random(515)
+    sat = 0
+    for _ in range(150):
+        rows = [
+            (coeffs, bound + Fraction(rng.randint(-50, 50), rng.choice(PRIMES)))
+            for coeffs, bound in lp_rows(random_lp(rng, 8, 20))
+        ]
+        sat += same_as_fraction_tableau(rows)
+    assert 15 < sat < 135
+
+
+def test_integer_values_match_fraction_tableau_without_finite_bounds():
+    # Only constant rows: no bound at all, so the common denominator is
+    # lcm() == 1.
+    assert same_as_fraction_tableau([]) and reach._solve_rows([]) == {}
+    assert same_as_fraction_tableau([({}, Fraction(0)), ({}, Fraction(3, 2))])
+    assert not same_as_fraction_tableau([({}, Fraction(0)), ({}, Fraction(-1, 2))])
+    # General rows over variables with no bound of their own: the interval
+    # pass stops at the first unbounded variable and the simplex decides.
+    rng = random.Random(616)
+    sat = unsat = 0
+    for _ in range(200):
+        rows = [
+            (coeffs, bound) for coeffs, bound in lp_rows(random_lp(rng, 6, 16))
+            if len(coeffs) > 1
+        ]
+        if same_as_fraction_tableau(rows):
+            sat += 1
+        else:
+            unsat += 1
+    assert sat > 20 and unsat > 20
+
+
+def test_integer_values_match_fraction_tableau_with_fractional_row_bounds():
+    # Fractional bounds on the general rows only, so the slacks' bounds set
+    # the common denominator; single-variable rows keep integer bounds.
+    rng = random.Random(717)
+    sat = 0
+    for _ in range(200):
+        rows = [
+            (coeffs, bound + Fraction(rng.randint(1, 6), rng.choice((2, 3, 5, 7))))
+            if len(coeffs) > 1 else (coeffs, Fraction(bound.numerator // bound.denominator))
+            for coeffs, bound in lp_rows(random_lp(rng, 10, 24))
+        ]
+        sat += same_as_fraction_tableau(rows)
+    assert 20 < sat < 180
+
+
+def test_integer_interval_pass_matches_fraction_tableau_on_boxed_rows():
+    # Every variable boxed, and rows with fractional coefficients, so the
+    # interval pass sums whole rows scaled by their denominators.
+    rng = random.Random(919)
+    sat = unsat = 0
+    for _ in range(200):
+        lp = random_lp(rng, 6, 10)
+        rows = [
+            ({v: k / rng.choice((1, 2, 3)) for v, k in coeffs.items()}, bound)
+            for coeffs, bound in lp_rows(lp)
+        ]
+        for v in lp.variables:
+            lo = Fraction(rng.randint(-9, 3), rng.choice((1, 2, 5)))
+            rows.append(({v: Fraction(-1)}, -lo))
+            rows.append(({v: Fraction(1)}, lo + Fraction(rng.randint(0, 20), rng.choice((1, 3)))))
+        if same_as_fraction_tableau(rows):
+            sat += 1
+        else:
+            unsat += 1
+    assert sat > 20 and unsat > 20
+
+
+def test_integer_values_match_fraction_tableau_on_degenerate_fractional_rows():
+    # The degenerate start point 0 stays a vertex: each variable also gets a
+    # positive fractional upper bound, which leaves its start value at 0,
+    # and the closing row asks for sum(v) >= 1/3 instead of 1.
+    rng = random.Random(818)
+    sat = 0
+    for _ in range(60):
+        rows = degenerate(lp_rows(random_lp(rng, 10, 24)))
+        closing, _ = rows.pop()
+        rows.append((closing, Fraction(-1, 3)))
+        rows += [({v: Fraction(1)}, Fraction(rng.randint(1, 9), rng.choice((3, 5, 7)))) for v in closing]
+        sat += same_as_fraction_tableau(rows)
+    assert 0 < sat < 60
 
 
 def test_integer_tableau_matches_fraction_tableau_on_path_lps():
@@ -540,6 +632,53 @@ def test_witness_values_are_exact_fractions():
     for seg in verdict.run.segments:
         values.extend(v for _var, v in seg.entry + seg.exit)
     assert values and all(isinstance(v, Fraction) for v in values)
+
+
+def assert_encoding_is_fractions(rows, points):
+    """Every coefficient ``encode_path`` emits is a nonzero Fraction, and
+    every bound and constant a Fraction: no int slips into the rows or the
+    valuations."""
+    exprs = list(rows) + [expr for entry, exit_ in points for expr in entry + exit_]
+    for coeffs, const in exprs:
+        assert type(const) is Fraction
+        assert all(type(k) is Fraction and k != 0 for k in coeffs.values())
+
+
+def test_encode_path_emits_only_fractions_on_bundled_rows():
+    # The first paths of each pinned row, encoded as the LP regime encodes
+    # every path the box pre-analysis would have settled.
+    with open(os.path.join(os.path.dirname(reach.__file__), "benchmarks", "expectations.json")) as fh:
+        table = json.load(fh)["rows"]
+    assert len(table) == 14
+    for row in table:
+        problem = load_benchmark(row["dir"], row["problem"])
+        paths = enumerate_concrete_paths(
+            problem.domain, problem.init[0], problem.goal.location, problem.depth
+        )
+        encoded = 0
+        for path in itertools.islice(paths, 30):
+            assert_encoding_is_fractions(*encode_path(problem, path))
+            encoded += 1
+        assert encoded, row["name"]
+
+
+def test_encode_path_emits_only_fractions_on_random_automata():
+    rng = random.Random(2121)
+    encoded = 0
+    for _ in range(100):
+        automaton = random_automaton(rng)
+        goal = rng.randrange(len(automaton.locations))
+        bound = LinearExpression.build({"x": 1, "y": rng.choice((-1, 2))}, -rng.randint(-2, 6))
+        problem = PlanningProblem(
+            domain=automaton,
+            init=automaton.initial,
+            goal=GoalSpec(location=goal, region=Polyhedron((LinearConstraint(bound, Relation.LE),))),
+            depth=3,
+        )
+        for path in enumerate_concrete_paths(automaton, automaton.initial[0], goal, 3):
+            assert_encoding_is_fractions(*encode_path(problem, path))
+            encoded += 1
+    assert encoded > 200
 
 
 def test_encode_path_agrees_with_full_encoding_oracle():
