@@ -24,6 +24,7 @@ from .graph import (
     ResourceCapExceeded,
     build_graph,
     enumerate_paths,
+    iter_walks,
     lcs_multi,
 )
 from .model import Plan, PlanningProblem
@@ -146,17 +147,16 @@ def cmd_paths(args: argparse.Namespace) -> int:
     # The count is free; only listing the walks costs, so only it is capped.
     if args.verbose and paths.count > args.max_paths:
         raise ResourceCapExceeded("path listing", args.max_paths)
+    walks = iter_walks(graph, init_loc, problem.goal.location, problem.depth)
     if args.json:
         doc = {"path_count": paths.count}
         if args.verbose:
-            doc["paths"] = [
-                [problem.domain.location(l).name for l in walk] for walk in paths.paths
-            ]
+            doc["paths"] = [[problem.domain.location(l).name for l in walk] for walk in walks]
         print(json.dumps(doc, indent=2))
     else:
         print(paths.count)
         if args.verbose:
-            for walk in paths.paths:
+            for walk in walks:
                 print(" ".join(problem.domain.location(l).name for l in walk))
     return EXIT_OK
 
@@ -304,7 +304,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         sys.set_int_max_str_digits(0)
     args = _build_parser().parse_args(argv)
     if getattr(args, "max_paths", DEFAULT_PATH_CAP) <= 0:
-        print("--max-paths must be positive", file=sys.stderr)
+        print("input error: --max-paths must be positive", file=sys.stderr)
         return EXIT_INPUT
     try:
         return _COMMANDS[args.subcommand](args)

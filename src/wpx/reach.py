@@ -20,19 +20,23 @@ an UNSAT verdict carries no certificate yet.
 the rows the solver decides.
 
 Before any path is enumerated, a box (interval) abstraction may prove the
-goal unreachable.  Its step maps depend only on the automaton, the init and
-the depth, so ``explain`` builds one lazy ``BoxSteps`` pass and every check
-of that run, each differing only in its goal, reads and extends the same
-maps; a direct ``bounded_reachable`` call builds its own.  No pass outlives
-the call that built it.
+goal unreachable.  Its step maps hold one nonempty box per location entered
+and depend only on the automaton, the init and the depth.  A ``BoxSteps``
+pass is one generator of these maps, stepped lazily as checks ask for them:
+``explain`` builds one pass, which every check of that run, each differing
+only in its goal, reads and extends; a direct ``bounded_reachable`` call
+builds its own.  No pass outlives the call that built it.
 """
 
 from __future__ import annotations
 
 import logging
 import os
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from itertools import islice
 from math import gcd, lcm
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -43,6 +47,7 @@ from .model import (
     PlanningProblem,
     Polyhedron,
     Rational,
+    RateSpec,
     Relation,
     ResetKind,
     RunSegment,
@@ -299,17 +304,18 @@ def _solve_rows(
 # --- interval pre-analysis ------------------------------------------------
 #
 # A step-indexed box (interval) abstraction of the path semantics.  Each
-# box maps a variable to closed rational bounds (None = unbounded).  Every
-# operation overapproximates the LP semantics, so an empty goal box at
-# every step proves UNSAT without enumerating a single path; any nonempty
-# goal box is merely inconclusive and falls through to the exact check.
+# box maps every variable, in declaration order, to closed rational bounds
+# (None = unbounded).  Every operation overapproximates the LP semantics,
+# so an empty goal box at every step proves UNSAT without enumerating a
+# single path; any nonempty goal box is merely inconclusive and falls
+# through to the exact check.
 
 _Box = Dict[str, Tuple[Optional[Rational], Optional[Rational]]]
 
 
-def _box_from_region(region: Polyhedron, variables: Sequence[str]) -> Optional[_Box]:
-    """Relax a polyhedron to per-variable bounds; multi-variable
-    constraints are dropped (sound for overapproximation)."""
+def _box_from_region(region: Polyhedron, variables: Sequence[str]) -> _Box:
+    """Relax a polyhedron to per-variable bounds, which may be empty (lo > hi);
+    multi-variable constraints are dropped (sound for overapproximation)."""
     box: _Box = {v: (None, None) for v in variables}
     for c in region.constraints:
         coeffs = c.expression.coefficients
@@ -335,9 +341,8 @@ def _box_from_region(region: Polyhedron, variables: Sequence[str]) -> Optional[_
     return box
 
 
-def _box_intersect(a: Optional[_Box], b: Optional[_Box]) -> Optional[_Box]:
-    if a is None or b is None:
-        return None
+def _box_intersect(a: _Box, b: _Box) -> Optional[_Box]:
+    """The intersection of two boxes, or None when it is empty."""
     out: _Box = {}
     for v in a:
         alo, ahi = a[v]
@@ -350,11 +355,10 @@ def _box_intersect(a: Optional[_Box], b: Optional[_Box]) -> Optional[_Box]:
     return out
 
 
-def _box_join(a: Optional[_Box], b: Optional[_Box]) -> Optional[_Box]:
+def _box_join(a: Optional[_Box], b: _Box) -> _Box:
+    """The smallest box holding both; ``a`` None stands for no box yet."""
     if a is None:
         return b
-    if b is None:
-        return a
     out: _Box = {}
     for v in a:
         alo, ahi = a[v]
@@ -365,19 +369,11 @@ def _box_join(a: Optional[_Box], b: Optional[_Box]) -> Optional[_Box]:
     return out
 
 
-def _box_dwell(
-    entry: _Box,
-    rates,
-    variables: Sequence[str],
-    exit_box: Optional[_Box],
-) -> Optional[_Box]:
+def _box_dwell(entry: _Box, rates: RateSpec, exit_box: _Box) -> Optional[_Box]:
     """Possible exit valuations after some dwell t >= 0 whose endpoint lies
-    in ``exit_box``; per-variable dwell coupling is relaxed to a shared
-    dwell interval."""
-    if exit_box is None:
-        return None
-    intervals = dict(rates.intervals)
-    t_lo = Fraction(0)
+    in ``exit_box``, or None when there are none; per-variable dwell
+    coupling is relaxed to a shared dwell interval."""
+    t_lo = _ZERO
     t_hi: Optional[Rational] = None
 
     def tighten(const: Rational, slope: Rational) -> bool:
@@ -394,10 +390,7 @@ def _box_dwell(
                 t_lo = bound
         return True
 
-    for var in variables:
-        iv = intervals.get(var)
-        if iv is None:
-            continue
+    for var, iv in rates.intervals:
         a_lo, a_hi = entry[var]
         e_lo, e_hi = exit_box[var]
         # Reachable band at dwell t: [a_lo + lower*t, a_hi + upper*t].
@@ -410,12 +403,9 @@ def _box_dwell(
     if t_hi is not None and t_lo > t_hi:
         return None
 
-    out: _Box = {}
-    for var in variables:
-        iv = intervals.get(var)
-        if iv is None:
-            out[var] = entry[var]
-            continue
+    # A variable without a rate interval keeps its entry bounds.
+    out = dict(entry)
+    for var, iv in rates.intervals:
         a_lo, a_hi = entry[var]
         if a_lo is None:
             lo = None
@@ -437,29 +427,30 @@ class BoxSteps:
     """The box abstraction's forward step maps for one automaton, init and
     depth, shared by every check of problems that have them.
 
-    Map i holds, per location, the box of the valuations on entering it
-    after i transitions.  Maps are computed on first use and kept, so
-    checks that differ only in their goal (``model.alpha``) step the
-    abstraction once between them, and building a pass does no step work.
-    The list stops at an empty map, at a map that repeats an earlier one
-    (the next map depends only on the current one, so every later map
-    repeats a goal test that already failed), or at the depth.  The box of
-    each region is built once per pass, on first use.
+    Map i holds, per location, the nonempty box of the valuations on
+    entering it after i transitions; a location that no run enters has no
+    key.  One generator steps the maps in order and ``map`` pulls from it,
+    so building a pass does no step work, a map is stepped only when a
+    check first asks for it, and checks that differ only in their goal
+    (``model.alpha``) share every map.  The walk stops at an empty map, at
+    a map that repeats an earlier one (the next map depends only on the
+    current one, so every later map repeats a goal test that already
+    failed), or at the depth.  The box of each region is built once per
+    pass, on first use.
     """
 
     def __init__(self, problem: PlanningProblem) -> None:
         self.domain = problem.domain
         self.init = problem.init
         self.depth = problem.depth
-        self.maps: List[Dict[int, Optional[_Box]]] = []
-        self._stopped = False
-        self._seen: set = set()
+        self.maps: List[Dict[int, _Box]] = []
         # Keyed by id; the region is kept alongside so the id stays its own.
-        self._boxes: Dict[int, Tuple[Polyhedron, Optional[_Box]]] = {}
-        self._exits: Dict[int, List[Tuple[Transition, Optional[_Box]]]] = {}
-        self._outgoing: Optional[Dict[int, List[Transition]]] = None
+        self._boxes: Dict[int, Tuple[Polyhedron, _Box]] = {}
+        # Through a proxy, a suspended walk forms no reference cycle with its
+        # pass, so a dropped pass is freed at once, not by the cycle collector.
+        self._steps = BoxSteps._walk(weakref.proxy(self))
 
-    def region_box(self, region: Polyhedron) -> Optional[_Box]:
+    def region_box(self, region: Polyhedron) -> _Box:
         hit = self._boxes.get(id(region))
         if hit is None:
             hit = self._boxes[id(region)] = (
@@ -467,91 +458,75 @@ class BoxSteps:
             )
         return hit[1]
 
-    def inv_box(self, loc_id: int) -> Optional[_Box]:
+    def inv_box(self, loc_id: int) -> _Box:
         return self.region_box(self.domain.location(loc_id).invariant)
 
-    def exits(self, loc_id: int) -> List[Tuple[Transition, Optional[_Box]]]:
-        """The outgoing transitions, each with its exit requirement
-        inv(source) & guard."""
-        out = self._exits.get(loc_id)
-        if out is None:
-            if self._outgoing is None:
-                self._outgoing = {}
-                for trans in self.domain.transitions:
-                    self._outgoing.setdefault(trans.source, []).append(trans)
-            out = self._exits[loc_id] = [
-                (trans, _box_intersect(self.inv_box(loc_id), self.region_box(trans.guard)))
-                for trans in self._outgoing.get(loc_id, ())
-            ]
-        return out
-
-    def map(self, step: int) -> Optional[Dict[int, Optional[_Box]]]:
-        """Map ``step``, computing the maps up to it on first use; None when
-        the list stops before it."""
-        while len(self.maps) <= step and not self._stopped:
-            self._extend()
+    def map(self, step: int) -> Optional[Dict[int, _Box]]:
+        """Map ``step``, stepping the walk up to it on first use; None when
+        the walk stops before it."""
+        self.maps += islice(self._steps, max(0, step + 1 - len(self.maps)))
         return self.maps[step] if step < len(self.maps) else None
 
-    def _extend(self) -> None:
-        if not self.maps:
-            init_loc, init_region = self.init
-            nxt = {init_loc: _box_intersect(self.region_box(init_region), self.inv_box(init_loc))}
-        else:
-            nxt = self._successor(self.maps[-1])
-            key = tuple(
-                (loc_id, tuple(box[v] for v in self.domain.variables))
-                for loc_id, box in sorted(nxt.items())
-            )
-            if not nxt or key in self._seen:
-                self._stopped = True
-                return
-            self._seen.add(key)
-        self.maps.append(nxt)
-        self._stopped = len(self.maps) > self.depth
+    def _walk(self) -> Iterator[Dict[int, _Box]]:
+        """The maps in order, each stepped from the last only when pulled."""
+        outgoing: Dict[int, List[Transition]] = {}
+        for trans in self.domain.transitions:
+            outgoing.setdefault(trans.source, []).append(trans)
 
-    def _successor(self, current: Dict[int, Optional[_Box]]) -> Dict[int, Optional[_Box]]:
-        """The map one transition after ``current``."""
-        variables = self.domain.variables
-        nxt: Dict[int, Optional[_Box]] = {}
-        for loc_id, entry in current.items():
-            if entry is None:
-                continue
-            loc = self.domain.location(loc_id)
-            for trans, exit_req in self.exits(loc_id):
-                exit_box = _box_dwell(entry, loc.rates, variables, exit_req)
-                if exit_box is None:
-                    continue
-                landed: _Box = {}
-                for var in variables:
-                    act = trans.reset.action(var)
-                    if act.kind is ResetKind.KEEP:
-                        landed[var] = exit_box[var]
-                    else:
-                        landed[var] = (act.lower, act.upper)
-                landed2 = _box_intersect(landed, self.inv_box(trans.target))
-                if landed2 is None:
-                    continue
-                nxt[trans.target] = _box_join(nxt.get(trans.target), landed2)
-        return nxt
+        @cache
+        def exits(loc_id: int) -> List[Tuple[Transition, _Box]]:
+            # The outgoing transitions whose exit requirement
+            # inv(source) & guard is nonempty, each with that requirement.
+            out = []
+            for trans in outgoing.get(loc_id, ()):
+                req = _box_intersect(self.inv_box(loc_id), self.region_box(trans.guard))
+                if req is not None:
+                    out.append((trans, req))
+            return out
+
+        init_loc, init_region = self.init
+        first = _box_intersect(self.region_box(init_region), self.inv_box(init_loc))
+        current = {} if first is None else {init_loc: first}
+        seen: set = set()
+        for _ in range(self.depth):
+            yield current
+            nxt: Dict[int, _Box] = {}
+            for loc_id, entry in current.items():
+                rates = self.domain.location(loc_id).rates
+                for trans, req in exits(loc_id):
+                    exit_box = _box_dwell(entry, rates, req)
+                    if exit_box is None:
+                        continue
+                    landed = dict(exit_box)
+                    for var, act in trans.reset.actions:
+                        if act.kind is not ResetKind.KEEP:
+                            landed[var] = (act.lower, act.upper)
+                    landed = _box_intersect(landed, self.inv_box(trans.target))
+                    if landed is not None:
+                        nxt[trans.target] = _box_join(nxt.get(trans.target), landed)
+            key = tuple((loc_id, tuple(box.values())) for loc_id, box in sorted(nxt.items()))
+            if not nxt or key in seen:
+                return
+            seen.add(key)
+            current = nxt
+        yield current
 
 
 def _interval_unreachable(problem: PlanningProblem, box: BoxSteps) -> bool:
     """True when the box abstraction proves no bounded run reaches the
     goal; False is inconclusive.  ``box`` is a pass for ``problem``'s
     automaton, init and depth; the goal is tested on each of its maps."""
-    automaton = problem.domain
     goal_loc = problem.goal.location
-    rates = automaton.location(goal_loc).rates
+    rates = problem.domain.location(goal_loc).rates
     goal_inv = box.inv_box(goal_loc)
-    goal_box = _box_intersect(box.region_box(problem.goal.region), goal_inv)
+    goal_box = box.region_box(problem.goal.region)
     step = 0
     while (current := box.map(step)) is not None:
-        entry = current.get(goal_loc)
         # The goal is tested at the exit of a final dwell in the goal
-        # location.
-        if entry is not None:
-            exit_box = _box_dwell(entry, rates, automaton.variables, goal_inv)
-            if _box_intersect(exit_box, goal_box) is not None:
+        # location; that exit already lies in the goal invariant.
+        if goal_loc in current:
+            exit_box = _box_dwell(current[goal_loc], rates, goal_inv)
+            if exit_box is not None and _box_intersect(exit_box, goal_box) is not None:
                 return False
         step += 1
     return True

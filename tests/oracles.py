@@ -31,11 +31,6 @@ from wpx.model import (
 )
 from wpx.reach import (
     ConcretePath,
-    _box_dwell,
-    _box_from_region,
-    _box_intersect,
-    _box_join,
-    _Box,
     _dwell,
     _solve_rows,
     _var_in,
@@ -948,6 +943,245 @@ def recursive_concrete_paths(
     for length in range(depth + 1):
         if dist.get(source, missing) <= length:
             yield from exact([source], [], length)
+
+
+# --- box pre-analysis -----------------------------------------------------
+#
+# A reference for ``wpx.reach``'s box pass that shares no code with it.  Each
+# box maps a variable to closed rational bounds (None = unbounded), and an
+# empty box is None: map 0 holds None for an init outside its invariant, and
+# every transition is kept with its exit requirement, empty or not.  The
+# maps are stepped one ``_extend`` call at a time, not by a generator.
+
+_Box = Dict[str, Tuple[Optional[Rational], Optional[Rational]]]
+
+
+def _box_from_region(region: Polyhedron, variables: Sequence[str]) -> Optional[_Box]:
+    """Relax a polyhedron to per-variable bounds; multi-variable
+    constraints are dropped (sound for overapproximation)."""
+    box: _Box = {v: (None, None) for v in variables}
+    for c in region.constraints:
+        coeffs = c.expression.coefficients
+        if len(coeffs) != 1:
+            continue
+        (var, k), = coeffs
+        # k*x + const REL 0
+        bound = -c.expression.constant / k
+        lo, hi = box[var]
+        if c.relation is Relation.EQ:
+            relations = (Relation.LE, Relation.GE)
+        else:
+            relations = (c.relation,)
+        for rel in relations:
+            at_most = (rel is Relation.LE) == (k > 0)
+            if at_most:
+                if hi is None or bound < hi:
+                    hi = bound
+            else:
+                if lo is None or bound > lo:
+                    lo = bound
+        box[var] = (lo, hi)
+    return box
+
+
+def _box_intersect(a: Optional[_Box], b: Optional[_Box]) -> Optional[_Box]:
+    if a is None or b is None:
+        return None
+    out: _Box = {}
+    for v in a:
+        alo, ahi = a[v]
+        blo, bhi = b[v]
+        lo = alo if blo is None else (blo if alo is None else max(alo, blo))
+        hi = ahi if bhi is None else (bhi if ahi is None else min(ahi, bhi))
+        if lo is not None and hi is not None and lo > hi:
+            return None
+        out[v] = (lo, hi)
+    return out
+
+
+def _box_join(a: Optional[_Box], b: Optional[_Box]) -> Optional[_Box]:
+    if a is None:
+        return b
+    if b is None:
+        return a
+    out: _Box = {}
+    for v in a:
+        alo, ahi = a[v]
+        blo, bhi = b[v]
+        lo = None if alo is None or blo is None else min(alo, blo)
+        hi = None if ahi is None or bhi is None else max(ahi, bhi)
+        out[v] = (lo, hi)
+    return out
+
+
+def _box_dwell(
+    entry: _Box,
+    rates,
+    variables: Sequence[str],
+    exit_box: Optional[_Box],
+) -> Optional[_Box]:
+    """Possible exit valuations after some dwell t >= 0 whose endpoint lies
+    in ``exit_box``; per-variable dwell coupling is relaxed to a shared
+    dwell interval."""
+    if exit_box is None:
+        return None
+    intervals = dict(rates.intervals)
+    t_lo = Fraction(0)
+    t_hi: Optional[Rational] = None
+
+    def tighten(const: Rational, slope: Rational) -> bool:
+        # Require const + slope*t <= 0 for some t in [t_lo, t_hi].
+        nonlocal t_lo, t_hi
+        if slope == 0:
+            return const <= 0
+        bound = -const / slope
+        if slope > 0:
+            if t_hi is None or bound < t_hi:
+                t_hi = bound
+        else:
+            if bound > t_lo:
+                t_lo = bound
+        return True
+
+    for var in variables:
+        iv = intervals.get(var)
+        if iv is None:
+            continue
+        a_lo, a_hi = entry[var]
+        e_lo, e_hi = exit_box[var]
+        # Reachable band at dwell t: [a_lo + lower*t, a_hi + upper*t].
+        if e_hi is not None and a_lo is not None:
+            if not tighten(a_lo - e_hi, iv.lower):
+                return None
+        if e_lo is not None and a_hi is not None:
+            if not tighten(e_lo - a_hi, -iv.upper):
+                return None
+    if t_hi is not None and t_lo > t_hi:
+        return None
+
+    out: _Box = {}
+    for var in variables:
+        iv = intervals.get(var)
+        if iv is None:
+            out[var] = entry[var]
+            continue
+        a_lo, a_hi = entry[var]
+        if a_lo is None:
+            lo = None
+        elif iv.lower >= 0:
+            lo = a_lo + iv.lower * t_lo
+        else:
+            lo = None if t_hi is None else a_lo + iv.lower * t_hi
+        if a_hi is None:
+            hi = None
+        elif iv.upper <= 0:
+            hi = a_hi + iv.upper * t_lo
+        else:
+            hi = None if t_hi is None else a_hi + iv.upper * t_hi
+        out[var] = (lo, hi)
+    return _box_intersect(out, exit_box)
+
+
+class LazyBoxSteps:
+    """The box abstraction's forward step maps for one automaton, init and
+    depth, shared by every check of problems that have them.
+
+    Map i holds, per location, the box of the valuations on entering it
+    after i transitions.  Maps are computed on first use and kept, so
+    checks that differ only in their goal (``model.alpha``) step the
+    abstraction once between them, and building a pass does no step work.
+    The list stops at an empty map, at a map that repeats an earlier one
+    (the next map depends only on the current one, so every later map
+    repeats a goal test that already failed), or at the depth.  The box of
+    each region is built once per pass, on first use.
+    """
+
+    def __init__(self, problem: PlanningProblem) -> None:
+        self.domain = problem.domain
+        self.init = problem.init
+        self.depth = problem.depth
+        self.maps: List[Dict[int, Optional[_Box]]] = []
+        self._stopped = False
+        self._seen: set = set()
+        # Keyed by id; the region is kept alongside so the id stays its own.
+        self._boxes: Dict[int, Tuple[Polyhedron, Optional[_Box]]] = {}
+        self._exits: Dict[int, List[Tuple[Transition, Optional[_Box]]]] = {}
+        self._outgoing: Optional[Dict[int, List[Transition]]] = None
+
+    def region_box(self, region: Polyhedron) -> Optional[_Box]:
+        hit = self._boxes.get(id(region))
+        if hit is None:
+            hit = self._boxes[id(region)] = (
+                region, _box_from_region(region, self.domain.variables)
+            )
+        return hit[1]
+
+    def inv_box(self, loc_id: int) -> Optional[_Box]:
+        return self.region_box(self.domain.location(loc_id).invariant)
+
+    def exits(self, loc_id: int) -> List[Tuple[Transition, Optional[_Box]]]:
+        """The outgoing transitions, each with its exit requirement
+        inv(source) & guard."""
+        out = self._exits.get(loc_id)
+        if out is None:
+            if self._outgoing is None:
+                self._outgoing = {}
+                for trans in self.domain.transitions:
+                    self._outgoing.setdefault(trans.source, []).append(trans)
+            out = self._exits[loc_id] = [
+                (trans, _box_intersect(self.inv_box(loc_id), self.region_box(trans.guard)))
+                for trans in self._outgoing.get(loc_id, ())
+            ]
+        return out
+
+    def map(self, step: int) -> Optional[Dict[int, Optional[_Box]]]:
+        """Map ``step``, computing the maps up to it on first use; None when
+        the list stops before it."""
+        while len(self.maps) <= step and not self._stopped:
+            self._extend()
+        return self.maps[step] if step < len(self.maps) else None
+
+    def _extend(self) -> None:
+        if not self.maps:
+            init_loc, init_region = self.init
+            nxt = {init_loc: _box_intersect(self.region_box(init_region), self.inv_box(init_loc))}
+        else:
+            nxt = self._successor(self.maps[-1])
+            key = tuple(
+                (loc_id, tuple(box[v] for v in self.domain.variables))
+                for loc_id, box in sorted(nxt.items())
+            )
+            if not nxt or key in self._seen:
+                self._stopped = True
+                return
+            self._seen.add(key)
+        self.maps.append(nxt)
+        self._stopped = len(self.maps) > self.depth
+
+    def _successor(self, current: Dict[int, Optional[_Box]]) -> Dict[int, Optional[_Box]]:
+        """The map one transition after ``current``."""
+        variables = self.domain.variables
+        nxt: Dict[int, Optional[_Box]] = {}
+        for loc_id, entry in current.items():
+            if entry is None:
+                continue
+            loc = self.domain.location(loc_id)
+            for trans, exit_req in self.exits(loc_id):
+                exit_box = _box_dwell(entry, loc.rates, variables, exit_req)
+                if exit_box is None:
+                    continue
+                landed: _Box = {}
+                for var in variables:
+                    act = trans.reset.action(var)
+                    if act.kind is ResetKind.KEEP:
+                        landed[var] = exit_box[var]
+                    else:
+                        landed[var] = (act.lower, act.upper)
+                landed2 = _box_intersect(landed, self.inv_box(trans.target))
+                if landed2 is None:
+                    continue
+                nxt[trans.target] = _box_join(nxt.get(trans.target), landed2)
+        return nxt
 
 
 # --- per-check box pre-analysis ------------------------------------------

@@ -28,7 +28,7 @@ from oracles import (
 )
 from wpx.cli import EXIT_OK, main
 from wpx.explain import explain
-from wpx.graph import build_graph, enumerate_paths, lcs_multi
+from wpx.graph import build_graph, enumerate_paths, iter_walks, lcs_multi
 from wpx.model import GoalSpec, PlanningProblem, Polyhedron, check_witness
 from wpx.reach import bounded_reachable, extract_witness
 
@@ -224,7 +224,7 @@ def test_criterion_6d_path_enumeration_vs_recursion():
         graph = graph_from_succ(succ)
         source, target = rng.randrange(n), rng.randrange(n)
         depth = rng.randint(0, 5)
-        got = list(enumerate_paths(graph, source, target, depth).paths)
+        got = list(iter_walks(graph, source, target, depth))
         want = recursive_walks(succ, source, target, depth)
         assert got == want, (case, succ, source, target, depth)
 

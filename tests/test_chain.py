@@ -5,7 +5,7 @@ import pytest
 from conftest import load_benchmark
 from oracles import ExplicitPathSet, verify_chain_abstract
 from wpx.explain import chain_from_lcs
-from wpx.graph import LcsResult, build_graph, enumerate_paths, lcs_multi
+from wpx.graph import LcsResult, build_graph, enumerate_paths, iter_walks, lcs_multi
 
 
 def wlm_problem():
@@ -40,9 +40,9 @@ def test_empty_lcs_rejected():
 def test_verify_chain_abstract_on_benchmark():
     problem = wlm_problem()
     graph = build_graph(problem.domain)
-    paths = enumerate_paths(graph, problem.init[0], problem.goal.location, problem.depth)
-    chain = chain_from_lcs(problem, lcs_multi(paths))
-    assert verify_chain_abstract(paths, chain)
+    ends = (problem.init[0], problem.goal.location, problem.depth)
+    chain = chain_from_lcs(problem, lcs_multi(enumerate_paths(graph, *ends)))
+    assert verify_chain_abstract(ExplicitPathSet(tuple(iter_walks(graph, *ends))), chain)
 
 
 def test_verify_chain_abstract_rejects_noncovering_chain():

@@ -142,6 +142,15 @@ def test_invalid_cap_rejected(capsys):
     assert "--max-paths" in err
 
 
+@pytest.mark.parametrize("subcommand", ["paths", "explain", "check", "bench"])
+def test_nonpositive_cap_is_an_input_error(capsys, subcommand):
+    argv = [subcommand, "--max-paths", "0"]
+    if subcommand != "bench":
+        argv += ["--problem", bench("wlm", "depth20.prob")]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (EXIT_INPUT, "", "input error: --max-paths must be positive\n")
+
+
 def test_parallel_flag_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["explain", "--problem", bench("wlm", "depth20.prob"), "--parallel", "2"])

@@ -1,17 +1,20 @@
 """Path-oriented reachability: encoding, exact feasibility, witnesses."""
 
 import dataclasses
+import gc
 import itertools
 import json
 import os
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
 import wpx.reach as reach
-from conftest import box_off, load_benchmark
+from conftest import benchmark_problems, box_off, load_benchmark
 from oracles import (
+    LazyBoxSteps,
     LpProblem,
     fm_feasible,
     fraction_tableau_rows,
@@ -507,25 +510,33 @@ def test_box_preanalysis_stops_when_its_state_repeats(monkeypatch):
     assert outcomes[0][1] == "l28"
 
 
+def random_box_problem(rng: random.Random) -> PlanningProblem:
+    """A ``random_automaton`` draw with a random goal location, a goal
+    region that asks for the resource about half the time, and depth 0-8."""
+    automaton = random_automaton(rng)
+    n = len(automaton.locations)
+    region = Polyhedron()
+    if rng.random() < 0.6:
+        # y >= k, against a resource that the draw may drain
+        need = LinearExpression.build({"y": -1}, rng.randint(-2, 6))
+        region = Polyhedron((LinearConstraint(need, Relation.LE),))
+    return PlanningProblem(
+        domain=automaton,
+        init=automaton.initial,
+        goal=GoalSpec(location=rng.randrange(n), region=region),
+        depth=rng.randint(0, 8),
+    )
+
+
 def test_shared_box_pass_agrees_with_the_per_check_reference():
     # One pass per draw decides every location's alpha sub-problem and the
     # exact goal, in shuffled order, as the per-check analysis does.
     rng = random.Random(1212)
     checks = unsat = 0
     for _ in range(1000):
-        automaton = random_automaton(rng)
+        problem = random_box_problem(rng)
+        automaton = problem.domain
         n = len(automaton.locations)
-        region = Polyhedron()
-        if rng.random() < 0.6:
-            # y >= k, against a resource that the draw may drain
-            need = LinearExpression.build({"y": -1}, rng.randint(-2, 6))
-            region = Polyhedron((LinearConstraint(need, Relation.LE),))
-        problem = PlanningProblem(
-            domain=automaton,
-            init=automaton.initial,
-            goal=GoalSpec(location=rng.randrange(n), region=region),
-            depth=rng.randint(0, 8),
-        )
         subproblems = [alpha(problem, loc) for loc in range(n)] + [problem]
         rng.shuffle(subproblems)
         box = reach.BoxSteps(problem)
@@ -543,6 +554,53 @@ def test_shared_box_pass_agrees_with_the_per_check_reference():
         ]
         assert len(set(keys)) == len(keys)
     assert checks > 3000 and unsat > 1000
+
+
+def test_box_maps_match_the_lazy_reference_and_step_only_when_asked(monkeypatch):
+    # Driven to their ends, the generator and the step-by-step reference
+    # hold the same maps once the reference's empty (None) boxes are
+    # dropped.  After map(k), no _box_dwell call has taken a box of map k as
+    # its entry, so the walk never steps past the map it was asked for.
+    dwell = reach._box_dwell
+    entries = []
+
+    def recorded(entry, rates, exit_box):
+        entries.append(entry)  # kept alive, so ids are not reused
+        return dwell(entry, rates, exit_box)
+
+    monkeypatch.setattr(reach, "_box_dwell", recorded)
+    rng = random.Random(1515)
+    problems = [load_benchmark(d, p) for d, p in benchmark_problems()]
+    problems += [random_box_problem(rng) for _ in range(1000)]
+    stepped = 0
+    for problem in problems:
+        box = reach.BoxSteps(problem)
+        entries.clear()
+        step = 0
+        while (current := box.map(step)) is not None:
+            assert not {id(b) for b in current.values()} & {id(e) for e in entries}
+            step += 1
+        stepped += step > 1
+        lazy = LazyBoxSteps(problem)
+        lazy.map(problem.depth)
+        assert box.maps == [
+            {loc: b for loc, b in m.items() if b is not None} for m in lazy.maps
+        ]
+    assert len(problems) == 1014 and stepped > 500
+
+
+def test_a_dropped_box_pass_is_freed_at_once():
+    # A pass whose walk is suspended mid-way is freed when its last
+    # reference goes, without waiting for the cyclic garbage collector.
+    box = reach.BoxSteps(load_benchmark("wa6x6", "depth12.prob"))
+    assert box.map(2) is not None
+    ref = weakref.ref(box)
+    gc.disable()
+    try:
+        del box
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_shared_box_pass_at_step_zero_and_depth_zero():
