@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from .graph import DEFAULT_PATH_CAP, LcsResult, build_graph, enumerate_paths, lcs_multi
-from .model import PlanningProblem, alpha, init_within_invariant
+from .model import PlanningProblem, alpha
 from .reach import BoxSteps, Verdict, bounded_reachable
 
 OUTCOME_DISCRETE_INFEASIBLE = "DiscreteInfeasible"
@@ -30,7 +30,6 @@ OUTCOME_SOLVABLE = "SolvableContradiction"
 
 STATUS_SAT = "SAT"
 STATUS_UNSAT = "UNSAT"
-STATUS_TRIVIAL = "TRIVIAL"
 
 log = logging.getLogger(__name__)
 
@@ -84,10 +83,8 @@ class ExplanationReport:
 
     @property
     def feasible_count(self) -> int:
-        """Reachable chain entries, counting the trivially reachable init."""
-        return sum(
-            1 for v in self.verdicts if v.status in (STATUS_SAT, STATUS_TRIVIAL)
-        )
+        """Reachable chain entries."""
+        return sum(1 for v in self.verdicts if v.status == STATUS_SAT)
 
     # Computed on each access: wpxbench/tests/test_run.py pins the number of
     # extract_witness calls per SAT report.
@@ -115,11 +112,11 @@ def explain(
 ) -> ExplanationReport:
     """Locate the first unreachable inevitable waypoint of ``problem``.
 
-    The first chain entry is skipped without an LP call when the init
-    region syntactically entails the initial location's invariant, making
-    that sub-problem reachable by the zero-length run.  ``dump_dir`` gets
-    one subdirectory per reachability check: ``<position>_<location>`` for
-    a chain entry and ``goal`` for the final check of the exact goal.
+    Every chain entry, the initial location's included, is decided by
+    ``bounded_reachable`` over one shared box pass, so a reachable entry
+    rests on a witness run that ``check_witness`` replayed.  ``dump_dir``
+    gets one subdirectory per reachability check: ``<position>_<location>``
+    for a chain entry and ``goal`` for the final check of the exact goal.
     ``cap`` bounds the concrete paths each check solves; the walk count is
     never capped.
     """
@@ -158,28 +155,24 @@ def explain(
         # box pass.
         box = BoxSteps(problem)
         for position, entry in enumerate(chain):
-            if entry.location == init_loc and position == 0 and init_within_invariant(problem):
-                status, paths_checked = STATUS_TRIVIAL, 0
-            else:
-                verdict = bounded_reachable(
-                    entry.problem,
-                    cap=cap,
-                    dump_dir=dump_subdir("%d_%s" % (position, entry.location_name)),
-                    box=box,
-                )
-                status, paths_checked = verdict.status, verdict.paths_checked
-                log.info(
-                    "check %d %s: %s paths_checked=%d",
-                    position, entry.location_name, status, paths_checked,
-                )
+            verdict = bounded_reachable(
+                entry.problem,
+                cap=cap,
+                dump_dir=dump_subdir("%d_%s" % (position, entry.location_name)),
+                box=box,
+            )
+            log.info(
+                "check %d %s: %s paths_checked=%d",
+                position, entry.location_name, verdict.status, verdict.paths_checked,
+            )
             verdicts.append(
                 WaypointVerdict(
                     location_name=entry.location_name,
-                    status=status,
-                    paths_checked=paths_checked,
+                    status=verdict.status,
+                    paths_checked=verdict.paths_checked,
                 )
             )
-            if status == STATUS_UNSAT:
+            if not verdict.is_sat:
                 failed = entry.location_name
                 break
 

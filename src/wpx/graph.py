@@ -60,18 +60,13 @@ class PathSet:
 
 # Kept for wpxbench/spans.py (see ``PathSet.paths``).
 class WalkView:
-    """Lazy view of a path set's walks: ``len`` is the count, iteration
-    lists the walks, as tuples of location ids, in BFS order."""
+    """A path set's walks, unlisted: ``len`` is the count."""
 
     def __init__(self, paths: PathSet):
         self._paths = paths
 
     def __len__(self) -> int:
         return self._paths.count
-
-    def __iter__(self) -> Iterator[Tuple[int, ...]]:
-        p = self._paths
-        return iter_walks(p.graph, p.source, p.target, p.depth)
 
 
 def build_graph(automaton: HybridAutomaton) -> LocationGraph:

@@ -87,10 +87,6 @@ class Polyhedron:
 
     constraints: Tuple[LinearConstraint, ...] = ()
 
-    @property
-    def is_universal(self) -> bool:
-        return not self.constraints
-
     def contains(self, valuation: Mapping[str, Rational]) -> bool:
         return all(c.holds(valuation) for c in self.constraints)
 
@@ -339,21 +335,6 @@ def alpha(problem: PlanningProblem, loc: int) -> PlanningProblem:
         goal=GoalSpec(location=loc, region=location.invariant),
         depth=problem.depth,
     )
-
-
-def init_within_invariant(problem: PlanningProblem) -> bool:
-    """Syntactic check that the init region's constraints include every
-    constraint of the initial location's invariant.
-
-    A sufficient (not necessary) condition for Init being a subset of
-    Inv(l0); used to skip the trivially reachable first chain entry.
-    """
-    init_loc, init_region = problem.init
-    inv = problem.domain.location(init_loc).invariant
-    if inv.is_universal:
-        return True
-    have = set(init_region.constraints)
-    return all(c in have for c in inv.constraints)
 
 
 def check_witness(

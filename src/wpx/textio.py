@@ -19,6 +19,9 @@ The model grammar is line-oriented and sectioned::
 
     init loc1 { b = 10; t = 0; }
 
+Sections may come in any order: a section may name a variable or a
+location that a later one declares.
+
 Constraints are conjunctions of closed linear comparisons
 (``expr <= expr``, ``expr >= expr``, ``expr = expr``); strict comparisons
 are rejected with a dedicated message.  Repeated ``inv:`` and ``guard:``
@@ -296,7 +299,7 @@ def _parse_automaton(text: str) -> HybridAutomaton:
     loc_ids: Dict[str, int] = {}
     transitions: List[Transition] = []
     labels: List[str] = []
-    initial: Optional[Tuple[int, Polyhedron]] = None
+    initial: Optional[Tuple[_Token, Polyhedron]] = None
     pending_transitions: List[Tuple[_Token, str, str, Polyhedron, Reset]] = []
     # The ``location`` keyword of each location, where its missing rates
     # are reported.
@@ -377,16 +380,18 @@ def _parse_automaton(text: str) -> HybridAutomaton:
         elif word == "init":
             if initial is not None:
                 raise p.error("repeated 'init' section", tok)
-            name_tok = p.expect("name")
-            region = p.parse_block()
-            if name_tok.text not in loc_ids:
-                raise p.error("unknown initial location %r" % name_tok.text, name_tok)
-            initial = (loc_ids[name_tok.text], region)
+            initial = (p.expect("name"), p.parse_block())
         else:
             raise p.error("expected 'vars', 'location', 'trans' or 'init'", tok)
 
+    # Locations may be declared after the sections that name them, so the
+    # init location and the transition endpoints are resolved once every
+    # section is read.
     if initial is None:
         raise p.error("missing 'init' section")
+    init_tok, init_region = initial
+    if init_tok.text not in loc_ids:
+        raise p.error("unknown initial location %r" % init_tok.text, init_tok)
 
     for src_tok, dst, label, guard, reset in pending_transitions:
         for name in (src_tok.text, dst):
@@ -417,7 +422,7 @@ def _parse_automaton(text: str) -> HybridAutomaton:
         variables=tuple(variables),
         transitions=tuple(transitions),
         labels=tuple(labels),
-        initial=initial,
+        initial=(loc_ids[init_tok.text], init_region),
     )
     violations = validate_model(automaton)
     if violations:

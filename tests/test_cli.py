@@ -44,15 +44,25 @@ def test_paths_depth_override(capsys):
     assert out.strip() == "5"
 
 
-def test_paths_disconnected_goal_prints_zero(capsys, tmp_path):
-    model = tmp_path / "m.lha"
-    model.write_text(
-        "vars x\nlocation a { rate x in [0,0]; }\n"
-        "location b { rate x in [0,0]; }\ninit a {}\n"
-    )
+def write_problem(tmp_path, model_text, problem_text):
+    """Write ``m.lha`` and ``p.prob``, which names it, and return the
+    problem's path."""
+    (tmp_path / "m.lha").write_text(model_text)
     prob = tmp_path / "p.prob"
-    prob.write_text("model m.lha\ngoal b\ndepth 5\n")
-    code, out, _ = run(capsys, "paths", "--problem", str(prob))
+    prob.write_text("model m.lha\n" + problem_text)
+    return str(prob)
+
+
+# Two locations and no transition: the goal b is cut off from a.
+DISCONNECTED = (
+    "vars x\nlocation a { rate x in [0,0]; }\n"
+    "location b { rate x in [0,0]; }\ninit a {}\n"
+)
+
+
+def test_paths_disconnected_goal_prints_zero(capsys, tmp_path):
+    prob = write_problem(tmp_path, DISCONNECTED, "goal b\ndepth 5\n")
+    code, out, _ = run(capsys, "paths", "--problem", prob)
     assert code == EXIT_OK
     assert out.strip() == "0"
 
@@ -67,6 +77,43 @@ def test_waypoints_trivial_note(capsys):
     code, out, _ = run(capsys, "waypoints", "--problem", bench("nrs", "depth15.prob"))
     assert code == EXIT_OK
     assert "trivial chain" in out
+
+
+def test_waypoints_of_a_discrete_infeasible_problem(capsys, tmp_path):
+    prob = write_problem(tmp_path, DISCONNECTED, "goal b\ndepth 5\n")
+    code, out, _ = run(capsys, "waypoints", "--problem", prob)
+    assert code == EXIT_OK
+    assert out == "discrete-infeasible: no bounded path reaches the goal location\n"
+    code, out, _ = run(capsys, "waypoints", "--problem", prob, "--json")
+    assert code == EXIT_OK
+    assert out == '{"chain": [], "note": "discrete-infeasible"}\n'
+
+
+def test_paths_verbose_json_lists_paths(capsys, tmp_path):
+    model = (
+        "vars x\nlocation a { rate x in [0,0]; }\n"
+        "location b { rate x in [0,0]; }\nlocation c { rate x in [0,0]; }\n"
+        "trans a -> b {}\ntrans a -> c {}\ntrans c -> b {}\ninit a {}\n"
+    )
+    prob = write_problem(tmp_path, model, "goal b\ndepth 2\n")
+    code, out, _ = run(capsys, "paths", "--problem", prob, "-v", "--json")
+    assert code == EXIT_OK
+    assert out == (
+        "{\n"
+        '  "path_count": 2,\n'
+        '  "paths": [\n'
+        "    [\n"
+        '      "a",\n'
+        '      "b"\n'
+        "    ],\n"
+        "    [\n"
+        '      "a",\n'
+        '      "c",\n'
+        '      "b"\n'
+        "    ]\n"
+        "  ]\n"
+        "}\n"
+    )
 
 
 def test_explain_text_output(capsys):

@@ -1,12 +1,13 @@
 """Explainer outcomes, ordering, and instrumentation."""
 
+import pytest
+
 from conftest import load_benchmark
 from wpx.explain import (
     OUTCOME_DISCRETE_INFEASIBLE,
     OUTCOME_FIRST_UNREACHABLE,
     OUTCOME_NO_WAYPOINT,
     OUTCOME_SOLVABLE,
-    STATUS_TRIVIAL,
     classify_trivial_chain,
     explain,
 )
@@ -83,17 +84,31 @@ def test_no_waypoint_explanation():
     assert all(v.status != "UNSAT" for v in report.verdicts)
 
 
-def test_trivial_init_entry_is_skipped():
-    # Init region listing the invariant constraint verbatim skips the LP.
+def test_init_entry_is_checked_like_every_other():
+    # An init region that lists the invariant of its location verbatim
+    # still goes through the reachability check.
     automaton = parse_model(
         LINE.replace("GUARD", "10").replace("init a { x = 0; t = 0; }",
                                             "init a { x >= 0; t = 0; }")
     )
     problem = parse_problem("goal c\ndepth 4\n", automaton).problem
     report = explain(problem)
-    assert report.verdicts[0].status == STATUS_TRIVIAL
-    assert report.verdicts[0].paths_checked == 0
-    assert report.feasible_count == 2  # trivial a + reachable b
+    assert report.verdicts[0].status == "SAT"
+    assert report.verdicts[0].paths_checked == 1
+    assert report.feasible_count == 2  # a and b
+
+
+@pytest.mark.parametrize("region", ["x >= 0; x = 1; x = 2;", "x >= 0; x + t <= 1; x + t >= 2;"])
+def test_empty_init_region_is_the_explanation(region):
+    # The region lists the invariant of a verbatim, yet no run can start.
+    automaton = parse_model(
+        LINE.replace("GUARD", "5").replace("init a { x = 0; t = 0; }", "init a { %s }" % region)
+    )
+    report = explain(parse_problem("goal c\ndepth 4\n", automaton).problem)
+    assert report.outcome == OUTCOME_FIRST_UNREACHABLE
+    assert report.explanation_name == "a"
+    assert [v.status for v in report.verdicts] == ["UNSAT"]
+    assert report.feasible_count == 0
 
 
 def test_timings_present_and_nonnegative():

@@ -1,5 +1,7 @@
 """Core type behavior: validation, goal widening, and the run checker."""
 
+import dataclasses
+import os
 from fractions import Fraction
 
 import pytest
@@ -21,10 +23,11 @@ from wpx.model import (
     WitnessRun,
     alpha,
     check_witness,
-    init_within_invariant,
     rat,
     validate_model,
 )
+from wpx.reach import bounded_reachable
+from wpx.textio import parse_model, parse_problem
 
 
 def le(coeffs, const=0):
@@ -124,17 +127,6 @@ def test_alpha_unknown_location_raises():
         alpha(problem, 9)
 
 
-def test_init_within_invariant_syntactic():
-    automaton = make_automaton()
-    inv_constraint = automaton.locations[0].invariant.constraints[0]
-    tight = PlanningProblem(
-        automaton, (0, Polyhedron((inv_constraint,))), GoalSpec(1), 2
-    )
-    assert init_within_invariant(tight)
-    loose = PlanningProblem(automaton, (0, Polyhedron()), GoalSpec(1), 2)
-    assert not init_within_invariant(loose)
-
-
 def good_run():
     zero, one, three = Fraction(0), Fraction(1), Fraction(3)
     return WitnessRun(
@@ -197,3 +189,102 @@ def test_witness_run_makespan():
 def test_plan_fields():
     plan = Plan(steps=((Fraction(3), "go"),), makespan=Fraction(4))
     assert plan.steps[0][1] == "go"
+
+
+# --- check_witness, one broken clause at a time ---------------------------
+
+HALF = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "half")
+
+
+def half_problem(model_edit=None, problem_edit=None):
+    """``golden/half``, with at most one ``(old, new)`` text replacement in
+    each of its files."""
+    texts = []
+    for name, edit in (("half.lha", model_edit), ("half.prob", problem_edit)):
+        with open(os.path.join(HALF, name), encoding="utf-8") as fh:
+            text = fh.read()
+        if edit is not None:
+            assert edit[0] in text
+            text = text.replace(*edit, 1)
+        texts.append(text)
+    return parse_problem(texts[1], parse_model(texts[0])).problem
+
+
+def half_run():
+    """The SAT run of ``golden/half``: a for 3/2, b for 5/2, then c."""
+    run = bounded_reachable(half_problem()).run
+    assert [seg.dwell for seg in run.segments] == [Fraction(3, 2), Fraction(5, 2), 0]
+    return run
+
+
+def with_segment(run, index, **fields):
+    """``run`` with fields of segment ``index`` replaced; ``entry`` and
+    ``exit`` are given as the value of x."""
+    for key in ("entry", "exit"):
+        if key in fields:
+            fields[key] = (("x", Fraction(fields[key])),)
+    segments = list(run.segments)
+    segments[index] = dataclasses.replace(segments[index], **fields)
+    return dataclasses.replace(run, segments=tuple(segments))
+
+
+A_INV = "location a {\n  inv: x >= 0; x <= 10;"
+B_INV = "location b {\n  inv: x >= 0; x <= 10;"
+
+# (case, model edit, problem edit, run edit, messages)
+WITNESS_BREAKS = [
+    ("empty run", None, None, lambda r: WitnessRun((), ()), ["empty run"]),
+    ("count mismatch", None, None,
+     lambda r: dataclasses.replace(r, transitions=(0,)),
+     ["segment/transition count mismatch"]),
+    ("start location", None, ("goal", "init b { x = 0; }\ngoal"), None,
+     ["run starts at location 0, expected 1"]),
+    ("init region", None, ("goal", "init a { x = 1; }\ngoal"), None,
+     ["initial valuation violates the init region"]),
+    ("negative dwell", None, None, lambda r: with_segment(r, 2, dwell=Fraction(-1)),
+     ["segment 2 has negative dwell"]),
+    ("entry invariant", (B_INV, B_INV.replace("x >= 0", "x >= 4")), None, None,
+     ["segment 1 entry violates invariant of b"]),
+    ("exit invariant", (B_INV, B_INV.replace("x <= 10", "x <= 7")), None, None,
+     ["segment 1 exit violates invariant of b"]),
+    ("rate displacement", None, None, lambda r: with_segment(r, 0, dwell=Fraction(1)),
+     ["segment 0 variable 'x' displacement outside rate interval"]),
+    ("wrong join", None, None, lambda r: dataclasses.replace(r, transitions=(1, 1)),
+     ["transition 1 does not join segments 0 and 1"]),
+    ("guard", None, None,
+     lambda r: with_segment(with_segment(r, 0, dwell=Fraction(1), exit=2),
+                            1, entry=2, dwell=Fraction(3)),
+     ["transition 0 guard violated at segment 0 exit"]),
+    ("changed keep", None, None, lambda r: with_segment(r, 1, entry=4, dwell=Fraction(2)),
+     ["transition 0 keeps 'x' but value changed"]),
+    ("reset interval", ("label: go;", "label: go;\n  reset x in [4, 5];"), None, None,
+     ["transition 0 reset of 'x' lands outside its interval"]),
+    ("end location", None, ("goal c { x >= 8; }", "goal b"), None,
+     ["run ends at location 2, expected 1"]),
+    ("goal region", None, ("x >= 8", "x >= 9"), None,
+     ["final valuation violates the goal region"]),
+    # The run ends in c, so a goal location whose invariant the final
+    # valuation breaks is also the wrong end location.
+    ("goal invariant", (A_INV, A_INV.replace("x <= 10", "x <= 7")),
+     ("goal c { x >= 8; }", "goal a"), None,
+     ["run ends at location 2, expected 0",
+      "final valuation violates the goal location invariant"]),
+]
+
+
+def test_check_witness_accepts_the_half_run():
+    problem = half_problem()
+    assert check_witness(problem.domain, problem.init, problem.goal, half_run()) == []
+
+
+@pytest.mark.parametrize(
+    "model_edit,problem_edit,run_edit,messages",
+    [case[1:] for case in WITNESS_BREAKS],
+    ids=[case[0] for case in WITNESS_BREAKS],
+)
+def test_check_witness_names_the_broken_clause(model_edit, problem_edit, run_edit, messages):
+    problem = half_problem(model_edit, problem_edit)
+    run = half_run()
+    if run_edit is not None:
+        run = run_edit(run)
+    assert check_witness(problem.domain, problem.init, problem.goal, run) == messages

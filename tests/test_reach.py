@@ -510,6 +510,30 @@ def test_box_preanalysis_stops_when_its_state_repeats(monkeypatch):
     assert outcomes[0][1] == "l28"
 
 
+@pytest.mark.parametrize(
+    "rate,guard", [("[0, 1]", "x <= 3"), ("[-1, 0]", "x >= 7")], ids=["rising", "falling"]
+)
+def test_box_refutes_a_guard_that_a_zero_rate_bound_keeps_out_of_reach(
+    monkeypatch, rate, guard
+):
+    # From x = 5, a rate whose bound on the guard's side is 0 never brings
+    # x to the guard, however long a dwells.
+    automaton = parse_model(
+        "vars x\n"
+        "location a { rate x in %s; }\n"
+        "location b { rate x in [0, 0]; }\n"
+        "trans a -> b { guard: %s; }\n"
+        "init a { x = 5; }\n" % (rate, guard)
+    )
+    problem = parse_problem("goal b\ndepth 1\n", automaton).problem
+    assert per_check_box_unreachable(problem)
+    verdict = bounded_reachable(problem)
+    assert (verdict.status, verdict.paths_checked) == ("UNSAT", 0)
+    box_off(monkeypatch)
+    verdict = bounded_reachable(problem)
+    assert (verdict.status, verdict.paths_checked) == ("UNSAT", 1)
+
+
 def random_box_problem(rng: random.Random) -> PlanningProblem:
     """A ``random_automaton`` draw with a random goal location, a goal
     region that asks for the resource about half the time, and depth 0-8."""

@@ -66,6 +66,23 @@ def test_unknown_initial_location_rejected():
         parse_model(MINI.replace("init a", "init zz"))
 
 
+def test_init_may_come_before_its_location():
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "half", "half.lha")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    init = "init a { x = 0; }\n"
+    assert text.endswith(init)
+    assert parse_model(init + text[: -len(init)]) == parse_model(text)
+
+
+def test_unknown_initial_location_named_first_is_reported_at_its_name():
+    init = "init a { x = 1.5; t = 0; }\n"
+    text = init.replace("init a", "init zz") + MINI.replace(init, "")
+    with pytest.raises(ParseError) as err:
+        parse_model(text, "m.lha")
+    assert str(err.value) == "m.lha: line 1, column 6: unknown initial location 'zz'"
+
+
 def test_missing_init_rejected():
     text = MINI[: MINI.index("init a")]
     with pytest.raises(ParseError) as err:
