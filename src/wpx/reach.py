@@ -38,7 +38,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import islice
 from math import gcd, lcm
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .graph import DEFAULT_PATH_CAP, ResourceCapExceeded, iter_labelled_walks
 from .model import (
@@ -47,7 +47,6 @@ from .model import (
     PlanningProblem,
     Polyhedron,
     Rational,
-    RateSpec,
     Relation,
     ResetKind,
     RunSegment,
@@ -309,8 +308,28 @@ def _solve_rows(
 # so an empty goal box at every step proves UNSAT without enumerating a
 # single path; any nonempty goal box is merely inconclusive and falls
 # through to the exact check.
+#
+# A bound is an int when it is integral and a Fraction only when it is not,
+# so an all-integer box steps in native int arithmetic.  The model's numbers
+# are normalised where they enter a pass (region, rate and interval-reset
+# bounds); a bound computed from a Fraction stays one, even when integral.
+# The box's only divisions go through ``_quotient``, so no float appears.
+# Ints and Fractions compare and hash alike, so the representation changes
+# no map, stop or verdict.
 
-_Box = Dict[str, Tuple[Optional[Rational], Optional[Rational]]]
+_Bound = Union[int, Fraction]
+_Box = Dict[str, Tuple[Optional[_Bound], Optional[_Bound]]]
+# A location's rate bounds: one ``(var, lower, upper)`` per rate interval.
+_Rates = Tuple[Tuple[str, _Bound, _Bound], ...]
+
+
+def _quotient(n: _Bound, d: _Bound) -> _Bound:
+    """``n / d`` exactly, for d != 0: an int when it is integral, else a
+    Fraction.  ``_quotient(x, 1)`` normalises a model number."""
+    num = n.numerator * d.denominator
+    den = n.denominator * d.numerator
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
 
 
 def _box_from_region(region: Polyhedron, variables: Sequence[str]) -> _Box:
@@ -323,7 +342,7 @@ def _box_from_region(region: Polyhedron, variables: Sequence[str]) -> _Box:
             continue
         (var, k), = coeffs
         # k*x + const REL 0
-        bound = -c.expression.constant / k
+        bound = _quotient(-c.expression.constant, k)
         lo, hi = box[var]
         if c.relation is Relation.EQ:
             relations = (Relation.LE, Relation.GE)
@@ -369,56 +388,55 @@ def _box_join(a: Optional[_Box], b: _Box) -> _Box:
     return out
 
 
-def _box_dwell(entry: _Box, rates: RateSpec, exit_box: _Box) -> Optional[_Box]:
+def _box_dwell(entry: _Box, rates: _Rates, exit_box: _Box) -> Optional[_Box]:
     """Possible exit valuations after some dwell t >= 0 whose endpoint lies
     in ``exit_box``, or None when there are none; per-variable dwell
-    coupling is relaxed to a shared dwell interval."""
-    t_lo = _ZERO
-    t_hi: Optional[Rational] = None
+    coupling is relaxed to a shared dwell interval.  ``rates`` is the
+    location's table from ``BoxSteps.rates``."""
+    t_lo: _Bound = 0
+    t_hi: Optional[_Bound] = None
 
-    def tighten(const: Rational, slope: Rational) -> bool:
-        # Require const + slope*t <= 0 for some t in [t_lo, t_hi].
+    def tighten(const: _Bound, slope: _Bound) -> None:
+        # Require const + slope*t <= 0 for some t in [t_lo, t_hi].  A zero
+        # slope leaves t free: when const > 0 the variable's band misses
+        # exit_box, and the final intersection refutes it.
         nonlocal t_lo, t_hi
-        if slope == 0:
-            return const <= 0
-        bound = -const / slope
         if slope > 0:
+            bound = _quotient(-const, slope)
             if t_hi is None or bound < t_hi:
                 t_hi = bound
-        else:
+        elif slope < 0:
+            bound = _quotient(-const, slope)
             if bound > t_lo:
                 t_lo = bound
-        return True
 
-    for var, iv in rates.intervals:
+    for var, lower, upper in rates:
         a_lo, a_hi = entry[var]
         e_lo, e_hi = exit_box[var]
         # Reachable band at dwell t: [a_lo + lower*t, a_hi + upper*t].
         if e_hi is not None and a_lo is not None:
-            if not tighten(a_lo - e_hi, iv.lower):
-                return None
+            tighten(a_lo - e_hi, lower)
         if e_lo is not None and a_hi is not None:
-            if not tighten(e_lo - a_hi, -iv.upper):
-                return None
+            tighten(e_lo - a_hi, -upper)
     if t_hi is not None and t_lo > t_hi:
         return None
 
     # A variable without a rate interval keeps its entry bounds.
     out = dict(entry)
-    for var, iv in rates.intervals:
+    for var, lower, upper in rates:
         a_lo, a_hi = entry[var]
         if a_lo is None:
             lo = None
-        elif iv.lower >= 0:
-            lo = a_lo + iv.lower * t_lo
+        elif lower >= 0:
+            lo = a_lo + lower * t_lo
         else:
-            lo = None if t_hi is None else a_lo + iv.lower * t_hi
+            lo = None if t_hi is None else a_lo + lower * t_hi
         if a_hi is None:
             hi = None
-        elif iv.upper <= 0:
-            hi = a_hi + iv.upper * t_lo
+        elif upper <= 0:
+            hi = a_hi + upper * t_lo
         else:
-            hi = None if t_hi is None else a_hi + iv.upper * t_hi
+            hi = None if t_hi is None else a_hi + upper * t_hi
         out[var] = (lo, hi)
     return _box_intersect(out, exit_box)
 
@@ -435,8 +453,8 @@ class BoxSteps:
     (``model.alpha``) share every map.  The walk stops at an empty map, at
     a map that repeats an earlier one (the next map depends only on the
     current one, so every later map repeats a goal test that already
-    failed), or at the depth.  The box of each region is built once per
-    pass, on first use.
+    failed), or at the depth.  The box of each region and the rate table
+    of each location are built once per pass, on first use.
     """
 
     def __init__(self, problem: PlanningProblem) -> None:
@@ -446,6 +464,7 @@ class BoxSteps:
         self.maps: List[Dict[int, _Box]] = []
         # Keyed by id; the region is kept alongside so the id stays its own.
         self._boxes: Dict[int, Tuple[Polyhedron, _Box]] = {}
+        self._rates: Dict[int, _Rates] = {}
         # Through a proxy, a suspended walk forms no reference cycle with its
         # pass, so a dropped pass is freed at once, not by the cycle collector.
         self._steps = BoxSteps._walk(weakref.proxy(self))
@@ -461,6 +480,16 @@ class BoxSteps:
     def inv_box(self, loc_id: int) -> _Box:
         return self.region_box(self.domain.location(loc_id).invariant)
 
+    def rates(self, loc_id: int) -> _Rates:
+        """The rate table of location ``loc_id``, as ``_box_dwell`` reads it."""
+        hit = self._rates.get(loc_id)
+        if hit is None:
+            hit = self._rates[loc_id] = tuple(
+                (var, _quotient(iv.lower, 1), _quotient(iv.upper, 1))
+                for var, iv in self.domain.location(loc_id).rates.intervals
+            )
+        return hit
+
     def map(self, step: int) -> Optional[Dict[int, _Box]]:
         """Map ``step``, stepping the walk up to it on first use; None when
         the walk stops before it."""
@@ -474,14 +503,20 @@ class BoxSteps:
             outgoing.setdefault(trans.source, []).append(trans)
 
         @cache
-        def exits(loc_id: int) -> List[Tuple[Transition, _Box]]:
+        def exits(loc_id: int) -> List[Tuple[Transition, _Box, _Box]]:
             # The outgoing transitions whose exit requirement
-            # inv(source) & guard is nonempty, each with that requirement.
+            # inv(source) & guard is nonempty, each with that requirement
+            # and the bounds its interval resets assign.
             out = []
             for trans in outgoing.get(loc_id, ()):
                 req = _box_intersect(self.inv_box(loc_id), self.region_box(trans.guard))
                 if req is not None:
-                    out.append((trans, req))
+                    resets = {
+                        var: (_quotient(act.lower, 1), _quotient(act.upper, 1))
+                        for var, act in trans.reset.actions
+                        if act.kind is not ResetKind.KEEP
+                    }
+                    out.append((trans, req, resets))
             return out
 
         init_loc, init_region = self.init
@@ -492,16 +527,13 @@ class BoxSteps:
             yield current
             nxt: Dict[int, _Box] = {}
             for loc_id, entry in current.items():
-                rates = self.domain.location(loc_id).rates
-                for trans, req in exits(loc_id):
+                rates = self.rates(loc_id)
+                for trans, req, resets in exits(loc_id):
                     exit_box = _box_dwell(entry, rates, req)
                     if exit_box is None:
                         continue
-                    landed = dict(exit_box)
-                    for var, act in trans.reset.actions:
-                        if act.kind is not ResetKind.KEEP:
-                            landed[var] = (act.lower, act.upper)
-                    landed = _box_intersect(landed, self.inv_box(trans.target))
+                    # Merging keeps exit_box's key order, the declaration order.
+                    landed = _box_intersect({**exit_box, **resets}, self.inv_box(trans.target))
                     if landed is not None:
                         nxt[trans.target] = _box_join(nxt.get(trans.target), landed)
             key = tuple((loc_id, tuple(box.values())) for loc_id, box in sorted(nxt.items()))
@@ -517,7 +549,7 @@ def _interval_unreachable(problem: PlanningProblem, box: BoxSteps) -> bool:
     goal; False is inconclusive.  ``box`` is a pass for ``problem``'s
     automaton, init and depth; the goal is tested on each of its maps."""
     goal_loc = problem.goal.location
-    rates = problem.domain.location(goal_loc).rates
+    rates = box.rates(goal_loc)
     goal_inv = box.inv_box(goal_loc)
     goal_box = box.region_box(problem.goal.region)
     step = 0

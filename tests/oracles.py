@@ -1293,11 +1293,20 @@ def random_digraph(rng: random.Random, max_vertices: int = 6):
 # --- random small automata -----------------------------------------------
 
 
-def random_automaton(rng: random.Random, max_locs: int = 4) -> HybridAutomaton:
+def random_automaton(
+    rng: random.Random, max_locs: int = 4, denominator: int = 1
+) -> HybridAutomaton:
     """A small automaton with one clock-like variable and one resource.
 
     Shapes chosen so that SAT and UNSAT both occur with useful frequency.
+    The resource's rate bounds, the region constants and the resource's
+    reset bounds are multiples of ``1/denominator``; with the default 1
+    they are integers.
     """
+
+    def draw(lo: int, hi: int) -> Fraction:
+        return Fraction(rng.randint(lo * denominator, hi * denominator), denominator)
+
     n = rng.randint(2, max_locs)
     variables = ("x", "y")
     locations = []
@@ -1305,14 +1314,14 @@ def random_automaton(rng: random.Random, max_locs: int = 4) -> HybridAutomaton:
         inv = []
         if rng.random() < 0.7:
             inv.append(
-                LinearConstraint(LinearExpression.build({"x": 1}, -rng.randint(2, 8)), Relation.LE)
+                LinearConstraint(LinearExpression.build({"x": 1}, -draw(2, 8)), Relation.LE)
             )
         if rng.random() < 0.5:
             inv.append(
-                LinearConstraint(LinearExpression.build({"y": -1}, rng.randint(-2, 2)), Relation.LE)
+                LinearConstraint(LinearExpression.build({"y": -1}, draw(-2, 2)), Relation.LE)
             )
-        lo = rng.randint(-2, 1)
-        hi = lo + rng.randint(0, 2)
+        lo = draw(-2, 1)
+        hi = lo + draw(0, 2)
         locations.append(
             Location(
                 id=i,
@@ -1329,15 +1338,15 @@ def random_automaton(rng: random.Random, max_locs: int = 4) -> HybridAutomaton:
         if rng.random() < 0.6:
             guard.append(
                 LinearConstraint(
-                    LinearExpression.build({"x": -1}, rng.randint(0, 3)), Relation.LE
+                    LinearExpression.build({"x": -1}, draw(0, 3)), Relation.LE
                 )
             )
         resets = {}
         if rng.random() < 0.5:
             resets["x"] = (0, 0)
         if rng.random() < 0.3:
-            a = rng.randint(-1, 2)
-            resets["y"] = (a, a + rng.randint(0, 1))
+            a = draw(-1, 2)
+            resets["y"] = (a, a + draw(0, 1))
         transitions.append(
             Transition(
                 id=len(transitions),
@@ -1352,7 +1361,7 @@ def random_automaton(rng: random.Random, max_locs: int = 4) -> HybridAutomaton:
         (
             LinearConstraint(LinearExpression.build({"x": 1}), Relation.EQ),
             LinearConstraint(
-                LinearExpression.build({"y": 1}, -rng.randint(0, 3)), Relation.EQ
+                LinearExpression.build({"y": 1}, -draw(0, 3)), Relation.EQ
             ),
         )
     )

@@ -534,15 +534,17 @@ def test_box_refutes_a_guard_that_a_zero_rate_bound_keeps_out_of_reach(
     assert (verdict.status, verdict.paths_checked) == ("UNSAT", 1)
 
 
-def random_box_problem(rng: random.Random) -> PlanningProblem:
+def random_box_problem(rng: random.Random, denominator: int = 1) -> PlanningProblem:
     """A ``random_automaton`` draw with a random goal location, a goal
-    region that asks for the resource about half the time, and depth 0-8."""
-    automaton = random_automaton(rng)
+    region that asks for the resource about half the time, and depth 0-8;
+    its numbers are multiples of ``1/denominator``."""
+    automaton = random_automaton(rng, denominator=denominator)
     n = len(automaton.locations)
     region = Polyhedron()
     if rng.random() < 0.6:
         # y >= k, against a resource that the draw may drain
-        need = LinearExpression.build({"y": -1}, rng.randint(-2, 6))
+        k = Fraction(rng.randint(-2 * denominator, 6 * denominator), denominator)
+        need = LinearExpression.build({"y": -1}, k)
         region = Polyhedron((LinearConstraint(need, Relation.LE),))
     return PlanningProblem(
         domain=automaton,
@@ -611,6 +613,72 @@ def test_box_maps_match_the_lazy_reference_and_step_only_when_asked(monkeypatch)
             {loc: b for loc, b in m.items() if b is not None} for m in lazy.maps
         ]
     assert len(problems) == 1014 and stepped > 500
+
+
+def random_fractional_box_problem(rng: random.Random) -> PlanningProblem:
+    """A ``random_box_problem`` draw whose numbers are halves or thirds."""
+    return random_box_problem(rng, denominator=rng.choice((2, 3)))
+
+
+def map_bounds(box):
+    """Every bound of every map of a pass, None included."""
+    return [bound for m in box.maps for b in m.values() for pair in b.values() for bound in pair]
+
+
+def test_box_agrees_with_its_references_on_non_integral_data():
+    # Rate bounds, region constants and interval-reset bounds in halves or
+    # thirds exercise the Fraction side of the box's bounds: the pass holds
+    # the step-by-step reference's maps and decides every check as the
+    # per-check reference does.
+    rng = random.Random(1717)
+    unsat = non_integral = 0
+    for _ in range(300):
+        problem = random_fractional_box_problem(rng)
+        n = len(problem.domain.locations)
+        box = reach.BoxSteps(problem)
+        for sub in [alpha(problem, loc) for loc in range(n)] + [problem]:
+            want = per_check_box_unreachable(sub)
+            assert reach._interval_unreachable(sub, box) == want
+            unsat += want
+        box.map(problem.depth)
+        lazy = LazyBoxSteps(problem)
+        lazy.map(problem.depth)
+        assert box.maps == [
+            {loc: b for loc, b in m.items() if b is not None} for m in lazy.maps
+        ]
+        non_integral += any(
+            type(bound) is Fraction and bound.denominator != 1 for bound in map_bounds(box)
+        )
+    assert unsat > 300 and non_integral > 100
+
+
+def test_box_bounds_are_ints_when_integral_and_never_floats():
+    # Region boxes and rate tables normalise the model's Fractions, so the
+    # box steps in int arithmetic wherever the data is integral.  A bound
+    # computed from a non-integral one may stay a Fraction; none is a float.
+    rng = random.Random(1818)
+    problems = [load_benchmark(d, p) for d, p in benchmark_problems()]
+    problems += [random_box_problem(rng) for _ in range(200)]
+    problems += [random_fractional_box_problem(rng) for _ in range(200)]
+    ints = fractions = 0
+    for problem in problems:
+        automaton = problem.domain
+        box = reach.BoxSteps(problem)
+        box.map(problem.depth)
+        assert all(type(b) in (int, Fraction) for b in map_bounds(box) if b is not None)
+        regions = [problem.init[1], problem.goal.region]
+        regions += [loc.invariant for loc in automaton.locations]
+        regions += [t.guard for t in automaton.transitions]
+        normalised = [b for r in regions for pair in box.region_box(r).values() for b in pair]
+        for loc in automaton.locations:
+            normalised += [b for _var, lower, upper in box.rates(loc.id) for b in (lower, upper)]
+        for b in normalised:
+            if b is None:
+                continue
+            assert type(b) is int or (type(b) is Fraction and b.denominator != 1), b
+            ints += type(b) is int
+            fractions += type(b) is Fraction
+    assert len(problems) == 414 and ints > 1000 and fractions > 100
 
 
 def test_a_dropped_box_pass_is_freed_at_once():
