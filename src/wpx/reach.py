@@ -11,11 +11,13 @@ decides the rest with a bounded-variable simplex: one slack per
 multi-variable row and Bland's rule.  The simplex does only integer
 arithmetic: its tableau rows are ints over a positive int denominator,
 pivoted by integer cross-multiplication, and the variables' values and
-bounds are ints over one common denominator.  The rows, the returned
-assignment and the witnesses are exact ``Fraction``s.  A SAT witness is
-accepted only after it replays as a valid run through
-``model.check_witness``, and a SAT ``Verdict`` carries that checked run;
-an UNSAT verdict carries no certificate yet.
+bounds are ints over one common denominator.  A number in the rows is an
+int when it is integral and a ``Fraction`` only when it is not, so an
+integral model encodes in native int arithmetic; ``_quotient`` is the LP
+layer's one division.  The returned assignment and the witnesses are
+exact ``Fraction``s.  A SAT witness is accepted only after it replays as a
+valid run through ``model.check_witness``, and a SAT ``Verdict`` carries
+that checked run; an UNSAT verdict carries no certificate yet.
 ``bounded_reachable(..., dump_dir=...)`` (the CLI's ``--dump-lp``) lists
 the rows the solver decides.
 
@@ -56,19 +58,34 @@ from .model import (
 )
 from .textio import format_rational
 
+# A number of the path LPs and of the box is an int when it is integral and
+# a Fraction only when it is not.  Ints and Fractions compare and hash
+# alike, so the representation changes no row, pivot, map or verdict.
+# ``_quotient`` is their one division: ``/`` on two ints gives a float.
+_Number = Union[int, Fraction]
 # A row ``(coeffs, bound)`` means ``sum(coeffs*x) <= bound``; an affine
-# expression ``(coeffs, const)`` stands for ``sum(coeffs*x) + const``.
-_Row = Tuple[Dict[str, Rational], Rational]
-_Expr = Tuple[Dict[str, Rational], Rational]
+# expression ``(coeffs, const)`` stands for ``sum(coeffs*x) + const``.  Each
+# holds its numbers in that form, and no coefficient is 0.
+_Row = Tuple[Dict[str, _Number], _Number]
+_Expr = Tuple[Dict[str, _Number], _Number]
 # A valuation: one expression per automaton variable, in declaration order.
 _Point = Tuple[_Expr, ...]
 
-# Shared constants: Fractions are immutable, so rows may hold these.
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-_MINUS_ONE = Fraction(-1)
-
 log = logging.getLogger(__name__)
+
+
+def _number(x: _Number) -> _Number:
+    """``x`` as an int when it is integral, else as the Fraction it is."""
+    return x.numerator if x.denominator == 1 else x
+
+
+def _quotient(n: _Number, d: _Number) -> _Number:
+    """``n / d`` exactly, for d != 0: an int when it is integral, else a
+    Fraction."""
+    num = n.numerator * d.denominator
+    den = n.denominator * d.numerator
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
 
 
 @dataclass(frozen=True)
@@ -133,11 +150,12 @@ def _solve_rows(
 ) -> Optional[Dict[str, Rational]]:
     """Decide {sum(coeffs*x) <= bound} over free rational variables.
 
-    Single-variable rows become bounds.  A bound conflict, and an interval
-    pass that refutes a row whose smallest possible left side already
-    exceeds its bound, settle the common exhausted-budget pattern without a
-    pivot.  A bounded-variable simplex (Dutertre and de Moura, CAV 2006)
-    decides the rest.  Each multi-variable row gets one slack: a basic
+    Single-variable rows become bounds, each the exact ``_quotient(bound,
+    k)`` whether the row holds ints or Fractions.  A bound conflict, and an
+    interval pass that refutes a row whose smallest possible left side
+    already exceeds its bound, settle the common exhausted-budget pattern
+    without a pivot.  A bounded-variable simplex (Dutertre and de Moura, CAV
+    2006) decides the rest.  Each multi-variable row gets one slack: a basic
     variable whose tableau row is the row's coefficients and whose upper
     bound is the row's bound.  Every variable starts nonbasic at a value
     within its bounds.  While some basic variable violates a bound, the
@@ -160,8 +178,8 @@ def _solve_rows(
     and exact comparisons, so the pivots and the assignment come out the
     same.  Fractions are built only for the returned assignment.
     """
-    lower: Dict[str, Rational] = {}
-    upper: Dict[str, Rational] = {}
+    lower: Dict[str, _Number] = {}
+    upper: Dict[str, _Number] = {}
     general: List[_Row] = []
     all_vars: set = set()
     for coeffs, bound in rows:
@@ -172,7 +190,7 @@ def _solve_rows(
             continue
         if len(coeffs) == 1:
             (var, k), = coeffs.items()
-            b = bound / k
+            b = _quotient(bound, k)
             if k > 0:
                 if var not in upper or b < upper[var]:
                     upper[var] = b
@@ -193,7 +211,7 @@ def _solve_rows(
         *(bound.denominator for _, bound in general),
     )
 
-    def scaled(b: Optional[Rational]) -> Optional[int]:
+    def scaled(b: Optional[_Number]) -> Optional[int]:
         return None if b is None else b.numerator * (scale // b.denominator)
 
     # Columns: the variables in name order, then one slack per general row.
@@ -309,27 +327,15 @@ def _solve_rows(
 # single path; any nonempty goal box is merely inconclusive and falls
 # through to the exact check.
 #
-# A bound is an int when it is integral and a Fraction only when it is not,
-# so an all-integer box steps in native int arithmetic.  The model's numbers
-# are normalised where they enter a pass (region, rate and interval-reset
-# bounds); a bound computed from a Fraction stays one, even when integral.
-# The box's only divisions go through ``_quotient``, so no float appears.
-# Ints and Fractions compare and hash alike, so the representation changes
-# no map, stop or verdict.
+# A bound is a ``_Number``, so an all-integer box steps in native int
+# arithmetic.  The model's numbers are normalised where they enter a pass
+# (region, rate and interval-reset bounds); a bound computed from a
+# Fraction stays one, even when integral.  The box's only divisions go
+# through ``_quotient``, so no float appears.
 
-_Bound = Union[int, Fraction]
-_Box = Dict[str, Tuple[Optional[_Bound], Optional[_Bound]]]
+_Box = Dict[str, Tuple[Optional[_Number], Optional[_Number]]]
 # A location's rate bounds: one ``(var, lower, upper)`` per rate interval.
-_Rates = Tuple[Tuple[str, _Bound, _Bound], ...]
-
-
-def _quotient(n: _Bound, d: _Bound) -> _Bound:
-    """``n / d`` exactly, for d != 0: an int when it is integral, else a
-    Fraction.  ``_quotient(x, 1)`` normalises a model number."""
-    num = n.numerator * d.denominator
-    den = n.denominator * d.numerator
-    q, r = divmod(num, den)
-    return Fraction(num, den) if r else q
+_Rates = Tuple[Tuple[str, _Number, _Number], ...]
 
 
 def _box_from_region(region: Polyhedron, variables: Sequence[str]) -> _Box:
@@ -393,10 +399,10 @@ def _box_dwell(entry: _Box, rates: _Rates, exit_box: _Box) -> Optional[_Box]:
     in ``exit_box``, or None when there are none; per-variable dwell
     coupling is relaxed to a shared dwell interval.  ``rates`` is the
     location's table from ``BoxSteps.rates``."""
-    t_lo: _Bound = 0
-    t_hi: Optional[_Bound] = None
+    t_lo: _Number = 0
+    t_hi: Optional[_Number] = None
 
-    def tighten(const: _Bound, slope: _Bound) -> None:
+    def tighten(const: _Number, slope: _Number) -> None:
         # Require const + slope*t <= 0 for some t in [t_lo, t_hi].  A zero
         # slope leaves t free: when const > 0 the variable's band misses
         # exit_box, and the final intersection refutes it.
@@ -485,7 +491,7 @@ class BoxSteps:
         hit = self._rates.get(loc_id)
         if hit is None:
             hit = self._rates[loc_id] = tuple(
-                (var, _quotient(iv.lower, 1), _quotient(iv.upper, 1))
+                (var, _number(iv.lower), _number(iv.upper))
                 for var, iv in self.domain.location(loc_id).rates.intervals
             )
         return hit
@@ -512,7 +518,7 @@ class BoxSteps:
                 req = _box_intersect(self.inv_box(loc_id), self.region_box(trans.guard))
                 if req is not None:
                     resets = {
-                        var: (_quotient(act.lower, 1), _quotient(act.upper, 1))
+                        var: (_number(act.lower), _number(act.upper))
                         for var, act in trans.reset.actions
                         if act.kind is not ResetKind.KEEP
                     }
@@ -585,7 +591,9 @@ def encode_path(
     interval-reset entries).  Returns the rows and, per position, its entry
     and exit valuations as expressions over the survivors in
     ``automaton.variables`` order, from which a solution of the rows
-    rebuilds the run.
+    rebuilds the run.  Model numbers and their sums pass through
+    ``_number``, so every number emitted is a ``_Number`` and an integral
+    model encodes in native int arithmetic; nothing here divides.
     """
     automaton = problem.domain
     init_loc, init_region = problem.init
@@ -596,14 +604,15 @@ def encode_path(
     points: List[Tuple[_Point, _Point]] = []
     # Current value of each automaton variable as (coeffs, const).
     state: Dict[str, _Expr] = {
-        var: ({_var_in(var, 0): _ONE}, _ZERO) for var in automaton.variables
+        var: ({_var_in(var, 0): 1}, 0) for var in automaton.variables
     }
 
     def emit_region(region: Polyhedron) -> None:
         for c in region.constraints:
-            coeffs: Dict[str, Rational] = {}
-            const = c.expression.constant
+            coeffs: Dict[str, _Number] = {}
+            const = _number(c.expression.constant)
             for var, k in c.expression.coefficients:
+                k = _number(k)
                 scoeffs, sconst = state[var]
                 for v, sk in scoeffs.items():
                     if v in coeffs:
@@ -612,7 +621,9 @@ def encode_path(
                         coeffs[v] = k * sk
                 if sconst:
                     const += k * sconst
-            coeffs = {v: k for v, k in coeffs.items() if k}
+            # Fractions can sum to an integer, which becomes an int again.
+            coeffs = {v: _number(k) for v, k in coeffs.items() if k}
+            const = _number(const)
             # expr REL 0  ->  rows of the form coeffs*x <= bound
             if c.relation is Relation.LE:
                 rows.append((coeffs, -const))
@@ -631,31 +642,32 @@ def encode_path(
         emit_region(loc.invariant)
         # d_i, x@iout and x@i+1in are fresh here: no expression holds them yet.
         d = _dwell(i)
-        rows.append(({d: _MINUS_ONE}, _ZERO))  # d_i >= 0
+        rows.append(({d: -1}, 0))  # d_i >= 0
         for var in automaton.variables:
             iv = rates.get(var)
             if iv is None:
                 continue
+            lower, upper = _number(iv.lower), _number(iv.upper)
             coeffs, const = state[var]
-            if iv.lower == iv.upper:
-                if iv.lower:
+            if lower == upper:
+                if lower:
                     coeffs = dict(coeffs)
-                    coeffs[d] = iv.lower
+                    coeffs[d] = lower
                     state[var] = (coeffs, const)
             else:
                 out = _var_out(var, i)
                 # lower*d <= out - in <= upper*d
                 lo_row = dict(coeffs)
-                lo_row[out] = _MINUS_ONE
-                if iv.lower:
-                    lo_row[d] = iv.lower
+                lo_row[out] = -1
+                if lower:
+                    lo_row[d] = lower
                 rows.append((lo_row, -const))
                 hi_row = {v: -k for v, k in coeffs.items()}
-                hi_row[out] = _ONE
-                if iv.upper:
-                    hi_row[d] = -iv.upper
+                hi_row[out] = 1
+                if upper:
+                    hi_row[d] = -upper
                 rows.append((hi_row, const))
-                state[var] = ({out: _ONE}, _ZERO)
+                state[var] = ({out: 1}, 0)
         points.append((entry, tuple(state[var] for var in automaton.variables)))
         emit_region(loc.invariant)
 
@@ -667,13 +679,14 @@ def encode_path(
                 act = resets.get(var)
                 if act is None or act.kind is ResetKind.KEEP:
                     continue
-                if act.lower == act.upper:
-                    state[var] = ({}, act.lower)
+                lower, upper = _number(act.lower), _number(act.upper)
+                if lower == upper:
+                    state[var] = ({}, lower)
                 else:
                     fresh = _var_in(var, i + 1)
-                    rows.append(({fresh: _MINUS_ONE}, -act.lower))
-                    rows.append(({fresh: _ONE}, act.upper))
-                    state[var] = ({fresh: _ONE}, _ZERO)
+                    rows.append(({fresh: -1}, -lower))
+                    rows.append(({fresh: 1}, upper))
+                    state[var] = ({fresh: 1}, 0)
 
     emit_region(problem.goal.region)
     return rows, points
@@ -687,14 +700,15 @@ def _check_path(
 ) -> Optional[WitnessRun]:
     """Decide ``path`` from its encoding.  Returns None when the rows are
     infeasible, else the run the solver's assignment describes, after it
-    replays as a valid run under the model semantics."""
+    replays as a valid run under the model semantics.  Every value of the
+    run is a Fraction: each valuation's sum starts from one."""
     full = _solve_rows(rows)
     if full is None:
         return None
 
     def valuation(point: _Point) -> Tuple[Tuple[str, Rational], ...]:
         return tuple(
-            (var, sum((k * full.get(v, Fraction(0)) for v, k in coeffs.items()), const))
+            (var, sum((k * full.get(v, 0) for v, k in coeffs.items()), Fraction(const)))
             for var, (coeffs, const) in zip(problem.domain.variables, point)
         )
 

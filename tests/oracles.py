@@ -521,7 +521,14 @@ def fraction_tableau_rows(
     by name, then slacks by row; taking the smallest on both sides is
     Bland's rule, which ends the loop.  Returns an assignment covering every
     variable that appears in any row, or None when infeasible.
+
+    The rows are read as Fractions, whatever mix of ints and Fractions they
+    hold, so every value and division here is exact.
     """
+    rows = [
+        ({v: Fraction(k) for v, k in coeffs.items()}, Fraction(bound))
+        for coeffs, bound in rows
+    ]
     lower: Dict[str, Rational] = {}
     upper: Dict[str, Rational] = {}
     general: List[_Row] = []

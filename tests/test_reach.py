@@ -784,19 +784,55 @@ def test_witness_values_are_exact_fractions():
     assert values and all(isinstance(v, Fraction) for v in values)
 
 
-def assert_encoding_is_fractions(rows, points):
-    """Every coefficient ``encode_path`` emits is a nonzero Fraction, and
-    every bound and constant a Fraction: no int slips into the rows or the
-    valuations."""
+def encoding_number_kinds(rows, points):
+    """Count the numbers ``encode_path`` emitted, as ``(ints, fractions)``,
+    after checking that each is in canonical form: an int (not a bool) when
+    it is integral, else a Fraction whose denominator is not 1, never a
+    float, and that no coefficient is 0."""
+    ints = fractions = 0
     exprs = list(rows) + [expr for entry, exit_ in points for expr in entry + exit_]
     for coeffs, const in exprs:
-        assert type(const) is Fraction
-        assert all(type(k) is Fraction and k != 0 for k in coeffs.values())
+        assert all(k != 0 for k in coeffs.values())
+        for number in (const, *coeffs.values()):
+            if type(number) is int:
+                ints += 1
+            else:
+                assert type(number) is Fraction and number.denominator != 1, number
+                fractions += 1
+    return ints, fractions
 
 
-def test_encode_path_emits_only_fractions_on_bundled_rows():
+def encoded_random_automata(seed, denominator, count):
+    """``encoding_number_kinds`` summed over every concrete path of
+    ``count`` random automata whose numbers are multiples of
+    ``1/denominator``, with a two-variable goal row."""
+    rng = random.Random(seed)
+    ints = fractions = paths = 0
+    for _ in range(count):
+        automaton = random_automaton(rng, denominator=denominator)
+        goal = rng.randrange(len(automaton.locations))
+        bound = LinearExpression.build(
+            {"x": 1, "y": rng.choice((-1, 2))},
+            -Fraction(rng.randint(-2 * denominator, 6 * denominator), denominator),
+        )
+        problem = PlanningProblem(
+            domain=automaton,
+            init=automaton.initial,
+            goal=GoalSpec(location=goal, region=Polyhedron((LinearConstraint(bound, Relation.LE),))),
+            depth=3,
+        )
+        for path in enumerate_concrete_paths(automaton, automaton.initial[0], goal, 3):
+            i, f = encoding_number_kinds(*encode_path(problem, path))
+            ints += i
+            fractions += f
+            paths += 1
+    return ints, fractions, paths
+
+
+def test_encode_path_emits_canonical_numbers_on_bundled_rows():
     # The first paths of each pinned row, encoded as the LP regime encodes
-    # every path the box pre-analysis would have settled.
+    # every path the box pre-analysis would have settled.  Only nav's init
+    # (f = 5/2) is not integral.
     with open(os.path.join(os.path.dirname(reach.__file__), "benchmarks", "expectations.json")) as fh:
         table = json.load(fh)["rows"]
     assert len(table) == 14
@@ -805,30 +841,42 @@ def test_encode_path_emits_only_fractions_on_bundled_rows():
         paths = enumerate_concrete_paths(
             problem.domain, problem.init[0], problem.goal.location, problem.depth
         )
-        encoded = 0
-        for path in itertools.islice(paths, 30):
-            assert_encoding_is_fractions(*encode_path(problem, path))
-            encoded += 1
-        assert encoded, row["name"]
+        kinds = [
+            encoding_number_kinds(*encode_path(problem, path))
+            for path in itertools.islice(paths, 30)
+        ]
+        assert kinds and all(ints for ints, _ in kinds), row["name"]
+        assert any(fractions for _, fractions in kinds) == (row["name"] == "nav"), row["name"]
 
 
-def test_encode_path_emits_only_fractions_on_random_automata():
-    rng = random.Random(2121)
-    encoded = 0
-    for _ in range(100):
-        automaton = random_automaton(rng)
-        goal = rng.randrange(len(automaton.locations))
-        bound = LinearExpression.build({"x": 1, "y": rng.choice((-1, 2))}, -rng.randint(-2, 6))
-        problem = PlanningProblem(
-            domain=automaton,
-            init=automaton.initial,
-            goal=GoalSpec(location=goal, region=Polyhedron((LinearConstraint(bound, Relation.LE),))),
-            depth=3,
-        )
-        for path in enumerate_concrete_paths(automaton, automaton.initial[0], goal, 3):
-            assert_encoding_is_fractions(*encode_path(problem, path))
-            encoded += 1
-    assert encoded > 200
+def test_encode_path_emits_only_ints_on_integral_random_automata():
+    ints, fractions, paths = encoded_random_automata(2121, 1, 100)
+    assert paths > 200 and ints > 0 and fractions == 0
+
+
+@pytest.mark.parametrize("denominator", [2, 3])
+def test_encode_path_emits_canonical_numbers_on_non_integral_random_automata(denominator):
+    # Multiples of 1/2 or 1/3: some numbers stay Fractions, and the integral
+    # ones, products such as 2 * (1/2) included, come out as ints.
+    ints, fractions, paths = encoded_random_automata(2122 + denominator, denominator, 100)
+    assert paths > 200 and ints > 0 and fractions > 0
+
+
+def test_solve_rows_is_exact_on_int_rows_with_non_integral_quotients():
+    # Int rows whose single-variable bounds, such as 3*x <= 1 and
+    # -2*y <= -1, do not divide evenly: with ``/`` they would become floats.
+    rows = [({"x": 3}, 1), ({"x": -3}, -1), ({"y": -2}, -1), ({"x": 1, "y": 1}, 2)]
+    assert same_as_fraction_tableau(rows)
+    assert reach._solve_rows(rows) == {"x": Fraction(1, 3), "y": Fraction(1, 2)}
+    rng = random.Random(1818)
+    sat = 0
+    for _ in range(200):
+        rows = [
+            ({v: int(k) * rng.choice((1, 2, 3)) for v, k in coeffs.items()}, rng.randint(-7, 7))
+            for coeffs, _ in lp_rows(random_lp(rng, 6, 14))
+        ]
+        sat += same_as_fraction_tableau(rows)
+    assert 20 < sat < 180
 
 
 def test_encode_path_agrees_with_full_encoding_oracle():
