@@ -1,8 +1,11 @@
 """Core domain types for linear hybrid automata and bounded planning problems.
 
-All coefficients are exact rationals (``fractions.Fraction``); there is no
-floating point anywhere in the pipeline.  Every type in this module is
-immutable after construction and safe to share across threads or processes.
+Every number is an exact rational in canonical form: an ``int`` when it is
+integral and a ``fractions.Fraction`` only when it is not, as ``canonical``,
+the one normaliser, puts it; so integral data runs in native int arithmetic.
+There is no floating point anywhere in the pipeline.  Every type in this
+module is immutable after construction and safe to share across threads or
+processes.
 """
 
 from __future__ import annotations
@@ -12,16 +15,24 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
-Rational = Fraction
+# A number in canonical form: an int when integral, else a Fraction.  Ints
+# and Fractions compare and hash alike, so the form changes no answer.
+Rational = Union[int, Fraction]
 
-RationalLike = Union[Rational, int, str]
+RationalLike = Union[int, Fraction, str]
+
+
+def canonical(x: Rational) -> Rational:
+    """``x`` as an int when it is integral, else as the Fraction it is."""
+    return x.numerator if x.denominator == 1 else x
 
 
 def rat(value: RationalLike) -> Rational:
-    """Coerce an int, string (``3``, ``-1.25``, ``7/2``) or Fraction to Fraction."""
-    if isinstance(value, Fraction):
+    """Coerce an int, string (``3``, ``-1.25``, ``7/2``) or Fraction to
+    canonical form."""
+    if type(value) is int:
         return value
-    return Fraction(value)
+    return canonical(value if isinstance(value, Fraction) else Fraction(value))
 
 
 class Relation(Enum):
@@ -42,7 +53,7 @@ class LinearExpression:
     """
 
     coefficients: Tuple[Tuple[str, Rational], ...]
-    constant: Rational = Fraction(0)
+    constant: Rational = 0
 
     @staticmethod
     def build(coeffs: Mapping[str, RationalLike], constant: RationalLike = 0) -> "LinearExpression":
@@ -241,7 +252,7 @@ class WitnessRun:
     transitions: Tuple[int, ...]
 
     def makespan(self) -> Rational:
-        return sum((seg.dwell for seg in self.segments), Fraction(0))
+        return canonical(sum(seg.dwell for seg in self.segments))
 
 
 def validate_model(automaton: HybridAutomaton) -> list[str]:

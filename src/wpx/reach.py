@@ -11,13 +11,14 @@ decides the rest with a bounded-variable simplex: one slack per
 multi-variable row and Bland's rule.  The simplex does only integer
 arithmetic: its tableau rows are ints over a positive int denominator,
 pivoted by integer cross-multiplication, and the variables' values and
-bounds are ints over one common denominator.  A number in the rows is an
-int when it is integral and a ``Fraction`` only when it is not, so an
-integral model encodes in native int arithmetic; ``_quotient`` is the LP
-layer's one division.  The returned assignment and the witnesses are
-exact ``Fraction``s.  A SAT witness is accepted only after it replays as a
-valid run through ``model.check_witness``, and a SAT ``Verdict`` carries
-that checked run; an UNSAT verdict carries no certificate yet.
+bounds are ints over one common denominator.  Every number, from the
+model through the rows, the returned assignment and the witnesses to the
+plan, is an int when it is integral and a ``Fraction`` only when it is not
+(``model.canonical``), so an integral model encodes, solves and replays in
+native int arithmetic; ``_quotient`` is the LP layer's one division.  A SAT
+witness is accepted only after it replays as a valid run through
+``model.check_witness``, and a SAT ``Verdict`` carries that checked run; an
+UNSAT verdict carries no certificate yet.
 ``bounded_reachable(..., dump_dir=...)`` (the CLI's ``--dump-lp``) lists
 the rows the solver decides.
 
@@ -40,7 +41,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import islice
 from math import gcd, lcm
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .graph import DEFAULT_PATH_CAP, ResourceCapExceeded, iter_labelled_walks
 from .model import (
@@ -54,32 +55,26 @@ from .model import (
     RunSegment,
     Transition,
     WitnessRun,
+    canonical,
     check_witness,
 )
 from .textio import format_rational
 
-# A number of the path LPs and of the box is an int when it is integral and
-# a Fraction only when it is not.  Ints and Fractions compare and hash
-# alike, so the representation changes no row, pivot, map or verdict.
-# ``_quotient`` is their one division: ``/`` on two ints gives a float.
-_Number = Union[int, Fraction]
+# A number of the path LPs and of the box is a ``model.Rational``: an int
+# when it is integral and a Fraction only when it is not, as the model holds
+# it.  ``_quotient`` is their one division: ``/`` on two ints gives a float.
 # A row ``(coeffs, bound)`` means ``sum(coeffs*x) <= bound``; an affine
 # expression ``(coeffs, const)`` stands for ``sum(coeffs*x) + const``.  Each
 # holds its numbers in that form, and no coefficient is 0.
-_Row = Tuple[Dict[str, _Number], _Number]
-_Expr = Tuple[Dict[str, _Number], _Number]
+_Row = Tuple[Dict[str, Rational], Rational]
+_Expr = Tuple[Dict[str, Rational], Rational]
 # A valuation: one expression per automaton variable, in declaration order.
 _Point = Tuple[_Expr, ...]
 
 log = logging.getLogger(__name__)
 
 
-def _number(x: _Number) -> _Number:
-    """``x`` as an int when it is integral, else as the Fraction it is."""
-    return x.numerator if x.denominator == 1 else x
-
-
-def _quotient(n: _Number, d: _Number) -> _Number:
+def _quotient(n: Rational, d: Rational) -> Rational:
     """``n / d`` exactly, for d != 0: an int when it is integral, else a
     Fraction."""
     num = n.numerator * d.denominator
@@ -176,10 +171,11 @@ def _solve_rows(
     int ``N = sum(nums[j]*V_j)`` over ``den*D``.  These represent the same
     rationals as a Fraction tableau, and every decision reads only signs
     and exact comparisons, so the pivots and the assignment come out the
-    same.  Fractions are built only for the returned assignment.
+    same.  The returned assignment is in canonical form, each value the
+    ``_quotient`` of its int over its denominator.
     """
-    lower: Dict[str, _Number] = {}
-    upper: Dict[str, _Number] = {}
+    lower: Dict[str, Rational] = {}
+    upper: Dict[str, Rational] = {}
     general: List[_Row] = []
     all_vars: set = set()
     for coeffs, bound in rows:
@@ -211,7 +207,7 @@ def _solve_rows(
         *(bound.denominator for _, bound in general),
     )
 
-    def scaled(b: Optional[_Number]) -> Optional[int]:
+    def scaled(b: Optional[Rational]) -> Optional[int]:
         return None if b is None else b.numerator * (scale // b.denominator)
 
     # Columns: the variables in name order, then one slack per general row.
@@ -260,7 +256,7 @@ def _solve_rows(
                 break
         else:
             return {
-                v: Fraction(value[i], tableau[i][0] * scale if i in tableau else scale)
+                v: _quotient(value[i], tableau[i][0] * scale if i in tableau else scale)
                 for i, v in enumerate(names)
             }
         den, row = tableau.pop(b)
@@ -327,15 +323,14 @@ def _solve_rows(
 # single path; any nonempty goal box is merely inconclusive and falls
 # through to the exact check.
 #
-# A bound is a ``_Number``, so an all-integer box steps in native int
-# arithmetic.  The model's numbers are normalised where they enter a pass
-# (region, rate and interval-reset bounds); a bound computed from a
-# Fraction stays one, even when integral.  The box's only divisions go
-# through ``_quotient``, so no float appears.
+# A bound is a ``Rational``, so an all-integer box steps in native int
+# arithmetic.  The model holds its numbers in canonical form; a bound
+# computed from a Fraction stays one, even when integral.  The box's only
+# divisions go through ``_quotient``, so no float appears.
 
-_Box = Dict[str, Tuple[Optional[_Number], Optional[_Number]]]
+_Box = Dict[str, Tuple[Optional[Rational], Optional[Rational]]]
 # A location's rate bounds: one ``(var, lower, upper)`` per rate interval.
-_Rates = Tuple[Tuple[str, _Number, _Number], ...]
+_Rates = Tuple[Tuple[str, Rational, Rational], ...]
 
 
 def _box_from_region(region: Polyhedron, variables: Sequence[str]) -> _Box:
@@ -399,10 +394,10 @@ def _box_dwell(entry: _Box, rates: _Rates, exit_box: _Box) -> Optional[_Box]:
     in ``exit_box``, or None when there are none; per-variable dwell
     coupling is relaxed to a shared dwell interval.  ``rates`` is the
     location's table from ``BoxSteps.rates``."""
-    t_lo: _Number = 0
-    t_hi: Optional[_Number] = None
+    t_lo: Rational = 0
+    t_hi: Optional[Rational] = None
 
-    def tighten(const: _Number, slope: _Number) -> None:
+    def tighten(const: Rational, slope: Rational) -> None:
         # Require const + slope*t <= 0 for some t in [t_lo, t_hi].  A zero
         # slope leaves t free: when const > 0 the variable's band misses
         # exit_box, and the final intersection refutes it.
@@ -491,7 +486,7 @@ class BoxSteps:
         hit = self._rates.get(loc_id)
         if hit is None:
             hit = self._rates[loc_id] = tuple(
-                (var, _number(iv.lower), _number(iv.upper))
+                (var, iv.lower, iv.upper)
                 for var, iv in self.domain.location(loc_id).rates.intervals
             )
         return hit
@@ -518,7 +513,7 @@ class BoxSteps:
                 req = _box_intersect(self.inv_box(loc_id), self.region_box(trans.guard))
                 if req is not None:
                     resets = {
-                        var: (_number(act.lower), _number(act.upper))
+                        var: (act.lower, act.upper)
                         for var, act in trans.reset.actions
                         if act.kind is not ResetKind.KEEP
                     }
@@ -591,9 +586,10 @@ def encode_path(
     interval-reset entries).  Returns the rows and, per position, its entry
     and exit valuations as expressions over the survivors in
     ``automaton.variables`` order, from which a solution of the rows
-    rebuilds the run.  Model numbers and their sums pass through
-    ``_number``, so every number emitted is a ``_Number`` and an integral
-    model encodes in native int arithmetic; nothing here divides.
+    rebuilds the run.  The model's numbers are canonical and every sum
+    formed here passes through ``canonical``, so every number emitted is a
+    ``Rational`` and an integral model encodes in native int arithmetic;
+    nothing here divides.
     """
     automaton = problem.domain
     init_loc, init_region = problem.init
@@ -609,10 +605,9 @@ def encode_path(
 
     def emit_region(region: Polyhedron) -> None:
         for c in region.constraints:
-            coeffs: Dict[str, _Number] = {}
-            const = _number(c.expression.constant)
+            coeffs: Dict[str, Rational] = {}
+            const = c.expression.constant
             for var, k in c.expression.coefficients:
-                k = _number(k)
                 scoeffs, sconst = state[var]
                 for v, sk in scoeffs.items():
                     if v in coeffs:
@@ -622,8 +617,8 @@ def encode_path(
                 if sconst:
                     const += k * sconst
             # Fractions can sum to an integer, which becomes an int again.
-            coeffs = {v: _number(k) for v, k in coeffs.items() if k}
-            const = _number(const)
+            coeffs = {v: canonical(k) for v, k in coeffs.items() if k}
+            const = canonical(const)
             # expr REL 0  ->  rows of the form coeffs*x <= bound
             if c.relation is Relation.LE:
                 rows.append((coeffs, -const))
@@ -647,7 +642,7 @@ def encode_path(
             iv = rates.get(var)
             if iv is None:
                 continue
-            lower, upper = _number(iv.lower), _number(iv.upper)
+            lower, upper = iv.lower, iv.upper
             coeffs, const = state[var]
             if lower == upper:
                 if lower:
@@ -679,7 +674,7 @@ def encode_path(
                 act = resets.get(var)
                 if act is None or act.kind is ResetKind.KEEP:
                     continue
-                lower, upper = _number(act.lower), _number(act.upper)
+                lower, upper = act.lower, act.upper
                 if lower == upper:
                     state[var] = ({}, lower)
                 else:
@@ -701,14 +696,16 @@ def _check_path(
     """Decide ``path`` from its encoding.  Returns None when the rows are
     infeasible, else the run the solver's assignment describes, after it
     replays as a valid run under the model semantics.  Every value of the
-    run is a Fraction: each valuation's sum starts from one."""
+    run is in canonical form: each valuation's sum starts from its
+    expression's constant and is normalised, so an integral run replays in
+    native ints."""
     full = _solve_rows(rows)
     if full is None:
         return None
 
     def valuation(point: _Point) -> Tuple[Tuple[str, Rational], ...]:
         return tuple(
-            (var, sum((k * full.get(v, 0) for v, k in coeffs.items()), Fraction(const)))
+            (var, canonical(sum((k * full.get(v, 0) for v, k in coeffs.items()), const)))
             for var, (coeffs, const) in zip(problem.domain.variables, point)
         )
 
@@ -795,8 +792,8 @@ def extract_witness(
     if run is None:
         raise ValueError("cannot extract a witness from an UNSAT verdict")
     steps: List[Tuple[Rational, str]] = []
-    elapsed = Fraction(0)
+    elapsed: Rational = 0
     for seg, tid in zip(run.segments, run.transitions):
-        elapsed += seg.dwell
+        elapsed = canonical(elapsed + seg.dwell)
         steps.append((elapsed, problem.domain.transitions[tid].label))
     return run, Plan(steps=tuple(steps), makespan=run.makespan())

@@ -44,7 +44,6 @@ import json
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 from .model import (
@@ -60,6 +59,7 @@ from .model import (
     Relation,
     Reset,
     Transition,
+    rat,
     validate_model,
 )
 
@@ -179,10 +179,10 @@ class _Parser:
         return None
 
     def number(self) -> Rational:
-        """The next token, a number literal, as an exact rational."""
+        """The next token, a number literal, in canonical form."""
         tok = self.expect("number")
         try:
-            return Fraction(tok.text)
+            return rat(tok.text)
         except (ValueError, ZeroDivisionError):
             raise self.error("malformed number %r" % tok.text, tok)
 
@@ -203,7 +203,7 @@ class _Parser:
         """Terms ``[sign] number``, ``[sign] number * name`` or ``[sign]
         name``; every term after the first has its sign."""
         coeffs: Dict[str, Rational] = {}
-        constant = Fraction(0)
+        constant: Rational = 0
         while True:
             sign = -1 if self.accept("-") else 1
             if sign == 1:
@@ -239,7 +239,7 @@ class _Parser:
         right = self.parse_linear_expression()
         coeffs = dict(left.coefficients)
         for var, coeff in right.coefficients:
-            coeffs[var] = coeffs.get(var, Fraction(0)) - coeff
+            coeffs[var] = coeffs.get(var, 0) - coeff
         expr = LinearExpression.build(coeffs, left.constant - right.constant)
         return LinearConstraint(expr, relation)
 

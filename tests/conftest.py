@@ -1,14 +1,34 @@
 import os
+from fractions import Fraction
 
 import pytest
 
 import wpx.reach as reach
 from wpx.cli import _load
+from wpx.textio import parse_model, parse_problem
 
 BENCH_ROOT = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
     "src", "wpx", "benchmarks",
 )
+
+
+HALF = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "half")
+
+
+def half_problem(model_edit=None, problem_edit=None):
+    """``golden/half``, with at most one ``(old, new)`` text replacement in
+    each of its files.  x grows at rate 2 through a and b, so the one
+    witness dwells 3/2 in a and 5/2 in b."""
+    texts = []
+    for name, edit in (("half.lha", model_edit), ("half.prob", problem_edit)):
+        with open(os.path.join(HALF, name), encoding="utf-8") as fh:
+            text = fh.read()
+        if edit is not None:
+            assert edit[0] in text
+            text = text.replace(*edit, 1)
+        texts.append(text)
+    return parse_problem(texts[1], parse_model(texts[0])).problem
 
 
 def load_benchmark(dirname: str, probname: str, depth=None):
@@ -22,6 +42,16 @@ def box_off(monkeypatch):
     scope (the LP regime): every check enumerates and solves its concrete
     paths."""
     monkeypatch.setattr(reach, "_interval_unreachable", lambda problem, box: False)
+
+
+def assert_canonical(number) -> bool:
+    """Assert that ``number`` is in canonical form: an int (not a bool) when
+    it is integral, else a Fraction whose denominator is not 1, and never a
+    float.  Returns whether it is an int."""
+    if type(number) is int:
+        return True
+    assert type(number) is Fraction and number.denominator != 1, repr(number)
+    return False
 
 
 def benchmark_problems():

@@ -169,11 +169,13 @@ def full_encode_path(problem: PlanningProblem, path: ConcretePath) -> LpProblem:
 
 def lp_rows(lp: LpProblem) -> List[Tuple[Dict[str, Fraction], Fraction]]:
     """The constraints as (coeffs, bound) rows meaning
-    sum(coeffs*x) <= bound; an equality becomes two rows."""
+    sum(coeffs*x) <= bound; an equality becomes two rows.  The model holds
+    an integral number as an int, so each is read as a Fraction here and
+    every division by the oracles that read these rows stays exact."""
     rows: List[Tuple[Dict[str, Fraction], Fraction]] = []
     for c in lp.constraints:
-        coeffs = dict(c.expression.coefficients)
-        const = c.expression.constant
+        coeffs = {v: Fraction(k) for v, k in c.expression.coefficients}
+        const = Fraction(c.expression.constant)
         if c.relation in (Relation.LE, Relation.EQ):
             rows.append((dict(coeffs), -const))
         if c.relation in (Relation.GE, Relation.EQ):
@@ -409,7 +411,14 @@ def split_simplex_rows(
     pivoting), lower-bounded variables are shifted to nonnegative ones, and
     a phase-I simplex decides the rest.  Returns an assignment covering
     every variable that appears in any row, or None when infeasible.
+
+    The rows are read as Fractions, whatever mix of ints and Fractions they
+    hold, so every value and division here is exact.
     """
+    rows = [
+        ({v: Fraction(k) for v, k in coeffs.items()}, Fraction(bound))
+        for coeffs, bound in rows
+    ]
     lower: Dict[str, Rational] = {}
     upper: Dict[str, Rational] = {}
     general: List[_Row] = []
@@ -955,17 +964,21 @@ def recursive_concrete_paths(
 # --- box pre-analysis -----------------------------------------------------
 #
 # A reference for ``wpx.reach``'s box pass that shares no code with it.  Each
-# box maps a variable to closed rational bounds (None = unbounded), and an
-# empty box is None: map 0 holds None for an init outside its invariant, and
-# every transition is kept with its exit requirement, empty or not.  The
-# maps are stepped one ``_extend`` call at a time, not by a generator.
+# box maps a variable to closed rational bounds (None = unbounded), each a
+# Fraction: region and reset bounds are read as Fractions where they enter,
+# so every bound and every difference of two is one, and a division here
+# never meets two ints.  An empty box is None: map 0 holds None for an init
+# outside its invariant, and every transition is kept with its exit
+# requirement, empty or not.  The maps are stepped one ``_extend`` call at
+# a time, not by a generator.
 
 _Box = Dict[str, Tuple[Optional[Rational], Optional[Rational]]]
 
 
 def _box_from_region(region: Polyhedron, variables: Sequence[str]) -> Optional[_Box]:
     """Relax a polyhedron to per-variable bounds; multi-variable
-    constraints are dropped (sound for overapproximation)."""
+    constraints are dropped (sound for overapproximation).  Every bound is a
+    Fraction, whatever form the model holds its numbers in."""
     box: _Box = {v: (None, None) for v in variables}
     for c in region.constraints:
         coeffs = c.expression.coefficients
@@ -973,7 +986,7 @@ def _box_from_region(region: Polyhedron, variables: Sequence[str]) -> Optional[_
             continue
         (var, k), = coeffs
         # k*x + const REL 0
-        bound = -c.expression.constant / k
+        bound = -Fraction(c.expression.constant) / k
         lo, hi = box[var]
         if c.relation is Relation.EQ:
             relations = (Relation.LE, Relation.GE)
@@ -1183,7 +1196,7 @@ class LazyBoxSteps:
                     if act.kind is ResetKind.KEEP:
                         landed[var] = exit_box[var]
                     else:
-                        landed[var] = (act.lower, act.upper)
+                        landed[var] = (Fraction(act.lower), Fraction(act.upper))
                 landed2 = _box_intersect(landed, self.inv_box(trans.target))
                 if landed2 is None:
                     continue
@@ -1262,7 +1275,7 @@ def per_check_box_unreachable(problem: PlanningProblem) -> bool:
                     if act.kind is ResetKind.KEEP:
                         landed[var] = exit_box[var]
                     else:
-                        landed[var] = (act.lower, act.upper)
+                        landed[var] = (Fraction(act.lower), Fraction(act.upper))
                 landed2 = _box_intersect(landed, inv_box(trans.target))
                 if landed2 is None:
                     continue

@@ -1,11 +1,13 @@
 """Core type behavior: validation, goal widening, and the run checker."""
 
 import dataclasses
-import os
+import random
 from fractions import Fraction
 
 import pytest
 
+from conftest import assert_canonical, benchmark_problems, half_problem, load_benchmark
+from oracles import random_automaton
 from wpx.model import (
     GoalSpec,
     HybridAutomaton,
@@ -18,6 +20,7 @@ from wpx.model import (
     RateSpec,
     Relation,
     Reset,
+    ResetKind,
     RunSegment,
     Transition,
     WitnessRun,
@@ -27,7 +30,6 @@ from wpx.model import (
     validate_model,
 )
 from wpx.reach import bounded_reachable
-from wpx.textio import parse_model, parse_problem
 
 
 def le(coeffs, const=0):
@@ -61,6 +63,65 @@ def test_rat_accepts_int_decimal_and_fraction_strings():
     assert rat(3) == Fraction(3)
     assert rat("-1.25") == Fraction(-5, 4)
     assert rat("7/2") == Fraction(7, 2)
+    # The canonical form: an int when integral, from a bool too; else a
+    # Fraction.
+    for value, want in ((3, 3), ("6/2", 3), (Fraction(4, 2), 2), (True, 1), ("-2.0", -2)):
+        assert type(rat(value)) is int and rat(value) == want, value
+    for value in ("1/2", Fraction(-5, 4), "0.75"):
+        assert type(rat(value)) is Fraction and rat(value) == Fraction(value), value
+    # A malformed literal raises as Fraction does, which the parser reports
+    # as an input error (exit 2, tests/test_cli.py).
+    with pytest.raises(ZeroDivisionError):
+        rat("1/0")
+    with pytest.raises(ValueError):
+        rat("1.5/2")
+
+
+def model_number_kinds(problem):
+    """Count the numbers that a problem's model holds, as ``(ints,
+    fractions)``, after checking that each is in canonical form: expression
+    coefficients and constants of every invariant, guard, init and goal
+    region, rate interval bounds and interval-reset bounds."""
+    automaton = problem.domain
+    regions = [automaton.initial[1], problem.init[1], problem.goal.region]
+    regions += [loc.invariant for loc in automaton.locations]
+    regions += [t.guard for t in automaton.transitions]
+    numbers = []
+    for region in regions:
+        for c in region.constraints:
+            numbers += [c.expression.constant, *(k for _v, k in c.expression.coefficients)]
+    for loc in automaton.locations:
+        numbers += [b for _v, iv in loc.rates.intervals for b in (iv.lower, iv.upper)]
+    for t in automaton.transitions:
+        for _v, act in t.reset.actions:
+            if act.kind is ResetKind.ASSIGN_INTERVAL:
+                numbers += [act.lower, act.upper]
+    ints = sum(assert_canonical(x) for x in numbers)
+    return ints, len(numbers) - ints
+
+
+def test_parsed_models_hold_canonical_numbers():
+    # Every bundled problem and golden/half, as the parser builds them.  Only
+    # nav holds a non-integral number (its init has f = 5/2).
+    kinds = {(d, p): model_number_kinds(load_benchmark(d, p)) for d, p in benchmark_problems()}
+    assert len(kinds) == 14 and all(ints for ints, _ in kinds.values())
+    assert {d for (d, _p), (_i, fractions) in kinds.items() if fractions} == {"nav"}
+    assert model_number_kinds(half_problem()) == (28, 0)
+
+
+@pytest.mark.parametrize("denominator", [1, 2, 3])
+def test_built_models_hold_canonical_numbers(denominator):
+    # The model builders normalise what they are given: random automata
+    # drawn in multiples of 1/denominator hold ints wherever a draw is
+    # integral, and Fractions elsewhere.
+    rng = random.Random(1900 + denominator)
+    ints = fractions = 0
+    for _ in range(100):
+        automaton = random_automaton(rng, denominator=denominator)
+        i, f = model_number_kinds(PlanningProblem(automaton, automaton.initial, GoalSpec(0), 3))
+        ints += i
+        fractions += f
+    assert ints > 0 and (fractions > 0) == (denominator > 1)
 
 
 def test_linear_expression_drops_zero_coefficients():
@@ -192,23 +253,6 @@ def test_plan_fields():
 
 
 # --- check_witness, one broken clause at a time ---------------------------
-
-HALF = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "half")
-
-
-def half_problem(model_edit=None, problem_edit=None):
-    """``golden/half``, with at most one ``(old, new)`` text replacement in
-    each of its files."""
-    texts = []
-    for name, edit in (("half.lha", model_edit), ("half.prob", problem_edit)):
-        with open(os.path.join(HALF, name), encoding="utf-8") as fh:
-            text = fh.read()
-        if edit is not None:
-            assert edit[0] in text
-            text = text.replace(*edit, 1)
-        texts.append(text)
-    return parse_problem(texts[1], parse_model(texts[0])).problem
-
 
 def half_run():
     """The SAT run of ``golden/half``: a for 3/2, b for 5/2, then c."""

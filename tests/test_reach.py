@@ -6,13 +6,21 @@ import itertools
 import json
 import os
 import random
+import sys
 import weakref
 from fractions import Fraction
 
 import pytest
 
 import wpx.reach as reach
-from conftest import benchmark_problems, box_off, load_benchmark
+import oracles
+from conftest import (
+    assert_canonical,
+    benchmark_problems,
+    box_off,
+    half_problem,
+    load_benchmark,
+)
 from oracles import (
     LazyBoxSteps,
     LpProblem,
@@ -226,12 +234,14 @@ def test_bounded_simplex_ends_on_degenerate_rows():
 
 def same_as_fraction_tableau(rows):
     """Whether the rows are feasible, after checking that the integer
-    tableau returns exactly the Fraction tableau's answer, in Fractions."""
+    tableau returns exactly the Fraction tableau's answer, with each value
+    in canonical form."""
     assignment = reach._solve_rows(rows)
     assert assignment == fraction_tableau_rows(rows)
     if assignment is None:
         return False
-    assert all(type(x) is Fraction for x in assignment.values())
+    for x in assignment.values():
+        assert_canonical(x)
     return True
 
 
@@ -775,29 +785,79 @@ def test_dump_lp_writes_one_file_per_path(tmp_path):
     assert list(boxed_dir.rglob("*.lp")) == []
 
 
-def test_witness_values_are_exact_fractions():
+def witness_number_kinds(problem, verdict):
+    """Count the numbers of a SAT verdict's run and plan, as ``(ints,
+    fractions)``, after checking that each is in canonical form: the entry
+    and exit values and dwell of every segment, each plan step's time and
+    the makespan."""
+    run, plan = extract_witness(problem, verdict)
+    numbers = [plan.makespan, *(t for t, _label in plan.steps)]
+    for seg in run.segments:
+        numbers += [seg.dwell, *(v for _var, v in seg.entry + seg.exit)]
+    ints = sum(assert_canonical(x) for x in numbers)
+    return ints, len(numbers) - ints
+
+
+def test_witness_values_are_canonical():
+    # hop dwells 3/2 in a, so x exits at 3 (an int) and t at 3/2.
     problem = hop_problem()
+    assert witness_number_kinds(problem, bounded_reachable(problem)) == (8, 4)
+    # golden/half dwells 3/2 then 5/2: the second plan step and the makespan
+    # are 4, an integral sum of non-integral parts, and come out as ints.
+    problem = half_problem()
     verdict = bounded_reachable(problem)
-    values = [seg.dwell for seg in verdict.run.segments]
-    for seg in verdict.run.segments:
-        values.extend(v for _var, v in seg.entry + seg.exit)
-    assert values and all(isinstance(v, Fraction) for v in values)
+    ints, fractions = witness_number_kinds(problem, verdict)
+    assert ints > 0 and fractions > 0
+    run, plan = extract_witness(problem, verdict)
+    assert [seg.dwell for seg in run.segments] == [Fraction(3, 2), Fraction(5, 2), 0]
+    assert plan.steps == ((Fraction(3, 2), "go"), (4, "stop"))
+    assert [type(t) for t, _label in plan.steps] == [Fraction, int]
+    assert type(plan.makespan) is int and plan.makespan == 4
+    # Dwells 1/3 and 2/3 on a run built by hand: the step time and the
+    # makespan are 1, an int.
+    thirds = dataclasses.replace(
+        run,
+        segments=tuple(
+            dataclasses.replace(seg, dwell=d)
+            for seg, d in zip(run.segments, (Fraction(1, 3), Fraction(2, 3), 0))
+        ),
+    )
+    _run, plan = extract_witness(problem, reach.Verdict(1, thirds))
+    assert [type(t) for t, _label in plan.steps] == [Fraction, int]
+    assert type(plan.makespan) is int and plan.makespan == 1
+
+
+def test_witness_values_are_canonical_on_bundled_sat_checks(monkeypatch):
+    # Every reachable chain entry of every bundled problem: the LP regime's
+    # witnesses are the default regime's, since the box decides only UNSAT.
+    checks = []
+
+    def recorded(problem, *args, **kwargs):
+        verdict = bounded_reachable(problem, *args, **kwargs)
+        if verdict.is_sat:
+            checks.append((problem, verdict))
+        return verdict
+
+    monkeypatch.setattr(sys.modules["wpx.explain"], "bounded_reachable", recorded)
+    for dirname, probname in benchmark_problems():
+        explain(load_benchmark(dirname, probname))
+    kinds = [witness_number_kinds(problem, verdict) for problem, verdict in checks]
+    assert len(kinds) == 52 and all(ints for ints, _ in kinds)
+    assert any(fractions for _, fractions in kinds)
 
 
 def encoding_number_kinds(rows, points):
     """Count the numbers ``encode_path`` emitted, as ``(ints, fractions)``,
-    after checking that each is in canonical form: an int (not a bool) when
-    it is integral, else a Fraction whose denominator is not 1, never a
-    float, and that no coefficient is 0."""
+    after checking that each is in canonical form (``assert_canonical``)
+    and that no coefficient is 0."""
     ints = fractions = 0
     exprs = list(rows) + [expr for entry, exit_ in points for expr in entry + exit_]
     for coeffs, const in exprs:
         assert all(k != 0 for k in coeffs.values())
         for number in (const, *coeffs.values()):
-            if type(number) is int:
+            if assert_canonical(number):
                 ints += 1
             else:
-                assert type(number) is Fraction and number.denominator != 1, number
                 fractions += 1
     return ints, fractions
 
@@ -877,6 +937,67 @@ def test_solve_rows_is_exact_on_int_rows_with_non_integral_quotients():
         ]
         sat += same_as_fraction_tableau(rows)
     assert 20 < sat < 180
+
+
+def oracle_numbers(problem, paths):
+    """Every number that an oracle returns for ``problem`` and for the
+    first ``paths`` of its concrete paths: the box references' maps and
+    region boxes, the full encoding and its rows, and the assignments of
+    ``split_simplex_rows`` and ``fraction_tableau_rows`` on the library's
+    rows and of ``fraction_tableau_rows`` and ``lp_feasible`` on the full
+    encoding's (the split simplex is dense there, and slow).  Fourier-Motzkin,
+    which returns only a verdict, decides the paths of at most two
+    transitions and must agree with the library."""
+    automaton = problem.domain
+    lazy = LazyBoxSteps(problem)
+    lazy.map(problem.depth)
+    boxes = [b for m in lazy.maps for b in m.values() if b is not None]
+    regions = [problem.init[1], problem.goal.region]
+    regions += [loc.invariant for loc in automaton.locations]
+    regions += [t.guard for t in automaton.transitions]
+    boxes += [oracles._box_from_region(r, automaton.variables) for r in regions]
+    numbers = [x for b in boxes for pair in b.values() for x in pair if x is not None]
+    assert all(type(x) is Fraction for x in numbers)
+    assert per_check_box_unreachable(problem) in (True, False)
+    ends = (problem.init[0], problem.goal.location, problem.depth)
+    for path in itertools.islice(enumerate_concrete_paths(automaton, *ends), paths):
+        rows = encode_path(problem, path)[0]
+        lp = full_encode_path(problem, path)
+        numbers += [c.expression.constant for c in lp.constraints]
+        numbers += [k for c in lp.constraints for _v, k in c.expression.coefficients]
+        full_rows = lp_rows(lp)
+        read = [x for coeffs, bound in full_rows for x in (bound, *coeffs.values())]
+        assert all(type(x) is Fraction for x in read)
+        numbers += read
+        for solve, rs in (
+            (split_simplex_rows, rows),
+            (fraction_tableau_rows, rows),
+            (fraction_tableau_rows, full_rows),
+        ):
+            numbers += (solve(rs) or {}).values()
+        assignment = lp_feasible(lp)
+        numbers += (assignment or {}).values()
+        if len(path.transitions) <= 2:
+            assert fm_feasible(lp) == (assignment is not None)
+    return numbers
+
+
+def test_no_oracle_returns_a_float():
+    # The model holds an integral number as an int, and ``/`` on two ints
+    # gives a float: each oracle must read the model's numbers as Fractions.
+    problems = [load_benchmark(d, p) for d, p in benchmark_problems()]
+    problems.append(half_problem())
+    rng = random.Random(1919)
+    for _ in range(60):
+        automaton = random_automaton(rng, denominator=1)
+        goal = GoalSpec(location=rng.randrange(len(automaton.locations)))
+        problems.append(PlanningProblem(automaton, automaton.initial, goal, 3))
+    count = 0
+    for problem in problems:
+        numbers = oracle_numbers(problem, 3)
+        assert all(type(x) in (int, Fraction) for x in numbers), problem
+        count += len(numbers)
+    assert len(problems) == 75 and count > 10000
 
 
 def test_encode_path_agrees_with_full_encoding_oracle():

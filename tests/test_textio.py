@@ -55,6 +55,22 @@ def test_parse_minimal_model():
     assert init_region.constraints[0].expression.constant == Fraction(-3, 2)
 
 
+def test_parsed_numbers_are_ints_when_integral():
+    # Literals such as 2.0 and 6/2, and sums of halves on either side of a
+    # relation, are held as ints; a non-integral sum stays a Fraction.
+    text = MINI.replace("guard: 2*x - t >= 1;", "guard: 1/2*x + 3/2*x + 1/2 >= 6/2 - 1/2 + t;")
+    text = text.replace("rate x in [1, 2];", "rate x in [2.0, 5/2];")
+    automaton = parse_model(text)
+    (guard,) = automaton.transitions[0].guard.constraints
+    assert guard.expression.coefficients == (("t", -1), ("x", 2))
+    assert guard.expression.constant == -2
+    rate = automaton.location(0).rates.interval("x")
+    assert (rate.lower, rate.upper) == (2, Fraction(5, 2))
+    numbers = [guard.expression.constant, rate.lower, rate.upper]
+    numbers += [k for _v, k in guard.expression.coefficients]
+    assert [type(x) for x in numbers] == [int, int, Fraction, int, int]
+
+
 def test_strict_inequality_rejected_with_message():
     with pytest.raises(ParseError) as err:
         parse_model(MINI.replace("x >= 0", "x > 0"))
