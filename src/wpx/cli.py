@@ -71,12 +71,12 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--max-paths", type=int, default=DEFAULT_PATH_CAP,
                 help="cap on the walks listed (paths -v) and the concrete "
-                "paths solved per reachability check",
+                "paths decided per reachability check",
             )
         if name in ("explain", "check"):
             p.add_argument(
                 "--dump-lp",
-                help="directory for the per-path rows the solver decides "
+                help="directory for the rows of each path a check decides "
                 "(explain: one subdirectory per check)",
             )
         if name == "paths":

@@ -117,7 +117,7 @@ def explain(
     rests on a witness run that ``check_witness`` replayed.  ``dump_dir``
     gets one subdirectory per reachability check: ``<position>_<location>``
     for a chain entry and ``goal`` for the final check of the exact goal.
-    ``cap`` bounds the concrete paths each check solves; the walk count is
+    ``cap`` bounds the concrete paths each check decides; the walk count is
     never capped.
     """
 

@@ -57,9 +57,8 @@ class LinearExpression:
 
     @staticmethod
     def build(coeffs: Mapping[str, RationalLike], constant: RationalLike = 0) -> "LinearExpression":
-        items = tuple(
-            sorted((v, rat(c)) for v, c in coeffs.items() if rat(c) != 0)
-        )
+        coerced = ((v, rat(c)) for v, c in coeffs.items())
+        items = tuple(sorted((v, k) for v, k in coerced if k != 0))
         return LinearExpression(items, rat(constant))
 
     def variables(self) -> Tuple[str, ...]:

@@ -17,10 +17,16 @@ plan, is an int when it is integral and a ``Fraction`` only when it is not
 (``model.canonical``), so an integral model encodes, solves and replays in
 native int arithmetic; ``_quotient`` is the LP layer's one division.  A SAT
 witness is accepted only after it replays as a valid run through
-``model.check_witness``, and a SAT ``Verdict`` carries that checked run; an
-UNSAT verdict carries no certificate yet.
+``model.check_witness``, and a SAT ``Verdict`` carries that checked run.
+An infeasible path LP is accepted only with exact Farkas multipliers that
+``_farkas_holds`` checks against its rows.  When the last row such a
+certificate uses comes before the goal rows, the path's stages up to that
+row are recorded as refuted, and a later path of the same check that
+begins with the same stages is UNSAT without being encoded or solved.  So
+each path a check decides is either solved with a checked certificate, or
+refuted by a recorded prefix that one covers.
 ``bounded_reachable(..., dump_dir=...)`` (the CLI's ``--dump-lp``) lists
-the rows the solver decides.
+the rows of each path a check decides.
 
 Before any path is enumerated, a box (interval) abstraction may prove the
 goal unreachable.  Its step maps hold one nonempty box per location entered
@@ -36,12 +42,13 @@ from __future__ import annotations
 import logging
 import os
 import weakref
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import islice
 from math import gcd, lcm
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .graph import DEFAULT_PATH_CAP, ResourceCapExceeded, iter_labelled_walks
 from .model import (
@@ -94,7 +101,10 @@ class ConcretePath:
 @dataclass(frozen=True)
 class Verdict:
     """A bounded reachability answer: SAT exactly when ``run`` holds the
-    witness run that ``check_witness`` accepted."""
+    witness run that ``check_witness`` accepted.  An UNSAT answer that
+    checked paths refuted each by a checked Farkas certificate, its own or
+    a recorded prefix's; one with ``paths_checked`` 0 is the box
+    pre-analysis's, which carries no certificate."""
 
     paths_checked: int
     run: Optional[WitnessRun] = None
@@ -140,9 +150,36 @@ def _dwell(pos: int) -> str:
 # --- exact feasibility ----------------------------------------------------
 
 
+@dataclass(frozen=True)
+class Farkas:
+    """A proof that rows ``sum(coeffs*x) <= bound`` have no solution: exact
+    multipliers ``y[i] > 0``, keyed by row index (a row not named has 0),
+    whose combination of the rows has every coefficient 0 and a bound
+    below 0, so it reads ``0 <= negative`` (Farkas' lemma)."""
+
+    y: Dict[int, Rational]
+
+
+def _farkas_holds(rows: Sequence[_Row], y: Dict[int, Rational]) -> bool:
+    """Whether ``y`` proves ``rows`` infeasible, checked exactly and apart
+    from how the solver found it: every multiplier names a row and is
+    >= 0, ``sum(y[i]*coeffs_i)`` has every coefficient 0, and
+    ``sum(y[i]*bound_i) < 0``."""
+    combined: Dict[str, Rational] = {}
+    total: Rational = 0
+    for i, m in y.items():
+        if m < 0 or not 0 <= i < len(rows):
+            return False
+        coeffs, bound = rows[i]
+        for v, k in coeffs.items():
+            combined[v] = combined.get(v, 0) + m * k
+        total += m * bound
+    return total < 0 and not any(combined.values())
+
+
 def _solve_rows(
     rows: List[_Row]
-) -> Optional[Dict[str, Rational]]:
+) -> Union[Dict[str, Rational], Farkas]:
     """Decide {sum(coeffs*x) <= bound} over free rational variables.
 
     Single-variable rows become bounds, each the exact ``_quotient(bound,
@@ -159,7 +196,14 @@ def _solve_rows(
     nonbasic variable can, the rows are infeasible.  Variables are ordered
     by name, then slacks by row; taking the smallest on both sides is
     Bland's rule, which ends the loop.  Returns an assignment covering every
-    variable that appears in any row, or None when infeasible.
+    variable that appears in any row, or a ``Farkas`` certificate when
+    infeasible: a constant row below 0 alone; for a bound conflict, the two
+    rows that set the bounds; for an interval refutation, the row and the
+    rows that set its variables' bounds; for a simplex conflict, the
+    conflict row of the final tableau (Dutertre and de Moura, section 4),
+    whose int entries are exact multipliers of the bounds that block it.
+    A bound is traced to the row that set it only once a conflict is found,
+    so a feasible solve does no extra work.
 
     The simplex does only integer arithmetic.  A tableau row is held
     fraction-free, as a positive int ``den`` and int ``nums`` with
@@ -182,7 +226,7 @@ def _solve_rows(
         all_vars.update(coeffs)
         if not coeffs:
             if bound < 0:
-                return None
+                return Farkas({rows.index((coeffs, bound)): 1})
             continue
         if len(coeffs) == 1:
             (var, k), = coeffs.items()
@@ -196,9 +240,48 @@ def _solve_rows(
             continue
         general.append((coeffs, bound))
 
+    # Columns: the variables in name order, then one slack per general row.
+    names = sorted(all_vars)
+    index = {v: i for i, v in enumerate(names)}
+
+    def conflict(b: int, den: int, row: Dict[int, int], rise: bool) -> Farkas:
+        # den*x_b = sum(row[j]*x_j), where x_b must rise above its lower
+        # bound (or fall below its upper one) and every x_j sits at the
+        # bound that stops it from moving x_b that way.  Adding den times
+        # x_b's bound inequality (-x_b <= -lower, or x_b <= upper) to
+        # |row[j]| times each x_j's cancels every variable and leaves
+        # 0 <= a negative number.  A slack's bound inequality is its own
+        # row; a variable's is the first single-variable row k*x <= bound
+        # whose quotient is that bound, scaled by 1/|k|.  One pass over the
+        # rows finds them all.
+        slacks: Dict[int, int] = {}
+        held: Dict[Tuple[str, bool], int] = {}
+        for j, at_upper, weight in [(b, not rise, den)] + [
+            (j, (c > 0) == rise, abs(c)) for j, c in row.items()
+        ]:
+            if j >= len(names):
+                slacks[j - len(names)] = weight
+            else:
+                held[names[j], at_upper] = weight
+        y: Dict[int, Rational] = {}
+        slack = 0
+        for i, (coeffs, bound) in enumerate(rows):
+            if len(coeffs) > 1:
+                if slack in slacks:
+                    y[i] = slacks[slack]
+                slack += 1
+            elif coeffs:
+                (var, k), = coeffs.items()
+                key = (var, k > 0)
+                if key in held and _quotient(bound, k) == (upper if k > 0 else lower)[var]:
+                    y[i] = _quotient(held.pop(key), abs(k))
+        return Farkas(y)
+
     for var, lo in lower.items():
         if var in upper and lo > upper[var]:
-            return None
+            # x = x, with x held at its upper bound, below its lower one.
+            j = index[var]
+            return conflict(j, 1, {j: 1}, True)
 
     # Every finite bound, scaled to an int over the common denominator.
     scale = lcm(
@@ -210,9 +293,6 @@ def _solve_rows(
     def scaled(b: Optional[Rational]) -> Optional[int]:
         return None if b is None else b.numerator * (scale // b.denominator)
 
-    # Columns: the variables in name order, then one slack per general row.
-    names = sorted(all_vars)
-    index = {v: i for i, v in enumerate(names)}
     low: List[Optional[int]] = [scaled(lower.get(v)) for v in names]
     high: List[Optional[int]] = [scaled(upper.get(v)) for v in names]
     # value[i] is V_i for a nonbasic variable and N_i for a basic one.
@@ -243,7 +323,7 @@ def _solve_rows(
             minimum += c * edge
         else:
             if minimum > den * high[b]:
-                return None
+                return conflict(b, den, row, False)
 
     while True:
         for b in sorted(tableau):
@@ -267,7 +347,7 @@ def _solve_rows(
             elif low[n] is None or value[n] > low[n]:
                 break
         else:
-            return None
+            return conflict(b, den, row, rise)
         # Set b to target and solve b's row, den*x_b = k*x_n + rest, for n
         # as k*x_n = den*x_b - rest, negated if need be so that k > 0; then
         # substitute it into every other row.  The solved row has the
@@ -570,7 +650,7 @@ def _interval_unreachable(problem: PlanningProblem, box: BoxSteps) -> bool:
 
 def encode_path(
     problem: PlanningProblem, path: ConcretePath
-) -> Tuple[List[_Row], List[Tuple[_Point, _Point]]]:
+) -> Tuple[List[_Row], List[Tuple[_Point, _Point]], List[int]]:
     """Encode one concrete path as rows ``sum(coeffs*x) <= bound``.
 
     The system speaks of the entry value ``x@iin`` and exit value
@@ -583,13 +663,20 @@ def encode_path(
     Exact rates, Keep resets and point resets are substituted away in one
     forward pass: the valuation at each point is tracked as an affine
     expression over the surviving variables (dwells, interval-rate exits,
-    interval-reset entries).  Returns the rows and, per position, its entry
+    interval-reset entries).  Returns the rows; per position, its entry
     and exit valuations as expressions over the survivors in
     ``automaton.variables`` order, from which a solution of the rows
-    rebuilds the run.  The model's numbers are canonical and every sum
-    formed here passes through ``canonical``, so every number emitted is a
-    ``Rational`` and an integral model encodes in native int arithmetic;
-    nothing here divides.
+    rebuilds the run; and the stage ends.  The rows come in stages: stage 0
+    holds the init rows and position 0's, then each transition's rows and
+    the next position's are a stage in turn (stage 2i-1 is transition i-1,
+    stage 2i position i), and the goal rows close the list; ``ends[s]`` is
+    the number of rows in stages 0 to s.  A variable is named by its
+    position only, so the rows up to a stage depend only on the init and
+    on the invariant and rates of each location and the guard and reset of
+    each transition up to that stage.  The model's numbers are canonical
+    and every sum formed here passes through ``canonical``, so every number
+    emitted is a ``Rational`` and an integral model encodes in native int
+    arithmetic; nothing here divides.
     """
     automaton = problem.domain
     init_loc, init_region = problem.init
@@ -598,6 +685,7 @@ def encode_path(
 
     rows: List[_Row] = []
     points: List[Tuple[_Point, _Point]] = []
+    ends: List[int] = []
     # Current value of each automaton variable as (coeffs, const).
     state: Dict[str, _Expr] = {
         var: ({_var_in(var, 0): 1}, 0) for var in automaton.variables
@@ -665,6 +753,7 @@ def encode_path(
                 state[var] = ({out: 1}, 0)
         points.append((entry, tuple(state[var] for var in automaton.variables)))
         emit_region(loc.invariant)
+        ends.append(len(rows))
 
         if i < len(path.transitions):
             trans = automaton.transitions[path.transitions[i]]
@@ -682,9 +771,10 @@ def encode_path(
                     rows.append(({fresh: -1}, -lower))
                     rows.append(({fresh: 1}, upper))
                     state[var] = ({fresh: 1}, 0)
+            ends.append(len(rows))
 
     emit_region(problem.goal.region)
-    return rows, points
+    return rows, points, ends
 
 
 def _check_path(
@@ -692,16 +782,21 @@ def _check_path(
     path: ConcretePath,
     rows: List[_Row],
     points: List[Tuple[_Point, _Point]],
-) -> Optional[WitnessRun]:
-    """Decide ``path`` from its encoding.  Returns None when the rows are
-    infeasible, else the run the solver's assignment describes, after it
+) -> Union[WitnessRun, Farkas]:
+    """Decide ``path`` from its encoding.  Returns the solver's Farkas
+    certificate when the rows are infeasible, after ``_farkas_holds``
+    accepts it, else the run the solver's assignment describes, after it
     replays as a valid run under the model semantics.  Every value of the
     run is in canonical form: each valuation's sum starts from its
     expression's constant and is normalised, so an integral run replays in
     native ints."""
     full = _solve_rows(rows)
-    if full is None:
-        return None
+    if isinstance(full, Farkas):
+        if not _farkas_holds(rows, full.y):
+            raise AssertionError(
+                "internal error: path LP's Farkas certificate fails its check: y=%r" % full.y
+            )
+        return full
 
     def valuation(point: _Point) -> Tuple[Tuple[str, Rational], ...]:
         return tuple(
@@ -722,6 +817,58 @@ def _check_path(
     return run
 
 
+class _RefutedPrefixes:
+    """The path prefixes that one check's certificates refuted, as a trie.
+
+    A prefix is the stages of ``encode_path`` up to some stage, each named
+    by a key: stage 0, the same on every path of a check, by -1; a
+    transition by its guard and reset, and a location by its invariant and
+    rates, each interned so that equal ones share a key (sibling edges
+    with equal guards, copies of a location).  The rows up to a stage
+    depend only on these, so a path whose keys begin with a refuted
+    prefix's has that prefix's rows, which a checked certificate showed
+    infeasible.  A node maps a key to the next node, or to the index of the
+    path whose certificate refuted the prefix that ends there.
+    """
+
+    def __init__(self, automaton: HybridAutomaton) -> None:
+        interned: Dict[tuple, int] = {}
+        self.trans_keys = [
+            interned.setdefault((t.guard, t.reset), len(interned))
+            for t in automaton.transitions
+        ]
+        self.loc_keys = [
+            interned.setdefault((loc.invariant, loc.rates), len(interned))
+            for loc in automaton.locations
+        ]
+        self.root: Dict[int, object] = {}
+
+    def keys(self, path: ConcretePath) -> Iterator[int]:
+        yield -1
+        for tid, loc_id in zip(path.transitions, path.locations[1:]):
+            yield self.trans_keys[tid]
+            yield self.loc_keys[loc_id]
+
+    def refuted_by(self, path: ConcretePath) -> Optional[int]:
+        """The index of the path whose certificate refuted a prefix of
+        ``path``, or None."""
+        node: object = self.root
+        for key in self.keys(path):
+            node = node.get(key)
+            if node is None or type(node) is int:
+                return node
+        return None
+
+    def record(self, path: ConcretePath, stage: int, idx: int) -> None:
+        """Record that the certificate of path ``idx`` refutes ``path``'s
+        rows up to stage ``stage``, which subsumes any longer prefix."""
+        node = self.root
+        *inner, last = islice(self.keys(path), stage + 1)
+        for key in inner:
+            node = node.setdefault(key, {})
+        node[last] = idx
+
+
 def bounded_reachable(
     problem: PlanningProblem,
     cap: int = DEFAULT_PATH_CAP,
@@ -731,8 +878,15 @@ def bounded_reachable(
     """SAT iff some concrete path's LP is feasible; the first SAT path in
     enumeration order wins.
 
-    Raises ResourceCapExceeded before solving more than ``cap`` paths.
-    ``dump_dir`` writes, per checked path, the rows the solver decides as a
+    Each path is decided in enumeration order: solved, or refuted by a
+    recorded prefix.  When a solved path's checked certificate uses no goal
+    row, the stages up to its last row (``encode_path``) are recorded as a
+    refuted prefix, and a later path that begins with that prefix is UNSAT
+    without being encoded or solved.  A recorded prefix never outlives the
+    call.
+
+    Raises ResourceCapExceeded before deciding more than ``cap`` paths.
+    ``dump_dir`` writes, per decided path, the rows its encoding holds as a
     plain-text listing; a verdict the box pre-analysis decides checks no
     path and writes none.  ``box`` is the box pass to share with other
     checks of the same automaton, init and depth; without one the call
@@ -766,21 +920,37 @@ def bounded_reachable(
         with open(os.path.join(dump_dir, "path_%05d.lp" % idx), "w") as fh:
             fh.write("\n".join(lines) + "\n")
 
+    # Built on the first certificate that refutes a prefix.
+    refuted: Optional[_RefutedPrefixes] = None
     checked = 0
     for idx, path in enumerate(paths):
         if idx >= cap:
             raise ResourceCapExceeded("concrete path enumeration", cap)
-        rows, points = encode_path(problem, path)
-        if dump_dir is not None:
-            dump(idx, path, rows)
         checked += 1
-        verdict = Verdict(checked, _check_path(problem, path, rows, points))
+        by = None if refuted is None else refuted.refuted_by(path)
+        if by is None or dump_dir is not None:
+            rows, points, ends = encode_path(problem, path)
+            if dump_dir is not None:
+                dump(idx, path, rows)
+        if by is not None:
+            log.debug(
+                "path %d locations=%s transitions=%s: UNSAT by the certificate of path %d",
+                idx, path.locations, path.transitions, by,
+            )
+            continue
+        outcome = _check_path(problem, path, rows, points)
+        sat = not isinstance(outcome, Farkas)
         log.debug(
             "path %d locations=%s transitions=%s: %s",
-            idx, path.locations, path.transitions, verdict.status,
+            idx, path.locations, path.transitions, "SAT" if sat else "UNSAT",
         )
-        if verdict.is_sat:
-            return verdict
+        if sat:
+            return Verdict(checked, outcome)
+        stage = bisect_right(ends, max(outcome.y))
+        if stage < len(ends):
+            if refuted is None:
+                refuted = _RefutedPrefixes(problem.domain)
+            refuted.record(path, stage, idx)
     return Verdict(paths_checked=checked)
 
 

@@ -31,7 +31,9 @@ from wpx.model import (
 )
 from wpx.reach import (
     ConcretePath,
+    Farkas,
     _dwell,
+    _farkas_holds,
     _solve_rows,
     _var_in,
     _var_out,
@@ -190,8 +192,11 @@ def lp_feasible(lp: LpProblem) -> Optional[Dict[str, Rational]]:
     ``lp``, which must satisfy every constraint; variables no row mentions
     are set to 0.
     """
-    full = _solve_rows(lp_rows(lp))
-    if full is None:
+    rows = lp_rows(lp)
+    full = _solve_rows(rows)
+    if isinstance(full, Farkas):
+        if not _farkas_holds(rows, full.y):
+            raise AssertionError("certificate fails its check: %r" % (full.y,))
         return None
     valuation = {v: full.get(v, Fraction(0)) for v in lp.variables}
     for c in lp.constraints:

@@ -330,7 +330,7 @@ def test_wpx_log_info_names_each_check(caplog, capsys):
     infos = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
     assert [m.split(":")[0] for m in infos] == ["check 0 l1", "check 1 l5", "check 2 l6"]
     assert infos[-1] == "check 2 l6: UNSAT paths_checked=0"
-    # One debug line per concrete path solved: l1 and l5 take one each, and
+    # One debug line per concrete path decided: l1 and l5 take one each, and
     # the box decides l6.
     debugs = [r for r in caplog.records if r.levelno == logging.DEBUG]
     assert [r.name for r in debugs] == ["wpx.reach", "wpx.reach"]

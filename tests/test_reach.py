@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import itertools
 import json
+import logging
 import os
 import random
 import sys
@@ -131,6 +132,50 @@ def test_encode_path_variable_and_constraint_shape():
     assert any(c.relation is Relation.EQ for c in lp.constraints)
 
 
+def test_encode_path_stage_ends():
+    # hop: init x = 0, t = 0 (4 rows); a: entry invariant, d0 >= 0, the two
+    # rows of x's rate band and the exit invariant (5); hop: its two guard
+    # rows, and the point reset of t adds none (2); b: entry invariant,
+    # d1 >= 0 and exit invariant, both rates exact (3); the goal adds
+    # x >= 100 (1).
+    problem = hop_problem(goal_region="{ x >= 100 }")
+    rows, _points, ends = encode_path(problem, ConcretePath((0, 1), (0,)))
+    assert ends == [9, 11, 14] and len(rows) == 15
+    rows, _points, ends = encode_path(hop_problem(goal="a", depth=0), ConcretePath((0,), ()))
+    assert ends == [9] and len(rows) == 9
+
+
+def stage_elements(path):
+    """The location or transition id behind each stage of ``path``."""
+    return (path.locations[0], *(x for pair in zip(path.transitions, path.locations[1:]) for x in pair))
+
+
+def test_rows_up_to_a_stage_depend_only_on_its_keys():
+    # What recorded prefixes rest on: two paths from the init whose stage
+    # keys agree up to a stage have the same rows up to it, also when the
+    # transitions or locations behind equal keys differ.  The rows before
+    # the goal's do not depend on the goal, so paths to every location of
+    # an automaton are compared.
+    rng = random.Random(7070)
+    shared = 0
+    for denominator in (1, 2, 3):
+        for _ in range(100):
+            automaton = random_automaton(rng, denominator=denominator)
+            prefixes = reach._RefutedPrefixes(automaton)
+            seen = {}
+            for goal in range(len(automaton.locations)):
+                problem = PlanningProblem(automaton, automaton.initial, GoalSpec(goal), 4)
+                for path in enumerate_concrete_paths(automaton, automaton.initial[0], goal, 4):
+                    rows, _points, ends = encode_path(problem, path)
+                    keys = tuple(prefixes.keys(path))
+                    assert len(keys) == len(ends)
+                    for stage, end in enumerate(ends):
+                        first, first_rows = seen.setdefault(keys[: stage + 1], (path, rows[:end]))
+                        assert first_rows == rows[:end], (first, path, stage)
+                        shared += stage_elements(first)[: stage + 1] != stage_elements(path)[: stage + 1]
+    assert shared > 100
+
+
 def test_encode_path_rejects_wrong_endpoints():
     problem = hop_problem()
     with pytest.raises(ValueError):
@@ -194,14 +239,28 @@ def test_sat_witness_satisfies_all_constraints():
     assert sats > 20
 
 
+def refuted(rows, result):
+    """Whether ``result``, what ``_solve_rows`` returned for ``rows``, is a
+    Farkas certificate, after checking that the checker accepts it and that
+    the split-and-shift reference finds the rows infeasible too."""
+    if not isinstance(result, reach.Farkas):
+        assert type(result) is dict
+        return False
+    assert result.y and all(m > 0 for m in result.y.values())
+    assert reach._farkas_holds(rows, result.y), result.y
+    assert split_simplex_rows(rows) is None
+    return True
+
+
 def agrees_with_reference(rows):
     """Whether the rows are feasible, after checking that the bounded simplex
-    and the split-and-shift reference agree and that a SAT assignment
-    covers and satisfies every row."""
+    and the split-and-shift reference agree, that an UNSAT carries a
+    certificate the checker accepts, and that a SAT assignment covers and
+    satisfies every row."""
     assignment = reach._solve_rows(rows)
-    assert (assignment is None) == (split_simplex_rows(rows) is None)
-    if assignment is None:
+    if refuted(rows, assignment):
         return False
+    assert split_simplex_rows(rows) is not None
     assert set(assignment) == {v for coeffs, _ in rows for v in coeffs}
     for coeffs, bound in rows:
         assert sum(k * assignment[v] for v, k in coeffs.items()) <= bound
@@ -235,11 +294,13 @@ def test_bounded_simplex_ends_on_degenerate_rows():
 def same_as_fraction_tableau(rows):
     """Whether the rows are feasible, after checking that the integer
     tableau returns exactly the Fraction tableau's answer, with each value
-    in canonical form."""
+    in canonical form, and that an UNSAT carries a certificate that the
+    checker accepts (``refuted``)."""
     assignment = reach._solve_rows(rows)
-    assert assignment == fraction_tableau_rows(rows)
-    if assignment is None:
+    if refuted(rows, assignment):
+        assert fraction_tableau_rows(rows) is None
         return False
+    assert assignment == fraction_tableau_rows(rows)
     for x in assignment.values():
         assert_canonical(x)
     return True
@@ -379,6 +440,191 @@ def test_integer_tableau_matches_fraction_tableau_on_path_lps():
     assert sat > 100 and unsat > 100
 
 
+def test_certificates_name_the_rows_that_refute():
+    cases = [
+        # A constant row below 0, alone.
+        ([({"x": 1}, 5), ({}, -1)], {1: 1}),
+        # A bound conflict: x <= 1 (from 2*x <= 2) against x >= 2 (from
+        # -3*x <= -6), each row over its |k|; the looser x <= 3 takes no part.
+        ([({"x": 2}, 2), ({"x": 3}, 9), ({"x": -3}, -6)], {0: Fraction(1, 2), 2: Fraction(1, 3)}),
+        # An interval refutation: x + y <= 1 with x >= 1 and y >= 1.
+        ([({"x": 1, "y": 1}, 1), ({"x": -1}, -1), ({"y": -2}, -2)], {0: 1, 1: 1, 2: Fraction(1, 2)}),
+        # Simplex conflicts without bounds: x + y <= 1 against x + y >= 2,
+        # and the cycle x <= y <= z <= x - 1.
+        ([({"x": 1, "y": 1}, 1), ({"x": -1, "y": -1}, -2)], {0: 1, 1: 1}),
+        ([({"x": 1, "y": -1}, 0), ({"y": 1, "z": -1}, 0), ({"z": 1, "x": -1}, -1)], {0: 1, 1: 1, 2: 1}),
+    ]
+    for rows, y in cases:
+        result = reach._solve_rows(rows)
+        assert refuted(rows, result) and result.y == y
+
+
+def test_farkas_checker_rejects_broken_certificates():
+    # Each mutant breaks one condition of a certificate that the checker
+    # accepted.  A row and its negation, appended to the rows, cancel out
+    # under equal multipliers, so that negative ones are wrong only in sign.
+    rng = random.Random(5150)
+    unsat = 0
+    for _ in range(200):
+        rows = lp_rows(random_lp(rng, 8, 20))
+        result = reach._solve_rows(rows)
+        if not refuted(rows, result):
+            continue
+        unsat += 1
+        y = result.y
+        n = len(rows)
+        coeffs, bound = rows[0]
+        twice = rows + [rows[0], ({v: -k for v, k in coeffs.items()}, -bound)]
+        assert reach._farkas_holds(twice, {**y, n: 1, n + 1: 1})
+        assert not reach._farkas_holds(twice, {**y, n: -1, n + 1: -1})
+        assert not reach._farkas_holds(rows, {**y, n: 1})  # no such row
+        total = sum(m * rows[i][1] for i, m in y.items())
+        for i, m in y.items():
+            coeffs, bound = rows[i]
+            if coeffs:  # a dropped support row leaves its variables over
+                assert not reach._farkas_holds(rows, {j: w for j, w in y.items() if j != i})
+            lifted = list(rows)
+            lifted[i] = (coeffs, bound - total / m)  # y^T b == 0
+            assert not reach._farkas_holds(lifted, y)
+            stray = list(rows)
+            stray[i] = ({**coeffs, "stray": Fraction(1)}, bound)
+            assert not reach._farkas_holds(stray, y)
+    assert unsat > 50
+
+
+def test_certificates_on_every_unsat_check_of_the_pinned_rows(monkeypatch):
+    # In the LP regime, every path LP that a check solves and finds UNSAT
+    # carries a certificate that the checker accepts.
+    box_off(monkeypatch)
+    solve = reach._solve_rows
+    unsat = []
+
+    def checked(rows):
+        result = solve(rows)
+        if refuted(rows, result):
+            unsat.append(len(rows))
+        return result
+
+    monkeypatch.setattr(reach, "_solve_rows", checked)
+    for dirname, probname, _paths in LP_REGIME_ROWS:
+        explain(load_benchmark(dirname, probname))
+    assert len(unsat) > 50
+
+
+def corrupt_certificates(monkeypatch):
+    """Drop the last support row of every certificate ``_solve_rows`` returns."""
+    solve = reach._solve_rows
+
+    def corrupted(rows):
+        result = solve(rows)
+        if isinstance(result, reach.Farkas):
+            result = reach.Farkas({i: m for i, m in result.y.items() if i != max(result.y)})
+        return result
+
+    monkeypatch.setattr(reach, "_solve_rows", corrupted)
+
+
+def test_certificate_failing_its_check_is_an_internal_error(monkeypatch):
+    box_off(monkeypatch)
+    corrupt_certificates(monkeypatch)
+    with pytest.raises(AssertionError, match="Farkas certificate fails its check"):
+        bounded_reachable(hop_problem(goal="b", goal_region="{ x >= 100 }"))
+
+
+def test_check_exits_internal_on_a_certificate_failing_its_check(monkeypatch, tmp_path, capsys):
+    (tmp_path / "hop.lha").write_text(HOP)
+    (tmp_path / "hop.prob").write_text("model hop.lha\ngoal b { x >= 100 }\ndepth 2\n")
+    argv = ["check", "--problem", str(tmp_path / "hop.prob")]
+    box_off(monkeypatch)
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == "UNSAT (paths_checked=1)\n"
+    corrupt_certificates(monkeypatch)
+    assert main(argv) == EXIT_INTERNAL
+    assert "Farkas certificate fails its check" in capsys.readouterr().err
+
+
+def random_reach_problem(rng, denominator, depth):
+    """A random automaton at ``denominator`` with a random goal location and,
+    most of the time, a one-variable goal row."""
+    automaton = random_automaton(rng, denominator=denominator)
+    region = Polyhedron()
+    if rng.random() < 0.7:
+        bound = LinearExpression.build(
+            {"y": 1}, -Fraction(rng.randint(-2 * denominator, 6 * denominator), denominator)
+        )
+        region = Polyhedron((LinearConstraint(bound, rng.choice([Relation.LE, Relation.GE])),))
+    goal = GoalSpec(location=rng.randrange(len(automaton.locations)), region=region)
+    return PlanningProblem(automaton, automaton.initial, goal, depth)
+
+
+def exhaustive_reference(problem):
+    """``(paths_checked, first SAT path or None)`` as a per-path decision
+    that records nothing: every path of ``recursive_concrete_paths``, in
+    order, up to the first whose full encoding the Fraction-tableau
+    reference finds feasible."""
+    ends = (problem.init[0], problem.goal.location, problem.depth)
+    count = 0
+    for path in recursive_concrete_paths(problem.domain, *ends):
+        count += 1
+        if fraction_tableau_rows(lp_rows(full_encode_path(problem, path))) is not None:
+            return count, path
+    return count, None
+
+
+def prefix_refutation_faults(monkeypatch, denominator, draws, shorten=0):
+    """Decide ``draws`` random problems in the LP regime and count what
+    disagrees with ``exhaustive_reference`` (status, ``paths_checked`` or
+    the SAT run, which must be the one the path's own LP gives) and the
+    recorded prefixes whose rows ``split_simplex_rows`` finds feasible.
+    ``shorten=1`` is a mutant that records every prefix one stage too
+    short.  Returns ``(faults, paths checked, paths solved)``."""
+    rng = random.Random(6060 + denominator)
+    record = reach._RefutedPrefixes.record
+    check = reach._check_path
+    recorded, solved = [], []
+
+    def recording(self, path, stage, idx):
+        if stage >= shorten:
+            recorded.append((path, stage - shorten))
+            record(self, path, stage - shorten, idx)
+
+    def counted(*args):
+        solved.append(1)
+        return check(*args)
+
+    with monkeypatch.context() as m:
+        box_off(m)
+        m.setattr(reach._RefutedPrefixes, "record", recording)
+        m.setattr(reach, "_check_path", counted)
+        faults = paths = 0
+        for _ in range(draws):
+            problem = random_reach_problem(rng, denominator, rng.randint(2, 5))
+            recorded.clear()
+            verdict = bounded_reachable(problem)
+            count, path = exhaustive_reference(problem)
+            want = None
+            if path is not None:
+                want = check(problem, path, *encode_path(problem, path)[:2])
+            faults += (verdict.paths_checked, verdict.run) != (count, want)
+            paths += verdict.paths_checked
+            for path, stage in recorded:
+                rows, _points, ends = encode_path(problem, path)
+                faults += split_simplex_rows(rows[: ends[stage]]) is not None
+    return faults, paths, len(solved)
+
+
+@pytest.mark.parametrize("denominator", [1, 2, 3])
+def test_prefix_refutation_agrees_with_an_exhaustive_reference(monkeypatch, denominator):
+    faults, paths, solved = prefix_refutation_faults(monkeypatch, denominator, 500)
+    assert faults == 0
+    assert paths - solved > paths // 10  # recorded prefixes decide some paths
+
+
+def test_prefix_refutation_catches_a_prefix_recorded_one_stage_short(monkeypatch):
+    faults, _paths, _solved = prefix_refutation_faults(monkeypatch, 1, 500, shorten=1)
+    assert faults > 0
+
+
 def test_bounded_reachable_sat_with_plan():
     problem = hop_problem()
     verdict = bounded_reachable(problem)
@@ -463,9 +709,9 @@ def test_interval_preanalysis_agrees_with_enumeration(monkeypatch):
     assert unsat_boxes > 0  # the pre-analysis actually fires sometimes
 
 
-# Bundled rows whose box-decided UNSAT verdicts the LP regime re-decides in
-# about a second together, with the LP regime's ``paths_checked`` at the
-# explanation.
+# Bundled rows whose box-decided UNSAT verdicts the LP regime re-decides,
+# with the LP regime's ``paths_checked`` at the explanation.  The last five
+# decide thousands of paths; recorded prefixes keep them to seconds.
 LP_REGIME_ROWS = [
     ("wlm", "depth20.prob", 5),
     ("wlm", "depth50.prob", 13),
@@ -475,6 +721,11 @@ LP_REGIME_ROWS = [
     ("nrs", "depth20.prob", 14),
     ("wa6x4", "depth8.prob", 5),
     ("wa10x10", "depth12.prob", 25),
+    ("cr", "depth8.prob", 660),
+    ("cr", "depth10.prob", 6548),
+    ("nav", "depth10.prob", 2325),
+    ("wa6x6", "depth12.prob", 916),
+    ("wa8x8", "depth12.prob", 209),
 ]
 
 
@@ -497,6 +748,40 @@ def test_box_unsat_verdicts_agree_with_the_lp_regime(
     assert default.verdicts[-1].status == "UNSAT"
     assert default.verdicts[-1].paths_checked == 0  # the box decided it
     assert lp.verdicts[-1].paths_checked == paths_checked
+
+
+def test_recorded_prefixes_leave_few_paths_to_solve(monkeypatch):
+    # cr d10 in the LP regime decides 6,550 paths over its three checks;
+    # solving each of them would be a regression to per-path decisions.
+    solve = reach._solve_rows
+    solved = []
+
+    def counted(rows):
+        solved.append(1)
+        return solve(rows)
+
+    box_off(monkeypatch)
+    monkeypatch.setattr(reach, "_solve_rows", counted)
+    report = explain(load_benchmark("cr", "depth10.prob"))
+    decided = sum(v.paths_checked for v in report.verdicts)
+    assert [v.paths_checked for v in report.verdicts] == [1, 1, 6548]
+    assert 0 < len(solved) <= decided // 100
+
+
+def test_wpx_log_debug_names_the_path_whose_certificate_refuted(monkeypatch, caplog):
+    # nav d10's explanation check solves its first path, whose certificate
+    # refutes a prefix that every later path shares: one debug line per
+    # path decided, each later one naming path 0.
+    box_off(monkeypatch)
+    with caplog.at_level(logging.DEBUG, logger="wpx"):
+        report = explain(load_benchmark("nav", "depth10.prob"))
+    assert [v.paths_checked for v in report.verdicts] == [1, 2325]
+    lines = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+    assert len(lines) == 1 + 2325
+    assert lines[1].startswith("path 0 ") and lines[1].endswith(": UNSAT")
+    refuted = [line for line in lines[2:] if line.endswith(": UNSAT by the certificate of path 0")]
+    assert len(refuted) == 2324
+    assert refuted[-1].startswith("path 2324 locations=(")
 
 
 def test_box_preanalysis_stops_when_its_state_repeats(monkeypatch):
@@ -882,7 +1167,7 @@ def encoded_random_automata(seed, denominator, count):
             depth=3,
         )
         for path in enumerate_concrete_paths(automaton, automaton.initial[0], goal, 3):
-            i, f = encoding_number_kinds(*encode_path(problem, path))
+            i, f = encoding_number_kinds(*encode_path(problem, path)[:2])
             ints += i
             fractions += f
             paths += 1
@@ -902,7 +1187,7 @@ def test_encode_path_emits_canonical_numbers_on_bundled_rows():
             problem.domain, problem.init[0], problem.goal.location, problem.depth
         )
         kinds = [
-            encoding_number_kinds(*encode_path(problem, path))
+            encoding_number_kinds(*encode_path(problem, path)[:2])
             for path in itertools.islice(paths, 30)
         ]
         assert kinds and all(ints for ints, _ in kinds), row["name"]
@@ -1022,12 +1307,12 @@ def test_encode_path_agrees_with_full_encoding_oracle():
             depth=3,
         )
         for path in enumerate_concrete_paths(automaton, automaton.initial[0], goal, 3):
-            rows, points = encode_path(problem, path)
+            rows, points, _ends = encode_path(problem, path)
             assignment = reach._solve_rows(rows)
             lp = full_encode_path(problem, path)
             want = fm_feasible(lp) if len(path.transitions) <= 2 else lp_feasible(lp) is not None
-            assert (assignment is not None) == want, (case, path)
-            if assignment is None:
+            assert (not refuted(rows, assignment)) == want, (case, path)
+            if not want:
                 unsat += 1
                 continue
             sat += 1
@@ -1052,7 +1337,7 @@ def shift_first_dwell(monkeypatch):
 
     def shifted(rows):
         assignment = solve(rows)
-        if assignment is not None:
+        if not isinstance(assignment, reach.Farkas):
             assignment["d0"] += 2
         return assignment
 
@@ -1092,16 +1377,15 @@ def test_dump_lp_lists_the_rows_the_solver_decides(monkeypatch, tmp_path):
     encoded = []
 
     def encode(problem, path):
-        rows, points = encode_path(problem, path)
-        encoded.append(rows)
-        return rows, points
+        encoded.append(encode_path(problem, path))
+        return encoded[-1]
 
     box_off(monkeypatch)
     monkeypatch.setattr(reach, "encode_path", encode)
     verdict = bounded_reachable(problem, dump_dir=str(tmp_path))
     assert not verdict.is_sat and verdict.paths_checked == len(encoded) > 1
     assert sorted(os.listdir(tmp_path)) == ["path_%05d.lp" % i for i in range(len(encoded))]
-    for idx, rows in enumerate(encoded):
+    for idx, (rows, _points, _ends) in enumerate(encoded):
         lines = (tmp_path / ("path_%05d.lp" % idx)).read_text().splitlines()
         assert lines[0] == "# path %d" % idx and lines[1].startswith("# locations: l1 ")
         assert [parse_dump_row(line) for line in lines[2:]] == rows
