@@ -197,9 +197,8 @@ def _print_text_report(report: ExplanationReport) -> None:
     if report.chain is not None:
         print("chain: %s" % " ".join(e.location_name for e in report.chain))
     for v in report.verdicts:
-        status = "unreachable" if v.status == "UNSAT" else "reachable"
         print(
-            "  %-12s %-11s paths_checked=%d" % (v.location_name, status, v.paths_checked)
+            "  %-12s %-11s paths_checked=%d" % (v.location_name, v.reachability, v.paths_checked)
         )
     if report.explanation_name is not None:
         print("explanation: %s" % report.explanation_name)

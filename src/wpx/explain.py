@@ -29,7 +29,6 @@ OUTCOME_NO_WAYPOINT = "NoWaypointExplanation"
 OUTCOME_SOLVABLE = "SolvableContradiction"
 
 STATUS_SAT = "SAT"
-STATUS_UNSAT = "UNSAT"
 
 log = logging.getLogger(__name__)
 
@@ -66,6 +65,11 @@ class WaypointVerdict:
     location_name: str
     status: str
     paths_checked: int
+
+    @property
+    def reachability(self) -> str:
+        """The status as reports print it."""
+        return "reachable" if self.status == STATUS_SAT else "unreachable"
 
 
 @dataclass(frozen=True)

@@ -5,26 +5,26 @@ linear-constraint feasibility problem over entry/exit valuations and dwell
 times, then decided exactly over the rationals.  The encoding substitutes
 exact rates, Keep resets and point resets away in one forward pass, leaving
 systems in roughly the dwell variables only.  ``_solve_rows`` turns
-single-variable rows into bounds, settles the common "resource budget
-exceeded" pattern by a bound conflict or a sign-based interval check, and
-decides the rest with a bounded-variable simplex: one slack per
-multi-variable row and Bland's rule.  The simplex does only integer
-arithmetic: its tableau rows are ints over a positive int denominator,
-pivoted by integer cross-multiplication, and the variables' values and
-bounds are ints over one common denominator.  Every number, from the
-model through the rows, the returned assignment and the witnesses to the
-plan, is an int when it is integral and a ``Fraction`` only when it is not
-(``model.canonical``), so an integral model encodes, solves and replays in
-native int arithmetic; ``_quotient`` is the LP layer's one division.  A SAT
-witness is accepted only after it replays as a valid run through
-``model.check_witness``, and a SAT ``Verdict`` carries that checked run.
-An infeasible path LP is accepted only with exact Farkas multipliers that
-``_farkas_holds`` checks against its rows.  When the last row such a
-certificate uses comes before the goal rows, the path's stages up to that
-row are recorded as refuted, and a later path of the same check that
-begins with the same stages is UNSAT without being encoded or solved.  So
-each path a check decides is either solved with a checked certificate, or
-refuted by a recorded prefix that one covers.
+single-variable rows into bounds, each remembering the row that set it,
+settles crossed bounds at once, and decides the rest with a
+bounded-variable simplex: one slack per multi-variable row and Bland's
+rule.  The simplex does only integer arithmetic: its tableau rows are ints
+over a positive int denominator, pivoted by integer cross-multiplication,
+and the variables' values and bounds are ints over one common
+denominator.  Every number, from the model through the rows, the returned
+assignment and the witnesses to the plan, is an int when it is integral
+and a ``Fraction`` only when it is not (``model.canonical``), so an
+integral model encodes, solves and replays in native int arithmetic;
+``_quotient`` is the LP layer's one division.  A SAT witness is accepted
+only after it replays as a valid run through ``model.check_witness``,
+and a SAT ``Verdict`` carries that checked run.  An infeasible path LP
+is accepted only with exact Farkas multipliers that ``_farkas_holds``
+checks against its rows.  When the last row such a certificate uses comes
+before the goal rows, the path's stages up to that row are recorded as
+refuted, and a later path of the same check that begins with the same
+stages is UNSAT without being encoded or solved.  So each path a check
+decides is either solved with a checked certificate, or refuted by a
+recorded prefix that one covers.
 ``bounded_reachable(..., dump_dir=...)`` (the CLI's ``--dump-lp``) lists
 the rows of each path a check decides.
 
@@ -183,27 +183,26 @@ def _solve_rows(
     """Decide {sum(coeffs*x) <= bound} over free rational variables.
 
     Single-variable rows become bounds, each the exact ``_quotient(bound,
-    k)`` whether the row holds ints or Fractions.  A bound conflict, and an
-    interval pass that refutes a row whose smallest possible left side
-    already exceeds its bound, settle the common exhausted-budget pattern
-    without a pivot.  A bounded-variable simplex (Dutertre and de Moura, CAV
-    2006) decides the rest.  Each multi-variable row gets one slack: a basic
-    variable whose tableau row is the row's coefficients and whose upper
-    bound is the row's bound.  Every variable starts nonbasic at a value
-    within its bounds.  While some basic variable violates a bound, the
-    smallest such one is pivoted with the smallest nonbasic variable of its
-    row that can move it back, and set to the violated bound; when no
-    nonbasic variable can, the rows are infeasible.  Variables are ordered
-    by name, then slacks by row; taking the smallest on both sides is
-    Bland's rule, which ends the loop.  Returns an assignment covering every
-    variable that appears in any row, or a ``Farkas`` certificate when
-    infeasible: a constant row below 0 alone; for a bound conflict, the two
-    rows that set the bounds; for an interval refutation, the row and the
-    rows that set its variables' bounds; for a simplex conflict, the
-    conflict row of the final tableau (Dutertre and de Moura, section 4),
-    whose int entries are exact multipliers of the bounds that block it.
-    A bound is traced to the row that set it only once a conflict is found,
-    so a feasible solve does no extra work.
+    k)`` whether the row holds ints or Fractions, and each bound keeps the
+    first row that set it at its final value.  A variable whose bounds
+    cross is refuted without a pivot.  A bounded-variable simplex (Dutertre
+    and de Moura, CAV 2006) decides the rest.  Each multi-variable row gets
+    one slack: a basic variable whose tableau row is the row's coefficients
+    and whose upper bound is the row's bound.  Every variable starts
+    nonbasic at a value within its bounds.  While some basic variable
+    violates a bound, the smallest such one is pivoted with the smallest
+    nonbasic variable of its row that can move it back, and set to the
+    violated bound; when no nonbasic variable can, the rows are infeasible.
+    Variables are ordered by name, then slacks by row; taking the smallest
+    on both sides is Bland's rule, which ends the loop.  Returns an
+    assignment covering every variable that appears in any row, or a
+    ``Farkas`` certificate when infeasible: a constant row below 0 alone;
+    for crossed bounds, the two rows that set them; for a simplex conflict,
+    the conflict row of the final tableau (Dutertre and de Moura, section
+    4), whose int entries are exact multipliers of the bounds that block
+    it, each put on the row that set that bound.  A row whose smallest
+    possible left side already exceeds its bound needs no pass of its own:
+    the simplex refutes it like any other conflict.
 
     The simplex does only integer arithmetic.  A tableau row is held
     fraction-free, as a positive int ``den`` and int ``nums`` with
@@ -220,13 +219,16 @@ def _solve_rows(
     """
     lower: Dict[str, Rational] = {}
     upper: Dict[str, Rational] = {}
-    general: List[_Row] = []
+    # (var, is_upper) -> (i, k): rows[i] is k*var <= bound, the first row
+    # to set that bound at its final value.
+    setter: Dict[Tuple[str, bool], Tuple[int, Rational]] = {}
+    general: List[int] = []  # the index of each multi-variable row
     all_vars: set = set()
-    for coeffs, bound in rows:
+    for i, (coeffs, bound) in enumerate(rows):
         all_vars.update(coeffs)
         if not coeffs:
             if bound < 0:
-                return Farkas({rows.index((coeffs, bound)): 1})
+                return Farkas({i: 1})
             continue
         if len(coeffs) == 1:
             (var, k), = coeffs.items()
@@ -234,11 +236,13 @@ def _solve_rows(
             if k > 0:
                 if var not in upper or b < upper[var]:
                     upper[var] = b
+                    setter[var, True] = (i, k)
             else:
                 if var not in lower or b > lower[var]:
                     lower[var] = b
+                    setter[var, False] = (i, k)
             continue
-        general.append((coeffs, bound))
+        general.append(i)
 
     # Columns: the variables in name order, then one slack per general row.
     names = sorted(all_vars)
@@ -251,30 +255,17 @@ def _solve_rows(
         # x_b's bound inequality (-x_b <= -lower, or x_b <= upper) to
         # |row[j]| times each x_j's cancels every variable and leaves
         # 0 <= a negative number.  A slack's bound inequality is its own
-        # row; a variable's is the first single-variable row k*x <= bound
-        # whose quotient is that bound, scaled by 1/|k|.  One pass over the
-        # rows finds them all.
-        slacks: Dict[int, int] = {}
-        held: Dict[Tuple[str, bool], int] = {}
+        # row; a variable's is the row k*x <= bound that set that bound,
+        # scaled by 1/|k|.
+        y: Dict[int, Rational] = {}
         for j, at_upper, weight in [(b, not rise, den)] + [
             (j, (c > 0) == rise, abs(c)) for j, c in row.items()
         ]:
             if j >= len(names):
-                slacks[j - len(names)] = weight
+                y[general[j - len(names)]] = weight
             else:
-                held[names[j], at_upper] = weight
-        y: Dict[int, Rational] = {}
-        slack = 0
-        for i, (coeffs, bound) in enumerate(rows):
-            if len(coeffs) > 1:
-                if slack in slacks:
-                    y[i] = slacks[slack]
-                slack += 1
-            elif coeffs:
-                (var, k), = coeffs.items()
-                key = (var, k > 0)
-                if key in held and _quotient(bound, k) == (upper if k > 0 else lower)[var]:
-                    y[i] = _quotient(held.pop(key), abs(k))
+                i, k = setter[names[j], at_upper]
+                y[i] = _quotient(weight, abs(k))
         return Farkas(y)
 
     for var, lo in lower.items():
@@ -287,7 +278,7 @@ def _solve_rows(
     scale = lcm(
         *(b.denominator for b in lower.values()),
         *(b.denominator for b in upper.values()),
-        *(bound.denominator for _, bound in general),
+        *(rows[i][1].denominator for i in general),
     )
 
     def scaled(b: Optional[Rational]) -> Optional[int]:
@@ -304,26 +295,14 @@ def _solve_rows(
     # ones as den*x_b = sum(nums[j]*x_j), in ints with den > 0 and no common
     # factor.  A row scaled by the lcm of its denominators starts that way.
     tableau: Dict[int, Tuple[int, Dict[int, int]]] = {}
-    for coeffs, bound in general:
+    for i in general:
+        coeffs, bound = rows[i]
         den = lcm(*(k.denominator for k in coeffs.values()))
         row = {index[v]: k.numerator * (den // k.denominator) for v, k in coeffs.items()}
         tableau[len(value)] = (den, row)
         value.append(sum(c * value[j] for j, c in row.items()))
         low.append(None)
         high.append(scaled(bound))
-
-    # Interval propagation: each row's smallest possible left side vs its
-    # bound, both scaled by den*D.
-    for b, (den, row) in tableau.items():
-        minimum = 0
-        for j, c in row.items():
-            edge = low[j] if c > 0 else high[j]
-            if edge is None:
-                break
-            minimum += c * edge
-        else:
-            if minimum > den * high[b]:
-                return conflict(b, den, row, False)
 
     while True:
         for b in sorted(tableau):

@@ -554,7 +554,7 @@ def serialize_report(report) -> str:
         "verdicts": [
             {
                 "location": v.location_name,
-                "status": "unreachable" if v.status == "UNSAT" else "reachable",
+                "status": v.reachability,
                 "paths_checked": v.paths_checked,
             }
             for v in report.verdicts

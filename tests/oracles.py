@@ -513,7 +513,9 @@ def split_simplex_rows(
 # The bounded-variable simplex as it was before its tableau rows became
 # fraction-free: the same algorithm with every tableau entry a Fraction.
 # The library's integer tableau must pick the same pivots and so return
-# exactly the same assignment.
+# exactly the same assignment.  This reference keeps an interval pass that
+# the library does without: it only refutes, so it changes no assignment,
+# and the two are compared only on feasibility and assignments.
 
 
 def fraction_tableau_rows(

@@ -348,8 +348,8 @@ def test_integer_values_match_fraction_tableau_without_finite_bounds():
     assert same_as_fraction_tableau([]) and reach._solve_rows([]) == {}
     assert same_as_fraction_tableau([({}, Fraction(0)), ({}, Fraction(3, 2))])
     assert not same_as_fraction_tableau([({}, Fraction(0)), ({}, Fraction(-1, 2))])
-    # General rows over variables with no bound of their own: the interval
-    # pass stops at the first unbounded variable and the simplex decides.
+    # General rows over variables with no bound of their own: every
+    # variable starts at 0 and the simplex decides from there.
     rng = random.Random(616)
     sat = unsat = 0
     for _ in range(200):
@@ -380,8 +380,11 @@ def test_integer_values_match_fraction_tableau_with_fractional_row_bounds():
 
 
 def test_integer_interval_pass_matches_fraction_tableau_on_boxed_rows():
-    # Every variable boxed, and rows with fractional coefficients, so the
-    # interval pass sums whole rows scaled by their denominators.
+    # Every variable boxed, and rows with fractional coefficients.  A row
+    # whose smallest possible left side exceeds its bound has no pass of its
+    # own in ``_solve_rows``: its simplex refutes it from bounds scaled by
+    # the common denominator and rows scaled by theirs.  The Fraction
+    # tableau keeps its interval pass, and the two must still agree.
     rng = random.Random(919)
     sat = unsat = 0
     for _ in range(200):
@@ -447,8 +450,21 @@ def test_certificates_name_the_rows_that_refute():
         # A bound conflict: x <= 1 (from 2*x <= 2) against x >= 2 (from
         # -3*x <= -6), each row over its |k|; the looser x <= 3 takes no part.
         ([({"x": 2}, 2), ({"x": 3}, 9), ({"x": -3}, -6)], {0: Fraction(1, 2), 2: Fraction(1, 3)}),
-        # An interval refutation: x + y <= 1 with x >= 1 and y >= 1.
+        # A tie: 2*x <= 2 and x <= 1 both set x <= 1, and the first row to
+        # reach a bound is the one named.
+        ([({"x": 2}, 2), ({"x": 1}, 1), ({"x": -1}, -2)], {0: Fraction(1, 2), 2: 1}),
+        # A bound tightened by a later row: 2*x <= 2 replaces x <= 3.
+        ([({"x": 1}, 3), ({"x": 2}, 2), ({"x": -1}, -2)], {1: Fraction(1, 2), 2: 1}),
+        # A row whose smallest left side exceeds its bound, x + y <= 1 with
+        # x >= 1 and y >= 1: the simplex's first conflict row, without a pivot.
         ([({"x": 1, "y": 1}, 1), ({"x": -1}, -1), ({"y": -2}, -2)], {0: 1, 1: 1, 2: Fraction(1, 2)}),
+        # An exhausted budget, x - y <= -5 with 0 <= x <= 3 and 0 <= y <= 2:
+        # the simplex pivots y in, y overshoots its upper bound, and that
+        # row's conflict names the budget row and the bounds x >= 0, y <= 2.
+        (
+            [({"x": 1, "y": -1}, -5), ({"x": -1}, 0), ({"x": 1}, 3), ({"y": -1}, 0), ({"y": 1}, 2)],
+            {0: 1, 1: 1, 4: 1},
+        ),
         # Simplex conflicts without bounds: x + y <= 1 against x + y >= 2,
         # and the cycle x <= y <= z <= x - 1.
         ([({"x": 1, "y": 1}, 1), ({"x": -1, "y": -1}, -2)], {0: 1, 1: 1}),
@@ -494,13 +510,16 @@ def test_farkas_checker_rejects_broken_certificates():
 
 def test_certificates_on_every_unsat_check_of_the_pinned_rows(monkeypatch):
     # In the LP regime, every path LP that a check solves and finds UNSAT
-    # carries a certificate that the checker accepts.
+    # carries a certificate that the checker accepts.  The explanations
+    # decide 10,870 paths with 128 path LPs; a certificate that names a
+    # later last row records a longer prefix, or none, and solves more.
     box_off(monkeypatch)
     solve = reach._solve_rows
-    unsat = []
+    solved, unsat = [], []
 
     def checked(rows):
         result = solve(rows)
+        solved.append(1)
         if refuted(rows, result):
             unsat.append(len(rows))
         return result
@@ -509,6 +528,7 @@ def test_certificates_on_every_unsat_check_of_the_pinned_rows(monkeypatch):
     for dirname, probname, _paths in LP_REGIME_ROWS:
         explain(load_benchmark(dirname, probname))
     assert len(unsat) > 50
+    assert len(solved) <= 129
 
 
 def corrupt_certificates(monkeypatch):
