@@ -207,14 +207,7 @@ def _print_text_report(report: ExplanationReport) -> None:
         _print_plan(plan)
     for note in report.annotations:
         print("note: %s" % note)
-    print(
-        "timings_ms: path_enumeration=%.2f lcs=%.2f reachability=%.2f"
-        % (
-            report.timings_ms["path_enumeration"],
-            report.timings_ms["lcs"],
-            report.timings_ms["reachability"],
-        )
-    )
+    print("timings_ms: " + " ".join("%s=%.2f" % kv for kv in report.timings_ms.items()))
 
 
 def cmd_explain(args: argparse.Namespace) -> int:

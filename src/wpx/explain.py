@@ -28,6 +28,14 @@ OUTCOME_FIRST_UNREACHABLE = "FirstUnreachableWaypoint"
 OUTCOME_NO_WAYPOINT = "NoWaypointExplanation"
 OUTCOME_SOLVABLE = "SolvableContradiction"
 
+# The note each outcome adds to a report; a first unreachable waypoint needs
+# none, as the report names it.
+OUTCOME_NOTES = {
+    OUTCOME_DISCRETE_INFEASIBLE: "no bounded discrete path reaches the goal location",
+    OUTCOME_SOLVABLE: "the problem is solvable; no explanation exists",
+    OUTCOME_NO_WAYPOINT: "every inevitable waypoint is reachable but the exact goal is not",
+}
+
 STATUS_SAT = "SAT"
 
 log = logging.getLogger(__name__)
@@ -116,20 +124,16 @@ def explain(
 ) -> ExplanationReport:
     """Locate the first unreachable inevitable waypoint of ``problem``.
 
-    Every chain entry, the initial location's included, is decided by
-    ``bounded_reachable`` over one shared box pass, so a reachable entry
-    rests on a witness run that ``check_witness`` replayed.  ``dump_dir``
-    gets one subdirectory per reachability check: ``<position>_<location>``
-    for a chain entry and ``goal`` for the final check of the exact goal.
-    ``cap`` bounds the concrete paths each check decides; the walk count is
-    never capped.
+    The chain entries, the initial location's included, are checked in
+    chain order and, once every one of them is reachable, the exact goal
+    last.  Each check is one ``bounded_reachable`` call over a shared box
+    pass, so a reachable entry rests on a witness run that
+    ``check_witness`` replayed.  ``dump_dir`` gets one subdirectory per
+    check: ``<position>_<location>`` for a chain entry and ``goal`` for the
+    exact goal.  ``cap`` bounds the concrete paths each check decides; the
+    walk count is never capped.
     """
-
-    def dump_subdir(name: str) -> Optional[str]:
-        return None if dump_dir is None else os.path.join(dump_dir, name)
-
-    annotations = []
-    timings: Dict[str, float] = {}
+    timings = dict.fromkeys(("path_enumeration", "lcs", "reachability"), 0.0)
     init_loc, _ = problem.init
     graph = build_graph(problem.domain)
 
@@ -139,70 +143,44 @@ def explain(
 
     chain: Optional[Tuple[ChainEntry, ...]] = None
     verdicts = []
-    failed: Optional[str] = None
-    witness_verdict: Optional[Verdict] = None
     if paths.count == 0:
         outcome = OUTCOME_DISCRETE_INFEASIBLE
-        timings["lcs"] = 0.0
-        timings["reachability"] = 0.0
-        annotations.append("no bounded discrete path reaches the goal location")
     else:
         t1 = time.perf_counter()
         lcs = lcs_multi(paths)
         chain = chain_from_lcs(problem, lcs)
         timings["lcs"] = (time.perf_counter() - t1) * 1000.0
-        if classify_trivial_chain(chain):
-            annotations.append("chain is trivial (endpoints only)")
 
         t2 = time.perf_counter()
-        # Every check below differs only in its goal, so they share one
-        # box pass.
+        # Every check differs only in its goal, so they share one box pass.
         box = BoxSteps(problem)
+
+        def check(label: str, subdir: str, sub: PlanningProblem) -> Verdict:
+            dump = None if dump_dir is None else os.path.join(dump_dir, subdir)
+            verdict = bounded_reachable(sub, cap=cap, dump_dir=dump, box=box)
+            log.info("check %s: %s paths_checked=%d", label, verdict.status, verdict.paths_checked)
+            return verdict
+
         for position, entry in enumerate(chain):
-            verdict = bounded_reachable(
-                entry.problem,
-                cap=cap,
-                dump_dir=dump_subdir("%d_%s" % (position, entry.location_name)),
-                box=box,
-            )
-            log.info(
-                "check %d %s: %s paths_checked=%d",
-                position, entry.location_name, verdict.status, verdict.paths_checked,
-            )
+            where = (position, entry.location_name)
+            verdict = check("%d %s" % where, "%d_%s" % where, entry.problem)
             verdicts.append(
-                WaypointVerdict(
-                    location_name=entry.location_name,
-                    status=verdict.status,
-                    paths_checked=verdict.paths_checked,
-                )
+                WaypointVerdict(entry.location_name, verdict.status, verdict.paths_checked)
             )
             if not verdict.is_sat:
-                failed = entry.location_name
+                outcome = OUTCOME_FIRST_UNREACHABLE
                 break
-
-        if failed is not None:
-            outcome = OUTCOME_FIRST_UNREACHABLE
         else:
-            # Every waypoint is reachable: decide the original exact-goal problem.
-            final = bounded_reachable(
-                problem, cap=cap, dump_dir=dump_subdir("goal"), box=box
-            )
-            log.info(
-                "check goal %s: %s paths_checked=%d",
-                problem.domain.location(problem.goal.location).name,
-                final.status, final.paths_checked,
-            )
-            if final.is_sat:
-                outcome = OUTCOME_SOLVABLE
-                witness_verdict = final
-                annotations.append("the problem is solvable; no explanation exists")
-            else:
-                outcome = OUTCOME_NO_WAYPOINT
-                annotations.append(
-                    "every inevitable waypoint is reachable but the exact goal is not"
-                )
+            goal_name = problem.domain.location(problem.goal.location).name
+            verdict = check("goal " + goal_name, "goal", problem)
+            outcome = OUTCOME_SOLVABLE if verdict.is_sat else OUTCOME_NO_WAYPOINT
         timings["reachability"] = (time.perf_counter() - t2) * 1000.0
 
+    annotations = ()
+    if chain is not None and classify_trivial_chain(chain):
+        annotations = ("chain is trivial (endpoints only)",)
+    if outcome in OUTCOME_NOTES:
+        annotations += (OUTCOME_NOTES[outcome],)
     return ExplanationReport(
         problem_name=name,
         problem=problem,
@@ -210,8 +188,10 @@ def explain(
         path_count=paths.count,
         chain=chain,
         verdicts=tuple(verdicts),
-        explanation_name=failed,
-        witness_verdict=witness_verdict,
+        explanation_name=(
+            verdicts[-1].location_name if outcome == OUTCOME_FIRST_UNREACHABLE else None
+        ),
+        witness_verdict=verdict if outcome == OUTCOME_SOLVABLE else None,
         timings_ms=timings,
-        annotations=tuple(annotations),
+        annotations=annotations,
     )

@@ -560,11 +560,7 @@ def serialize_report(report) -> str:
             for v in report.verdicts
         ],
         "explanation": {"outcome": report.outcome, "location": report.explanation_name},
-        "timings_ms": {
-            "path_enumeration": report.timings_ms["path_enumeration"],
-            "lcs": report.timings_ms["lcs"],
-            "reachability": report.timings_ms["reachability"],
-        },
+        "timings_ms": dict(report.timings_ms),
     }
     if report.annotations:
         doc["annotations"] = list(report.annotations)

@@ -1,12 +1,14 @@
 """CLI behavior: subcommands, output modes, exit codes."""
 
+import importlib
 import json
 import logging
 import os
+import re
 
 import pytest
 
-from conftest import BENCH_ROOT
+from conftest import BENCH_ROOT, HALF
 from wpx.cli import EXIT_CAP, EXIT_INPUT, EXIT_OK, main
 
 
@@ -382,6 +384,54 @@ def test_dump_lp_directory(capsys, tmp_path):
     assert (dump / "0_l1" / "path_00000.lp").is_file()
     assert (dump / "1_l5" / "path_00000.lp").is_file()
     assert sorted(os.listdir(dump)) == ["0_l1", "1_l5"]
+
+
+def test_exact_goal_goes_through_the_same_check(caplog, capsys, monkeypatch, tmp_path):
+    # half is solvable: every chain entry is reachable, so the exact goal is
+    # checked last, logged, dumped and looked up like the entries before it.
+    explain_module = importlib.import_module("wpx.explain")
+    original = explain_module.bounded_reachable
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(explain_module, "bounded_reachable", counting)
+    dump = tmp_path / "lps"
+    with caplog.at_level(logging.INFO, logger="wpx"):
+        code, _, _ = run(
+            capsys, "explain", "--problem", os.path.join(HALF, "half.prob"),
+            "--dump-lp", str(dump),
+        )
+    assert code == EXIT_OK
+    infos = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+    checks = ["0 a", "1 b", "2 c", "goal c"]
+    assert infos == ["check %s: SAT paths_checked=1" % c for c in checks]
+    assert sorted(os.listdir(dump)) == ["0_a", "1_b", "2_c", "goal"]
+    for sub in os.listdir(dump):
+        assert os.listdir(dump / sub) == ["path_00000.lp"]
+    assert len(calls) == 4
+
+
+def test_timing_keys_in_one_order(capsys, tmp_path):
+    keys = ["path_enumeration", "lcs", "reachability"]
+    problems = {
+        "FirstUnreachableWaypoint": bench("wlm", "depth20.prob"),
+        "DiscreteInfeasible": write_problem(tmp_path, DISCONNECTED, "goal b\ndepth 5\n"),
+    }
+    for outcome, prob in problems.items():
+        code, out, _ = run(capsys, "explain", "--problem", prob, "--json")
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["explanation"]["outcome"] == outcome
+        assert list(doc["timings_ms"]) == keys
+        code, out, _ = run(capsys, "explain", "--problem", prob)
+        assert code == EXIT_OK
+        line = out.splitlines()[-1]
+        assert re.fullmatch(" ".join(["timings_ms:"] + [k + r"=\d+\.\d\d" for k in keys]), line)
+    # Nothing is enumerated for a discrete-infeasible problem.
+    assert line.endswith(" lcs=0.00 reachability=0.00")
 
 
 def test_paths_deep_depth_counts_and_lists(capsys):
