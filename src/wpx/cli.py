@@ -31,7 +31,6 @@ from .model import Plan, PlanningProblem
 from .reach import bounded_reachable, extract_witness
 from .textio import (
     ParseError,
-    format_rational,
     parse_model,
     parse_problem,
     plan_json,
@@ -187,8 +186,8 @@ def cmd_waypoints(args: argparse.Namespace) -> int:
 
 def _print_plan(plan: Plan) -> None:
     for t, label in plan.steps:
-        print("  plan step t=%s %s" % (format_rational(t), label))
-    print("  makespan %s" % format_rational(plan.makespan))
+        print("  plan step t=%s %s" % (t, label))
+    print("  makespan %s" % plan.makespan)
 
 
 def _print_text_report(report: ExplanationReport) -> None:

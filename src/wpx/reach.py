@@ -65,7 +65,6 @@ from .model import (
     canonical,
     check_witness,
 )
-from .textio import format_rational
 
 # A number of the path LPs and of the box is a ``model.Rational``: an int
 # when it is integral and a Fraction only when it is not, as the model holds
@@ -129,8 +128,6 @@ def enumerate_concrete_paths(
     succ: Dict[int, List[Tuple[int, int]]] = {}
     for t in automaton.transitions:
         succ.setdefault(t.source, []).append((t.id, t.target))
-    for hops in succ.values():
-        hops.sort()
     for locations, transitions in iter_labelled_walks(succ, source, goal_loc, depth):
         yield ConcretePath(locations, transitions)
 
@@ -892,10 +889,8 @@ def bounded_reachable(
             + " ".join(problem.domain.location(l).name for l in path.locations)
         )
         for coeffs, bound in rows:
-            terms = " + ".join(
-                "%s*%s" % (format_rational(k), v) for v, k in sorted(coeffs.items())
-            )
-            lines.append("%s + %s <= 0" % (terms or "0", format_rational(-bound)))
+            terms = " + ".join("%s*%s" % (k, v) for v, k in sorted(coeffs.items()))
+            lines.append("%s + %s <= 0" % (terms or "0", -bound))
         with open(os.path.join(dump_dir, "path_%05d.lp" % idx), "w") as fh:
             fh.write("\n".join(lines) + "\n")
 

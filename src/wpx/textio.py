@@ -20,7 +20,10 @@ The model grammar is line-oriented and sectioned::
     init loc1 { b = 10; t = 0; }
 
 Sections may come in any order: a section may name a variable or a
-location that a later one declares.
+location that a later one declares.  A ``location`` block takes ``inv:``
+and ``rate`` clauses and a ``trans`` block ``label:``, ``guard:`` and
+``reset`` clauses, each with an optional ``;``.  In a ``.prob`` document,
+a line inside ``{ ... }`` is never the ``model`` line.
 
 Constraints are conjunctions of closed linear comparisons
 (``expr <= expr``, ``expr >= expr``, ``expr = expr``); strict comparisons
@@ -263,26 +266,45 @@ class _Parser:
         self.expect("}")
         return Polyhedron(tuple(constraints))
 
-    def parse_interval(self) -> Tuple[Rational, Rational]:
-        self.expect("[")
-        lo = self.parse_rational()
-        self.expect(",")
-        hi = self.parse_rational()
-        self.expect("]")
-        return lo, hi
-
-    def parse_interval_clause(self, into: Dict[str, Tuple[Rational, Rational]]) -> None:
-        """``rate|reset <var> in [lo, hi]`` with an optional ';', stored in
-        ``into``; a second clause for the same variable is a ParseError."""
-        clause = self.next()
-        var = self.expect("name").text
-        in_tok = self.expect("name")
-        if in_tok.text != "in":
-            raise self.error("expected 'in'", in_tok)
-        if var in into:
-            raise self.error("repeated %s for variable %r" % (clause.text, var), clause)
-        into[var] = self.parse_interval()
-        self.accept(";")
+    def parse_clauses(
+        self, words: Tuple[str, ...]
+    ) -> Tuple[Polyhedron, Dict[str, Tuple[Rational, Rational]], Optional[str]]:
+        """``{ clause ... }`` with clauses that open with ``words``, as the
+        block's region (``inv:``/``guard:`` constraints, conjoined), its
+        ``rate``/``reset`` intervals by variable and its ``label:`` (None
+        if none)."""
+        self.expect("{")
+        constraints: List[LinearConstraint] = []
+        intervals: Dict[str, Tuple[Rational, Rational]] = {}
+        label: Optional[str] = None
+        while not self.accept("}"):
+            clause = self.peek()
+            if clause.text not in words:
+                raise self.error("expected %s or '}'" % ", ".join(map(repr, words)))
+            if clause.text == "label" and label is not None:
+                raise self.error("repeated 'label' clause")
+            self.next()
+            if clause.text in ("rate", "reset"):
+                var = self.expect("name").text
+                in_tok = self.expect("name")
+                if in_tok.text != "in":
+                    raise self.error("expected 'in'", in_tok)
+                if var in intervals:
+                    raise self.error("repeated %s for variable %r" % (clause.text, var), clause)
+                self.expect("[")
+                lo = self.parse_rational()
+                self.expect(",")
+                hi = self.parse_rational()
+                self.expect("]")
+                intervals[var] = (lo, hi)
+            else:
+                self.expect(":")
+                if clause.text == "label":
+                    label = self.expect("name").text
+                else:
+                    constraints.extend(self.parse_constraint_list())
+            self.accept(";")
+        return Polyhedron(tuple(constraints)), intervals, label
 
 
 def parse_model(text: str, source: str = "<string>") -> HybridAutomaton:
@@ -323,25 +345,13 @@ def _parse_automaton(text: str) -> HybridAutomaton:
             name_tok = p.expect("name")
             if name_tok.text in loc_ids:
                 raise p.error("duplicate location %r" % name_tok.text, name_tok)
-            p.expect("{")
-            inv_constraints: List[LinearConstraint] = []
-            rates: Dict[str, Tuple[Rational, Rational]] = {}
-            while not p.accept("}"):
-                inner = p.peek().text
-                if inner == "inv":
-                    p.next()
-                    p.expect(":")
-                    inv_constraints.extend(p.parse_constraint_list())
-                elif inner == "rate":
-                    p.parse_interval_clause(rates)
-                else:
-                    raise p.error("expected 'inv', 'rate' or '}'")
+            invariant, rates, _label = p.parse_clauses(("inv", "rate"))
             loc_ids[name_tok.text] = len(locations)
             locations.append(
                 Location(
                     id=len(locations),
                     name=name_tok.text,
-                    invariant=Polyhedron(tuple(inv_constraints)),
+                    invariant=invariant,
                     rates=RateSpec.build(rates),
                 )
             )
@@ -349,32 +359,10 @@ def _parse_automaton(text: str) -> HybridAutomaton:
             src_tok = p.expect("name")
             p.expect("arrow")
             dst = p.expect("name").text
-            p.expect("{")
-            label: Optional[str] = None
-            guard_constraints: List[LinearConstraint] = []
-            resets: Dict[str, Tuple[Rational, Rational]] = {}
-            while not p.accept("}"):
-                inner = p.peek().text
-                if inner == "label":
-                    if label is not None:
-                        raise p.error("repeated 'label' clause")
-                    p.next()
-                    p.expect(":")
-                    label = p.expect("name").text
-                    p.accept(";")
-                elif inner == "guard":
-                    p.next()
-                    p.expect(":")
-                    guard_constraints.extend(p.parse_constraint_list())
-                elif inner == "reset":
-                    p.parse_interval_clause(resets)
-                else:
-                    raise p.error("expected 'label', 'guard', 'reset' or '}'")
+            guard, resets, label = p.parse_clauses(("label", "guard", "reset"))
             if label is None:
                 label = "act"
-            pending_transitions.append(
-                (src_tok, dst, label, Polyhedron(tuple(guard_constraints)), Reset.build(resets))
-            )
+            pending_transitions.append((src_tok, dst, label, guard, Reset.build(resets)))
             if label not in labels:
                 labels.append(label)
         elif word == "init":
@@ -432,19 +420,25 @@ def _parse_automaton(text: str) -> HybridAutomaton:
 
 def split_model_line(text: str) -> Tuple[Optional[str], str]:
     """The path a ``.prob`` document's ``model`` line names (None if none),
-    and the text with that line blanked.  The path ends at the line's end or
-    at a ``#`` comment; a second ``model`` line is a ParseError."""
+    and the text with that line blanked.  The model line is one whose first
+    word is ``model`` outside every ``{ ... }``: inside one, ``model`` is a
+    variable.  The path ends at the line's end or at a ``#`` comment; a
+    second ``model`` line is a ParseError."""
     ref: Optional[str] = None
     seen = False
+    depth = 0
     lines = text.split("\n")
     for i, raw in enumerate(lines):
-        words = raw.split("#", 1)[0].split(None, 1)
-        if words[:1] == ["model"]:
+        code = raw.split("#", 1)[0]
+        words = code.split(None, 1)
+        if words[:1] == ["model"] and depth <= 0:
             if seen:
                 raise ParseError("repeated 'model' section", i + 1, raw.index("model") + 1)
             seen = True
             ref = words[1].strip() if len(words) > 1 else None
             lines[i] = ""
+        else:
+            depth += code.count("{") - code.count("}")
     return ref, "\n".join(lines)
 
 
@@ -514,16 +508,10 @@ def _parse_problem(text: str, automaton: HybridAutomaton) -> PlanningProblem:
 # --- serialization -------------------------------------------------------
 
 
-def format_rational(value: Rational) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return "%d/%d" % (value.numerator, value.denominator)
-
-
 def _json_number(value: Rational):
     if value.denominator == 1:
         return value.numerator
-    return format_rational(value)
+    return str(value)
 
 
 def plan_json(steps: Sequence[Tuple[Rational, str]], makespan: Rational) -> dict:

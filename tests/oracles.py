@@ -38,7 +38,6 @@ from wpx.reach import (
     _var_in,
     _var_out,
 )
-from wpx.textio import format_rational
 
 
 # --- full path encoding ---------------------------------------------------
@@ -1412,7 +1411,7 @@ def _format_expression(expr: LinearExpression) -> str:
         elif coeff == -1:
             term = "-" + var
         else:
-            term = "%s*%s" % (format_rational(coeff), var)
+            term = "%s*%s" % (coeff, var)
         if parts and not term.startswith("-"):
             parts.append("+ " + term)
         elif parts:
@@ -1422,9 +1421,9 @@ def _format_expression(expr: LinearExpression) -> str:
     if expr.constant != 0 or not parts:
         c = expr.constant
         if parts:
-            parts.append(("+ " if c >= 0 else "- ") + format_rational(abs(c)))
+            parts.append(("+ " if c >= 0 else "- ") + str(abs(c)))
         else:
-            parts.append(format_rational(c))
+            parts.append(str(c))
     return " ".join(parts)
 
 
@@ -1442,9 +1441,7 @@ def serialize_model(automaton: HybridAutomaton) -> str:
         for c in loc.invariant.constraints:
             lines.append("  inv: %s;" % _format_constraint(c))
         for var, iv in loc.rates.intervals:
-            lines.append(
-                "  rate %s in [%s, %s];" % (var, format_rational(iv.lower), format_rational(iv.upper))
-            )
+            lines.append("  rate %s in [%s, %s];" % (var, iv.lower, iv.upper))
         lines.append("}")
     lines.append("")
     for t in automaton.transitions:
@@ -1456,10 +1453,7 @@ def serialize_model(automaton: HybridAutomaton) -> str:
             lines.append("  guard: %s;" % _format_constraint(c))
         for var, act in t.reset.actions:
             if act.kind is ResetKind.ASSIGN_INTERVAL:
-                lines.append(
-                    "  reset %s in [%s, %s];"
-                    % (var, format_rational(act.lower), format_rational(act.upper))
-                )
+                lines.append("  reset %s in [%s, %s];" % (var, act.lower, act.upper))
         lines.append("}")
     lines.append("")
     init_loc, init_region = automaton.initial

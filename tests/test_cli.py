@@ -311,6 +311,23 @@ def test_repeated_model_line_is_an_input_error(capsys, tmp_path):
     assert "line 2, column 1: repeated 'model' section" in err
 
 
+@pytest.mark.parametrize("model_line", [False, True], ids=["model-flag", "model-line"])
+def test_a_variable_named_model_may_start_a_goal_line(capsys, tmp_path, model_line):
+    # The goal model >= 30 is unreachable under the invariant model <= 10;
+    # dropped as a model line, it would leave the goal trivially reachable.
+    (tmp_path / "m.lha").write_text(
+        "vars model t\nlocation a {\n  inv: model <= 10;\n  rate model in [1, 1];\n"
+        "  rate t in [1, 1];\n}\ninit a { model = 0; t = 0; }\n"
+    )
+    prob = tmp_path / "r.prob"
+    prob.write_text(
+        ("model m.lha\n" if model_line else "") + "goal a {\nmodel >= 30;\n}\ndepth 2\n"
+    )
+    flags = [] if model_line else ["--model", str(tmp_path / "m.lha")]
+    code, out, err = run(capsys, "check", "--problem", str(prob), *flags)
+    assert (code, out, err) == (EXIT_OK, "UNSAT (paths_checked=0)\n", "")
+
+
 @pytest.mark.parametrize(
     "value,code", [("basic_format", EXIT_INPUT), ("bogus", EXIT_INPUT), ("INFO", EXIT_OK)]
 )

@@ -11,9 +11,9 @@ from conftest import BENCH_ROOT, benchmark_problems, load_benchmark
 from oracles import random_automaton, serialize_model
 from wpx.explain import explain
 from wpx.model import Relation, validate_model
+from wpx.reach import bounded_reachable
 from wpx.textio import (
     ParseError,
-    format_rational,
     parse_model,
     parse_problem,
     serialize_report,
@@ -157,6 +157,14 @@ def test_model_rejects_repeated_clause(old, new, where, message):
         ("vars x t", "vars x t 3", (3, 10), "expected 'vars', 'location', 'trans' or 'init'"),
         ("label: hop;", "label: hop; lable: hop;", (14, 15),
          "expected 'label', 'guard', 'reset' or '}'"),
+        ("rate x in [1, 2];", "rate x in [1, 2]; rat t in [1, 1];", (6, 21),
+         "expected 'inv', 'rate' or '}'"),
+        ("rate x in [1, 2];", "rate x in [1, 2]; label: go;", (6, 21),
+         "expected 'inv', 'rate' or '}'"),
+        ("guard: 2*x - t >= 1;", "guard: 2*x - t >= 1; inv: x <= 3;", (15, 24),
+         "expected 'label', 'guard', 'reset' or '}'"),
+        ("reset t in [0, 0];", "reset t in [0, 0]; rate x in [0, 0];", (16, 22),
+         "expected 'label', 'guard', 'reset' or '}'"),
         ("location b {", "location a {", (9, 10), "duplicate location 'a'"),
         ("trans a -> b", "trans a -> zz", (13, 7), "unknown location 'zz' in transition"),
         ("trans a -> b", "trans zz -> b", (13, 7), "unknown location 'zz' in transition"),
@@ -165,7 +173,9 @@ def test_model_rejects_repeated_clause(old, new, where, message):
     ],
     ids=["duplicate-var", "missing-rate", "unexpected-character", "strict", "malformed-number",
          "expected-token", "expected-in", "expected-relation", "expected-term",
-         "expected-section", "expected-clause", "duplicate-location", "unknown-target",
+         "expected-section", "expected-clause", "location-misspelt-clause",
+         "location-trans-clause", "trans-location-clause", "trans-rate-clause",
+         "duplicate-location", "unknown-target",
          "unknown-source", "unknown-init", "missing-init"],
 )
 def test_model_validation_errors_point_at_their_cause(old, new, where, message):
@@ -251,6 +261,29 @@ def test_problem_parsing_with_override_and_depth():
     assert prob.init[0] == 1
     assert prob.goal.location == 1
     assert len(prob.goal.region.constraints) == 1
+
+
+MODEL_VAR = """
+vars model t
+location a {
+  inv: model <= 10;
+  rate model in [1, 1];
+  rate t in [1, 1];
+}
+init a { model = 0; t = 0; }
+"""
+
+
+@pytest.mark.parametrize("model_line", ["", "model m.lha\n"], ids=["no-model-line", "model-line"])
+def test_a_braced_line_is_never_the_model_line(model_line):
+    # Inside { ... }, a line that starts with ``model`` is a constraint on
+    # the variable ``model``, with or without a model line above it.
+    automaton = parse_model(MODEL_VAR)
+    one_line = parse_problem("goal a { model >= 30; }\ndepth 2\n", automaton).problem
+    text = model_line + "goal a {\nmodel >= 30;\n}\ndepth 2\n"
+    problem = parse_problem(text, automaton).problem
+    assert len(problem.goal.region.constraints) == 1
+    assert problem == one_line
 
 
 def test_problem_requires_goal_and_depth():
@@ -348,9 +381,13 @@ def test_mutated_inputs_raise_only_parse_errors():
             pytest.fail("%r on input %r" % (exc, mutated))
 
 
-def test_format_rational():
-    assert format_rational(Fraction(3)) == "3"
-    assert format_rational(Fraction(-7, 2)) == "-7/2"
+def test_lp_listing_prints_numbers_as_ints_or_fractions(tmp_path):
+    # x starts at 3/2 and, in b, changes at a rate in [-1/2, 0].
+    problem = parse_problem("goal b\ndepth 1\n", parse_model(MINI)).problem
+    assert bounded_reachable(problem, dump_dir=str(tmp_path)).is_sat
+    lines = (tmp_path / "path_00000.lp").read_text().splitlines()
+    assert "1*x@0in + -3/2 <= 0" in lines
+    assert "-1/2*d1 + 1*x@0out + -1*x@1out + 0 <= 0" in lines
 
 
 def test_serialize_report_schema_keys():
