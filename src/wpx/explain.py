@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from .graph import DEFAULT_PATH_CAP, LcsResult, build_graph, enumerate_paths, lcs_multi
-from .model import PlanningProblem, alpha
+from .model import HybridAutomaton, PlanningProblem, alpha
 from .reach import BoxSteps, Verdict, bounded_reachable
 
 OUTCOME_DISCRETE_INFEASIBLE = "DiscreteInfeasible"
@@ -116,6 +116,23 @@ def classify_trivial_chain(chain: Tuple[ChainEntry, ...]) -> bool:
     return len(chain) <= 2
 
 
+def _dead_note(automaton: HybridAutomaton, goal: str, verdict: Verdict) -> str:
+    """The note naming each dead constraint of an UNSAT ``verdict`` and
+    where it sits: ``goal`` names its goal region, and a guard is named by
+    its transition."""
+    parts = []
+    for where, constraint in verdict.dead:
+        if where is None:
+            place = goal
+        else:
+            trans = automaton.transitions[where]
+            place = "guard of %s -> %s" % (
+                automaton.location(trans.source).name, automaton.location(trans.target).name
+            )
+        parts.append("%s: %s holds in no reachable state at any depth" % (place, constraint))
+    return "; ".join(parts) + " (it fails at init, and no flow or jump makes it hold)"
+
+
 def explain(
     problem: PlanningProblem,
     name: str = "problem",
@@ -131,7 +148,8 @@ def explain(
     ``check_witness`` replayed.  ``dump_dir`` gets one subdirectory per
     check: ``<position>_<location>`` for a chain entry and ``goal`` for the
     exact goal.  ``cap`` bounds the concrete paths each check decides; the
-    walk count is never capped.
+    walk count is never capped.  When every path of the deciding UNSAT
+    check holds a dead constraint (``Verdict.dead``), a note names it.
     """
     timings = dict.fromkeys(("path_enumeration", "lcs", "reachability"), 0.0)
     init_loc, _ = problem.init
@@ -169,10 +187,11 @@ def explain(
             )
             if not verdict.is_sat:
                 outcome = OUTCOME_FIRST_UNREACHABLE
+                goal = "invariant of waypoint " + entry.location_name
                 break
         else:
-            goal_name = problem.domain.location(problem.goal.location).name
-            verdict = check("goal " + goal_name, "goal", problem)
+            goal = "goal " + problem.domain.location(problem.goal.location).name
+            verdict = check(goal, "goal", problem)
             outcome = OUTCOME_SOLVABLE if verdict.is_sat else OUTCOME_NO_WAYPOINT
         timings["reachability"] = (time.perf_counter() - t2) * 1000.0
 
@@ -181,6 +200,8 @@ def explain(
         annotations = ("chain is trivial (endpoints only)",)
     if outcome in OUTCOME_NOTES:
         annotations += (OUTCOME_NOTES[outcome],)
+    if chain is not None and verdict.dead:
+        annotations += (_dead_note(problem.domain, goal, verdict),)
     return ExplanationReport(
         problem_name=name,
         problem=problem,

@@ -89,6 +89,18 @@ class LinearConstraint:
     def variables(self) -> Tuple[str, ...]:
         return self.expression.variables()
 
+    def __str__(self) -> str:
+        """The constraint in the input syntax, its constant on the right:
+        ``2*x - 3*y >= 4``."""
+        text = ""
+        for var, k in self.expression.coefficients:
+            term = var if abs(k) == 1 else "%s*%s" % (abs(k), var)
+            if text:
+                text += (" - " if k < 0 else " + ") + term
+            else:
+                text = ("-" if k < 0 else "") + term
+        return "%s %s %s" % (text or "0", self.relation.value, -self.expression.constant)
+
 
 @dataclass(frozen=True)
 class Polyhedron:

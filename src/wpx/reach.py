@@ -22,9 +22,15 @@ is accepted only with exact Farkas multipliers that ``_farkas_holds``
 checks against its rows.  When the last row such a certificate uses comes
 before the goal rows, the path's stages up to that row are recorded as
 refuted, and a later path of the same check that begins with the same
-stages is UNSAT without being encoded or solved.  So each path a check
-decides is either solved with a checked certificate, or refuted by a
-recorded prefix that one covers.
+stages is UNSAT without being encoded or solved.  When it lies in the goal
+or in a transition, each goal or guard constraint there that the
+certificate uses is a candidate: written ``F(x) <= b``, it is dead when
+``F(x) > b`` is inductive, which three exact tests show (no reset of F's
+variables, no rate that lowers F, and an init LP, itself certified).  A
+dead constraint holds in no reachable state at any depth, so a later path
+whose goal or guards hold one is UNSAT without being solved either.  So
+each path a check decides is either solved with a checked certificate, or
+refuted by a recorded prefix or a dead constraint that one covers.
 ``bounded_reachable(..., dump_dir=...)`` (the CLI's ``--dump-lp``) lists
 the rows of each path a check decides.
 
@@ -48,11 +54,12 @@ from fractions import Fraction
 from functools import cache
 from itertools import islice
 from math import gcd, lcm
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .graph import DEFAULT_PATH_CAP, ResourceCapExceeded, iter_labelled_walks
 from .model import (
     HybridAutomaton,
+    LinearConstraint,
     Plan,
     PlanningProblem,
     Polyhedron,
@@ -76,6 +83,9 @@ _Row = Tuple[Dict[str, Rational], Rational]
 _Expr = Tuple[Dict[str, Rational], Rational]
 # A valuation: one expression per automaton variable, in declaration order.
 _Point = Tuple[_Expr, ...]
+# A row over the model's variables in hashable form: ``(F, b)`` with F's
+# ``(variable, k)`` terms, meaning ``F(x) <= b``.
+_RowKey = Tuple[Tuple[Tuple[str, Rational], ...], Rational]
 
 log = logging.getLogger(__name__)
 
@@ -101,12 +111,19 @@ class ConcretePath:
 class Verdict:
     """A bounded reachability answer: SAT exactly when ``run`` holds the
     witness run that ``check_witness`` accepted.  An UNSAT answer that
-    checked paths refuted each by a checked Farkas certificate, its own or
-    a recorded prefix's; one with ``paths_checked`` 0 is the box
-    pre-analysis's, which carries no certificate."""
+    checked paths refuted each by a checked Farkas certificate, its own, a
+    recorded prefix's, or a dead constraint's; one with ``paths_checked`` 0
+    is the box pre-analysis's, which carries no certificate.
+
+    ``dead`` is set on an UNSAT answer each of whose paths holds a dead
+    constraint: a model constraint that no reachable state satisfies, at
+    any depth.  It lists the ones the check found, in the order found,
+    each as ``(where, constraint)``: ``where`` is None for a constraint of
+    the goal region, else the id of a transition whose guard holds it."""
 
     paths_checked: int
     run: Optional[WitnessRun] = None
+    dead: Tuple[Tuple[Optional[int], LinearConstraint], ...] = ()
 
     @property
     def is_sat(self) -> bool:
@@ -522,6 +539,9 @@ class BoxSteps:
         # Keyed by id; the region is kept alongside so the id stays its own.
         self._boxes: Dict[int, Tuple[Polyhedron, _Box]] = {}
         self._rates: Dict[int, _Rates] = {}
+        # Per row F(x) <= b, whether it holds in no reachable state
+        # (``_holds_nowhere``); that depends only on the automaton and init.
+        self.dead: Dict[_RowKey, bool] = {}
         # Through a proxy, a suspended walk forms no reference cycle with its
         # pass, so a dropped pass is freed at once, not by the cycle collector.
         self._steps = BoxSteps._walk(weakref.proxy(self))
@@ -623,6 +643,72 @@ def _interval_unreachable(problem: PlanningProblem, box: BoxSteps) -> bool:
 
 # --- bounded reachability -------------------------------------------------
 
+# The rows a model constraint ``expr REL 0`` gives, in emit order: one sign
+# s per row ``s*expr <= 0``, so an EQ gives its LE half, then its GE half.
+_HALVES = {Relation.LE: (1,), Relation.GE: (-1,), Relation.EQ: (1, -1)}
+
+
+def _region_rows(region: Polyhedron) -> List[Tuple[LinearConstraint, int]]:
+    """``(constraint, s)`` for each row ``encode_path`` emits for
+    ``region``, in its order: row j of the region is the j-th pair."""
+    return [(c, s) for c in region.constraints for s in _HALVES[c.relation]]
+
+
+def _model_row(c: LinearConstraint, s: int) -> _RowKey:
+    """The row ``s*expr <= 0`` of ``c`` over the model's variables, as
+    ``(F, b)`` meaning ``F(x) <= b``, with F's terms in name order."""
+    expr = c.expression
+    return tuple((v, s * k) for v, k in expr.coefficients), -s * expr.constant
+
+
+def _holds_nowhere(box: BoxSteps, row: _RowKey) -> bool:
+    """Whether ``row``, ``F(x) <= b``, holds in no state that a run of
+    ``box``'s automaton reaches from its init, at any depth, because
+    ``F(x) > b`` is inductive.  Memoised per row on the pass: every check
+    that shares it has the same automaton and init."""
+    hit = box.dead.get(row)
+    if hit is None:
+        hit = box.dead[row] = _inductive_above(box.domain, box.init, row)
+    return hit
+
+
+def _inductive_above(
+    automaton: HybridAutomaton, init: Tuple[int, Polyhedron], row: _RowKey
+) -> bool:
+    """Whether ``F(x) > b`` holds at init and no flow or jump breaks it,
+    for ``row`` = ``(F, b)``, by three exact tests, the cheapest first:
+    every transition keeps F's variables; in every location the least
+    rate of F over the rate box, ``sum(k*r)`` with each rate at the bound
+    that lowers it and a variable without a rate at 0, is >= 0; and the
+    init region with its location's invariant refutes ``F(x) <= b``, by a
+    ``_solve_rows`` certificate that ``_farkas_holds`` checks."""
+    terms, _bound = row
+    f = dict(terms)
+    for trans in automaton.transitions:
+        if any(act.kind is not ResetKind.KEEP and var in f for var, act in trans.reset.actions):
+            return False
+    for loc in automaton.locations:
+        rates = dict(loc.rates.intervals)
+        least = 0
+        for var, k in terms:
+            iv = rates.get(var)
+            if iv is not None:
+                least += k * (iv.lower if k > 0 else iv.upper)
+        if least < 0:
+            return False
+    init_loc, init_region = init
+    regions = (init_region, automaton.location(init_loc).invariant)
+    keys = [_model_row(c, s) for r in regions for c, s in _region_rows(r)] + [row]
+    rows = [(dict(t), b) for t, b in keys]
+    refuted = _solve_rows(rows)
+    if not isinstance(refuted, Farkas):
+        return False
+    if not _farkas_holds(rows, refuted.y):
+        raise AssertionError(
+            "internal error: init LP's Farkas certificate fails its check: y=%r" % refuted.y
+        )
+    return True
+
 
 def encode_path(
     problem: PlanningProblem, path: ConcretePath
@@ -668,6 +754,8 @@ def encode_path(
     }
 
     def emit_region(region: Polyhedron) -> None:
+        # One row per half of ``_HALVES``, in its order, as ``_region_rows``
+        # names them.
         for c in region.constraints:
             coeffs: Dict[str, Rational] = {}
             const = c.expression.constant
@@ -683,14 +771,12 @@ def encode_path(
             # Fractions can sum to an integer, which becomes an int again.
             coeffs = {v: canonical(k) for v, k in coeffs.items() if k}
             const = canonical(const)
-            # expr REL 0  ->  rows of the form coeffs*x <= bound
-            if c.relation is Relation.LE:
-                rows.append((coeffs, -const))
-            elif c.relation is Relation.GE:
-                rows.append(({v: -k for v, k in coeffs.items()}, const))
-            else:
-                rows.append((dict(coeffs), -const))
-                rows.append(({v: -k for v, k in coeffs.items()}, const))
+            # expr REL 0  ->  rows s*expr <= 0 of the form coeffs*x <= bound
+            for s in _HALVES[c.relation]:
+                if s == 1:
+                    rows.append((coeffs, -const))
+                else:
+                    rows.append(({v: -k for v, k in coeffs.items()}, const))
 
     emit_region(init_region)
 
@@ -845,6 +931,70 @@ class _RefutedPrefixes:
         node[last] = idx
 
 
+class _DeadConstraints:
+    """The dead constraints one check's certificates named: goal and guard
+    constraints that ``_holds_nowhere`` shows no reachable state satisfies.
+
+    A dead constraint is a set of states, whatever holds it, so a path is
+    UNSAT when its goal region holds one or it takes a transition whose
+    guard holds one.  ``at`` maps each such place, None for the goal or a
+    transition id, to the first dead constraint there; ``found`` lists
+    ``(where, constraint)`` for each one found, where its certificate named
+    it, in the order found.
+    """
+
+    def __init__(self, problem: PlanningProblem, box: BoxSteps) -> None:
+        self.problem = problem
+        self.box = box
+        self.rows: Set[_RowKey] = set()
+        self.at: Dict[Optional[int], LinearConstraint] = {}
+        self.found: List[Tuple[Optional[int], LinearConstraint]] = []
+
+    def on(self, path: ConcretePath) -> Optional[LinearConstraint]:
+        """A dead constraint that ``path``'s goal or one of its guards
+        holds, or None."""
+        if self.at:
+            for where in (None, *path.transitions):
+                if where in self.at:
+                    return self.at[where]
+        return None
+
+    def propose(self, path: ConcretePath, y: Dict[int, Rational], ends: List[int], stage: int) -> None:
+        """Test each constraint of ``path``'s goal (``stage`` past the last
+        end) or transition stage whose row has a positive multiplier in the
+        certificate ``y``: row j of the region sits at the stage's start
+        plus j (``_region_rows``)."""
+        automaton = self.problem.domain
+        if stage == len(ends):
+            where, region = None, self.problem.goal.region
+        else:
+            where = path.transitions[stage // 2]
+            region = automaton.transitions[where].guard
+        start = ends[stage - 1]
+        found = len(self.found)
+        for j, (c, s) in enumerate(_region_rows(region)):
+            if y.get(start + j, 0) <= 0:
+                continue
+            row = _model_row(c, s)
+            if row not in self.rows and _holds_nowhere(self.box, row):
+                log.debug(
+                    "dead constraint %s of %s: it holds in no reachable state", c,
+                    "the goal" if where is None else "transition %d" % where,
+                )
+                self.rows.add(row)
+                self.found.append((where, c))
+        if len(self.found) == found:
+            return
+        places = [(None, self.problem.goal.region)]
+        places += [(t.id, t.guard) for t in automaton.transitions]
+        for where, region in places:
+            if where not in self.at:
+                for c, s in _region_rows(region):
+                    if _model_row(c, s) in self.rows:
+                        self.at[where] = c
+                        break
+
+
 def bounded_reachable(
     problem: PlanningProblem,
     cap: int = DEFAULT_PATH_CAP,
@@ -855,11 +1005,21 @@ def bounded_reachable(
     enumeration order wins.
 
     Each path is decided in enumeration order: solved, or refuted by a
-    recorded prefix.  When a solved path's checked certificate uses no goal
-    row, the stages up to its last row (``encode_path``) are recorded as a
-    refuted prefix, and a later path that begins with that prefix is UNSAT
-    without being encoded or solved.  A recorded prefix never outlives the
-    call.
+    dead constraint or a recorded prefix.  When a solved path's checked
+    certificate uses no goal row, the stages up to its last row
+    (``encode_path``) are recorded as a refuted prefix, and a later path
+    that begins with that prefix is UNSAT without being encoded or solved.
+    When its last row lies in the goal stage or a transition stage, each
+    goal or guard constraint of that stage with a positive multiplier is
+    tested by ``_holds_nowhere``; a later path whose goal region holds a
+    dead one, or that takes a transition whose guard holds one, is UNSAT
+    in the same way.  A path refuted either way is still counted, and
+    encoded under ``dump_dir``.  When every path the check decided holds a
+    dead constraint, the UNSAT verdict lists them (``Verdict.dead``): a
+    path counts when it holds one found by the time it is decided, and
+    every path holds a dead goal constraint.  A recorded prefix or dead
+    constraint never outlives the call; the tests behind a dead one are
+    memoised on ``box``.
 
     Raises ResourceCapExceeded before deciding more than ``cap`` paths.
     ``dump_dir`` writes, per decided path, the rows its encoding holds as a
@@ -896,21 +1056,31 @@ def bounded_reachable(
 
     # Built on the first certificate that refutes a prefix.
     refuted: Optional[_RefutedPrefixes] = None
+    dead = _DeadConstraints(problem, box)
+    every_dead = True  # every path decided so far holds a dead constraint
     checked = 0
     for idx, path in enumerate(paths):
         if idx >= cap:
             raise ResourceCapExceeded("concrete path enumeration", cap)
         checked += 1
-        by = None if refuted is None else refuted.refuted_by(path)
-        if by is None or dump_dir is not None:
+        blocker = dead.on(path)
+        by = None if blocker is not None or refuted is None else refuted.refuted_by(path)
+        if (blocker is None and by is None) or dump_dir is not None:
             rows, points, ends = encode_path(problem, path)
             if dump_dir is not None:
                 dump(idx, path, rows)
+        if blocker is not None:
+            log.debug(
+                "path %d locations=%s transitions=%s: UNSAT by the dead constraint %s",
+                idx, path.locations, path.transitions, blocker,
+            )
+            continue
         if by is not None:
             log.debug(
                 "path %d locations=%s transitions=%s: UNSAT by the certificate of path %d",
                 idx, path.locations, path.transitions, by,
             )
+            every_dead = False
             continue
         outcome = _check_path(problem, path, rows, points)
         sat = not isinstance(outcome, Farkas)
@@ -925,7 +1095,13 @@ def bounded_reachable(
             if refuted is None:
                 refuted = _RefutedPrefixes(problem.domain)
             refuted.record(path, stage, idx)
-    return Verdict(paths_checked=checked)
+        if stage % 2:  # the goal stage, or a transition's
+            dead.propose(path, outcome.y, ends, stage)
+        every_dead = every_dead and dead.on(path) is not None
+    # Every path holds the goal region, so a dead goal constraint covers
+    # the paths decided before it was found, too.
+    every_dead = every_dead or None in dead.at
+    return Verdict(checked, dead=tuple(dead.found) if every_dead else ())
 
 
 def extract_witness(

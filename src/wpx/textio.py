@@ -182,8 +182,11 @@ class _Parser:
         return None
 
     def number(self) -> Rational:
-        """The next token, a number literal, in canonical form."""
+        """The next token, a number literal, in canonical form: a literal
+        of digits only is read by ``int`` at once, any other by ``rat``."""
         tok = self.expect("number")
+        if tok.text.isdecimal():
+            return int(tok.text)
         try:
             return rat(tok.text)
         except (ValueError, ZeroDivisionError):

@@ -967,6 +967,60 @@ def recursive_concrete_paths(
             yield from exact([source], [], length)
 
 
+# --- dead constraints -----------------------------------------------------
+#
+# A reference for ``wpx.reach``'s dead-constraint test that shares no code
+# with it: a constraint holds in no reachable state when one of its halves
+# is refuted at init and no flow or jump can bring a state into it.
+
+
+def _rate_interval(location: Location, expr: LinearExpression) -> Tuple[Fraction, Fraction]:
+    """The interval of d(expr)/dt over ``location``'s rate box, by interval
+    arithmetic: ``k*[lo, hi]`` is its two products in order, a sum adds the
+    ends, and a variable without a rate contributes ``[0, 0]``."""
+    low = high = Fraction(0)
+    for var, k in expr.coefficients:
+        iv = location.rates.interval(var)
+        if iv is None:
+            continue
+        ends = sorted((k * Fraction(iv.lower), k * Fraction(iv.upper)))
+        low += ends[0]
+        high += ends[1]
+    return low, high
+
+
+def never_holds(
+    automaton: HybridAutomaton, init: Tuple[int, Polyhedron], c: LinearConstraint
+) -> bool:
+    """Whether some half of ``c`` (``expr <= 0`` for LE, ``expr >= 0`` for
+    GE, either for EQ) is refuted by the ``init`` region and its location's
+    invariant (``split_simplex_rows``), every location's rates move expr
+    away from that half, and no transition assigns a variable of expr."""
+    expr = c.expression
+    if any(
+        t.reset.action(v).kind is ResetKind.ASSIGN_INTERVAL
+        for t in automaton.transitions
+        for v in expr.variables()
+    ):
+        return False
+    init_loc, init_region = init
+    start = init_region.constraints + automaton.location(init_loc).invariant.constraints
+    halves = {Relation.LE: [Relation.LE], Relation.GE: [Relation.GE]}.get(
+        c.relation, [Relation.LE, Relation.GE]
+    )
+    rates = [_rate_interval(loc, expr) for loc in automaton.locations]
+    for half in halves:
+        # Outside ``expr <= 0`` means expr > 0, kept when expr never falls.
+        if half is Relation.LE and any(low < 0 for low, _high in rates):
+            continue
+        if half is Relation.GE and any(high > 0 for _low, high in rates):
+            continue
+        lp = LpProblem(automaton.variables, start + (LinearConstraint(expr, half),))
+        if split_simplex_rows(lp_rows(lp)) is None:
+            return True
+    return False
+
+
 # --- box pre-analysis -----------------------------------------------------
 #
 # A reference for ``wpx.reach``'s box pass that shares no code with it.  Each

@@ -20,6 +20,16 @@ strings.  ``half/check.dump-lp.txt`` lists the files ``check --dump-lp``
 writes for it, each under a ``== <file> ==`` line, so that an encoder change
 that moves a row shows up.
 
+``golden/blocked/`` holds two problems laid out like the benchmark's
+relational pools, in which ``2*x - y >= 1`` holds in no reachable state:
+``goal`` has it as its goal row, ``guard`` on every edge leaving the first
+layer before the waypoint ``m``.  Each has its ``explain --json`` (without
+``timings_ms``) and text ``explain``, both carrying the note that names
+the dead constraint.  ``blocked/guard.check.dump-lp.txt`` lists what
+``check --dump-lp`` writes for ``guard``: a path that a dead constraint
+refutes is still encoded and written, so it is the listing of an engine
+that solves every path.
+
 Regenerate a file only for an intended change of output, and say so in
 CHANGES.md.
 """
@@ -107,7 +117,19 @@ HALF_RENDERINGS = [
     ("half/check.dump-lp.txt", lambda: dump_listing(["check", "--problem", HALF])),
 ]
 
-RENDERINGS = row_renderings() + HALF_RENDERINGS
+BLOCKED = os.path.join(GOLDEN, "blocked")
+BLOCKED_RENDERINGS = [
+    ("blocked/%s.explain%s" % (name, ext),
+     lambda argv=["explain", "--problem", os.path.join(BLOCKED, name + ".prob")] + flags:
+     without_timings(argv))
+    for name in ("goal", "guard")
+    for ext, flags in ((".json", ["--json"]), (".txt", []))
+] + [
+    ("blocked/guard.check.dump-lp.txt",
+     lambda: dump_listing(["check", "--problem", os.path.join(BLOCKED, "guard.prob")])),
+]
+
+RENDERINGS = row_renderings() + HALF_RENDERINGS + BLOCKED_RENDERINGS
 
 
 def read_golden(name):

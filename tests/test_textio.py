@@ -112,6 +112,20 @@ def test_validation_failure_surfaces_as_parse_error():
     assert "missing rate interval" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "literal,value",
+    # A literal of digits only is read by int; U+0663 is the Arabic-Indic
+    # digit three, which the tokenizer's \d accepts as Fraction does.
+    [("007", 7), ("\u0663", 3), ("\u0663\u0660/\u0665", 6), ("1.50", Fraction(3, 2)),
+     ("6/3", 2), ("2.0", 2)],
+)
+def test_number_literals_parse_to_canonical_numbers(literal, value):
+    automaton = parse_model(MINI.replace("rate x in [1, 2]", "rate x in [%s, 9]" % literal))
+    lower = automaton.location(0).rates.interval("x").lower
+    assert lower == value and type(lower) is type(value)
+    assert lower == Fraction(literal)
+
+
 @pytest.mark.parametrize("literal", ["1/0", "0/0", "1.5/2"])
 def test_malformed_number_literal_rejected(literal):
     with pytest.raises(ParseError) as err:
