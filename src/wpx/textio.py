@@ -37,8 +37,8 @@ repeat, and a location without a rate for every variable is one at its
 integers, exact decimals (``1.25``) or fractions of integers (``7/2``) with
 a nonzero denominator.  ``#`` starts a comment.
 
-Tokens carry their offset in the text; an error's line and column are
-computed from that offset only when the error is raised.
+A token is its index in one scan of the text; its line and column are
+found by scanning the text again, only when an error at it is raised.
 """
 
 from __future__ import annotations
@@ -47,7 +47,8 @@ import json
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple, Union
+from itertools import islice
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .model import (
     GoalSpec,
@@ -110,144 +111,156 @@ class ProblemDocument:
     problem: PlanningProblem
 
 
-_TOKEN_RE = re.compile(
-    r"""
-      (?P<skip>(?:[ \t\r\n]+|\#[^\n]*)+)
-    | (?P<number>\d+(?:\.\d+)?(?:/\d+)?)
-    | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<arrow>->)
-    | (?P<strict>!=|<(?!=)|>(?!=))
-    | (?P<op><=|>=|=|\{|\}|\[|\]|\(|\)|,|;|:|\+|-|\*)
-    | (?P<bad>.)
-    """,
-    re.VERBOSE | re.DOTALL,
+# The token grammar, stated once: ``(kind, pattern)`` alternatives in the
+# order they are tried.  An ``op`` token's kind is its text, ``eof`` is the
+# end of the text and ``bad`` is one character that no other kind matches.
+_GRAMMAR = (
+    ("number", r"\d+(?:\.\d+)?(?:/\d+)?"),
+    ("name", r"[A-Za-z_][A-Za-z0-9_]*"),
+    ("arrow", r"->"),
+    ("strict", r"!=|<(?!=)|>(?!=)"),
+    ("op", r"<=|>=|=|[{}\[\](),;:+*-]"),
+    ("eof", r"\Z"),
+    ("bad", r"."),
 )
+# The classifier: the group that matches a token's text names its kind.
+_TOKEN_RE = re.compile("|".join("(?P<%s>%s)" % rule for rule in _GRAMMAR), re.DOTALL)
+# The scan: each match skips blanks and comments and captures one token.
+_SCAN_RE = re.compile(
+    r"(?:[ \t\r\n]+|#[^\n]*)*(%s)" % "|".join(pattern for _, pattern in _GRAMMAR), re.DOTALL
+)
+# The kinds that fail a document at once, and their messages.
+_REJECTED = {
+    "bad": "unexpected character %r",
+    "strict": "strict comparison %r is not supported; only closed constraints "
+    "(<=, >=, =) are accepted",
+}
+_RELATIONS = {"<=": Relation.LE, ">=": Relation.GE, "=": Relation.EQ}
 
 # The words that open a clause inside a ``location`` or ``trans`` block; a
 # constraint list stops before one, so none can name a variable.
 _CLAUSE_WORDS = frozenset(("inv", "rate", "label", "guard", "reset"))
+_MODEL_SECTIONS = ("vars", "location", "trans", "init")
 
 
-class _Token(NamedTuple):
-    kind: str
-    text: str
-    offset: int
+class _Kinds(dict):
+    """One document's token kinds by text, each classified on first sight."""
+
+    def __missing__(self, text: str) -> str:
+        group = _TOKEN_RE.fullmatch(text).lastgroup
+        kind = self[text] = text if group == "op" else group
+        return kind
+
+
+def _scan(text: str) -> Tuple[List[str], List[str]]:
+    """The kinds and the texts of ``text``'s tokens, the last one ``eof``."""
+    texts = _SCAN_RE.findall(text)
+    if texts[-2:] == ["", ""]:
+        # A text that ends in a blank or a comment scans to an end that
+        # takes them and then to an empty one; one end is kept.
+        del texts[-1]
+    return list(map(_Kinds().__getitem__, texts)), texts
 
 
 class _Parser:
+    """A cursor over one document's tokens.  A token is its index into the
+    parallel lists ``kinds`` and ``texts``."""
+
     def __init__(self, text: str):
         self.text = text
-        self.tokens: List[_Token] = []
-        for m in _TOKEN_RE.finditer(text):
-            kind, value = m.lastgroup, m.group()
-            if kind == "skip":
-                continue
-            if kind == "bad":
-                raise self.error("unexpected character %r" % value, m.start())
-            if kind == "strict":
-                raise self.error(
-                    "strict comparison %r is not supported; only closed constraints "
-                    "(<=, >=, =) are accepted" % value,
-                    m.start(),
-                )
-            self.tokens.append(_Token(value if kind == "op" else kind, value, m.start()))
-        self.tokens.append(_Token("eof", "", len(text)))
+        self.kinds, self.texts = _scan(text)
         self.index = 0
+        if not _REJECTED.keys().isdisjoint(self.kinds):
+            at = next(i for i, kind in enumerate(self.kinds) if kind in _REJECTED)
+            raise self.error(_REJECTED[self.kinds[at]] % self.texts[at], at)
 
-    def error(self, message: str, at: Union[_Token, int, None] = None) -> ParseError:
-        """A ParseError at token or offset ``at`` (the next token if None)."""
-        if at is None:
-            at = self.peek()
-        offset = at.offset if isinstance(at, _Token) else at
+    def error(self, message: str, at: Optional[int] = None) -> ParseError:
+        """A ParseError at token ``at`` (the next token if None), whose
+        offset one re-scan of the text finds."""
+        at = self.index if at is None else at
+        offset = next(islice(_SCAN_RE.finditer(self.text), at, None)).start(1)
         line_start = self.text.rfind("\n", 0, offset) + 1
         return ParseError(message, self.text.count("\n", 0, offset) + 1, offset - line_start + 1)
 
-    def peek(self) -> _Token:
-        return self.tokens[self.index]
+    def peek(self) -> str:
+        """The next token's kind."""
+        return self.kinds[self.index]
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.index]
+    def next(self) -> int:
         self.index += 1
-        return tok
+        return self.index - 1
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise self.error("expected %r, found %r" % (kind, tok.text or "end of input"))
-        return self.next()
+    def expect(self, kind: str) -> int:
+        at = self.index
+        if self.kinds[at] != kind:
+            raise self.error("expected %r, found %r" % (kind, self.texts[at] or "end of input"))
+        self.index = at + 1
+        return at
 
-    def accept(self, kind: str) -> Optional[_Token]:
-        if self.peek().kind == kind:
-            return self.next()
-        return None
+    def accept(self, kind: str) -> bool:
+        if self.kinds[self.index] == kind:
+            self.index += 1
+            return True
+        return False
 
     def number(self) -> Rational:
         """The next token, a number literal, in canonical form: a literal
         of digits only is read by ``int`` at once, any other by ``rat``."""
-        tok = self.expect("number")
-        if tok.text.isdecimal():
-            return int(tok.text)
+        at = self.expect("number")
+        text = self.texts[at]
+        if text.isdecimal():
+            return int(text)
         try:
-            return rat(tok.text)
+            return rat(text)
         except (ValueError, ZeroDivisionError):
-            raise self.error("malformed number %r" % tok.text, tok)
+            raise self.error("malformed number %r" % text, at)
 
     # --- rationals and linear expressions -------------------------------
 
     def parse_rational(self) -> Rational:
         sign = 1
-        while True:
-            if self.accept("-"):
+        while self.kinds[self.index] in ("-", "+"):
+            if self.kinds[self.index] == "-":
                 sign = -sign
-            elif self.accept("+"):
-                pass
-            else:
-                break
+            self.index += 1
         return sign * self.number()
 
-    def parse_linear_expression(self) -> LinearExpression:
-        """Terms ``[sign] number``, ``[sign] number * name`` or ``[sign]
-        name``; every term after the first has its sign."""
-        coeffs: Dict[str, Rational] = {}
+    def parse_terms(self, coeffs: Dict[str, Rational], side: int) -> Rational:
+        """One side of a constraint: terms ``[sign] number``, ``[sign]
+        number * name`` or ``[sign] name``, every term after the first with
+        its sign.  Adds each coefficient times ``side`` to ``coeffs`` and
+        returns the constant times ``side``."""
+        kinds, texts = self.kinds, self.texts
         constant: Rational = 0
         while True:
-            sign = -1 if self.accept("-") else 1
-            if sign == 1:
+            sign = -side if self.accept("-") else side
+            if sign == side:
                 self.accept("+")
-            tok = self.peek()
-            if tok.kind == "number":
+            kind = kinds[self.index]
+            if kind == "number":
                 value = sign * self.number()
                 if self.accept("*"):
-                    var = self.expect("name").text
+                    var = texts[self.expect("name")]
                     coeffs[var] = coeffs.get(var, 0) + value
                 else:
                     constant += value
-            elif tok.kind == "name":
-                var = self.next().text
+            elif kind == "name":
+                var = texts[self.next()]
                 coeffs[var] = coeffs.get(var, 0) + sign
             else:
                 raise self.error("expected a number or variable")
-            if self.peek().kind not in ("+", "-"):
-                return LinearExpression.build(coeffs, constant)
+            if kinds[self.index] not in ("+", "-"):
+                return constant
 
     def parse_constraint(self) -> LinearConstraint:
-        left = self.parse_linear_expression()
-        tok = self.peek()
-        if tok.kind == "<=":
-            relation = Relation.LE
-        elif tok.kind == ">=":
-            relation = Relation.GE
-        elif tok.kind == "=":
-            relation = Relation.EQ
-        else:
+        coeffs: Dict[str, Rational] = {}
+        constant = self.parse_terms(coeffs, 1)
+        relation = _RELATIONS.get(self.peek())
+        if relation is None:
             raise self.error("expected a relation (<=, >=, =)")
         self.next()
-        right = self.parse_linear_expression()
-        coeffs = dict(left.coefficients)
-        for var, coeff in right.coefficients:
-            coeffs[var] = coeffs.get(var, 0) - coeff
-        expr = LinearExpression.build(coeffs, left.constant - right.constant)
-        return LinearConstraint(expr, relation)
+        constant += self.parse_terms(coeffs, -1)
+        return LinearConstraint(LinearExpression.build(coeffs, constant), relation)
 
     def parse_constraint_list(self) -> List[LinearConstraint]:
         """Semicolon-separated constraints, stopping before '}', the end or
@@ -257,15 +270,14 @@ class _Parser:
             out.append(self.parse_constraint())
             if not self.accept(";"):
                 break
-            tok = self.peek()
-            if tok.kind in ("}", "eof") or (tok.kind == "name" and tok.text in _CLAUSE_WORDS):
+            if self.peek() in ("}", "eof") or self.texts[self.index] in _CLAUSE_WORDS:
                 break
         return out
 
     def parse_block(self) -> Polyhedron:
         """``{ constraint; ... }``, possibly empty."""
         self.expect("{")
-        constraints = [] if self.peek().kind == "}" else self.parse_constraint_list()
+        constraints = [] if self.peek() == "}" else self.parse_constraint_list()
         self.expect("}")
         return Polyhedron(tuple(constraints))
 
@@ -276,24 +288,25 @@ class _Parser:
         block's region (``inv:``/``guard:`` constraints, conjoined), its
         ``rate``/``reset`` intervals by variable and its ``label:`` (None
         if none)."""
+        texts = self.texts
         self.expect("{")
         constraints: List[LinearConstraint] = []
         intervals: Dict[str, Tuple[Rational, Rational]] = {}
         label: Optional[str] = None
         while not self.accept("}"):
-            clause = self.peek()
-            if clause.text not in words:
+            word = texts[self.index]
+            if word not in words:
                 raise self.error("expected %s or '}'" % ", ".join(map(repr, words)))
-            if clause.text == "label" and label is not None:
+            if word == "label" and label is not None:
                 raise self.error("repeated 'label' clause")
-            self.next()
-            if clause.text in ("rate", "reset"):
-                var = self.expect("name").text
-                in_tok = self.expect("name")
-                if in_tok.text != "in":
-                    raise self.error("expected 'in'", in_tok)
+            clause = self.next()
+            if word in ("rate", "reset"):
+                var = texts[self.expect("name")]
+                in_at = self.expect("name")
+                if texts[in_at] != "in":
+                    raise self.error("expected 'in'", in_at)
                 if var in intervals:
-                    raise self.error("repeated %s for variable %r" % (clause.text, var), clause)
+                    raise self.error("repeated %s for variable %r" % (word, var), clause)
                 self.expect("[")
                 lo = self.parse_rational()
                 self.expect(",")
@@ -302,8 +315,8 @@ class _Parser:
                 intervals[var] = (lo, hi)
             else:
                 self.expect(":")
-                if clause.text == "label":
-                    label = self.expect("name").text
+                if word == "label":
+                    label = texts[self.expect("name")]
                 else:
                     constraints.extend(self.parse_constraint_list())
             self.accept(";")
@@ -319,49 +332,43 @@ def parse_model(text: str, source: str = "<string>") -> HybridAutomaton:
 
 def _parse_automaton(text: str) -> HybridAutomaton:
     p = _Parser(text)
+    texts = p.texts
     variables: List[str] = []
     locations: List[Location] = []
     loc_ids: Dict[str, int] = {}
     transitions: List[Transition] = []
     labels: List[str] = []
-    initial: Optional[Tuple[_Token, Polyhedron]] = None
-    pending_transitions: List[Tuple[_Token, str, str, Polyhedron, Reset]] = []
+    initial: Optional[Tuple[int, Polyhedron]] = None
+    pending_transitions: List[Tuple[int, str, str, Polyhedron, Reset]] = []
     # The ``location`` keyword of each location, where its missing rates
     # are reported.
-    loc_toks: List[_Token] = []
+    loc_toks: List[int] = []
 
-    while p.peek().kind != "eof":
+    while p.peek() != "eof":
         tok = p.next()
-        word = tok.text
+        word = texts[tok]
         if word == "vars":
-            while p.peek().kind == "name" and p.peek().text not in (
-                "vars", "location", "trans", "init"
-            ):
+            while p.peek() == "name" and texts[p.index] not in _MODEL_SECTIONS:
                 var_tok = p.next()
-                if var_tok.text in _CLAUSE_WORDS:
-                    raise p.error("reserved word %r cannot name a variable" % var_tok.text, var_tok)
-                if var_tok.text in variables:
-                    raise p.error("duplicate variable declaration %r" % var_tok.text, var_tok)
-                variables.append(var_tok.text)
+                var = texts[var_tok]
+                if var in _CLAUSE_WORDS:
+                    raise p.error("reserved word %r cannot name a variable" % var, var_tok)
+                if var in variables:
+                    raise p.error("duplicate variable declaration %r" % var, var_tok)
+                variables.append(var)
         elif word == "location":
             loc_toks.append(tok)
             name_tok = p.expect("name")
-            if name_tok.text in loc_ids:
-                raise p.error("duplicate location %r" % name_tok.text, name_tok)
+            name = texts[name_tok]
+            if name in loc_ids:
+                raise p.error("duplicate location %r" % name, name_tok)
             invariant, rates, _label = p.parse_clauses(("inv", "rate"))
-            loc_ids[name_tok.text] = len(locations)
-            locations.append(
-                Location(
-                    id=len(locations),
-                    name=name_tok.text,
-                    invariant=invariant,
-                    rates=RateSpec.build(rates),
-                )
-            )
+            loc_ids[name] = len(locations)
+            locations.append(Location(len(locations), name, invariant, RateSpec.build(rates)))
         elif word == "trans":
             src_tok = p.expect("name")
             p.expect("arrow")
-            dst = p.expect("name").text
+            dst = texts[p.expect("name")]
             guard, resets, label = p.parse_clauses(("label", "guard", "reset"))
             if label is None:
                 label = "act"
@@ -381,23 +388,15 @@ def _parse_automaton(text: str) -> HybridAutomaton:
     if initial is None:
         raise p.error("missing 'init' section")
     init_tok, init_region = initial
-    if init_tok.text not in loc_ids:
-        raise p.error("unknown initial location %r" % init_tok.text, init_tok)
+    if texts[init_tok] not in loc_ids:
+        raise p.error("unknown initial location %r" % texts[init_tok], init_tok)
 
     for src_tok, dst, label, guard, reset in pending_transitions:
-        for name in (src_tok.text, dst):
+        for name in (texts[src_tok], dst):
             if name not in loc_ids:
                 raise p.error("unknown location %r in transition" % name, src_tok)
-        transitions.append(
-            Transition(
-                id=len(transitions),
-                source=loc_ids[src_tok.text],
-                target=loc_ids[dst],
-                label=label,
-                guard=guard,
-                reset=reset,
-            )
-        )
+        source = loc_ids[texts[src_tok]]
+        transitions.append(Transition(len(transitions), source, loc_ids[dst], label, guard, reset))
 
     # Variables may be declared after a location, so its rates are checked
     # once every declaration is read.
@@ -413,7 +412,7 @@ def _parse_automaton(text: str) -> HybridAutomaton:
         variables=tuple(variables),
         transitions=tuple(transitions),
         labels=tuple(labels),
-        initial=(loc_ids[init_tok.text], init_region),
+        initial=(loc_ids[texts[init_tok]], init_region),
     )
     violations = validate_model(automaton)
     if violations:
@@ -461,16 +460,17 @@ def parse_problem(
 def _parse_problem(text: str, automaton: HybridAutomaton) -> PlanningProblem:
     _ref, text = split_model_line(text)
     p = _Parser(text)
+    texts = p.texts
     init = automaton.initial
     goal: Optional[GoalSpec] = None
     depth: Optional[int] = None
 
-    def located(section: str, name_tok: _Token, region: Polyhedron) -> Tuple[int, Polyhedron]:
-        """The id of the location ``name_tok`` names, and ``region``, whose
-        variables the automaton must declare."""
-        loc = automaton.location_by_name(name_tok.text)
+    def located(section: str, name_tok: int, region: Polyhedron) -> Tuple[int, Polyhedron]:
+        """The id of the location token ``name_tok`` names, and ``region``,
+        whose variables the automaton must declare."""
+        loc = automaton.location_by_name(texts[name_tok])
         if loc is None:
-            raise p.error("unknown location %r" % name_tok.text, name_tok)
+            raise p.error("unknown location %r" % texts[name_tok], name_tok)
         for v in region.variables():
             if v not in automaton.variables:
                 raise p.error(
@@ -479,9 +479,9 @@ def _parse_problem(text: str, automaton: HybridAutomaton) -> PlanningProblem:
         return loc.id, region
 
     seen: Set[str] = set()
-    while p.peek().kind != "eof":
+    while p.peek() != "eof":
         tok = p.next()
-        word = tok.text
+        word = texts[tok]
         if word in seen:
             raise p.error("repeated %r section" % word, tok)
         seen.add(word)
@@ -490,12 +490,12 @@ def _parse_problem(text: str, automaton: HybridAutomaton) -> PlanningProblem:
             init = located("init", name_tok, p.parse_block())
         elif word == "goal":
             name_tok = p.expect("name")
-            region = p.parse_block() if p.peek().kind == "{" else Polyhedron(())
+            region = p.parse_block() if p.peek() == "{" else Polyhedron(())
             goal = GoalSpec(*located("goal", name_tok, region))
         elif word == "depth":
             depth_tok = p.expect("number")
             try:
-                depth = int(depth_tok.text)
+                depth = int(texts[depth_tok])
             except ValueError:
                 raise p.error("depth must be a non-negative integer", depth_tok)
         else:

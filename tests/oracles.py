@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -1515,3 +1516,34 @@ def serialize_model(automaton: HybridAutomaton) -> str:
     lines.append("init %s { %s }" % (automaton.location(init_loc).name, body))
     lines.append("")
     return "\n".join(lines)
+
+
+# --- the eager tokenizer ----------------------------------------------------
+
+# The parser's token grammar as one verbose pattern, tried at every offset in
+# turn; it shares nothing with ``wpx.textio``.
+_REFERENCE_TOKEN_RE = re.compile(
+    r"""
+      (?P<skip>(?:[ \t\r\n]+|\#[^\n]*)+)
+    | (?P<number>\d+(?:\.\d+)?(?:/\d+)?)
+    | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<arrow>->)
+    | (?P<strict>!=|<(?!=)|>(?!=))
+    | (?P<op><=|>=|=|\{|\}|\[|\]|\(|\)|,|;|:|\+|-|\*)
+    | (?P<bad>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+
+
+def reference_tokens(text: str) -> List[Tuple[str, str, int]]:
+    """Every token of ``text`` as ``(kind, text, offset)``, found one match
+    at a time, with an ``op`` token's kind its text, ``bad`` and ``strict``
+    tokens kept, and a final ``("eof", "", len(text))``."""
+    tokens: List[Tuple[str, str, int]] = []
+    for m in _REFERENCE_TOKEN_RE.finditer(text):
+        kind, value = m.lastgroup, m.group()
+        if kind != "skip":
+            tokens.append((value if kind == "op" else kind, value, m.start()))
+    tokens.append(("eof", "", len(text)))
+    return tokens

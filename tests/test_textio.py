@@ -1,5 +1,6 @@
 """Grammar, round-trip, and report serialization tests."""
 
+import bisect
 import json
 import os
 import random
@@ -8,15 +9,17 @@ from fractions import Fraction
 import pytest
 
 from conftest import BENCH_ROOT, benchmark_problems, load_benchmark
-from oracles import random_automaton, serialize_model
+from oracles import random_automaton, reference_tokens, serialize_model
 from wpx.explain import explain
 from wpx.model import Relation, validate_model
 from wpx.reach import bounded_reachable
 from wpx.textio import (
     ParseError,
+    _scan,
     parse_model,
     parse_problem,
     serialize_report,
+    split_model_line,
 )
 
 MINI = """
@@ -184,13 +187,23 @@ def test_model_rejects_repeated_clause(old, new, where, message):
         ("trans a -> b", "trans zz -> b", (13, 7), "unknown location 'zz' in transition"),
         ("init a", "init zz", (18, 6), "unknown initial location 'zz'"),
         ("init a { x = 1.5; t = 0; }\n", "", (18, 1), "missing 'init' section"),
+        ("}\ninit a { x = 1.5; t = 0; }\n", "}", (17, 2), "missing 'init' section"),
+        ("\n# comment", "bogus\n# comment", (1, 1),
+         "expected 'vars', 'location', 'trans' or 'init'"),
+        ("\n# comment", "$\n# comment", (1, 1), "unexpected character '$'"),
+        ("# comment line", "# { > -> }\n$", (3, 1), "unexpected character '$'"),
+        ("vars x t", "vars x\u00e9 t", (3, 7), "unexpected character '\u00e9'"),
+        ("rate x in [1, 2]", "rate x in [1, 2\u00b2]", (6, 18),
+         "unexpected character '\u00b2'"),
     ],
     ids=["duplicate-var", "missing-rate", "unexpected-character", "strict", "malformed-number",
          "expected-token", "expected-in", "expected-relation", "expected-term",
          "expected-section", "expected-clause", "location-misspelt-clause",
          "location-trans-clause", "trans-location-clause", "trans-rate-clause",
          "duplicate-location", "unknown-target",
-         "unknown-source", "unknown-init", "missing-init"],
+         "unknown-source", "unknown-init", "missing-init", "missing-init-at-end-without-newline",
+         "first-token", "first-character", "comment-then-bad", "non-ascii-name",
+         "superscript-digit"],
 )
 def test_model_validation_errors_point_at_their_cause(old, new, where, message):
     assert MINI.count(old) == 1
@@ -348,7 +361,7 @@ _PIECES = [
     "{", "}", ";", ":", ",", "[", "]", "(", ")", "=", "<=", ">=", "<", "!=", "->", "-", "+",
     "*", "2", "-3/4", "1/0", "1.5/2", "0.", "x", "in", "vars", "location", "trans", "init",
     "inv", "rate", "label", "guard", "reset", "model", "goal", "depth", "#", "\n", "\r",
-    "\t", " ", "$", "\u00e9",
+    "\t", " ", "$", "\u00e9", ">", "\u0663", "\u00b2", "# { > ->",
 ]
 
 
@@ -367,32 +380,86 @@ def _mutate(rng, text):
     return text
 
 
-def test_mutated_inputs_raise_only_parse_errors():
-    # Every bundled problem, and every bundled model under 7 KB: wa6x6,
-    # wa8x8 and wa10x10 repeat wa6x4's clauses over more locations and would
-    # take most of the time.
+def _bundled_documents(model_limit=None):
+    """``(text, automaton)`` for every bundled problem, with the automaton
+    its text is parsed against, and ``(text, None)`` for every bundled model
+    of fewer than ``model_limit`` characters (every model if None)."""
     docs = {}
     for dirname, probname in benchmark_problems():
         automaton = load_benchmark(dirname, probname).domain
         for name, parsed_model in ((probname, automaton), (dirname + ".lha", None)):
             with open(os.path.join(BENCH_ROOT, dirname, name), encoding="utf-8") as fh:
                 text = fh.read()
-            if parsed_model is not None or len(text) < 7000:
+            if parsed_model is not None or model_limit is None or len(text) < model_limit:
                 docs[dirname, name] = (text, parsed_model)
-    docs = list(docs.values())
+    return list(docs.values())
+
+
+def _parse(text, automaton):
+    return parse_model(text) if automaton is None else parse_problem(text, automaton)
+
+
+def test_mutated_inputs_raise_only_parse_errors():
+    # Every bundled problem, and every bundled model under 7 KB: wa6x6,
+    # wa8x8 and wa10x10 repeat wa6x4's clauses over more locations and would
+    # take most of the time.
+    docs = _bundled_documents(7000)
     rng = random.Random(13)
     for _ in range(2000):
         text, automaton = rng.choice(docs)
         mutated = _mutate(rng, text)
         try:
-            if automaton is None:
-                parse_model(mutated)
-            else:
-                parse_problem(mutated, automaton)
+            _parse(mutated, automaton)
         except ParseError:
             pass
         except Exception as exc:  # anything else is a parser fault
             pytest.fail("%r on input %r" % (exc, mutated))
+
+
+def _token_starts(text):
+    """The (line, column) at which each reference token of ``text`` starts."""
+    line_offsets = [0] + [i + 1 for i, char in enumerate(text) if char == "\n"]
+    starts = set()
+    for _kind, _text, offset in reference_tokens(text):
+        line = bisect.bisect_right(line_offsets, offset)
+        starts.add((line, offset - line_offsets[line - 1] + 1))
+    return starts
+
+
+def test_scan_and_error_positions_agree_with_the_reference_tokenizer():
+    # The one scan must split each text into the reference's tokens, and a
+    # positioned error, whose offset is found only when it is raised, must
+    # point where a reference token starts: in the text as read or, for a
+    # problem, in the text with its model line blanked, which the parser
+    # scans.
+    small = _bundled_documents(7000)
+    rng = random.Random(25)
+    corpus = _bundled_documents() + [(_mutate(rng, text), automaton) for text, automaton in
+                                     (rng.choice(small) for _ in range(1500))]
+    positioned = 0
+    for text, automaton in corpus:
+        kinds, texts = _scan(text)
+        assert list(zip(kinds, texts)) == [(k, t) for k, t, _ in reference_tokens(text)]
+        try:
+            _parse(text, automaton)
+        except ParseError as err:
+            if err.line is None:
+                continue
+            starts = _token_starts(text)
+            if automaton is not None and err.message != "repeated 'model' section":
+                starts |= _token_starts(split_model_line(text)[1])
+            assert (err.line, err.column) in starts, (err, text)
+            positioned += 1
+    assert positioned > 1000
+
+
+def test_strict_comparison_on_the_last_line_of_the_largest_model():
+    with open(os.path.join(BENCH_ROOT, "wa10x10", "wa10x10.lha"), encoding="utf-8") as fh:
+        head, last = fh.read().rstrip("\n").rsplit("\n", 1)
+    assert last == "init l18 { b = 10; t = 0; }"
+    with pytest.raises(ParseError) as err:
+        parse_model(head + "\n" + last.replace("b = 10", "b < 10") + "\n")
+    assert (err.value.line, err.value.column, err.value.message) == (1773, 14, STRICT % "<")
 
 
 def test_lp_listing_prints_numbers_as_ints_or_fractions(tmp_path):
