@@ -16,12 +16,18 @@ transition id.
 A ``PathSet`` is symbolic: it holds the successor map, the endpoints, the
 depth and the walk count.  ``lcs_multi`` reads the LCS of all its walks off
 the first one, so no stage lists the walks.
+
+A walk's pruning reads the distance to its target from every vertex, found
+by a breadth-first search over the predecessor map.  A ``SuccessorIndex``
+holds a labelled successor map with its predecessor map and its distances
+per target, so that the walks over one map build each once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .model import HybridAutomaton
 
@@ -82,27 +88,65 @@ def build_graph(automaton: HybridAutomaton) -> LocationGraph:
 Successors = Mapping[int, Sequence[Tuple[int, int]]]
 
 
-def _reverse_distances(succ: Successors, target: int) -> Dict[int, int]:
-    """Shortest edge-count distance from every vertex to the target."""
+def _predecessors(succ: Successors) -> Dict[int, List[int]]:
+    """The predecessor map of a labelled successor map: ``{vertex: [u,
+    ...]}`` with one ``u`` per edge ``u -> vertex``."""
     pred: Dict[int, List[int]] = {}
     for u, hops in succ.items():
         for _label, v in hops:
             pred.setdefault(v, []).append(u)
+    return pred
+
+
+def _reverse_distances(
+    pred: Mapping[int, Sequence[int]], target: int, without: Optional[int] = None
+) -> Dict[int, int]:
+    """Shortest edge-count distance from every vertex to the target over
+    the predecessor map ``pred``; ``without``, when given, is a vertex
+    other than the target whose outgoing edges are taken away, so it gets
+    no distance."""
     dist = {target: 0}
     frontier = [target]
     while frontier:
         nxt = []
         for v in frontier:
             for u in pred.get(v, ()):
-                if u not in dist:
+                if u not in dist and u != without:
                     dist[u] = dist[v] + 1
                     nxt.append(u)
         frontier = nxt
     return dist
 
 
+class SuccessorIndex:
+    """A labelled successor map with what walks over it read: its
+    predecessor map, built once on first use, and its reverse distances,
+    computed once per target.  Nothing here is mutated after it is built,
+    so every walk over the map may share them."""
+
+    def __init__(self, succ: Successors) -> None:
+        self.succ = succ
+        self._dist: Dict[int, Dict[int, int]] = {}
+
+    @cached_property
+    def pred(self) -> Dict[int, List[int]]:
+        return _predecessors(self.succ)
+
+    def distances(self, target: int) -> Dict[int, int]:
+        """``_reverse_distances`` to ``target``, computed on first use."""
+        hit = self._dist.get(target)
+        if hit is None:
+            hit = self._dist[target] = _reverse_distances(self.pred, target)
+        return hit
+
+
 def iter_labelled_walks(
-    succ: Successors, source: int, target: int, depth: int
+    succ: Successors,
+    source: int,
+    target: int,
+    depth: int,
+    *,
+    dist: Optional[Mapping[int, int]] = None,
 ) -> Iterator[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
     """Yield ``(locations, labels)`` for every source-to-target walk with
     edge count <= depth over the labelled successor map
@@ -115,9 +159,11 @@ def iter_labelled_walks(
     stack, so memory stays proportional to the depth and no walk length
     is limited by recursion; only prefixes that can still complete within
     the remaining budget are explored.  The zero-length walk is yielded
-    first iff source = target.
+    first iff source = target.  ``dist`` is the map's ``_reverse_distances``
+    to ``target`` when the caller has it; it is only read.
     """
-    dist = _reverse_distances(succ, target)
+    if dist is None:
+        dist = _reverse_distances(_predecessors(succ), target)
     missing = depth + 1
     if dist.get(source, missing) > depth:
         return
@@ -151,12 +197,18 @@ def iter_labelled_walks(
 
 
 def iter_walks(
-    graph: LocationGraph, source: int, target: int, depth: int
+    graph: LocationGraph,
+    source: int,
+    target: int,
+    depth: int,
+    *,
+    dist: Optional[Mapping[int, int]] = None,
 ) -> Iterator[Tuple[int, ...]]:
     """Yield every source-to-target walk with edge count <= depth in BFS
-    (length, then lexicographic-by-location-id) order."""
+    (length, then lexicographic-by-location-id) order; ``dist`` is as
+    ``iter_labelled_walks`` takes it."""
     succ = {v: tuple((w, w) for w in ws) for v, ws in graph.items()}
-    for walk, _labels in iter_labelled_walks(succ, source, target, depth):
+    for walk, _labels in iter_labelled_walks(succ, source, target, depth, dist=dist):
         yield walk
 
 
@@ -210,15 +262,16 @@ def lcs_multi(paths: PathSet) -> LcsResult:
     """
     if paths.count == 0:
         raise ValueError("empty path set")
-    walk = next(iter_walks(paths.graph, paths.source, paths.target, paths.depth))
-    succ = {u: tuple((w, w) for w in ws) for u, ws in paths.graph.items()}
+    # One predecessor map serves the first walk and every cut test.
+    index = SuccessorIndex({u: tuple((w, w) for w in ws) for u, ws in paths.graph.items()})
+    dist = index.distances(paths.target)
+    walk = next(iter_walks(paths.graph, paths.source, paths.target, paths.depth, dist=dist))
 
     def inevitable(v: int) -> bool:
         if v in (paths.source, paths.target):
             return True
         # Without its outgoing edges, v reaches no target: this removes it.
-        without_v = {u: hops for u, hops in succ.items() if u != v}
-        dist = _reverse_distances(without_v, paths.target)
-        return dist.get(paths.source, paths.depth + 1) > paths.depth
+        cut = _reverse_distances(index.pred, paths.target, without=v)
+        return cut.get(paths.source, paths.depth + 1) > paths.depth
 
     return LcsResult(sequence=tuple(v for v in walk if inevitable(v)))

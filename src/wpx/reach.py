@@ -40,7 +40,15 @@ and depend only on the automaton, the init and the depth.  A ``BoxSteps``
 pass is one generator of these maps, stepped lazily as checks ask for them:
 ``explain`` builds one pass, which every check of that run, each differing
 only in its goal, reads and extends; a direct ``bounded_reachable`` call
-builds its own.  No pass outlives the call that built it.
+builds its own.  The pass also holds what the checks' paths share: the
+transition successor index, with its predecessor map and its distances
+per goal location, which the box walk and every enumeration read; and the
+stage stack of the last path encoded, from which ``encode_path`` resumes
+a path at the longest transition prefix it shares with that one.  When a
+check's first path extends the path the check before it ended on, as the
+chain's checks do on the bundled rows and the benchmark's pools, the
+stages they share are encoded once.  No pass outlives the call that built
+it.
 """
 
 from __future__ import annotations
@@ -56,7 +64,7 @@ from itertools import islice
 from math import gcd, lcm
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
-from .graph import DEFAULT_PATH_CAP, ResourceCapExceeded, iter_labelled_walks
+from .graph import DEFAULT_PATH_CAP, ResourceCapExceeded, SuccessorIndex, iter_labelled_walks
 from .model import (
     HybridAutomaton,
     LinearConstraint,
@@ -134,18 +142,36 @@ class Verdict:
         return "SAT" if self.run is not None else "UNSAT"
 
 
+def _transition_index(automaton: HybridAutomaton) -> SuccessorIndex:
+    """The transition successor index ``{source: ((transition id, target),
+    ...)}``, each source's transitions in declaration order."""
+    succ: Dict[int, List[Tuple[int, int]]] = {}
+    for t in automaton.transitions:
+        succ.setdefault(t.source, []).append((t.id, t.target))
+    return SuccessorIndex(succ)
+
+
 def enumerate_concrete_paths(
-    automaton: HybridAutomaton, source: int, goal_loc: int, depth: int
+    automaton: HybridAutomaton,
+    source: int,
+    goal_loc: int,
+    depth: int,
+    *,
+    index: Optional[SuccessorIndex] = None,
 ) -> Iterator[ConcretePath]:
     """Every transition-level walk of length <= depth from source to
     goal_loc, BFS by length with transition-id tie-break.  Transition ids
     follow declaration order, not location ids: with ``trans a -> c``
     declared before ``trans a -> b``, the walk through c comes first, where
-    ``graph.iter_walks`` lists the one through b first."""
-    succ: Dict[int, List[Tuple[int, int]]] = {}
-    for t in automaton.transitions:
-        succ.setdefault(t.source, []).append((t.id, t.target))
-    for locations, transitions in iter_labelled_walks(succ, source, goal_loc, depth):
+    ``graph.iter_walks`` lists the one through b first.  ``index`` is the
+    automaton's ``_transition_index``, shared with other walks over it;
+    without one a fresh one is built."""
+    if index is None:
+        index = _transition_index(automaton)
+    dist = index.distances(goal_loc)
+    for locations, transitions in iter_labelled_walks(
+        index.succ, source, goal_loc, depth, dist=dist
+    ):
         yield ConcretePath(locations, transitions)
 
 
@@ -516,8 +542,10 @@ def _box_dwell(entry: _Box, rates: _Rates, exit_box: _Box) -> Optional[_Box]:
 
 
 class BoxSteps:
-    """The box abstraction's forward step maps for one automaton, init and
-    depth, shared by every check of problems that have them.
+    """One pass over an automaton, init and depth, shared by every check of
+    problems that have them: the box abstraction's forward step maps, the
+    transition successor index and the stage stack of the last path
+    encoded.
 
     Map i holds, per location, the nonempty box of the valuations on
     entering it after i transitions; a location that no run enters has no
@@ -529,6 +557,13 @@ class BoxSteps:
     current one, so every later map repeats a goal test that already
     failed), or at the depth.  The box of each region and the rate table
     of each location are built once per pass, on first use.
+
+    ``index`` is the automaton's ``_transition_index``: the box walk steps
+    over it and every check enumerates its paths over it, so its
+    predecessor map is built once and its distances once per goal
+    location.  ``stages`` is the stack ``encode_path`` resumes, in this
+    check or a later one.  It holds one path's stages, so it grows with the
+    depth only.
     """
 
     def __init__(self, problem: PlanningProblem) -> None:
@@ -542,6 +577,8 @@ class BoxSteps:
         # Per row F(x) <= b, whether it holds in no reachable state
         # (``_holds_nowhere``); that depends only on the automaton and init.
         self.dead: Dict[_RowKey, bool] = {}
+        self.index = _transition_index(problem.domain)
+        self.stages = _Stages(problem)
         # Through a proxy, a suspended walk forms no reference cycle with its
         # pass, so a dropped pass is freed at once, not by the cycle collector.
         self._steps = BoxSteps._walk(weakref.proxy(self))
@@ -575,9 +612,8 @@ class BoxSteps:
 
     def _walk(self) -> Iterator[Dict[int, _Box]]:
         """The maps in order, each stepped from the last only when pulled."""
-        outgoing: Dict[int, List[Transition]] = {}
-        for trans in self.domain.transitions:
-            outgoing.setdefault(trans.source, []).append(trans)
+        transitions = self.domain.transitions
+        outgoing = self.index.succ
 
         @cache
         def exits(loc_id: int) -> List[Tuple[Transition, _Box, _Box]]:
@@ -585,7 +621,8 @@ class BoxSteps:
             # inv(source) & guard is nonempty, each with that requirement
             # and the bounds its interval resets assign.
             out = []
-            for trans in outgoing.get(loc_id, ()):
+            for tid, _target in outgoing.get(loc_id, ()):
+                trans = transitions[tid]
                 req = _box_intersect(self.inv_box(loc_id), self.region_box(trans.guard))
                 if req is not None:
                     resets = {
@@ -710,81 +747,107 @@ def _inductive_above(
     return True
 
 
-def encode_path(
-    problem: PlanningProblem, path: ConcretePath
-) -> Tuple[List[_Row], List[Tuple[_Point, _Point]], List[int]]:
-    """Encode one concrete path as rows ``sum(coeffs*x) <= bound``.
-
-    The system speaks of the entry value ``x@iin`` and exit value
-    ``x@iout`` of every automaton variable x at every position i, and of the
-    dwell ``di >= 0``: init region at position 0; invariant at both
-    endpoints of every position; ``lower*di <= x@iout - x@iin <= upper*di``
-    for each rate interval; guard at the exit of each transition's source;
-    Keep/interval reset linking; goal region at the final exit (the goal
-    location's invariant there is the last position's exit invariant).
-    Exact rates, Keep resets and point resets are substituted away in one
-    forward pass: the valuation at each point is tracked as an affine
-    expression over the surviving variables (dwells, interval-rate exits,
-    interval-reset entries).  Returns the rows; per position, its entry
-    and exit valuations as expressions over the survivors in
-    ``automaton.variables`` order, from which a solution of the rows
-    rebuilds the run; and the stage ends.  The rows come in stages: stage 0
-    holds the init rows and position 0's, then each transition's rows and
-    the next position's are a stage in turn (stage 2i-1 is transition i-1,
-    stage 2i position i), and the goal rows close the list; ``ends[s]`` is
-    the number of rows in stages 0 to s.  A variable is named by its
-    position only, so the rows up to a stage depend only on the init and
-    on the invariant and rates of each location and the guard and reset of
-    each transition up to that stage.  The model's numbers are canonical
-    and every sum formed here passes through ``canonical``, so every number
-    emitted is a ``Rational`` and an integral model encodes in native int
-    arithmetic; nothing here divides.
-    """
-    automaton = problem.domain
-    init_loc, init_region = problem.init
-    if path.locations[0] != init_loc or path.locations[-1] != problem.goal.location:
-        raise ValueError("path endpoints do not match the problem")
-
-    rows: List[_Row] = []
-    points: List[Tuple[_Point, _Point]] = []
-    ends: List[int] = []
-    # Current value of each automaton variable as (coeffs, const).
-    state: Dict[str, _Expr] = {
-        var: ({_var_in(var, 0): 1}, 0) for var in automaton.variables
-    }
-
-    def emit_region(region: Polyhedron) -> None:
-        # One row per half of ``_HALVES``, in its order, as ``_region_rows``
-        # names them.
-        for c in region.constraints:
-            coeffs: Dict[str, Rational] = {}
-            const = c.expression.constant
-            for var, k in c.expression.coefficients:
-                scoeffs, sconst = state[var]
-                for v, sk in scoeffs.items():
-                    if v in coeffs:
-                        coeffs[v] += k * sk
-                    else:
-                        coeffs[v] = k * sk
-                if sconst:
-                    const += k * sconst
-            # Fractions can sum to an integer, which becomes an int again.
-            coeffs = {v: canonical(k) for v, k in coeffs.items() if k}
-            const = canonical(const)
-            # expr REL 0  ->  rows s*expr <= 0 of the form coeffs*x <= bound
-            for s in _HALVES[c.relation]:
-                if s == 1:
-                    rows.append((coeffs, -const))
+def _emit_region(rows: List[_Row], state: Dict[str, _Expr], region: Polyhedron) -> None:
+    """Append ``region``'s rows over the valuation ``state``: one row per
+    half of ``_HALVES``, in its order, as ``_region_rows`` names them."""
+    for c in region.constraints:
+        coeffs: Dict[str, Rational] = {}
+        const = c.expression.constant
+        for var, k in c.expression.coefficients:
+            scoeffs, sconst = state[var]
+            for v, sk in scoeffs.items():
+                if v in coeffs:
+                    coeffs[v] += k * sk
                 else:
-                    rows.append(({v: -k for v, k in coeffs.items()}, const))
+                    coeffs[v] = k * sk
+            if sconst:
+                const += k * sconst
+        # Fractions can sum to an integer, which becomes an int again.
+        coeffs = {v: canonical(k) for v, k in coeffs.items() if k}
+        const = canonical(const)
+        # expr REL 0  ->  rows s*expr <= 0 of the form coeffs*x <= bound
+        for s in _HALVES[c.relation]:
+            if s == 1:
+                rows.append((coeffs, -const))
+            else:
+                rows.append(({v: -k for v, k in coeffs.items()}, const))
 
-    emit_region(init_region)
 
-    for i, loc_id in enumerate(path.locations):
-        loc = automaton.location(loc_id)
+class _Stages:
+    """The stage stack of ``encode_path``: the stages of each position of
+    the last path it encoded for one automaton and init, without the goal.
+
+    Position i's stages are transition i-1's (none for position 0, which
+    has the init rows instead) and its own.  Per position the stack holds
+    the row count after them (``ends[2*i]``), the position's entry and exit
+    valuations, its stage ends, and the substitution state after them, from
+    which the next position is encoded.  ``transitions`` are the path's
+    transitions up to its last position.  The rows are kept in the order
+    they were emitted, and no row is changed once emitted.
+    """
+
+    def __init__(self, problem: PlanningProblem) -> None:
+        self.automaton = problem.domain
+        self.init = problem.init
+        self.transitions: List[int] = []
+        self.rows: List[_Row] = []
+        self.points: List[Tuple[_Point, _Point]] = []
+        self.ends: List[int] = []
+        # Per position, each automaton variable's value after its stages,
+        # as (coeffs, const).
+        self.states: List[Dict[str, _Expr]] = []
+
+    def pop_to(self, path: ConcretePath) -> None:
+        """Pop the positions past the longest transition prefix that
+        ``path`` shares with the stack."""
+        if not self.states:
+            return
+        old, new = self.transitions, path.transitions
+        shared = 0
+        while shared < min(len(old), len(new)) and old[shared] == new[shared]:
+            shared += 1
+        # Position 0 stays, and one more position per shared transition.
+        del self.transitions[shared:]
+        del self.rows[self.ends[2 * shared]:]
+        del self.ends[2 * shared + 1:]
+        del self.points[shared + 1:]
+        del self.states[shared + 1:]
+
+    def push(self, path: ConcretePath) -> None:
+        """Encode the stages of ``path``'s next position onto the stack."""
+        automaton = self.automaton
+        rows = self.rows
+        i = len(self.states)
+        if i == 0:
+            state: Dict[str, _Expr] = {
+                var: ({_var_in(var, 0): 1}, 0) for var in automaton.variables
+            }
+            _emit_region(rows, state, self.init[1])
+        else:
+            state = dict(self.states[-1])
+            tid = path.transitions[i - 1]
+            trans = automaton.transitions[tid]
+            _emit_region(rows, state, trans.guard)
+            resets = dict(trans.reset.actions)
+            for var in automaton.variables:
+                act = resets.get(var)
+                if act is None or act.kind is ResetKind.KEEP:
+                    continue
+                lower, upper = act.lower, act.upper
+                if lower == upper:
+                    state[var] = ({}, lower)
+                else:
+                    fresh = _var_in(var, i)
+                    rows.append(({fresh: -1}, -lower))
+                    rows.append(({fresh: 1}, upper))
+                    state[var] = ({fresh: 1}, 0)
+            self.ends.append(len(rows))
+            self.transitions.append(tid)
+
+        loc = automaton.location(path.locations[i])
         rates = dict(loc.rates.intervals)
         entry = tuple(state[var] for var in automaton.variables)
-        emit_region(loc.invariant)
+        _emit_region(rows, state, loc.invariant)
         # d_i, x@iout and x@i+1in are fresh here: no expression holds them yet.
         d = _dwell(i)
         rows.append(({d: -1}, 0))  # d_i >= 0
@@ -813,30 +876,71 @@ def encode_path(
                     hi_row[d] = -upper
                 rows.append((hi_row, const))
                 state[var] = ({out: 1}, 0)
-        points.append((entry, tuple(state[var] for var in automaton.variables)))
-        emit_region(loc.invariant)
-        ends.append(len(rows))
+        self.points.append((entry, tuple(state[var] for var in automaton.variables)))
+        _emit_region(rows, state, loc.invariant)
+        self.ends.append(len(rows))
+        self.states.append(state)
 
-        if i < len(path.transitions):
-            trans = automaton.transitions[path.transitions[i]]
-            emit_region(trans.guard)
-            resets = dict(trans.reset.actions)
-            for var in automaton.variables:
-                act = resets.get(var)
-                if act is None or act.kind is ResetKind.KEEP:
-                    continue
-                lower, upper = act.lower, act.upper
-                if lower == upper:
-                    state[var] = ({}, lower)
-                else:
-                    fresh = _var_in(var, i + 1)
-                    rows.append(({fresh: -1}, -lower))
-                    rows.append(({fresh: 1}, upper))
-                    state[var] = ({fresh: 1}, 0)
-            ends.append(len(rows))
 
-    emit_region(problem.goal.region)
-    return rows, points, ends
+def encode_path(
+    problem: PlanningProblem,
+    path: ConcretePath,
+    *,
+    stages: Optional[_Stages] = None,
+) -> Tuple[List[_Row], List[Tuple[_Point, _Point]], List[int]]:
+    """Encode one concrete path as rows ``sum(coeffs*x) <= bound``.
+
+    The system speaks of the entry value ``x@iin`` and exit value
+    ``x@iout`` of every automaton variable x at every position i, and of the
+    dwell ``di >= 0``: init region at position 0; invariant at both
+    endpoints of every position; ``lower*di <= x@iout - x@iin <= upper*di``
+    for each rate interval; guard at the exit of each transition's source;
+    Keep/interval reset linking; goal region at the final exit (the goal
+    location's invariant there is the last position's exit invariant).
+    Exact rates, Keep resets and point resets are substituted away in one
+    forward pass: the valuation at each point is tracked as an affine
+    expression over the surviving variables (dwells, interval-rate exits,
+    interval-reset entries).  Returns the rows; per position, its entry
+    and exit valuations as expressions over the survivors in
+    ``automaton.variables`` order, from which a solution of the rows
+    rebuilds the run; and the stage ends.  The rows come in stages: stage 0
+    holds the init rows and position 0's, then each transition's rows and
+    the next position's are a stage in turn (stage 2i-1 is transition i-1,
+    stage 2i position i), and the goal rows close the list; ``ends[s]`` is
+    the number of rows in stages 0 to s.  A variable is named by its
+    position only, so the rows up to a stage depend only on the init and
+    on the invariant and rates of each location and the guard and reset of
+    each transition up to that stage.  The model's numbers are canonical
+    and every sum formed here passes through ``canonical``, so every number
+    emitted is a ``Rational`` and an integral model encodes in native int
+    arithmetic; nothing here divides.
+
+    ``stages`` is the stage stack of a pass for the problem's automaton and
+    init (``BoxSteps.stages``).  Since the stages up to a position depend
+    only on the transitions before it, the stack keeps those of the last
+    path encoded: this call pops back to the longest transition prefix the
+    two paths share and encodes only the positions after it, then emits the
+    goal rows, which the stack never keeps.  Without ``stages`` the same
+    code runs on a fresh stack.  Each call returns fresh ``rows``,
+    ``points`` and ``ends`` lists, but the row dicts and the expressions of
+    ``points`` may be shared with other calls on the same stack, so they
+    are read-only: ``_solve_rows``, ``_farkas_holds``, ``_check_path``,
+    ``_DeadConstraints`` and the ``--dump-lp`` writer only read them.
+    """
+    automaton = problem.domain
+    init_loc, _init_region = problem.init
+    if path.locations[0] != init_loc or path.locations[-1] != problem.goal.location:
+        raise ValueError("path endpoints do not match the problem")
+    if stages is None:
+        stages = _Stages(problem)
+    elif (stages.automaton, stages.init) != (automaton, problem.init):
+        raise ValueError("the stage stack is for another automaton or init")
+    stages.pop_to(path)
+    while len(stages.states) < len(path.locations):
+        stages.push(path)
+    rows = stages.rows[:]
+    _emit_region(rows, stages.states[-1], problem.goal.region)
+    return rows, stages.points[:], stages.ends[:]
 
 
 def _check_path(
@@ -1037,7 +1141,7 @@ def bounded_reachable(
 
     init_loc, _ = problem.init
     paths = enumerate_concrete_paths(
-        problem.domain, init_loc, problem.goal.location, problem.depth
+        problem.domain, init_loc, problem.goal.location, problem.depth, index=box.index
     )
     if dump_dir is not None:
         os.makedirs(dump_dir, exist_ok=True)
@@ -1066,7 +1170,7 @@ def bounded_reachable(
         blocker = dead.on(path)
         by = None if blocker is not None or refuted is None else refuted.refuted_by(path)
         if (blocker is None and by is None) or dump_dir is not None:
-            rows, points, ends = encode_path(problem, path)
+            rows, points, ends = encode_path(problem, path, stages=box.stages)
             if dump_dir is not None:
                 dump(idx, path, rows)
         if blocker is not None:

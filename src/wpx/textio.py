@@ -125,9 +125,13 @@ _GRAMMAR = (
 )
 # The classifier: the group that matches a token's text names its kind.
 _TOKEN_RE = re.compile("|".join("(?P<%s>%s)" % rule for rule in _GRAMMAR), re.DOTALL)
+# The blanks between tokens: ASCII space, tab, CR and LF, and no other.
+_BLANKS = " \t\r\n"
+_BLANK_RUN = "[%s]+" % _BLANKS
 # The scan: each match skips blanks and comments and captures one token.
 _SCAN_RE = re.compile(
-    r"(?:[ \t\r\n]+|#[^\n]*)*(%s)" % "|".join(pattern for _, pattern in _GRAMMAR), re.DOTALL
+    r"(?:%s|#[^\n]*)*(%s)" % (_BLANK_RUN, "|".join(pattern for _, pattern in _GRAMMAR)),
+    re.DOTALL,
 )
 # The kinds that fail a document at once, and their messages.
 _REJECTED = {
@@ -425,19 +429,21 @@ def split_model_line(text: str) -> Tuple[Optional[str], str]:
     and the text with that line blanked.  The model line is one whose first
     word is ``model`` outside every ``{ ... }``: inside one, ``model`` is a
     variable.  The path ends at the line's end or at a ``#`` comment; a
-    second ``model`` line is a ParseError."""
+    second ``model`` line is a ParseError.  Words are split on the blanks
+    the scan skips only, so a line that the scan rejects is never taken
+    for the model line."""
     ref: Optional[str] = None
     seen = False
     depth = 0
     lines = text.split("\n")
     for i, raw in enumerate(lines):
         code = raw.split("#", 1)[0]
-        words = code.split(None, 1)
-        if words[:1] == ["model"] and depth <= 0:
+        words = re.split(_BLANK_RUN, code.strip(_BLANKS), maxsplit=1)
+        if words[0] == "model" and depth <= 0:
             if seen:
                 raise ParseError("repeated 'model' section", i + 1, raw.index("model") + 1)
             seen = True
-            ref = words[1].strip() if len(words) > 1 else None
+            ref = words[1] if len(words) > 1 else None
             lines[i] = ""
         else:
             depth += code.count("{") - code.count("}")

@@ -1,4 +1,5 @@
 import os
+import sys
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,23 @@ def load_benchmark(dirname: str, probname: str, depth=None):
     """Parse a bundled benchmark problem, optionally overriding the depth."""
     problem, _name = _load(os.path.join(BENCH_ROOT, dirname, probname), depth=depth)
     return problem
+
+
+def pool_problems(workload: str, seed: int, cycles=None):
+    """The parsed problems of a ``wpxbench`` pool (``relational_sat`` or
+    ``relational_unsat``) as the benchmark generates them from ``seed``, in
+    its run order: a whole pass, or its first ``cycles`` cycles of one
+    problem per shape."""
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "wpxbench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    import workloads
+
+    cases, cycle = workloads.cases(workload, seed, os.path.dirname(bench))
+    return [
+        parse_problem(c.problem_text, parse_model(c.model_text, c.source)).problem
+        for c in (cases if cycles is None else cases[: cycles * cycle])
+    ]
 
 
 def box_off(monkeypatch):

@@ -18,7 +18,11 @@ text ``explain``, ``check --json`` and text ``check``.  Both JSON outputs
 write integer plan numbers as JSON integers and other rationals as ``p/q``
 strings.  ``half/check.dump-lp.txt`` lists the files ``check --dump-lp``
 writes for it, each under a ``== <file> ==`` line, so that an encoder change
-that moves a row shows up.
+that moves a row shows up.  ``half/explain.dump-lp.txt`` lists what
+``explain --dump-lp`` writes, each file under its path below the dump
+directory (``0_a/path_00000.lp``, ...): four checks whose paths nest, so
+an encoder that carries stages from one check to the next must reproduce
+every row.
 
 ``golden/blocked/`` holds two problems laid out like the benchmark's
 relational pools, in which ``2*x - y >= 1`` holds in no reachable state:
@@ -28,7 +32,9 @@ layer before the waypoint ``m``.  Each has its ``explain --json`` (without
 the dead constraint.  ``blocked/guard.check.dump-lp.txt`` lists what
 ``check --dump-lp`` writes for ``guard``: a path that a dead constraint
 refutes is still encoded and written, so it is the listing of an engine
-that solves every path.
+that solves every path.  ``blocked/goal.explain.dump-lp.txt`` lists what
+``explain --dump-lp`` writes for ``goal``: four checks, the last of them
+the exact goal's, with 12 consecutive paths.
 
 Regenerate a file only for an intended change of output, and say so in
 CHANGES.md.
@@ -99,13 +105,17 @@ def row_renderings():
 
 
 def dump_listing(argv):
-    """The files ``argv`` plus ``--dump-lp`` writes, each under its name."""
+    """The files ``argv`` plus ``--dump-lp`` writes, each under its path
+    relative to the dump directory, in sorted order of those paths."""
     with tempfile.TemporaryDirectory() as out:
         run(argv + ["--dump-lp", out])
+        names = []
+        for root, _dirs, files in os.walk(out):
+            names += [os.path.relpath(os.path.join(root, f), out) for f in files]
         parts = []
-        for name in sorted(os.listdir(out)):
+        for name in sorted(names, key=lambda n: n.split(os.sep)):
             with open(os.path.join(out, name), encoding="utf-8") as fh:
-                parts.append("== %s ==\n%s" % (name, fh.read()))
+                parts.append("== %s ==\n%s" % (name.replace(os.sep, "/"), fh.read()))
     return "".join(parts)
 
 
@@ -115,6 +125,7 @@ HALF_RENDERINGS = [
     ("half/check.json", lambda: run(["check", "--problem", HALF, "--json"])),
     ("half/check.txt", lambda: run(["check", "--problem", HALF])),
     ("half/check.dump-lp.txt", lambda: dump_listing(["check", "--problem", HALF])),
+    ("half/explain.dump-lp.txt", lambda: dump_listing(["explain", "--problem", HALF])),
 ]
 
 BLOCKED = os.path.join(GOLDEN, "blocked")
@@ -127,6 +138,8 @@ BLOCKED_RENDERINGS = [
 ] + [
     ("blocked/guard.check.dump-lp.txt",
      lambda: dump_listing(["check", "--problem", os.path.join(BLOCKED, "guard.prob")])),
+    ("blocked/goal.explain.dump-lp.txt",
+     lambda: dump_listing(["explain", "--problem", os.path.join(BLOCKED, "goal.prob")])),
 ]
 
 RENDERINGS = row_renderings() + HALF_RENDERINGS + BLOCKED_RENDERINGS

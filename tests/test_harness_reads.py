@@ -5,8 +5,10 @@ parse_model(text, source)).problem``; ``wpxbench/spans.py`` wraps the
 stage functions in ``wpx.explain``'s globals and ``wpx.reach``'s
 ``extract_witness`` by name, and reads ``.count`` of the path set,
 ``len(.paths)`` of the path set it is given, ``.sequence`` of the LCS and
-``len`` of the chain.  A change that breaks one of these reads fails here,
-not only in the harness.
+``len`` of the chain.  It also wraps ``wpx.reach.enumerate_concrete_paths``
+and ``wpx.reach.encode_path`` by name, passing keyword arguments through,
+and times a check's box from its start to its enumeration.  A change that
+breaks one of these reads fails here, not only in the harness.
 """
 
 import importlib
@@ -17,7 +19,7 @@ import pytest
 import wpx
 import wpx.graph
 import wpx.reach
-from conftest import load_benchmark
+from conftest import box_off, load_benchmark
 from oracles import recursive_walks
 from wpx.cli import _load
 
@@ -97,3 +99,44 @@ def test_witness_plan_looks_up_extract_witness_at_call_time(monkeypatch):
     assert [str(t) for t, _label in report.witness_plan.steps] == ["3/2", "4"]
     assert len(calls) == 1
 
+
+
+@pytest.mark.parametrize("row", ["half", "wlm-d20-box-off"])
+def test_bounded_reachable_enumerates_and_encodes_through_module_globals(monkeypatch, row):
+    # Each check that the box does not decide makes one enumeration call,
+    # and each path it solves one encoding call, through ``wpx.reach``'s
+    # globals with the positional arguments the harness's wrappers see;
+    # the shared pass goes by keyword.
+    if row == "half":
+        problem, _name = _load(os.path.join(HALF, "half.prob"))
+    else:
+        box_off(monkeypatch)
+        problem = load_benchmark("wlm", "depth20.prob")
+    calls = {"enumerate_concrete_paths": [], "encode_path": [], "_check_path": []}
+    checks = []
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name].append((args, sorted(kwargs)))
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(wpx.reach, name, counting(name, getattr(wpx.reach, name)))
+    reachable = EXPLAIN.bounded_reachable
+
+    def check(sub, **kwargs):
+        checks.append((sub, reachable(sub, **kwargs)))
+        return checks[-1][1]
+
+    monkeypatch.setattr(EXPLAIN, "bounded_reachable", check)
+    wpx.explain(problem)
+    enumerated = [(sub, v) for sub, v in checks if v.paths_checked]
+    assert len(checks) > 1 and len(enumerated) == len(calls["enumerate_concrete_paths"])
+    for (sub, _verdict), (args, keywords) in zip(enumerated, calls["enumerate_concrete_paths"]):
+        assert args == (sub.domain, sub.init[0], sub.goal.location, sub.depth)
+        assert keywords == ["index"]
+    assert len(calls["encode_path"]) == len(calls["_check_path"]) > 0
+    for (args, keywords), (solved, _none) in zip(calls["encode_path"], calls["_check_path"]):
+        assert args == solved[:2] and isinstance(args[1], wpx.reach.ConcretePath)
+        assert keywords == ["stages"]

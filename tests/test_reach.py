@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+import wpx.graph as graph
 import wpx.reach as reach
 import oracles
 from conftest import (
@@ -21,6 +22,7 @@ from conftest import (
     box_off,
     half_problem,
     load_benchmark,
+    pool_problems,
 )
 from oracles import (
     LazyBoxSteps,
@@ -1076,6 +1078,150 @@ def test_one_explain_builds_each_box_once(monkeypatch):
         assert sum(1 for r in regions if r is region) <= 1
 
 
+def counted_shared_work(monkeypatch):
+    """Count the positions encoded onto a stage stack and the predecessor
+    maps built, in two lists that grow by one entry each."""
+    pushes, preds = [], []
+    push, predecessors = reach._Stages.push, graph._predecessors
+
+    def counted_push(self, path):
+        pushes.append(1)
+        return push(self, path)
+
+    def counted_predecessors(succ):
+        preds.append(1)
+        return predecessors(succ)
+
+    monkeypatch.setattr(reach._Stages, "push", counted_push)
+    monkeypatch.setattr(graph, "_predecessors", counted_predecessors)
+    return pushes, preds
+
+
+def test_one_explain_encodes_each_position_once(monkeypatch):
+    # On wa10x10 d12 the ten SAT checks' first paths nest, with 0 to 9
+    # transitions, so the pass's stack encodes 10 positions between them
+    # (55 when every path was encoded from its first position).  The pass
+    # builds one predecessor map and lcs_multi one (21 when each distance
+    # table built its own).
+    pushes, preds = counted_shared_work(monkeypatch)
+    report = explain(load_benchmark("wa10x10", "depth12.prob"))
+    assert (report.explanation_name, len(report.verdicts)) == ("l63", 11)
+    assert (len(pushes), len(preds)) == (10, 2)
+
+
+@pytest.mark.parametrize(
+    "workload,positions",
+    [("bundle", 58), ("relational_sat", 744), ("relational_unsat", 660)],
+)
+def test_one_benchmark_pass_encodes_each_shared_position_once(monkeypatch, workload, positions):
+    # One seed-1 pass of each benchmark workload: before the stack, the
+    # passes encoded 184, 2,040 and 1,420 positions.  Every explain here
+    # builds two predecessor maps: its pass's, and lcs_multi's.
+    if workload == "bundle":
+        problems = [load_benchmark(*row) for row in benchmark_problems()]
+    else:
+        problems = pool_problems(workload, 1)
+    pushes, preds = counted_shared_work(monkeypatch)
+    for problem in problems:
+        explain(problem)
+    assert (len(pushes), len(preds)) == (positions, 2 * len(problems))
+
+
+def resumed_encodings(monkeypatch):
+    """Have every ``encode_path`` call that ``bounded_reachable`` makes
+    checked against a fresh encoding of its path, byte for byte, and its
+    stack against the depth; returns the stack of each call."""
+    stacks = []
+
+    def checked(problem, path, *, stages=None):
+        got = encode_path(problem, path, stages=stages)
+        assert repr(got) == repr(encode_path(problem, path)), path
+        assert stages is not None and len(stages.states) <= problem.depth + 1
+        stacks.append(stages)
+        return got
+
+    monkeypatch.setattr(reach, "encode_path", checked)
+    return stacks
+
+
+def explain_on_one_stack(stacks, problem):
+    """Explain ``problem`` and assert that its checks resumed one stack."""
+    before = len(stacks)
+    explain(problem)
+    assert all(s is stacks[before] for s in stacks[before:])
+
+
+@pytest.mark.parametrize("regime", ["default", "box_off"])
+def test_resumed_encodings_equal_fresh_ones_on_the_pinned_rows(monkeypatch, regime):
+    if regime == "box_off":
+        box_off(monkeypatch)
+    stacks = resumed_encodings(monkeypatch)
+    for row in benchmark_problems():
+        explain_on_one_stack(stacks, load_benchmark(*row))
+    assert len(stacks) > 14
+
+
+@pytest.mark.parametrize("workload", ["relational_sat", "relational_unsat"])
+def test_resumed_encodings_equal_fresh_ones_on_a_pool_cycle(monkeypatch, workload):
+    stacks = resumed_encodings(monkeypatch)
+    for problem in pool_problems(workload, 1, cycles=1):
+        explain_on_one_stack(stacks, problem)
+    assert stacks
+
+
+def test_resumed_encodings_equal_fresh_ones_when_goals_share_a_pass(monkeypatch, tmp_path):
+    # Several goals of one automaton checked over one pass, half of them
+    # with every path encoded (--dump-lp); then every path to every goal
+    # encoded on one stack in a shuffled order, so that a call may pop
+    # back to any prefix length, down to position 0.
+    box_off(monkeypatch)
+    stacks = resumed_encodings(monkeypatch)
+    rng = random.Random(2626)
+    shuffled = resumed = 0
+    for case in range(300):
+        automaton = random_automaton(rng)
+        init_loc = automaton.initial[0]
+        problem = PlanningProblem(
+            domain=automaton, init=automaton.initial,
+            goal=GoalSpec(location=init_loc, region=Polyhedron()), depth=4,
+        )
+        box = reach.BoxSteps(problem)
+        goals = list(range(len(automaton.locations)))
+        rng.shuffle(goals)
+        for goal in goals:
+            dump = str(tmp_path / ("%d_%d" % (case, goal))) if rng.random() < 0.5 else None
+            bounded_reachable(alpha(problem, goal), dump_dir=dump, box=box)
+        assert all(s is box.stages for s in stacks)
+        resumed += len(stacks)
+        del stacks[:]
+        every = [
+            (goal, path) for goal in goals
+            for path in enumerate_concrete_paths(automaton, init_loc, goal, 4)
+        ]
+        rng.shuffle(every)
+        stack = reach._Stages(problem)
+        earlier = None
+        for goal, path in every:
+            sub = alpha(problem, goal)
+            got = encode_path(sub, path, stages=stack)
+            assert repr(got) == repr(encode_path(sub, path)), (case, path)
+            assert len(stack.states) == len(path.locations)
+            # A later call leaves what an earlier one returned as it was.
+            if earlier is not None:
+                assert repr(earlier[0]) == earlier[1]
+            earlier = got, repr(got)
+        shuffled += len(every)
+    assert resumed > 500 and shuffled > 2000
+
+
+def test_a_stage_stack_of_another_automaton_is_rejected():
+    problem = hop_problem()
+    path = next(enumerate_concrete_paths(problem.domain, problem.init[0], 1, 2))
+    other = reach.BoxSteps(half_problem())
+    with pytest.raises(ValueError, match="another automaton or init"):
+        encode_path(problem, path, stages=other.stages)
+
+
 def test_dump_lp_writes_one_file_per_path(tmp_path):
     problem = hop_problem()
     bounded_reachable(problem, dump_dir=str(tmp_path))
@@ -1396,8 +1542,8 @@ def test_dump_lp_lists_the_rows_the_solver_decides(monkeypatch, tmp_path):
     problem = load_benchmark("wlm", "depth20.prob")
     encoded = []
 
-    def encode(problem, path):
-        encoded.append(encode_path(problem, path))
+    def encode(problem, path, *, stages=None):
+        encoded.append(encode_path(problem, path, stages=stages))
         return encoded[-1]
 
     box_off(monkeypatch)

@@ -263,6 +263,25 @@ def test_problem_errors_point_at_their_cause(text, where, message):
     assert str(err.value) == "p.prob: line %d, column %d: %s" % (where + (message,))
 
 
+@pytest.mark.parametrize(
+    "text,where,message",
+    [
+        ("\x0bmodel m.lha\ngoal b\ndepth 2\n", (1, 1), "unexpected character '\\x0b'"),
+        ("\xa0model m.lha\ngoal b\ndepth 2\n", (1, 1), "unexpected character '\\xa0'"),
+        ("\u2003model m.lha\ngoal b\ndepth 2\n", (1, 1), "unexpected character '\\u2003'"),
+        ("goal b\n\x0bdepth 2\n", (2, 1), "unexpected character '\\x0b'"),
+    ],
+    ids=["vt-model", "nbsp-model", "em-space-model", "vt-depth"],
+)
+def test_the_model_line_splits_only_on_the_blanks_the_scan_skips(text, where, message):
+    # A blank the scan rejects fails the document wherever it stands: it
+    # does not make a model line of the words around it.
+    with pytest.raises(ParseError) as err:
+        parse_problem(text, parse_model(MINI), "p.prob")
+    assert (err.value.message, err.value.line, err.value.column) == (message,) + where
+    assert str(err.value) == "p.prob: line %d, column %d: %s" % (where + (message,))
+
+
 def test_other_model_violations_print_no_position():
     with pytest.raises(ParseError) as err:
         parse_model(MINI.replace("rate x in [1, 2];", "rate x in [1, 2]; rate z in [0, 0];"),
