@@ -47,8 +47,13 @@ stage stack of the last path encoded, from which ``encode_path`` resumes
 a path at the longest transition prefix it shares with that one.  When a
 check's first path extends the path the check before it ended on, as the
 chain's checks do on the bundled rows and the benchmark's pools, the
-stages they share are encoded once.  No pass outlives the call that built
-it.
+stages they share are encoded once.  Beside the stack's rows the pass
+keeps the final simplex state of their last feasible LP whose goal rows
+changed none of its pivots.  When the exact goal's first path is the path
+the last chain entry was satisfied on, its LP resumes that state with only
+its own goal rows added; Bland's rule makes that the very solve a cold
+start makes, so the witness and any certificate are the same
+(``_solve_rows``).  No pass outlives the call that built it.
 """
 
 from __future__ import annotations
@@ -56,7 +61,7 @@ from __future__ import annotations
 import logging
 import os
 import weakref
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -218,7 +223,7 @@ def _farkas_holds(rows: Sequence[_Row], y: Dict[int, Rational]) -> bool:
 
 
 def _solve_rows(
-    rows: List[_Row]
+    rows: List[_Row], *, stages: Optional[_Stages] = None
 ) -> Union[Dict[str, Rational], Farkas]:
     """Decide {sum(coeffs*x) <= bound} over free rational variables.
 
@@ -256,47 +261,219 @@ def _solve_rows(
     and exact comparisons, so the pivots and the assignment come out the
     same.  The returned assignment is in canonical form, each value the
     ``_quotient`` of its int over its denominator.
+
+    ``stages`` is the stage stack whose rows ``rows`` begin with, the
+    rest being a path's goal rows (``encode_path``).  The stack keeps the
+    final simplex state of the last feasible LP solved on its current rows
+    whose goal rows were inert: they set no bound, named no variable that
+    the stack's rows do not, and their slacks never left the basis.  Such
+    a solve made exactly the pivots of the stack's rows alone, so dropping
+    the goal slacks leaves the stack rows' own final tableau, its values
+    over D or a multiple of D, which stand for the same rationals.  A later
+    call on the same stack rows resumes from a copy of that state
+    (``_Simplex.extended``): each multi-variable goal row becomes a new
+    slack with the next index, its row written gcd-reduced over the
+    nonbasic variables of the kept tableau.  This is exact, not a warm
+    start.  Solved cold, the rows have the same columns and bounds, so the
+    same start; the goal slacks have the largest indices, and Bland's rule
+    pivots the smallest violated basic variable, so while a stack row's
+    basic variable is violated the cold solve makes the pivot the stack
+    rows alone make, leaving each goal slack basic.  The cold solve thus
+    makes exactly the kept pivots first, reaches the resumed start state
+    (a reduced row over the nonbasic variables is unique), and continues
+    from there as the resumed solve does: the two return the same
+    assignment, or the same Farkas y.  A goal row that would set a bound,
+    name a new variable, refute itself as an empty row, or need a bound
+    denominator that does not divide D is solved cold instead.
     """
-    lower: Dict[str, Rational] = {}
-    upper: Dict[str, Rational] = {}
-    # (var, is_upper) -> (i, k): rows[i] is k*var <= bound, the first row
-    # to set that bound at its final value.
-    setter: Dict[Tuple[str, bool], Tuple[int, Rational]] = {}
-    general: List[int] = []  # the index of each multi-variable row
-    all_vars: set = set()
-    for i, (coeffs, bound) in enumerate(rows):
-        all_vars.update(coeffs)
-        if not coeffs:
-            if bound < 0:
-                return Farkas({i: 1})
-            continue
-        if len(coeffs) == 1:
-            (var, k), = coeffs.items()
-            b = _quotient(bound, k)
-            if k > 0:
-                if var not in upper or b < upper[var]:
-                    upper[var] = b
-                    setter[var, True] = (i, k)
-            else:
-                if var not in lower or b > lower[var]:
-                    lower[var] = b
-                    setter[var, False] = (i, k)
-            continue
-        general.append(i)
+    simplex = None
+    if stages is not None and stages.kept is not None:
+        simplex = stages.kept.extended(rows, len(stages.rows))
+    if simplex is None:
+        simplex = _Simplex.build(rows, len(rows) if stages is None else len(stages.rows))
+        if isinstance(simplex, Farkas):
+            return simplex
+    return simplex.solve(stages)
 
-    # Columns: the variables in name order, then one slack per general row.
-    names = sorted(all_vars)
-    index = {v: i for i, v in enumerate(names)}
 
-    def conflict(b: int, den: int, row: Dict[int, int], rise: bool) -> Farkas:
-        # den*x_b = sum(row[j]*x_j), where x_b must rise above its lower
-        # bound (or fall below its upper one) and every x_j sits at the
-        # bound that stops it from moving x_b that way.  Adding den times
-        # x_b's bound inequality (-x_b <= -lower, or x_b <= upper) to
-        # |row[j]| times each x_j's cancels every variable and leaves
-        # 0 <= a negative number.  A slack's bound inequality is its own
-        # row; a variable's is the row k*x <= bound that set that bound,
-        # scaled by 1/|k|.
+class _Simplex:
+    """The state ``_solve_rows`` pivots: the columns (the variables in name
+    order, then one slack per multi-variable row), the bounds read from the
+    single-variable rows with the row that set each, and the integer
+    tableau, bounds and values over the common denominator ``scale``.
+    ``general[s]`` is the row of slack ``len(names) + s``.  ``first`` is
+    the first goal slack while the state may still be kept on a stage
+    stack, and None once it may not (``_solve_rows``)."""
+
+    __slots__ = (
+        "names", "index", "lower", "upper", "setter", "general", "scale",
+        "low", "high", "value", "tableau", "first",
+    )
+
+    @classmethod
+    def build(cls, rows: List[_Row], goal: int) -> Union["_Simplex", Farkas]:
+        """The start state of ``rows``, or a Farkas certificate when a
+        constant row or a pair of bounds refutes them.  The rows from
+        ``goal`` on are the goal rows: the state may be kept when they set
+        no bound and name no variable that the rows before them do not."""
+        lower: Dict[str, Rational] = {}
+        upper: Dict[str, Rational] = {}
+        # (var, is_upper) -> (i, k): rows[i] is k*var <= bound, the first row
+        # to set that bound at its final value.
+        setter: Dict[Tuple[str, bool], Tuple[int, Rational]] = {}
+        general: List[int] = []  # the index of each multi-variable row
+        all_vars: set = set()
+        inert = True
+        path_vars = None
+        for i, (coeffs, bound) in enumerate(rows):
+            if i == goal:
+                path_vars = len(all_vars)
+            all_vars.update(coeffs)
+            if not coeffs:
+                if bound < 0:
+                    return Farkas({i: 1})
+                continue
+            if len(coeffs) == 1:
+                (var, k), = coeffs.items()
+                b = _quotient(bound, k)
+                if k > 0:
+                    if var not in upper or b < upper[var]:
+                        upper[var] = b
+                        setter[var, True] = (i, k)
+                        inert = inert and i < goal
+                else:
+                    if var not in lower or b > lower[var]:
+                        lower[var] = b
+                        setter[var, False] = (i, k)
+                        inert = inert and i < goal
+                continue
+            general.append(i)
+
+        state = cls()
+        state.names = names = sorted(all_vars)
+        state.index = index = {v: i for i, v in enumerate(names)}
+        state.lower, state.upper, state.setter, state.general = lower, upper, setter, general
+        for var, lo in lower.items():
+            if var in upper and lo > upper[var]:
+                # x = x, with x held at its upper bound, below its lower one.
+                j = index[var]
+                return state.conflict(j, 1, {j: 1}, True)
+        state.first = (
+            len(names) + bisect_left(general, goal)
+            if inert and path_vars in (None, len(all_vars)) else None
+        )
+
+        # Every finite bound, scaled to an int over the common denominator.
+        state.scale = scale = lcm(
+            *(b.denominator for b in lower.values()),
+            *(b.denominator for b in upper.values()),
+            *(rows[i][1].denominator for i in general),
+        )
+
+        def scaled(b: Optional[Rational]) -> Optional[int]:
+            return None if b is None else b.numerator * (scale // b.denominator)
+
+        state.low = low = [scaled(lower.get(v)) for v in names]
+        state.high = high = [scaled(upper.get(v)) for v in names]
+        # value[i] is V_i for a nonbasic variable and N_i for a basic one.
+        state.value = value = [
+            lo if lo is not None else 0 if hi is None else min(hi, 0)
+            for lo, hi in zip(low, high)
+        ]
+        # tableau[b] = (den, nums) expresses the basic variable b over
+        # nonbasic ones as den*x_b = sum(nums[j]*x_j), in ints with den > 0
+        # and no common factor.  A row scaled by the lcm of its denominators
+        # starts that way.
+        state.tableau = tableau = {}
+        for i in general:
+            coeffs, bound = rows[i]
+            den = lcm(*(k.denominator for k in coeffs.values()))
+            row = {index[v]: k.numerator * (den // k.denominator) for v, k in coeffs.items()}
+            tableau[len(value)] = (den, row)
+            value.append(sum(c * value[j] for j, c in row.items()))
+            low.append(None)
+            high.append(scaled(bound))
+        return state
+
+    def extended(self, rows: List[_Row], goal: int) -> Optional["_Simplex"]:
+        """A copy of this kept state with the goal rows, ``rows[goal:]``,
+        appended: each multi-variable one as a new slack, written over the
+        nonbasic variables; or None when one must be solved cold."""
+        index, lower, upper, scale = self.index, self.lower, self.upper, self.scale
+        tableau = self.tableau
+        slacks = []
+        for i in range(goal, len(rows)):
+            coeffs, bound = rows[i]
+            if len(coeffs) < 2:
+                if not coeffs:
+                    if bound >= 0:
+                        continue
+                    return None
+                (var, k), = coeffs.items()
+                b = _quotient(bound, k)
+                if k > 0:
+                    if var not in upper or b < upper[var]:
+                        return None
+                elif var not in lower or b > lower[var]:
+                    return None
+                continue
+            if scale % bound.denominator:
+                return None
+            # den*s = sum(row[m]*x_m) + den*(the terms not yet read), in
+            # ints: a basic term c*x_j, with bden*x_j = sum(brow[m]*x_m),
+            # multiplies the equation by bden before brow is added.
+            den = lcm(*(k.denominator for k in coeffs.values()))
+            row: Dict[int, int] = {}
+            for v, k in coeffs.items():
+                j = index.get(v)
+                if j is None:
+                    return None
+                c = k.numerator * (den // k.denominator)
+                basic = tableau.get(j)
+                if basic is None:
+                    row[j] = row.get(j, 0) + c
+                    continue
+                bden, brow = basic
+                if bden != 1:
+                    den *= bden
+                    for m in row:
+                        row[m] *= bden
+                for m, e in brow.items():
+                    row[m] = row.get(m, 0) + c * e
+            row = {m: e for m, e in row.items() if e}
+            g = gcd(den, *row.values())
+            if g != 1:
+                den //= g
+                row = {m: e // g for m, e in row.items()}
+            slacks.append((i, den, row, bound.numerator * (scale // bound.denominator)))
+
+        copy = _Simplex()
+        copy.names, copy.index, copy.setter = self.names, index, self.setter
+        copy.lower, copy.upper, copy.scale = lower, upper, scale
+        copy.first = len(self.value)
+        copy.general = self.general[:]
+        copy.low, copy.high, copy.value = self.low[:], self.high[:], self.value[:]
+        copy.tableau = {b: (den, dict(row)) for b, (den, row) in tableau.items()}
+        value = copy.value
+        for i, den, row, high in slacks:
+            copy.general.append(i)
+            copy.tableau[len(value)] = (den, row)
+            value.append(sum(c * value[j] for j, c in row.items()))
+            copy.low.append(None)
+            copy.high.append(high)
+        return copy
+
+    def conflict(self, b: int, den: int, row: Dict[int, int], rise: bool) -> Farkas:
+        """The certificate of a conflict row: den*x_b = sum(row[j]*x_j),
+        where x_b must rise above its lower bound (or fall below its upper
+        one) and every x_j sits at the bound that stops it from moving x_b
+        that way."""
+        # Adding den times x_b's bound inequality (-x_b <= -lower, or
+        # x_b <= upper) to |row[j]| times each x_j's cancels every variable
+        # and leaves 0 <= a negative number.  A slack's bound inequality is
+        # its own row; a variable's is the row k*x <= bound that set that
+        # bound, scaled by 1/|k|.
+        names, general, setter = self.names, self.general, self.setter
         y: Dict[int, Rational] = {}
         for j, at_upper, weight in [(b, not rise, den)] + [
             (j, (c > 0) == rise, abs(c)) for j, c in row.items()
@@ -308,109 +485,90 @@ def _solve_rows(
                 y[i] = _quotient(weight, abs(k))
         return Farkas(y)
 
-    for var, lo in lower.items():
-        if var in upper and lo > upper[var]:
-            # x = x, with x held at its upper bound, below its lower one.
-            j = index[var]
-            return conflict(j, 1, {j: 1}, True)
-
-    # Every finite bound, scaled to an int over the common denominator.
-    scale = lcm(
-        *(b.denominator for b in lower.values()),
-        *(b.denominator for b in upper.values()),
-        *(rows[i][1].denominator for i in general),
-    )
-
-    def scaled(b: Optional[Rational]) -> Optional[int]:
-        return None if b is None else b.numerator * (scale // b.denominator)
-
-    low: List[Optional[int]] = [scaled(lower.get(v)) for v in names]
-    high: List[Optional[int]] = [scaled(upper.get(v)) for v in names]
-    # value[i] is V_i for a nonbasic variable and N_i for a basic one.
-    value: List[int] = [
-        lo if lo is not None else 0 if hi is None else min(hi, 0)
-        for lo, hi in zip(low, high)
-    ]
-    # tableau[b] = (den, nums) expresses the basic variable b over nonbasic
-    # ones as den*x_b = sum(nums[j]*x_j), in ints with den > 0 and no common
-    # factor.  A row scaled by the lcm of its denominators starts that way.
-    tableau: Dict[int, Tuple[int, Dict[int, int]]] = {}
-    for i in general:
-        coeffs, bound = rows[i]
-        den = lcm(*(k.denominator for k in coeffs.values()))
-        row = {index[v]: k.numerator * (den // k.denominator) for v, k in coeffs.items()}
-        tableau[len(value)] = (den, row)
-        value.append(sum(c * value[j] for j, c in row.items()))
-        low.append(None)
-        high.append(scaled(bound))
-
-    while True:
-        for b in sorted(tableau):
-            den = tableau[b][0]
-            if low[b] is not None and value[b] < den * low[b]:
-                target, rise = low[b], True
-                break
-            if high[b] is not None and value[b] > den * high[b]:
-                target, rise = high[b], False
-                break
-        else:
-            return {
-                v: _quotient(value[i], tableau[i][0] * scale if i in tableau else scale)
-                for i, v in enumerate(names)
-            }
-        den, row = tableau.pop(b)
-        for n in sorted(row):
-            if (row[n] > 0) == rise:
-                if high[n] is None or value[n] < high[n]:
+    def solve(self, stages: Optional[_Stages]) -> Union[Dict[str, Rational], Farkas]:
+        """Pivot by Bland's rule to a feasible assignment or a conflict;
+        when feasible and ``first`` is still set, keep the state on
+        ``stages`` without its goal slacks."""
+        names, tableau, value, low, high = self.names, self.tableau, self.value, self.low, self.high
+        scale, first = self.scale, self.first
+        while True:
+            for b in sorted(tableau):
+                den = tableau[b][0]
+                if low[b] is not None and value[b] < den * low[b]:
+                    target, rise = low[b], True
                     break
-            elif low[n] is None or value[n] > low[n]:
+                if high[b] is not None and value[b] > den * high[b]:
+                    target, rise = high[b], False
+                    break
+            else:
                 break
-        else:
-            return conflict(b, den, row, rise)
-        # Set b to target and solve b's row, den*x_b = k*x_n + rest, for n
-        # as k*x_n = den*x_b - rest, negated if need be so that k > 0; then
-        # substitute it into every other row.  The solved row has the
-        # entries of b's row, so it has no common factor either.
-        k = row.pop(n)
-        moved = value[n]
-        rest = value[b] - k * moved
-        value[b] = target
-        if k > 0:
-            for j in row:
-                row[j] = -row[j]
-            row[b] = den
-            value[n] = den * target - rest
-        else:
-            row[b] = -den
-            k = -k
-            value[n] = rest - den * target
-        entered = value[n]
-        for other, (oden, orow) in tableau.items():
-            c = orow.pop(n, None)
-            if c is None:
-                continue
-            # oden*x_o = c*x_n + r  becomes  k*oden*x_o = c*(k*x_n) + k*r,
-            # where r's value is N_o - c*V_n at n's old value.
-            value[other] = k * (value[other] - c * moved) + c * entered
-            if k != 1:
-                oden *= k
-                for j in orow:
-                    orow[j] *= k
-            for j, d in row.items():
-                e = orow.get(j, 0) + c * d
-                if e:
-                    orow[j] = e
-                else:
-                    del orow[j]
-            if oden != 1:
-                g = gcd(oden, *orow.values())
-                if g != 1:
-                    oden //= g
+            den, row = tableau.pop(b)
+            if first is not None and b >= first:
+                first = None  # a goal slack leaves the basis
+            for n in sorted(row):
+                if (row[n] > 0) == rise:
+                    if high[n] is None or value[n] < high[n]:
+                        break
+                elif low[n] is None or value[n] > low[n]:
+                    break
+            else:
+                return self.conflict(b, den, row, rise)
+            # Set b to target and solve b's row, den*x_b = k*x_n + rest, for
+            # n as k*x_n = den*x_b - rest, negated if need be so that k > 0;
+            # then substitute it into every other row.  The solved row has
+            # the entries of b's row, so it has no common factor either.
+            k = row.pop(n)
+            moved = value[n]
+            rest = value[b] - k * moved
+            value[b] = target
+            if k > 0:
+                for j in row:
+                    row[j] = -row[j]
+                row[b] = den
+                value[n] = den * target - rest
+            else:
+                row[b] = -den
+                k = -k
+                value[n] = rest - den * target
+            entered = value[n]
+            for other, (oden, orow) in tableau.items():
+                c = orow.pop(n, None)
+                if c is None:
+                    continue
+                # oden*x_o = c*x_n + r  becomes  k*oden*x_o = c*(k*x_n) + k*r,
+                # where r's value is N_o - c*V_n at n's old value.
+                value[other] = k * (value[other] - c * moved) + c * entered
+                if k != 1:
+                    oden *= k
                     for j in orow:
-                        orow[j] //= g
-                    value[other] //= g
-            tableau[other] = (oden, orow)
-        tableau[n] = (k, row)
+                        orow[j] *= k
+                for j, d in row.items():
+                    e = orow.get(j, 0) + c * d
+                    if e:
+                        orow[j] = e
+                    else:
+                        del orow[j]
+                if oden != 1:
+                    g = gcd(oden, *orow.values())
+                    if g != 1:
+                        oden //= g
+                        for j in orow:
+                            orow[j] //= g
+                        value[other] //= g
+                tableau[other] = (oden, orow)
+            tableau[n] = (k, row)
+        assignment = {
+            v: _quotient(value[i], tableau[i][0] * scale if i in tableau else scale)
+            for i, v in enumerate(names)
+        }
+        if stages is not None and first is not None:
+            # Every goal slack is still basic, so no other row names one.
+            for b in range(first, len(value)):
+                del tableau[b]
+            del low[first:], high[first:], value[first:], self.general[first - len(names):]
+            self.first = first
+            stages.kept = self
+        return assignment
 
 
 # --- interval pre-analysis ------------------------------------------------
@@ -562,8 +720,9 @@ class BoxSteps:
     over it and every check enumerates its paths over it, so its
     predecessor map is built once and its distances once per goal
     location.  ``stages`` is the stack ``encode_path`` resumes, in this
-    check or a later one.  It holds one path's stages, so it grows with the
-    depth only.
+    check or a later one, with the simplex state ``_solve_rows`` kept for
+    its rows, which the exact goal's LP resumes.  It holds one path's
+    stages and one tableau over them, so it grows with the depth only.
     """
 
     def __init__(self, problem: PlanningProblem) -> None:
@@ -784,6 +943,11 @@ class _Stages:
     which the next position is encoded.  ``transitions`` are the path's
     transitions up to its last position.  The rows are kept in the order
     they were emitted, and no row is changed once emitted.
+
+    ``kept`` is the final state of the last feasible LP that
+    ``_solve_rows`` solved on these rows with inert goal rows, with its goal
+    slacks dropped, or None.  ``push`` and ``pop_to`` clear it whenever they
+    change the rows.
     """
 
     def __init__(self, problem: PlanningProblem) -> None:
@@ -796,16 +960,19 @@ class _Stages:
         # Per position, each automaton variable's value after its stages,
         # as (coeffs, const).
         self.states: List[Dict[str, _Expr]] = []
+        # The simplex state ``_solve_rows`` kept for ``rows`` as they are.
+        self.kept: Optional[_Simplex] = None
 
     def pop_to(self, path: ConcretePath) -> None:
         """Pop the positions past the longest transition prefix that
         ``path`` shares with the stack."""
-        if not self.states:
-            return
         old, new = self.transitions, path.transitions
         shared = 0
         while shared < min(len(old), len(new)) and old[shared] == new[shared]:
             shared += 1
+        if shared == len(old):
+            return
+        self.kept = None
         # Position 0 stays, and one more position per shared transition.
         del self.transitions[shared:]
         del self.rows[self.ends[2 * shared]:]
@@ -815,6 +982,7 @@ class _Stages:
 
     def push(self, path: ConcretePath) -> None:
         """Encode the stages of ``path``'s next position onto the stack."""
+        self.kept = None
         automaton = self.automaton
         rows = self.rows
         i = len(self.states)
@@ -948,6 +1116,7 @@ def _check_path(
     path: ConcretePath,
     rows: List[_Row],
     points: List[Tuple[_Point, _Point]],
+    stages: Optional[_Stages] = None,
 ) -> Union[WitnessRun, Farkas]:
     """Decide ``path`` from its encoding.  Returns the solver's Farkas
     certificate when the rows are infeasible, after ``_farkas_holds``
@@ -955,8 +1124,9 @@ def _check_path(
     replays as a valid run under the model semantics.  Every value of the
     run is in canonical form: each valuation's sum starts from its
     expression's constant and is normalised, so an integral run replays in
-    native ints."""
-    full = _solve_rows(rows)
+    native ints.  ``stages`` is the stack ``encode_path`` made the rows on,
+    whose kept simplex state ``_solve_rows`` may resume."""
+    full = _solve_rows(rows, stages=stages)
     if isinstance(full, Farkas):
         if not _farkas_holds(rows, full.y):
             raise AssertionError(
@@ -1186,7 +1356,7 @@ def bounded_reachable(
             )
             every_dead = False
             continue
-        outcome = _check_path(problem, path, rows, points)
+        outcome = _check_path(problem, path, rows, points, box.stages)
         sat = not isinstance(outcome, Farkas)
         log.debug(
             "path %d locations=%s transitions=%s: %s",

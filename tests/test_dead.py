@@ -70,9 +70,9 @@ def recorded_tests(monkeypatch):
         tested.append((automaton, init, row, answer, len(inner) - before))
         return answer
 
-    def counted(rows):
+    def counted(rows, *, stages=None):
         inner.append(1)
-        return solve(rows)
+        return solve(rows, stages=stages)
 
     monkeypatch.setattr(reach, "_inductive_above", recording)
     monkeypatch.setattr(reach, "_solve_rows", counted)

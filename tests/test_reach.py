@@ -519,8 +519,8 @@ def test_certificates_on_every_unsat_check_of_the_pinned_rows(monkeypatch):
     solve = reach._solve_rows
     solved, unsat = [], []
 
-    def checked(rows):
-        result = solve(rows)
+    def checked(rows, *, stages=None):
+        result = solve(rows, stages=stages)
         solved.append(1)
         if refuted(rows, result):
             unsat.append(len(rows))
@@ -537,8 +537,8 @@ def corrupt_certificates(monkeypatch):
     """Drop the last support row of every certificate ``_solve_rows`` returns."""
     solve = reach._solve_rows
 
-    def corrupted(rows):
-        result = solve(rows)
+    def corrupted(rows, *, stages=None):
+        result = solve(rows, stages=stages)
         if isinstance(result, reach.Farkas):
             result = reach.Farkas({i: m for i, m in result.y.items() if i != max(result.y)})
         return result
@@ -778,9 +778,9 @@ def test_recorded_prefixes_leave_few_paths_to_solve(monkeypatch):
     solve = reach._solve_rows
     solved = []
 
-    def counted(rows):
+    def counted(rows, *, stages=None):
         solved.append(1)
-        return solve(rows)
+        return solve(rows, stages=stages)
 
     box_off(monkeypatch)
     monkeypatch.setattr(reach, "_solve_rows", counted)
@@ -1501,8 +1501,8 @@ def test_encode_path_agrees_with_full_encoding_oracle():
 def shift_first_dwell(monkeypatch):
     solve = reach._solve_rows
 
-    def shifted(rows):
-        assignment = solve(rows)
+    def shifted(rows, *, stages=None):
+        assignment = solve(rows, stages=stages)
         if not isinstance(assignment, reach.Farkas):
             assignment["d0"] += 2
         return assignment
