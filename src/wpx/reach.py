@@ -8,16 +8,17 @@ systems in roughly the dwell variables only.  ``_solve_rows`` turns
 single-variable rows into bounds, each remembering the row that set it,
 settles crossed bounds at once, and decides the rest with a
 bounded-variable simplex: one slack per multi-variable row and Bland's
-rule.  The simplex does only integer arithmetic: its tableau rows are ints
-over a positive int denominator, pivoted by integer cross-multiplication,
-and the variables' values and bounds are ints over one common
-denominator.  Every number, from the model through the rows, the returned
-assignment and the witnesses to the plan, is an int when it is integral
-and a ``Fraction`` only when it is not (``model.canonical``), so an
-integral model encodes, solves and replays in native int arithmetic;
-``_quotient`` is the LP layer's one division.  A SAT witness is accepted
-only after it replays as a valid run through ``model.check_witness``,
-and a SAT ``Verdict`` carries that checked run.  An infeasible path LP
+rule, which never reads the row of a basic variable with no bound, so no
+pivot updates one.  The simplex does only integer arithmetic: its
+tableau rows are ints over a positive int denominator, pivoted by integer
+cross-multiplication, and the variables' values and bounds are ints over
+one common denominator.  Every number, from the model through the rows,
+the returned assignment and the witnesses to the plan, is an int when it
+is integral and a ``Fraction`` only when it is not (``model.canonical``),
+so an integral model encodes, solves and replays in native int
+arithmetic; ``_quotient`` is the LP layer's one division.  A SAT witness
+is accepted only after it replays as a valid run through
+``model.check_witness``, and a SAT ``Verdict`` carries that checked run.  An infeasible path LP
 is accepted only with exact Farkas multipliers that ``_farkas_holds``
 checks against its rows.  When the last row such a certificate uses comes
 before the goal rows, the path's stages up to that row are recorded as
@@ -222,6 +223,39 @@ def _farkas_holds(rows: Sequence[_Row], y: Dict[int, Rational]) -> bool:
     return total < 0 and not any(combined.values())
 
 
+def _over_nonbasic(
+    den: int, terms: List[Tuple[int, int, int]], basic: Dict[int, Tuple[int, Dict[int, int]]]
+) -> Tuple[int, Dict[int, int]]:
+    """``(den, row)``, gcd-reduced with den > 0, such that ``den*x =
+    sum(row[m]*x_m)`` over nonbasic variables, for ``x = sum(p/q * x_j)``
+    over ``terms`` ``(j, p, q)``; ``den`` comes in as a positive multiple
+    of every q, and ``basic`` maps each basic variable to its row over
+    nonbasic ones."""
+    # den*x = sum(row[m]*x_m) + den*(the terms not yet read), in ints: a
+    # basic term c*x_j, with bden*x_j = sum(brow[m]*x_m), multiplies the
+    # equation by bden before brow is added.
+    row: Dict[int, int] = {}
+    for j, p, q in terms:
+        c = p * (den // q)
+        b = basic.get(j)
+        if b is None:
+            row[j] = row.get(j, 0) + c
+            continue
+        bden, brow = b
+        if bden != 1:
+            den *= bden
+            for m in row:
+                row[m] *= bden
+        for m, e in brow.items():
+            row[m] = row.get(m, 0) + c * e
+    row = {m: e for m, e in row.items() if e}
+    g = gcd(den, *row.values())
+    if g != 1:
+        den //= g
+        row = {m: e // g for m, e in row.items()}
+    return den, row
+
+
 def _solve_rows(
     rows: List[_Row], *, stages: Optional[_Stages] = None
 ) -> Union[Dict[str, Rational], Farkas]:
@@ -262,6 +296,19 @@ def _solve_rows(
     same.  The returned assignment is in canonical form, each value the
     ``_quotient`` of its int over its denominator.
 
+    A variable with no bound never violates one, so Bland's rule never
+    picks it to leave and never reads its row.  When such a variable
+    enters, its row is parked as it is, and no later pivot updates it.
+    Bounds do not change during a solve, so only entering variables are
+    parked, never a slack; no other row names a parked variable, and the
+    pivots read only the leaving row and nonbasic values, so they are the
+    same.  At the end each parked row, still a valid equation over
+    variables that were nonbasic when it was parked, gives its value from
+    the final ones; an earlier row may name a later-parked variable, never
+    the reverse, so they are evaluated last-parked-first, in ints.  A resume
+    brings each parked row its goal rows reach over the nonbasic
+    variables, in new rows.
+
     ``stages`` is the stage stack whose rows ``rows`` begin with, the
     rest being a path's goal rows (``encode_path``).  The stack keeps the
     final simplex state of the last feasible LP solved on its current rows
@@ -301,13 +348,15 @@ class _Simplex:
     order, then one slack per multi-variable row), the bounds read from the
     single-variable rows with the row that set each, and the integer
     tableau, bounds and values over the common denominator ``scale``.
-    ``general[s]`` is the row of slack ``len(names) + s``.  ``first`` is
+    ``general[s]`` is the row of slack ``len(names) + s``.  ``parked``
+    holds ``(n, k, row)``, k*x_n = sum(row[j]*x_j), for each basic
+    variable with no bound, in the order they entered.  ``first`` is
     the first goal slack while the state may still be kept on a stage
     stack, and None once it may not (``_solve_rows``)."""
 
     __slots__ = (
         "names", "index", "lower", "upper", "setter", "general", "scale",
-        "low", "high", "value", "tableau", "first",
+        "low", "high", "value", "tableau", "parked", "first",
     )
 
     @classmethod
@@ -353,6 +402,7 @@ class _Simplex:
         state.names = names = sorted(all_vars)
         state.index = index = {v: i for i, v in enumerate(names)}
         state.lower, state.upper, state.setter, state.general = lower, upper, setter, general
+        state.parked = []
         for var, lo in lower.items():
             if var in upper and lo > upper[var]:
                 # x = x, with x held at its upper bound, below its lower one.
@@ -398,10 +448,10 @@ class _Simplex:
     def extended(self, rows: List[_Row], goal: int) -> Optional["_Simplex"]:
         """A copy of this kept state with the goal rows, ``rows[goal:]``,
         appended: each multi-variable one as a new slack, written over the
-        nonbasic variables; or None when one must be solved cold."""
+        nonbasic variables, through the parked rows it reaches; or None
+        when one must be solved cold.  The copy shares the parked rows."""
         index, lower, upper, scale = self.index, self.lower, self.upper, self.scale
-        tableau = self.tableau
-        slacks = []
+        goals = []
         for i in range(goal, len(rows)):
             coeffs, bound = rows[i]
             if len(coeffs) < 2:
@@ -417,35 +467,28 @@ class _Simplex:
                 elif var not in lower or b > lower[var]:
                     return None
                 continue
-            if scale % bound.denominator:
+            if scale % bound.denominator or not all(v in index for v in coeffs):
                 return None
-            # den*s = sum(row[m]*x_m) + den*(the terms not yet read), in
-            # ints: a basic term c*x_j, with bden*x_j = sum(brow[m]*x_m),
-            # multiplies the equation by bden before brow is added.
-            den = lcm(*(k.denominator for k in coeffs.values()))
-            row: Dict[int, int] = {}
-            for v, k in coeffs.items():
-                j = index.get(v)
-                if j is None:
-                    return None
-                c = k.numerator * (den // k.denominator)
-                basic = tableau.get(j)
-                if basic is None:
-                    row[j] = row.get(j, 0) + c
-                    continue
-                bden, brow = basic
-                if bden != 1:
-                    den *= bden
-                    for m in row:
-                        row[m] *= bden
-                for m, e in brow.items():
-                    row[m] = row.get(m, 0) + c * e
-            row = {m: e for m, e in row.items() if e}
-            g = gcd(den, *row.values())
-            if g != 1:
-                den //= g
-                row = {m: e // g for m, e in row.items()}
-            slacks.append((i, den, row, bound.numerator * (scale // bound.denominator)))
+            terms = [(index[v], k.numerator, k.denominator) for v, k in coeffs.items()]
+            goals.append((i, lcm(*(q for _, _, q in terms)), terms, bound))
+        # A parked row names variables that were nonbasic when it was
+        # parked: nonbasic, tableau or later-parked ones now.  Find the
+        # parked rows the goal rows reach, first to last, and bring them
+        # over the nonbasic variables last-parked-first, into new rows.
+        tableau = basic = self.tableau
+        reached = {j for _, _, terms, _ in goals for j, _, _ in terms}
+        for n, _, row in self.parked:
+            if n in reached:
+                reached.update(row)
+        brought = [(n, k, row) for n, k, row in self.parked if n in reached]
+        if brought:
+            basic = dict(tableau)
+            for n, k, row in reversed(brought):
+                basic[n] = _over_nonbasic(k, [(m, e, k) for m, e in row.items()], basic)
+        slacks = [
+            (i, *_over_nonbasic(den, terms, basic), bound.numerator * (scale // bound.denominator))
+            for i, den, terms, bound in goals
+        ]
 
         copy = _Simplex()
         copy.names, copy.index, copy.setter = self.names, index, self.setter
@@ -454,6 +497,7 @@ class _Simplex:
         copy.general = self.general[:]
         copy.low, copy.high, copy.value = self.low[:], self.high[:], self.value[:]
         copy.tableau = {b: (den, dict(row)) for b, (den, row) in tableau.items()}
+        copy.parked = self.parked[:]
         value = copy.value
         for i, den, row, high in slacks:
             copy.general.append(i)
@@ -490,7 +534,7 @@ class _Simplex:
         when feasible and ``first`` is still set, keep the state on
         ``stages`` without its goal slacks."""
         names, tableau, value, low, high = self.names, self.tableau, self.value, self.low, self.high
-        scale, first = self.scale, self.first
+        scale, first, parked = self.scale, self.first, self.parked
         while True:
             for b in sorted(tableau):
                 den = tableau[b][0]
@@ -556,11 +600,26 @@ class _Simplex:
                             orow[j] //= g
                         value[other] //= g
                 tableau[other] = (oden, orow)
-            tableau[n] = (k, row)
-        assignment = {
-            v: _quotient(value[i], tableau[i][0] * scale if i in tableau else scale)
-            for i, v in enumerate(names)
-        }
+            if low[n] is None and high[n] is None:
+                parked.append((n, k, row))
+            else:
+                tableau[n] = (k, row)
+        # x_i = value[i] / (den[i]*scale), den[i] being 1 for a nonbasic
+        # variable; a parked row names only nonbasic variables, tableau
+        # ones and later-parked ones, so those come first.
+        den = {b: d for b, (d, _) in tableau.items()}
+        for n, k, row in reversed(parked):
+            num, d = 0, 1
+            for j, c in row.items():
+                e = den.get(j, 1)
+                if d % e:
+                    g = gcd(d, e)
+                    num *= e // g
+                    d *= e // g
+                num += c * value[j] * (d // e)
+            value[n] = num
+            den[n] = k * d
+        assignment = {v: _quotient(value[i], den.get(i, 1) * scale) for i, v in enumerate(names)}
         if stages is not None and first is not None:
             # Every goal slack is still basic, so no other row names one.
             for b in range(first, len(value)):

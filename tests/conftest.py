@@ -62,6 +62,23 @@ def box_off(monkeypatch):
     monkeypatch.setattr(reach, "_interval_unreachable", lambda problem, box: False)
 
 
+def parked_rows(monkeypatch):
+    """Count, for the rest of ``monkeypatch``'s scope, the rows that
+    ``_Simplex.solve`` parks: one int in a list, added to as each solve
+    returns.  A resumed solve counts only the rows it parks itself."""
+    solve = reach._Simplex.solve
+    parks = [0]
+
+    def counted(self, stages):
+        before = len(self.parked)
+        result = solve(self, stages)
+        parks[0] += len(self.parked) - before
+        return result
+
+    monkeypatch.setattr(reach._Simplex, "solve", counted)
+    return parks
+
+
 def assert_canonical(number) -> bool:
     """Assert that ``number`` is in canonical form: an int (not a bool) when
     it is integral, else a Fraction whose denominator is not 1, and never a

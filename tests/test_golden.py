@@ -36,6 +36,11 @@ that solves every path.  ``blocked/goal.explain.dump-lp.txt`` lists what
 ``explain --dump-lp`` writes for ``goal``: four checks, the last of them
 the exact goal's, with 12 consecutive paths.
 
+``golden/sat/`` holds a copy of the benchmark's first ``relational_sat``
+problem at seed 1, ``sat_00``, with its ``explain --json`` (without
+``timings_ms``) and ``check --json``.  Its witness LPs park the rows of
+basic variables with no bound, whose values the replayed run reads.
+
 Regenerate a file only for an intended change of output, and say so in
 CHANGES.md.
 """
@@ -142,7 +147,13 @@ BLOCKED_RENDERINGS = [
      lambda: dump_listing(["explain", "--problem", os.path.join(BLOCKED, "goal.prob")])),
 ]
 
-RENDERINGS = row_renderings() + HALF_RENDERINGS + BLOCKED_RENDERINGS
+SAT = os.path.join(GOLDEN, "sat", "sat_00.prob")
+SAT_RENDERINGS = [
+    ("sat/explain.json", lambda: without_timings(["explain", "--problem", SAT, "--json"])),
+    ("sat/check.json", lambda: run(["check", "--problem", SAT, "--json"])),
+]
+
+RENDERINGS = row_renderings() + HALF_RENDERINGS + BLOCKED_RENDERINGS + SAT_RENDERINGS
 
 
 def read_golden(name):

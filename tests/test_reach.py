@@ -22,6 +22,7 @@ from conftest import (
     box_off,
     half_problem,
     load_benchmark,
+    parked_rows,
     pool_problems,
 )
 from oracles import (
@@ -308,7 +309,8 @@ def same_as_fraction_tableau(rows):
     return True
 
 
-def test_integer_tableau_matches_fraction_tableau_on_random_lps():
+def test_integer_tableau_matches_fraction_tableau_on_random_lps(monkeypatch):
+    parks = parked_rows(monkeypatch)
     # Same pivots, so the same vertex: the assignments are equal, not just
     # both feasible.
     rng = random.Random(4242)
@@ -325,12 +327,16 @@ def test_integer_tableau_matches_fraction_tableau_on_random_lps():
         ]
         sat += same_as_fraction_tableau(rows)
     assert 10 < sat < 90
+    # Rows of basic variables with no bound were parked, so the oracle
+    # covers their values, read off the parked rows at the end.
+    assert parks[0] > 0
 
 
 PRIMES = (1009, 1013, 1019, 1021, 1031, 1033, 1039, 1049)
 
 
-def test_integer_values_match_fraction_tableau_with_large_coprime_denominators():
+def test_integer_values_match_fraction_tableau_with_large_coprime_denominators(monkeypatch):
+    parks = parked_rows(monkeypatch)
     # Every bound over its own large prime, so the common denominator of the
     # values is the product of up to eight of them.
     rng = random.Random(515)
@@ -342,9 +348,11 @@ def test_integer_values_match_fraction_tableau_with_large_coprime_denominators()
         ]
         sat += same_as_fraction_tableau(rows)
     assert 15 < sat < 135
+    assert parks[0] > 0  # the oracle covers parked rows
 
 
-def test_integer_values_match_fraction_tableau_without_finite_bounds():
+def test_integer_values_match_fraction_tableau_without_finite_bounds(monkeypatch):
+    parks = parked_rows(monkeypatch)
     # Only constant rows: no bound at all, so the common denominator is
     # lcm() == 1.
     assert same_as_fraction_tableau([]) and reach._solve_rows([]) == {}
@@ -364,9 +372,11 @@ def test_integer_values_match_fraction_tableau_without_finite_bounds():
         else:
             unsat += 1
     assert sat > 20 and unsat > 20
+    assert parks[0] > 0  # the oracle covers parked rows
 
 
-def test_integer_values_match_fraction_tableau_with_fractional_row_bounds():
+def test_integer_values_match_fraction_tableau_with_fractional_row_bounds(monkeypatch):
+    parks = parked_rows(monkeypatch)
     # Fractional bounds on the general rows only, so the slacks' bounds set
     # the common denominator; single-variable rows keep integer bounds.
     rng = random.Random(717)
@@ -379,9 +389,11 @@ def test_integer_values_match_fraction_tableau_with_fractional_row_bounds():
         ]
         sat += same_as_fraction_tableau(rows)
     assert 20 < sat < 180
+    assert parks[0] > 0  # the oracle covers parked rows
 
 
-def test_integer_interval_pass_matches_fraction_tableau_on_boxed_rows():
+def test_integer_interval_pass_matches_fraction_tableau_on_boxed_rows(monkeypatch):
+    parks = parked_rows(monkeypatch)
     # Every variable boxed, and rows with fractional coefficients.  A row
     # whose smallest possible left side exceeds its bound has no pass of its
     # own in ``_solve_rows``: its simplex refutes it from bounds scaled by
@@ -404,9 +416,12 @@ def test_integer_interval_pass_matches_fraction_tableau_on_boxed_rows():
         else:
             unsat += 1
     assert sat > 20 and unsat > 20
+    # Every variable has a bound, so no row is parked.
+    assert parks[0] == 0
 
 
-def test_integer_values_match_fraction_tableau_on_degenerate_fractional_rows():
+def test_integer_values_match_fraction_tableau_on_degenerate_fractional_rows(monkeypatch):
+    parks = parked_rows(monkeypatch)
     # The degenerate start point 0 stays a vertex: each variable also gets a
     # positive fractional upper bound, which leaves its start value at 0,
     # and the closing row asks for sum(v) >= 1/3 instead of 1.
@@ -419,9 +434,12 @@ def test_integer_values_match_fraction_tableau_on_degenerate_fractional_rows():
         rows += [({v: Fraction(1)}, Fraction(rng.randint(1, 9), rng.choice((3, 5, 7)))) for v in closing]
         sat += same_as_fraction_tableau(rows)
     assert 0 < sat < 60
+    # Every variable has a bound, so no row is parked.
+    assert parks[0] == 0
 
 
-def test_integer_tableau_matches_fraction_tableau_on_path_lps():
+def test_integer_tableau_matches_fraction_tableau_on_path_lps(monkeypatch):
+    parks = parked_rows(monkeypatch)
     rng = random.Random(3131)
     sat = unsat = 0
     for _ in range(120):
@@ -443,6 +461,7 @@ def test_integer_tableau_matches_fraction_tableau_on_path_lps():
             else:
                 unsat += 1
     assert sat > 100 and unsat > 100
+    assert parks[0] > 0  # the oracle covers parked rows
 
 
 def test_certificates_name_the_rows_that_refute():

@@ -11,7 +11,14 @@ from types import SimpleNamespace
 import pytest
 
 import wpx.reach as reach
-from conftest import benchmark_problems, box_off, half_problem, load_benchmark, pool_problems
+from conftest import (
+    benchmark_problems,
+    box_off,
+    half_problem,
+    load_benchmark,
+    parked_rows,
+    pool_problems,
+)
 from oracles import lp_rows, random_automaton, random_lp
 from test_dead import blocked
 from wpx.explain import explain
@@ -201,6 +208,46 @@ def test_inert_goal_rows_resume_and_a_goal_slack_that_leaves_is_not_kept(monkeyp
     assert isinstance(refuted, reach.Farkas) and stack.kept is kept
 
 
+# --- a goal row that names a parked variable ------------------------------------
+
+# x in [0, 3], u - v <= -2 and v - x <= -3, where u and v have no bound: u
+# enters first and its row, u = s0 + v, is parked; then v enters and its
+# row, v = s1 + x, is parked too.  So u's parked row names v, parked after
+# it, and the kept state is u = -5, v = -3, x = 0 with both rows parked.
+PARKING = [({"x": -1}, 0), ({"x": 1}, 3), ({"u": 1, "v": -1}, -2), ({"v": 1, "x": -1}, -3)]
+
+
+@pytest.mark.parametrize(
+    "goal,answer",
+    [
+        ([({"u": 1, "x": 1}, 0)], {"u": -5, "v": -3, "x": 0}),  # holds as kept
+        ([({"u": -1, "x": -1}, 1)], {"u": -3, "v": -1, "x": 2}),  # x enters
+        ([({"v": 1, "x": -2}, -4)], {"u": -4, "v": -2, "x": 1}),  # v's row alone
+        ([({"v": 1, "u": -2}, 9), ({"u": -1, "x": -1}, 1)], {"u": -3, "v": -1, "x": 2}),
+        ([({"u": -1, "x": -1}, -20)], None),  # u + x is at most 1
+    ],
+    ids=["inert", "pivots", "last-parked", "two-rows", "infeasible"],
+)
+def test_a_goal_row_over_a_parked_variable_resumes_exactly(monkeypatch, goal, answer):
+    # extended brings u's parked row over the nonbasic variables, through
+    # v's, without touching the kept rows: the resumed answer is the cold
+    # one, and the kept state resumes the same way again.
+    taken = routes(monkeypatch)
+    parks = parked_rows(monkeypatch)
+    stack = SimpleNamespace(rows=PARKING, kept=None)
+    assert reach._solve_rows(list(PARKING), stages=stack) == {"u": -5, "v": -3, "x": 0}
+    kept = stack.kept
+    assert parks[0] == 2 and [n for n, _, _ in kept.parked] == [0, 1]
+    before = [(n, k, dict(row)) for n, k, row in kept.parked]
+    cold = reach._solve_rows(PARKING + goal)
+    for _ in range(2):
+        got = reach._solve_rows(PARKING + goal, stages=stack)
+        assert exact(got) == exact(cold)
+        assert [(n, k, dict(row)) for n, k, row in kept.parked] == before
+    assert taken == [True, True]
+    assert got == answer if answer is not None else isinstance(got, reach.Farkas)
+
+
 # --- the stage stack ----------------------------------------------------------
 
 
@@ -246,16 +293,42 @@ def test_resumed_solves_equal_cold_ones_on_a_pool_pass(monkeypatch, workload, so
     assert counts == [solved, resumed]
 
 
+@pytest.mark.parametrize(
+    "name,parked",
+    [
+        ("relational_sat", 2779),
+        ("relational_unsat", 2013),
+        ("half", 0),
+        ("blocked/goal", 15),
+        ("blocked/guard", 4),
+    ],
+)
+def test_rows_parked_on_a_pass(monkeypatch, name, parked):
+    # A seed-1 pass of each pool, or one fixture.  On the pools every
+    # parked row is that of an interval-rate exit, such as x@4out, which
+    # no row bounds.
+    if name.startswith("relational"):
+        problems = pool_problems(name, 1)
+    else:
+        problems = [half_problem() if name == "half" else blocked(name.split("/")[1])]
+    parks = parked_rows(monkeypatch)
+    for problem in problems:
+        explain(problem)
+    assert parks[0] == parked
+
+
 @pytest.mark.parametrize("regime", ["default", "box_off"])
 def test_resumed_solves_equal_cold_ones_on_the_pinned_rows(monkeypatch, regime):
     # No bundled row checks its exact goal: each stops at an unreachable
-    # waypoint, in either regime, so no LP resumes.
+    # waypoint, in either regime, so no LP resumes; and no bundled LP has a
+    # variable without a bound that enters the basis, so none parks a row.
     if regime == "box_off":
         box_off(monkeypatch)
+    parks = parked_rows(monkeypatch)
     counts = resumed_solves(monkeypatch)
     for row in benchmark_problems():
         explain(load_benchmark(*row))
-    assert counts[1] == 0 and counts[0] >= 52
+    assert counts[1] == 0 and counts[0] >= 52 and parks[0] == 0
 
 
 @pytest.mark.parametrize("name", ["half", "blocked/goal", "blocked/guard"])
