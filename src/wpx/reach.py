@@ -18,22 +18,27 @@ is integral and a ``Fraction`` only when it is not (``model.canonical``),
 so an integral model encodes, solves and replays in native int
 arithmetic; ``_quotient`` is the LP layer's one division.  A SAT witness
 is accepted only after it replays as a valid run through
-``model.check_witness``, and a SAT ``Verdict`` carries that checked run.  An infeasible path LP
-is accepted only with exact Farkas multipliers that ``_farkas_holds``
-checks against its rows.  When the last row such a certificate uses comes
-before the goal rows, the path's stages up to that row are recorded as
-refuted, and a later path of the same check that begins with the same
-stages is UNSAT without being encoded or solved.  When it lies in the goal
-or in a transition, each goal or guard constraint there that the
-certificate uses is a candidate: written ``F(x) <= b``, it is dead when
-``F(x) > b`` is inductive, which three exact tests show (no reset of F's
-variables, no rate that lowers F, and an init LP, itself certified).  A
-dead constraint holds in no reachable state at any depth, so a later path
-whose goal or guards hold one is UNSAT without being solved either.  So
-each path a check decides is either solved with a checked certificate, or
-refuted by a recorded prefix or a dead constraint that one covers.
-``bounded_reachable(..., dump_dir=...)`` (the CLI's ``--dump-lp``) lists
-the rows of each path a check decides.
+``model.check_witness``, and a SAT ``Verdict`` carries that checked run.
+An infeasible LP is accepted only with exact Farkas multipliers that
+``_farkas_holds`` checks against its rows (``_solve_checked``).  Each
+check keeps one record, ``_Refutations``, which it asks about each path
+and tells each checked certificate.  When the last row a certificate uses
+comes before the goal rows, the path's stages up to it are a refuted
+prefix, and a later path of the check that begins with the same stages
+is UNSAT without being encoded or solved.  A stage has one key, which the
+stage stack and the record both read: a transition's stands for its
+guard and reset, a location's for its invariant and rates, and the rows
+up to a stage depend only on the keys up to it.  When the last row lies
+in the goal or in a transition, each goal or guard constraint there that
+the certificate uses is a candidate: written ``F(x) <= b``, it is dead
+when ``F(x) > b`` is inductive, which three exact tests show (no reset of
+F's variables, no rate that lowers F, and an init LP, itself certified).
+A dead constraint holds in no reachable state at any depth, so a later
+path whose goal or guards hold one is UNSAT without being solved either.
+So each path a check decides is either solved with a checked
+certificate, or refuted by a recorded prefix or a dead constraint that
+one covers.  ``bounded_reachable(..., dump_dir=...)`` (the CLI's
+``--dump-lp``) lists the rows of each path a check decides.
 
 Before any path is enumerated, a box (interval) abstraction may prove the
 goal unreachable.  Its step maps hold one nonempty box per location entered
@@ -43,9 +48,10 @@ pass is one generator of these maps, stepped lazily as checks ask for them:
 only in its goal, reads and extends; a direct ``bounded_reachable`` call
 builds its own.  The pass also holds what the checks' paths share: the
 transition successor index, with its predecessor map and its distances
-per goal location, which the box walk and every enumeration read; and the
-stage stack of the last path encoded, from which ``encode_path`` resumes
-a path at the longest transition prefix it shares with that one.  When a
+per goal location, which the box walk and every enumeration read; the
+dead-constraint tests, memoised per row; and the stage stack of the last
+path encoded, with the stage keys, from which ``encode_path`` resumes a
+path at the longest prefix of stage keys it shares with that one.  When a
 check's first path extends the path the check before it ended on, as the
 chain's checks do on the bundled rows and the benchmark's pools, the
 stages they share are encoded once.  Beside the stack's rows the pass
@@ -793,7 +799,7 @@ class BoxSteps:
         self._boxes: Dict[int, Tuple[Polyhedron, _Box]] = {}
         self._rates: Dict[int, _Rates] = {}
         # Per row F(x) <= b, whether it holds in no reachable state
-        # (``_holds_nowhere``); that depends only on the automaton and init.
+        # (``_inductive_above``); that depends only on the automaton and init.
         self.dead: Dict[_RowKey, bool] = {}
         self.index = _transition_index(problem.domain)
         self.stages = _Stages(problem)
@@ -916,15 +922,18 @@ def _model_row(c: LinearConstraint, s: int) -> _RowKey:
     return tuple((v, s * k) for v, k in expr.coefficients), -s * expr.constant
 
 
-def _holds_nowhere(box: BoxSteps, row: _RowKey) -> bool:
-    """Whether ``row``, ``F(x) <= b``, holds in no state that a run of
-    ``box``'s automaton reaches from its init, at any depth, because
-    ``F(x) > b`` is inductive.  Memoised per row on the pass: every check
-    that shares it has the same automaton and init."""
-    hit = box.dead.get(row)
-    if hit is None:
-        hit = box.dead[row] = _inductive_above(box.domain, box.init, row)
-    return hit
+def _solve_checked(
+    rows: List[_Row], stages: Optional[_Stages], lp: str
+) -> Union[Dict[str, Rational], Farkas]:
+    """``_solve_rows(rows, stages=stages)``, whose Farkas certificate is
+    accepted only after ``_farkas_holds`` checks it against ``rows``; a
+    certificate that fails is an internal error, which names ``lp``."""
+    solved = _solve_rows(rows, stages=stages)
+    if isinstance(solved, Farkas) and not _farkas_holds(rows, solved.y):
+        raise AssertionError(
+            "internal error: %s's Farkas certificate fails its check: y=%r" % (lp, solved.y)
+        )
+    return solved
 
 
 def _inductive_above(
@@ -955,14 +964,7 @@ def _inductive_above(
     regions = (init_region, automaton.location(init_loc).invariant)
     keys = [_model_row(c, s) for r in regions for c, s in _region_rows(r)] + [row]
     rows = [(dict(t), b) for t, b in keys]
-    refuted = _solve_rows(rows)
-    if not isinstance(refuted, Farkas):
-        return False
-    if not _farkas_holds(rows, refuted.y):
-        raise AssertionError(
-            "internal error: init LP's Farkas certificate fails its check: y=%r" % refuted.y
-        )
-    return True
+    return isinstance(_solve_checked(rows, None, "init LP"), Farkas)
 
 
 def _emit_region(rows: List[_Row], state: Dict[str, _Expr], region: Polyhedron) -> None:
@@ -999,9 +1001,13 @@ class _Stages:
     has the init rows instead) and its own.  Per position the stack holds
     the row count after them (``ends[2*i]``), the position's entry and exit
     valuations, its stage ends, and the substitution state after them, from
-    which the next position is encoded.  ``transitions`` are the path's
-    transitions up to its last position.  The rows are kept in the order
+    which the next position is encoded.  The rows are kept in the order
     they were emitted, and no row is changed once emitted.
+
+    ``prefix`` holds the key of each stage on the stack (``keys``).  The
+    stack interns a transition's or location's key on first use, so that
+    equal ones (sibling edges with equal guards, copies of a location)
+    share one in every check of the pass.
 
     ``kept`` is the final state of the last feasible LP that
     ``_solve_rows`` solved on these rows with inert goal rows, with its goal
@@ -1010,9 +1016,9 @@ class _Stages:
     """
 
     def __init__(self, problem: PlanningProblem) -> None:
-        self.automaton = problem.domain
+        self.automaton = automaton = problem.domain
         self.init = problem.init
-        self.transitions: List[int] = []
+        self.prefix: List[int] = []
         self.rows: List[_Row] = []
         self.points: List[Tuple[_Point, _Point]] = []
         self.ends: List[int] = []
@@ -1021,23 +1027,42 @@ class _Stages:
         self.states: List[Dict[str, _Expr]] = []
         # The simplex state ``_solve_rows`` kept for ``rows`` as they are.
         self.kept: Optional[_Simplex] = None
+        interned: Dict[tuple, int] = {}
+        trans, loc = automaton.transitions, automaton.locations
+        self.trans_key = cache(
+            lambda tid: interned.setdefault((trans[tid].guard, trans[tid].reset), len(interned))
+        )
+        self.loc_key = cache(
+            lambda i: interned.setdefault((loc[i].invariant, loc[i].rates), len(interned))
+        )
+
+    def keys(self, path: ConcretePath) -> List[int]:
+        """The key of each stage of ``path``, in order: -1 for stage 0, the
+        same on every path from the init, then each transition's and the
+        next location's in turn."""
+        keys = [-1] * (2 * len(path.transitions) + 1)
+        keys[1::2] = map(self.trans_key, path.transitions)
+        keys[2::2] = map(self.loc_key, path.locations[1:])
+        return keys
 
     def pop_to(self, path: ConcretePath) -> None:
-        """Pop the positions past the longest transition prefix that
+        """Pop the positions past the longest prefix of stage keys that
         ``path`` shares with the stack."""
-        old, new = self.transitions, path.transitions
         shared = 0
-        while shared < min(len(old), len(new)) and old[shared] == new[shared]:
+        for old, new in zip(self.prefix, self.keys(path)):
+            if old != new:
+                break
             shared += 1
-        if shared == len(old):
+        if shared == len(self.prefix):
             return
         self.kept = None
-        # Position 0 stays, and one more position per shared transition.
-        del self.transitions[shared:]
-        del self.rows[self.ends[2 * shared]:]
-        del self.ends[2 * shared + 1:]
-        del self.points[shared + 1:]
-        del self.states[shared + 1:]
+        # Position 0 stays, and one more per transition and location shared.
+        positions = (shared + 1) // 2
+        del self.prefix[2 * positions - 1:]
+        del self.rows[self.ends[2 * positions - 2]:]
+        del self.ends[2 * positions - 1:]
+        del self.points[positions:]
+        del self.states[positions:]
 
     def push(self, path: ConcretePath) -> None:
         """Encode the stages of ``path``'s next position onto the stack."""
@@ -1050,6 +1075,7 @@ class _Stages:
                 var: ({_var_in(var, 0): 1}, 0) for var in automaton.variables
             }
             _emit_region(rows, state, self.init[1])
+            self.prefix.append(-1)
         else:
             state = dict(self.states[-1])
             tid = path.transitions[i - 1]
@@ -1069,7 +1095,7 @@ class _Stages:
                     rows.append(({fresh: 1}, upper))
                     state[var] = ({fresh: 1}, 0)
             self.ends.append(len(rows))
-            self.transitions.append(tid)
+            self.prefix += self.trans_key(tid), self.loc_key(path.locations[i])
 
         loc = automaton.location(path.locations[i])
         rates = dict(loc.rates.intervals)
@@ -1143,16 +1169,16 @@ def encode_path(
     arithmetic; nothing here divides.
 
     ``stages`` is the stage stack of a pass for the problem's automaton and
-    init (``BoxSteps.stages``).  Since the stages up to a position depend
-    only on the transitions before it, the stack keeps those of the last
-    path encoded: this call pops back to the longest transition prefix the
-    two paths share and encodes only the positions after it, then emits the
-    goal rows, which the stack never keeps.  Without ``stages`` the same
-    code runs on a fresh stack.  Each call returns fresh ``rows``,
+    init (``BoxSteps.stages``).  Since the rows up to a stage depend only
+    on the keys of the stages up to it (``_Stages.keys``), the stack keeps
+    those of the last path encoded: this call pops back to the longest
+    prefix of stage keys the two paths share and encodes only the
+    positions after it, then emits the goal rows, which the stack never
+    keeps.  Without ``stages`` the same code runs on a fresh stack.  Each call returns fresh ``rows``,
     ``points`` and ``ends`` lists, but the row dicts and the expressions of
     ``points`` may be shared with other calls on the same stack, so they
     are read-only: ``_solve_rows``, ``_farkas_holds``, ``_check_path``,
-    ``_DeadConstraints`` and the ``--dump-lp`` writer only read them.
+    ``_Refutations`` and the ``--dump-lp`` writer only read them.
     """
     automaton = problem.domain
     init_loc, _init_region = problem.init
@@ -1185,12 +1211,8 @@ def _check_path(
     expression's constant and is normalised, so an integral run replays in
     native ints.  ``stages`` is the stack ``encode_path`` made the rows on,
     whose kept simplex state ``_solve_rows`` may resume."""
-    full = _solve_rows(rows, stages=stages)
+    full = _solve_checked(rows, stages, "path LP")
     if isinstance(full, Farkas):
-        if not _farkas_holds(rows, full.y):
-            raise AssertionError(
-                "internal error: path LP's Farkas certificate fails its check: y=%r" % full.y
-            )
         return full
 
     def valuation(point: _Point) -> Tuple[Tuple[str, Rational], ...]:
@@ -1212,120 +1234,118 @@ def _check_path(
     return run
 
 
-class _RefutedPrefixes:
-    """The path prefixes that one check's certificates refuted, as a trie.
+class _Refutations:
+    """What the checked certificates of one check refute (``learn``),
+    asked about each path the check decides (``lookup``).
 
-    A prefix is the stages of ``encode_path`` up to some stage, each named
-    by a key: stage 0, the same on every path of a check, by -1; a
-    transition by its guard and reset, and a location by its invariant and
-    rates, each interned so that equal ones share a key (sibling edges
-    with equal guards, copies of a location).  The rows up to a stage
-    depend only on these, so a path whose keys begin with a refuted
-    prefix's has that prefix's rows, which a checked certificate showed
-    infeasible.  A node maps a key to the next node, or to the index of the
-    path whose certificate refuted the prefix that ends there.
-    """
-
-    def __init__(self, automaton: HybridAutomaton) -> None:
-        interned: Dict[tuple, int] = {}
-        self.trans_keys = [
-            interned.setdefault((t.guard, t.reset), len(interned))
-            for t in automaton.transitions
-        ]
-        self.loc_keys = [
-            interned.setdefault((loc.invariant, loc.rates), len(interned))
-            for loc in automaton.locations
-        ]
-        self.root: Dict[int, object] = {}
-
-    def keys(self, path: ConcretePath) -> Iterator[int]:
-        yield -1
-        for tid, loc_id in zip(path.transitions, path.locations[1:]):
-            yield self.trans_keys[tid]
-            yield self.loc_keys[loc_id]
-
-    def refuted_by(self, path: ConcretePath) -> Optional[int]:
-        """The index of the path whose certificate refuted a prefix of
-        ``path``, or None."""
-        node: object = self.root
-        for key in self.keys(path):
-            node = node.get(key)
-            if node is None or type(node) is int:
-                return node
-        return None
-
-    def record(self, path: ConcretePath, stage: int, idx: int) -> None:
-        """Record that the certificate of path ``idx`` refutes ``path``'s
-        rows up to stage ``stage``, which subsumes any longer prefix."""
-        node = self.root
-        *inner, last = islice(self.keys(path), stage + 1)
-        for key in inner:
-            node = node.setdefault(key, {})
-        node[last] = idx
-
-
-class _DeadConstraints:
-    """The dead constraints one check's certificates named: goal and guard
-    constraints that ``_holds_nowhere`` shows no reachable state satisfies.
-
-    A dead constraint is a set of states, whatever holds it, so a path is
-    UNSAT when its goal region holds one or it takes a transition whose
-    guard holds one.  ``at`` maps each such place, None for the goal or a
-    transition id, to the first dead constraint there; ``found`` lists
-    ``(where, constraint)`` for each one found, where its certificate named
-    it, in the order found.
+    ``trie`` holds the refuted prefixes by their stage keys: a node maps a
+    key to the next node, or, where a refuted prefix ends, to the reason
+    that names the path whose certificate refuted it.  A dead constraint
+    is a set of states, whatever holds it, so a path is UNSAT when its goal
+    region holds one or it takes a transition whose guard holds one.
+    ``at`` maps each such place, None for the goal or a transition id, to
+    the reason that names the first dead constraint there; ``found`` lists
+    ``(where, constraint)`` for each one found, in the order found; and
+    ``every_dead`` is whether every path decided so far held one when it
+    was decided.
     """
 
     def __init__(self, problem: PlanningProblem, box: BoxSteps) -> None:
         self.problem = problem
         self.box = box
+        self.trie: Dict[int, object] = {}
         self.rows: Set[_RowKey] = set()
-        self.at: Dict[Optional[int], LinearConstraint] = {}
+        self.at: Dict[Optional[int], str] = {}
         self.found: List[Tuple[Optional[int], LinearConstraint]] = []
+        self.every_dead = True
 
-    def on(self, path: ConcretePath) -> Optional[LinearConstraint]:
-        """A dead constraint that ``path``'s goal or one of its guards
-        holds, or None."""
+    @property
+    def dead(self) -> Tuple[Tuple[Optional[int], LinearConstraint], ...]:
+        """``Verdict.dead`` of the check, once it is UNSAT."""
+        # Every path holds the goal region, so a dead goal constraint covers
+        # the paths decided before it was found, too.
+        return tuple(self.found) if self.every_dead or None in self.at else ()
+
+    def _dead_on(self, path: ConcretePath) -> Optional[str]:
         if self.at:
             for where in (None, *path.transitions):
                 if where in self.at:
                     return self.at[where]
         return None
 
-    def propose(self, path: ConcretePath, y: Dict[int, Rational], ends: List[int], stage: int) -> None:
-        """Test each constraint of ``path``'s goal (``stage`` past the last
-        end) or transition stage whose row has a positive multiplier in the
-        certificate ``y``: row j of the region sits at the stage's start
-        plus j (``_region_rows``)."""
-        automaton = self.problem.domain
-        if stage == len(ends):
-            where, region = None, self.problem.goal.region
-        else:
-            where = path.transitions[stage // 2]
-            region = automaton.transitions[where].guard
-        start = ends[stage - 1]
-        found = len(self.found)
-        for j, (c, s) in enumerate(_region_rows(region)):
-            if y.get(start + j, 0) <= 0:
-                continue
-            row = _model_row(c, s)
-            if row not in self.rows and _holds_nowhere(self.box, row):
-                log.debug(
-                    "dead constraint %s of %s: it holds in no reachable state", c,
-                    "the goal" if where is None else "transition %d" % where,
-                )
-                self.rows.add(row)
-                self.found.append((where, c))
-        if len(self.found) == found:
-            return
-        places = [(None, self.problem.goal.region)]
-        places += [(t.id, t.guard) for t in automaton.transitions]
-        for where, region in places:
-            if where not in self.at:
-                for c, s in _region_rows(region):
-                    if _model_row(c, s) in self.rows:
-                        self.at[where] = c
-                        break
+    def lookup(self, path: ConcretePath) -> Optional[str]:
+        """Why ``path`` is UNSAT without an LP: the dead constraint that its
+        goal or one of its guards holds, else the certificate that refuted
+        a prefix of it, in which case it holds none (``every_dead``); None
+        when neither is known."""
+        reason = self._dead_on(path)
+        if reason is not None:
+            return reason
+        if not self.trie:
+            return None
+        node: object = self.trie
+        for key in self.box.stages.keys(path):
+            node = node.get(key)
+            if type(node) is not dict:
+                break
+        if type(node) is str:
+            self.every_dead = False
+            return node
+        return None
+
+    def refute(self, path: ConcretePath, stage: int, idx: int) -> None:
+        """Record that the certificate of path ``idx`` refutes ``path``'s
+        rows up to stage ``stage``, which subsumes any longer prefix."""
+        node = self.trie
+        *inner, last = self.box.stages.keys(path)[: stage + 1]
+        for key in inner:
+            node = node.setdefault(key, {})
+        node[last] = "certificate of path %d" % idx
+
+    def learn(self, path: ConcretePath, idx: int, y: Dict[int, Rational], ends: List[int]) -> None:
+        """Learn from the checked certificate ``y`` of path ``idx``, whose
+        stage ends are ``ends``.  When its last row comes before the goal
+        rows, the stages up to that row are a refuted prefix.  When it lies
+        in the goal or a transition, each goal or guard constraint there
+        whose row has a positive multiplier is tested: row j of the region
+        sits at the stage's start plus j (``_region_rows``)."""
+        stage = bisect_right(ends, max(y))
+        if stage < len(ends):
+            self.refute(path, stage, idx)
+        if stage % 2:  # the goal stage, or a transition's
+            problem, box = self.problem, self.box
+            if stage == len(ends):
+                where, region = None, problem.goal.region
+            else:
+                where = path.transitions[stage // 2]
+                region = problem.domain.transitions[where].guard
+            start = ends[stage - 1]
+            found = len(self.found)
+            for j, (c, s) in enumerate(_region_rows(region)):
+                row = _model_row(c, s)
+                if y.get(start + j, 0) <= 0 or row in self.rows:
+                    continue
+                dead = box.dead.get(row)
+                if dead is None:
+                    dead = box.dead[row] = _inductive_above(box.domain, box.init, row)
+                if dead:
+                    log.debug(
+                        "dead constraint %s of %s: it holds in no reachable state", c,
+                        "the goal" if where is None else "transition %d" % where,
+                    )
+                    self.rows.add(row)
+                    self.found.append((where, c))
+            if len(self.found) > found:
+                places = [(None, problem.goal.region)]
+                places += [(t.id, t.guard) for t in problem.domain.transitions]
+                for where, region in places:
+                    if where not in self.at:
+                        for c, s in _region_rows(region):
+                            if _model_row(c, s) in self.rows:
+                                self.at[where] = "dead constraint %s" % c
+                                break
+        if self._dead_on(path) is None:
+            self.every_dead = False
 
 
 def bounded_reachable(
@@ -1337,22 +1357,18 @@ def bounded_reachable(
     """SAT iff some concrete path's LP is feasible; the first SAT path in
     enumeration order wins.
 
-    Each path is decided in enumeration order: solved, or refuted by a
-    dead constraint or a recorded prefix.  When a solved path's checked
-    certificate uses no goal row, the stages up to its last row
-    (``encode_path``) are recorded as a refuted prefix, and a later path
-    that begins with that prefix is UNSAT without being encoded or solved.
-    When its last row lies in the goal stage or a transition stage, each
-    goal or guard constraint of that stage with a positive multiplier is
-    tested by ``_holds_nowhere``; a later path whose goal region holds a
-    dead one, or that takes a transition whose guard holds one, is UNSAT
-    in the same way.  A path refuted either way is still counted, and
-    encoded under ``dump_dir``.  When every path the check decided holds a
-    dead constraint, the UNSAT verdict lists them (``Verdict.dead``): a
-    path counts when it holds one found by the time it is decided, and
-    every path holds a dead goal constraint.  A recorded prefix or dead
-    constraint never outlives the call; the tests behind a dead one are
-    memoised on ``box``.
+    Each path is decided in enumeration order.  The check's one
+    ``_Refutations`` record is asked whether a dead constraint or a
+    refuted prefix already refutes it; if not, it is solved, and the
+    checked certificate of an UNSAT path is the record's to learn from: it
+    may refute a prefix, whose stages are named by the keys the stage
+    stack uses, or name dead constraints.  A path refuted without an LP is
+    still counted, and encoded under ``dump_dir``.  When every path the
+    check decided holds a dead constraint, the UNSAT verdict lists them
+    (``Verdict.dead``, read off the record): a path counts when it holds
+    one found by the time it is decided, and every path holds a dead goal
+    constraint.  The record never outlives the call; the tests behind a
+    dead constraint are memoised on ``box``.
 
     Raises ResourceCapExceeded before deciding more than ``cap`` paths.
     ``dump_dir`` writes, per decided path, the rows its encoding holds as a
@@ -1387,33 +1403,22 @@ def bounded_reachable(
         with open(os.path.join(dump_dir, "path_%05d.lp" % idx), "w") as fh:
             fh.write("\n".join(lines) + "\n")
 
-    # Built on the first certificate that refutes a prefix.
-    refuted: Optional[_RefutedPrefixes] = None
-    dead = _DeadConstraints(problem, box)
-    every_dead = True  # every path decided so far holds a dead constraint
+    refutations = _Refutations(problem, box)
     checked = 0
     for idx, path in enumerate(paths):
         if idx >= cap:
             raise ResourceCapExceeded("concrete path enumeration", cap)
         checked += 1
-        blocker = dead.on(path)
-        by = None if blocker is not None or refuted is None else refuted.refuted_by(path)
-        if (blocker is None and by is None) or dump_dir is not None:
+        by = refutations.lookup(path)
+        if by is None or dump_dir is not None:
             rows, points, ends = encode_path(problem, path, stages=box.stages)
             if dump_dir is not None:
                 dump(idx, path, rows)
-        if blocker is not None:
-            log.debug(
-                "path %d locations=%s transitions=%s: UNSAT by the dead constraint %s",
-                idx, path.locations, path.transitions, blocker,
-            )
-            continue
         if by is not None:
             log.debug(
-                "path %d locations=%s transitions=%s: UNSAT by the certificate of path %d",
+                "path %d locations=%s transitions=%s: UNSAT by the %s",
                 idx, path.locations, path.transitions, by,
             )
-            every_dead = False
             continue
         outcome = _check_path(problem, path, rows, points, box.stages)
         sat = not isinstance(outcome, Farkas)
@@ -1423,18 +1428,8 @@ def bounded_reachable(
         )
         if sat:
             return Verdict(checked, outcome)
-        stage = bisect_right(ends, max(outcome.y))
-        if stage < len(ends):
-            if refuted is None:
-                refuted = _RefutedPrefixes(problem.domain)
-            refuted.record(path, stage, idx)
-        if stage % 2:  # the goal stage, or a transition's
-            dead.propose(path, outcome.y, ends, stage)
-        every_dead = every_dead and dead.on(path) is not None
-    # Every path holds the goal region, so a dead goal constraint covers
-    # the paths decided before it was found, too.
-    every_dead = every_dead or None in dead.at
-    return Verdict(checked, dead=tuple(dead.found) if every_dead else ())
+        refutations.learn(path, idx, outcome.y, ends)
+    return Verdict(checked, dead=refutations.dead)
 
 
 def extract_witness(

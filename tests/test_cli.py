@@ -543,3 +543,19 @@ def test_non_utf8_file_is_an_input_error(capsys, tmp_path, bad):
     code, out, err = run(capsys, "check", "--problem", str(tmp_path / "p.prob"))
     assert (code, out) == (EXIT_INPUT, "")
     assert err == "input error: %s: not UTF-8 text (invalid start byte)\n" % path
+
+
+@pytest.mark.parametrize(
+    "old,new,message",
+    [
+        ("[RATE, 1]", "[2, 1]", "location a rate interval for 'x' has lower > upper"),
+        ("[RESET, 3]", "[3, 1]", "transition 0 reset interval for 'x' has lower > upper"),
+    ],
+    ids=["rate", "reset"],
+)
+def test_an_empty_interval_is_an_input_error(capsys, tmp_path, old, new, message):
+    model = tmp_path / "m.lha"
+    model.write_text(SMALL_MODEL.replace(old, new).replace("RATE", "1").replace("RESET", "2"))
+    (tmp_path / "p.prob").write_text("model m.lha\ngoal b\ndepth 3\n")
+    code, out, err = run(capsys, "check", "--problem", str(tmp_path / "p.prob"))
+    assert (code, out, err) == (EXIT_INPUT, "", "input error: %s: %s\n" % (model, message))

@@ -22,7 +22,7 @@ from oracles import (
     random_automaton,
     recursive_concrete_paths,
 )
-from wpx.cli import EXIT_CAP, _load, main
+from wpx.cli import EXIT_CAP, EXIT_INTERNAL, _load, main
 from wpx.explain import OUTCOME_FIRST_UNREACHABLE, OUTCOME_NO_WAYPOINT, explain
 from wpx.model import (
     GoalSpec,
@@ -212,6 +212,22 @@ def test_a_dead_goal_covers_the_paths_decided_before_it_was_found():
 def test_max_paths_counts_the_paths_a_dead_constraint_refutes(capsys, argv):
     assert main(argv) == EXIT_CAP
     assert "resource cap" in capsys.readouterr().err
+
+
+def test_an_init_lp_certificate_failing_its_check_exits_internal(monkeypatch, capsys):
+    # Only the init LP, the one LP solved without a stage stack, returns a
+    # certificate without its last support row; the path LPs' stay whole.
+    solve = reach._solve_rows
+
+    def corrupted(rows, *, stages=None):
+        result = solve(rows, stages=stages)
+        if stages is None and isinstance(result, reach.Farkas):
+            result = reach.Farkas({i: m for i, m in result.y.items() if i != max(result.y)})
+        return result
+
+    monkeypatch.setattr(reach, "_solve_rows", corrupted)
+    assert main(["check", "--problem", os.path.join(BLOCKED, "guard.prob")]) == EXIT_INTERNAL
+    assert "init LP's Farkas certificate fails its check" in capsys.readouterr().err
 
 
 def random_dead_problem(rng, denominator):

@@ -36,6 +36,14 @@ that solves every path.  ``blocked/goal.explain.dump-lp.txt`` lists what
 ``explain --dump-lp`` writes for ``goal``: four checks, the last of them
 the exact goal's, with 12 consecutive paths.
 
+``blocked/guard.check.debug.txt`` is the ``WPX_LOG=debug`` stream of
+``check`` on ``guard``: the first path is solved, its certificate names
+the dead constraint, and each later path is refuted by it.
+``nrs_depth20.lp-regime.debug.txt`` is the debug stream of an
+``explain`` of nrs d20 in the LP regime (the box turned off): each path
+whose certificate refutes a prefix is followed by one that the prefix
+refutes, named by the number of the path whose certificate did.
+
 ``golden/sat/`` holds a copy of the benchmark's first ``relational_sat``
 problem at seed 1, ``sat_00``, with its ``explain --json`` (without
 ``timings_ms``) and ``check --json``.  Its witness LPs park the rows of
@@ -48,13 +56,15 @@ CHANGES.md.
 import contextlib
 import io
 import json
+import logging
 import os
 import tempfile
 
 import pytest
 
-from conftest import BENCH_ROOT
+from conftest import BENCH_ROOT, box_off, load_benchmark
 from wpx.cli import EXIT_OK, main
+from wpx.explain import explain
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 HALF = os.path.join(GOLDEN, "half", "half.prob")
@@ -170,3 +180,34 @@ def test_explain_json_matches_golden(dirname, probname):
 @pytest.mark.parametrize("name,render", RENDERINGS, ids=[n for n, _r in RENDERINGS])
 def test_rendering_matches_golden(name, render):
     assert render() == read_golden(name)
+
+
+@contextlib.contextmanager
+def debug_stream():
+    """What the ``wpx`` loggers emit at ``WPX_LOG=debug`` within the block,
+    one line per record in the CLI's format."""
+    out = io.StringIO()
+    handler = logging.StreamHandler(out)
+    handler.setFormatter(logging.Formatter("%(name)s %(levelname)s %(message)s"))
+    logger = logging.getLogger("wpx")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        yield out
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
+def test_check_debug_stream_matches_golden():
+    with debug_stream() as out:
+        run(["check", "--problem", os.path.join(BLOCKED, "guard.prob")])
+    assert out.getvalue() == read_golden("blocked/guard.check.debug.txt")
+
+
+def test_lp_regime_explain_debug_stream_matches_golden(monkeypatch):
+    box_off(monkeypatch)
+    with debug_stream() as out:
+        explain(load_benchmark("nrs", "depth20.prob"))
+    assert out.getvalue() == read_golden("nrs_depth20.lp-regime.debug.txt")

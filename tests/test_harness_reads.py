@@ -7,7 +7,11 @@ stage functions in ``wpx.explain``'s globals and ``wpx.reach``'s
 ``len(.paths)`` of the path set it is given, ``.sequence`` of the LCS and
 ``len`` of the chain.  It also wraps ``wpx.reach.enumerate_concrete_paths``
 and ``wpx.reach.encode_path`` by name, passing keyword arguments through,
-and times a check's box from its start to its enumeration.  A change that
+and times a check's box from its start to its enumeration.
+``wpxbench/tests/test_gen.py`` reads, from ``wpx.model``, each location's
+``rates.interval(v).lower`` and ``.upper`` and each transition's
+``reset.action(v).kind`` against ``ResetKind.KEEP``, and builds
+``RunSegment`` and ``WitnessRun`` from positional fields.  A change that
 breaks one of these reads fails here, not only in the harness.
 """
 
@@ -19,9 +23,10 @@ import pytest
 import wpx
 import wpx.graph
 import wpx.reach
-from conftest import box_off, load_benchmark
+from conftest import box_off, load_benchmark, pool_problems
 from oracles import recursive_walks
 from wpx.cli import _load
+from wpx.model import ResetKind, RunSegment, WitnessRun
 
 # ``wpx.explain`` is the re-exported function; the harness, like this
 # file, takes the module from ``sys.modules``.
@@ -140,3 +145,24 @@ def test_bounded_reachable_enumerates_and_encodes_through_module_globals(monkeyp
     for (args, keywords), (solved, _none) in zip(calls["encode_path"], calls["_check_path"]):
         assert args == solved[:2] and isinstance(args[1], wpx.reach.ConcretePath)
         assert keywords == ["stages"]
+
+
+def test_generator_tests_read_rates_resets_and_runs():
+    # The generator's tests read the rate bounds of x and y in each location
+    # and their reset kind on each transition (no transition resets them in
+    # an UNSAT pool), and rebuild runs positionally, segment by segment.
+    automaton = pool_problems("relational_unsat", 1, cycles=1)[0].domain
+    for loc in automaton.locations:
+        for var in ("x", "y"):
+            iv = loc.rates.interval(var)
+            assert iv.lower <= iv.upper
+    for t in automaton.transitions:
+        assert all(t.reset.action(var).kind is ResetKind.KEEP for var in ("x", "y"))
+    for problem in pool_problems("relational_sat", 1, cycles=1):
+        run = wpx.reach.bounded_reachable(problem).run
+        rebuilt = WitnessRun(
+            tuple(RunSegment(s.location, s.entry, s.dwell, s.exit) for s in run.segments),
+            run.transitions,
+        )
+        assert rebuilt == run
+        assert wpx.check_witness(problem.domain, problem.init, problem.goal, rebuilt) == []

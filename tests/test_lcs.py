@@ -16,7 +16,7 @@ from oracles import (
     is_subsequence,
     prune_alphabet,
 )
-from wpx.graph import ResourceCapExceeded
+from wpx.graph import ResourceCapExceeded, enumerate_paths, lcs_multi
 
 
 def path_set(*strings):
@@ -103,3 +103,11 @@ def test_lcs_property_matches_bruteforce(mids):
     got = explicit_lcs(path_set(*strings))
     assert len(got.sequence) == brute_lcs_length(strings)
     assert got.sequence[0] == 90 and got.sequence[-1] == 91
+
+
+def test_lcs_multi_rejects_an_empty_path_set():
+    # No walk from 0 reaches 1, so there is no first walk to reduce.
+    paths = enumerate_paths({0: (), 1: ()}, 0, 1, 3)
+    assert paths.count == 0
+    with pytest.raises(ValueError, match="empty path set"):
+        lcs_multi(paths)

@@ -166,6 +166,41 @@ def test_validate_model_reports_undeclared_variable():
     assert any("undeclared variable 'z'" in msg for msg in report)
 
 
+def _base(field, i=0):
+    return getattr(make_automaton(), field)[i]
+
+
+@pytest.mark.parametrize(
+    "overrides,message",
+    [
+        ({"locations": (_base("locations"), dataclasses.replace(_base("locations", 1), id=2))},
+         "location ids must be dense integers 0..1 in order"),
+        ({"locations": (_base("locations"), dataclasses.replace(_base("locations", 1), name="a"))},
+         "duplicate location name 'a'"),
+        ({"variables": ("x", "x")}, "duplicate variable declaration"),
+        ({"locations": (_base("locations"), dataclasses.replace(
+            _base("locations", 1), rates=RateSpec.build({"x": (2, 1)})))},
+         "location b rate interval for 'x' has lower > upper"),
+        ({"transitions": (dataclasses.replace(_base("transitions"), id=1),)},
+         "transition ids must be dense integers in declaration order"),
+        ({"transitions": (dataclasses.replace(_base("transitions"), source=5),)},
+         "transition 0 has dangling source location id 5"),
+        ({"transitions": (dataclasses.replace(_base("transitions"), label="fly"),)},
+         "transition 0 uses undeclared label 'fly'"),
+        ({"transitions": (dataclasses.replace(_base("transitions"), reset=Reset.build({"x": (3, 1)})),)},
+         "transition 0 reset interval for 'x' has lower > upper"),
+        ({"initial": (9, Polyhedron())}, "initial location id 9 does not exist"),
+    ],
+    ids=[
+        "sparse-location-ids", "duplicate-location", "duplicate-variable", "empty-rate",
+        "sparse-transition-ids", "dangling-source", "undeclared-label", "empty-reset",
+        "missing-initial",
+    ],
+)
+def test_validate_model_reports_each_violation(overrides, message):
+    assert validate_model(make_automaton(**overrides)) == [message]
+
+
 def test_alpha_widens_goal_to_invariant():
     automaton = make_automaton()
     problem = PlanningProblem(

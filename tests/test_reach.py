@@ -164,13 +164,14 @@ def test_rows_up_to_a_stage_depend_only_on_its_keys():
     for denominator in (1, 2, 3):
         for _ in range(100):
             automaton = random_automaton(rng, denominator=denominator)
-            prefixes = reach._RefutedPrefixes(automaton)
+            # The key tables of one pass, which every goal's check shares.
+            stages = reach.BoxSteps(PlanningProblem(automaton, automaton.initial, GoalSpec(0), 4)).stages
             seen = {}
             for goal in range(len(automaton.locations)):
                 problem = PlanningProblem(automaton, automaton.initial, GoalSpec(goal), 4)
                 for path in enumerate_concrete_paths(automaton, automaton.initial[0], goal, 4):
                     rows, _points, ends = encode_path(problem, path)
-                    keys = tuple(prefixes.keys(path))
+                    keys = tuple(stages.keys(path))
                     assert len(keys) == len(ends)
                     for stage, end in enumerate(ends):
                         first, first_rows = seen.setdefault(keys[: stage + 1], (path, rows[:end]))
@@ -620,7 +621,7 @@ def prefix_refutation_faults(monkeypatch, denominator, draws, shorten=0):
     ``shorten=1`` is a mutant that records every prefix one stage too
     short.  Returns ``(faults, paths checked, paths solved)``."""
     rng = random.Random(6060 + denominator)
-    record = reach._RefutedPrefixes.record
+    record = reach._Refutations.refute
     check = reach._check_path
     recorded, solved = [], []
 
@@ -635,7 +636,7 @@ def prefix_refutation_faults(monkeypatch, denominator, draws, shorten=0):
 
     with monkeypatch.context() as m:
         box_off(m)
-        m.setattr(reach._RefutedPrefixes, "record", recording)
+        m.setattr(reach._Refutations, "refute", recording)
         m.setattr(reach, "_check_path", counted)
         faults = paths = 0
         for _ in range(draws):
@@ -1239,6 +1240,26 @@ def test_a_stage_stack_of_another_automaton_is_rejected():
     other = reach.BoxSteps(half_problem())
     with pytest.raises(ValueError, match="another automaton or init"):
         encode_path(problem, path, stages=other.stages)
+
+
+def test_the_stack_keeps_the_stages_a_path_shares_by_key(monkeypatch):
+    # nrs d20's first two paths to its goal take disjoint transitions whose
+    # guards and resets, and whose locations' invariants and rates, are
+    # equal in turn: the second is encoded on the first's stages without a
+    # push, and its rows are the ones a fresh stack gives.
+    problem = load_benchmark("nrs", "depth20.prob")
+    stages = reach.BoxSteps(problem).stages
+    ends = (problem.init[0], problem.goal.location, problem.depth)
+    first, second = itertools.islice(enumerate_concrete_paths(problem.domain, *ends), 2)
+    assert not set(first.transitions) & set(second.transitions)
+    assert stages.keys(first) == stages.keys(second)
+    fresh = repr(encode_path(problem, second))
+    encode_path(problem, first, stages=stages)
+    pushes = []
+    push = reach._Stages.push
+    monkeypatch.setattr(reach._Stages, "push", lambda self, path: pushes.append(path) or push(self, path))
+    assert repr(encode_path(problem, second, stages=stages)) == fresh
+    assert pushes == []
 
 
 def test_dump_lp_writes_one_file_per_path(tmp_path):
