@@ -778,8 +778,19 @@ class BoxSteps:
     (``model.alpha``) share every map.  The walk stops at an empty map, at
     a map that repeats an earlier one (the next map depends only on the
     current one, so every later map repeats a goal test that already
-    failed), or at the depth.  The box of each region and the rate table
-    of each location are built once per pass, on first use.
+    failed), or at the depth.
+
+    The pass keys its work by model object, which is sound whatever the
+    sharing and saves work where equal values are one object, as the
+    parser makes them (``textio``).  The box of each region object and the
+    rate table of each rate object are built once per pass, on first use.
+    A step groups a location's exits by their (guard, reset) objects and
+    dwells once per group, memoised for that step by the invariant, rates,
+    guard and reset objects and the entry bounds, so locations of one
+    class that enter with equal boxes share one dwell; a group lands once
+    per target invariant object.  No box is changed once built, so one
+    may sit under several locations of a map, but none is kept from one
+    step to the next.
 
     ``index`` is the automaton's ``_transition_index``: the box walk steps
     over it and every check enumerates its paths over it, so its
@@ -797,6 +808,7 @@ class BoxSteps:
         self.maps: List[Dict[int, _Box]] = []
         # Keyed by id; the region is kept alongside so the id stays its own.
         self._boxes: Dict[int, Tuple[Polyhedron, _Box]] = {}
+        # Keyed by the id of a rate table of the automaton, which holds it.
         self._rates: Dict[int, _Rates] = {}
         # Per row F(x) <= b, whether it holds in no reachable state
         # (``_inductive_above``); that depends only on the automaton and init.
@@ -820,11 +832,11 @@ class BoxSteps:
 
     def rates(self, loc_id: int) -> _Rates:
         """The rate table of location ``loc_id``, as ``_box_dwell`` reads it."""
-        hit = self._rates.get(loc_id)
+        spec = self.domain.location(loc_id).rates
+        hit = self._rates.get(id(spec))
         if hit is None:
-            hit = self._rates[loc_id] = tuple(
-                (var, iv.lower, iv.upper)
-                for var, iv in self.domain.location(loc_id).rates.intervals
+            hit = self._rates[id(spec)] = tuple(
+                (var, iv.lower, iv.upper) for var, iv in spec.intervals
             )
         return hit
 
@@ -836,17 +848,24 @@ class BoxSteps:
 
     def _walk(self) -> Iterator[Dict[int, _Box]]:
         """The maps in order, each stepped from the last only when pulled."""
-        transitions = self.domain.transitions
+        domain = self.domain
         outgoing = self.index.succ
 
         @cache
-        def exits(loc_id: int) -> List[Tuple[Transition, _Box, _Box]]:
-            # The outgoing transitions whose exit requirement
-            # inv(source) & guard is nonempty, each with that requirement
-            # and the bounds its interval resets assign.
+        def exits(loc_id: int) -> List[Tuple[tuple, _Box, _Box, List[Tuple[_Box, List[int]]]]]:
+            # The outgoing transitions grouped by their (guard, reset)
+            # objects, each group whose exit requirement inv(source) & guard
+            # is nonempty as: its memo key (the invariant, rates, guard and
+            # reset objects), that requirement, the bounds its interval
+            # resets assign, and its targets grouped by invariant object.
+            loc = domain.location(loc_id)
+            groups: Dict[Tuple[int, int], Tuple[Transition, Dict[int, List[int]]]] = {}
+            for tid, target in outgoing.get(loc_id, ()):
+                trans = domain.transitions[tid]
+                _, lands = groups.setdefault((id(trans.guard), id(trans.reset)), (trans, {}))
+                lands.setdefault(id(domain.location(target).invariant), []).append(target)
             out = []
-            for tid, _target in outgoing.get(loc_id, ()):
-                trans = transitions[tid]
+            for (guard, reset), (trans, lands) in groups.items():
                 req = _box_intersect(self.inv_box(loc_id), self.region_box(trans.guard))
                 if req is not None:
                     resets = {
@@ -854,7 +873,9 @@ class BoxSteps:
                         for var, act in trans.reset.actions
                         if act.kind is not ResetKind.KEEP
                     }
-                    out.append((trans, req, resets))
+                    key = (id(loc.invariant), id(loc.rates), guard, reset)
+                    targets = [(self.inv_box(group[0]), group) for group in lands.values()]
+                    out.append((key, req, resets, targets))
             return out
 
         init_loc, init_region = self.init
@@ -864,20 +885,36 @@ class BoxSteps:
         for _ in range(self.depth):
             yield current
             nxt: Dict[int, _Box] = {}
+            # Per exit group's key and entry bounds, the exit box with its
+            # resets merged in (None if empty) and the box it lands in per
+            # target invariant box.  It is kept for this step only, so no
+            # box of one map is an entry of a dwell before it.
+            memo: Dict[tuple, Optional[Tuple[_Box, Dict[int, Optional[_Box]]]]] = {}
             for loc_id, entry in current.items():
-                rates = self.rates(loc_id)
-                for trans, req, resets in exits(loc_id):
-                    exit_box = _box_dwell(entry, rates, req)
-                    if exit_box is None:
+                bounds = tuple(entry.values())
+                for key, req, resets, targets in exits(loc_id):
+                    key = key, bounds
+                    if key not in memo:
+                        exit_box = _box_dwell(entry, self.rates(loc_id), req)
+                        # Merging keeps exit_box's key order, the declaration order.
+                        memo[key] = None if exit_box is None else ({**exit_box, **resets}, {})
+                    dwelt = memo[key]
+                    if dwelt is None:
                         continue
-                    # Merging keeps exit_box's key order, the declaration order.
-                    landed = _box_intersect({**exit_box, **resets}, self.inv_box(trans.target))
-                    if landed is not None:
-                        nxt[trans.target] = _box_join(nxt.get(trans.target), landed)
-            key = tuple((loc_id, tuple(box.values())) for loc_id, box in sorted(nxt.items()))
-            if not nxt or key in seen:
+                    merged, landed = dwelt
+                    for inv, group in targets:
+                        if id(inv) not in landed:
+                            landed[id(inv)] = _box_intersect(merged, inv)
+                        box = landed[id(inv)]
+                        if box is not None:
+                            # A box is never changed once built, so one may
+                            # sit under several locations.
+                            for target in group:
+                                nxt[target] = _box_join(nxt.get(target), box)
+            state = tuple((loc_id, tuple(box.values())) for loc_id, box in sorted(nxt.items()))
+            if not nxt or state in seen:
                 return
-            seen.add(key)
+            seen.add(state)
             current = nxt
         yield current
 

@@ -39,6 +39,11 @@ a nonzero denominator.  ``#`` starts a comment.
 
 A token is its index in one scan of the text; its line and column are
 found by scanning the text again, only when an error at it is raised.
+Equal regions, resets and rate tables of one document are one object:
+the parser keeps one ``Polyhedron`` per constraint list, one ``Reset`` per
+reset map and one ``RateSpec`` per rate table, found by plain tuples of
+their values, so a pass that keys its work by object (``reach.BoxSteps``)
+does it once per distinct one.
 """
 
 from __future__ import annotations
@@ -174,6 +179,10 @@ class _Parser:
         self.text = text
         self.kinds, self.texts = _scan(text)
         self.index = 0
+        # The document's one object per distinct value, found by a plain
+        # tuple of the value (``region``, ``interval_map``).
+        self.regions: Dict[tuple, Polyhedron] = {}
+        self.interval_maps: Dict[tuple, object] = {}
         if not _REJECTED.keys().isdisjoint(self.kinds):
             at = next(i for i, kind in enumerate(self.kinds) if kind in _REJECTED)
             raise self.error(_REJECTED[self.kinds[at]] % self.texts[at], at)
@@ -278,12 +287,33 @@ class _Parser:
                 break
         return out
 
+    def region(self, constraints: List[LinearConstraint]) -> Polyhedron:
+        """The document's one Polyhedron of ``constraints``, keyed by each
+        constraint's coefficients, constant and relation."""
+        key = tuple(
+            (c.expression.coefficients, c.expression.constant, c.relation.value)
+            for c in constraints
+        )
+        hit = self.regions.get(key)
+        if hit is None:
+            hit = self.regions[key] = Polyhedron(tuple(constraints))
+        return hit
+
+    def interval_map(self, cls, intervals: Dict[str, Tuple[Rational, Rational]]):
+        """The document's one ``cls`` (``Reset`` or ``RateSpec``) of
+        ``intervals``, keyed by its type and its sorted items."""
+        key = (cls, tuple(sorted(intervals.items())))
+        hit = self.interval_maps.get(key)
+        if hit is None:
+            hit = self.interval_maps[key] = cls.build(intervals)
+        return hit
+
     def parse_block(self) -> Polyhedron:
         """``{ constraint; ... }``, possibly empty."""
         self.expect("{")
         constraints = [] if self.peek() == "}" else self.parse_constraint_list()
         self.expect("}")
-        return Polyhedron(tuple(constraints))
+        return self.region(constraints)
 
     def parse_clauses(
         self, words: Tuple[str, ...]
@@ -324,7 +354,7 @@ class _Parser:
                 else:
                     constraints.extend(self.parse_constraint_list())
             self.accept(";")
-        return Polyhedron(tuple(constraints)), intervals, label
+        return self.region(constraints), intervals, label
 
 
 def parse_model(text: str, source: str = "<string>") -> HybridAutomaton:
@@ -368,7 +398,8 @@ def _parse_automaton(text: str) -> HybridAutomaton:
                 raise p.error("duplicate location %r" % name, name_tok)
             invariant, rates, _label = p.parse_clauses(("inv", "rate"))
             loc_ids[name] = len(locations)
-            locations.append(Location(len(locations), name, invariant, RateSpec.build(rates)))
+            rate_spec = p.interval_map(RateSpec, rates)
+            locations.append(Location(len(locations), name, invariant, rate_spec))
         elif word == "trans":
             src_tok = p.expect("name")
             p.expect("arrow")
@@ -376,7 +407,7 @@ def _parse_automaton(text: str) -> HybridAutomaton:
             guard, resets, label = p.parse_clauses(("label", "guard", "reset"))
             if label is None:
                 label = "act"
-            pending_transitions.append((src_tok, dst, label, guard, Reset.build(resets)))
+            pending_transitions.append((src_tok, dst, label, guard, p.interval_map(Reset, resets)))
             if label not in labels:
                 labels.append(label)
         elif word == "init":
@@ -496,7 +527,7 @@ def _parse_problem(text: str, automaton: HybridAutomaton) -> PlanningProblem:
             init = located("init", name_tok, p.parse_block())
         elif word == "goal":
             name_tok = p.expect("name")
-            region = p.parse_block() if p.peek() == "{" else Polyhedron(())
+            region = p.parse_block() if p.peek() == "{" else p.region([])
             goal = GoalSpec(*located("goal", name_tok, region))
         elif word == "depth":
             depth_tok = p.expect("number")

@@ -1,5 +1,6 @@
 """Path-oriented reachability: encoding, exact feasibility, witnesses."""
 
+import copy
 import dataclasses
 import gc
 import itertools
@@ -37,6 +38,7 @@ from oracles import (
     random_automaton,
     random_lp,
     recursive_concrete_paths,
+    serialize_model,
     split_simplex_rows,
 )
 from wpx.model import (
@@ -58,7 +60,7 @@ from wpx.reach import (
     enumerate_concrete_paths,
     extract_witness,
 )
-from wpx.textio import parse_model, parse_problem
+from wpx.textio import parse_model, parse_problem, serialize_report
 
 HOP = """
 vars x t
@@ -1072,7 +1074,11 @@ def test_bounded_reachable_rejects_a_box_pass_of_another_problem():
 def test_one_explain_builds_each_box_once(monkeypatch):
     # On wa10x10 d12 the 11 checks of one explain share one box pass: each
     # invariant and guard box is built once, and the step maps are stepped
-    # once between all of them.
+    # once between all of them.  Its 100 locations share one invariant and
+    # its 178 transitions one guard and one reset, so the pass boxes 3
+    # regions (the init's, the invariant and the guard) and each step
+    # dwells once per distinct entry box of the one exit group: 39 dwells,
+    # where one dwell per location and transition would be 250.
     problem = load_benchmark("wa10x10", "depth12.prob")
     dwell, from_region = reach._box_dwell, reach._box_from_region
     dwells = []
@@ -1090,12 +1096,113 @@ def test_one_explain_builds_each_box_once(monkeypatch):
     monkeypatch.setattr(reach, "_box_from_region", counted_from_region)
     report = explain(problem)
     assert (report.explanation_name, len(report.verdicts)) == ("l63", 11)
-    assert len(dwells) == 250
+    assert (len(dwells), len(regions)) == (39, 3)
     automaton = problem.domain
     shared = [loc.invariant for loc in automaton.locations]
     shared += [t.guard for t in automaton.transitions]
     for region in shared:
         assert sum(1 for r in regions if r is region) <= 1
+
+
+def unshared(problem: PlanningProblem) -> PlanningProblem:
+    """``problem`` with every region, reset and rate table of its
+    automaton, init and goal a fresh copy of its own, so that no two of
+    them are one object."""
+    automaton = problem.domain
+    fresh = dataclasses.replace(
+        automaton,
+        locations=tuple(
+            dataclasses.replace(
+                loc, invariant=copy.deepcopy(loc.invariant), rates=copy.deepcopy(loc.rates)
+            )
+            for loc in automaton.locations
+        ),
+        transitions=tuple(
+            dataclasses.replace(t, guard=copy.deepcopy(t.guard), reset=copy.deepcopy(t.reset))
+            for t in automaton.transitions
+        ),
+        initial=copy.deepcopy(automaton.initial),
+    )
+    objects = [fresh.initial[1]] + [loc.invariant for loc in fresh.locations]
+    objects += [loc.rates for loc in fresh.locations]
+    objects += [t.guard for t in fresh.transitions] + [t.reset for t in fresh.transitions]
+    assert len({id(o) for o in objects}) == len(objects)
+    return dataclasses.replace(
+        problem,
+        domain=fresh,
+        init=copy.deepcopy(problem.init),
+        goal=copy.deepcopy(problem.goal),
+    )
+
+
+def report_text(problem: PlanningProblem) -> str:
+    doc = json.loads(serialize_report(explain(problem)))
+    del doc["timings_ms"]
+    return json.dumps(doc)
+
+
+def reparsed(problem: PlanningProblem, one_class: bool) -> PlanningProblem:
+    """``problem`` with its automaton round-tripped through the parser, so
+    that its equal regions, resets and rate tables are one object; with
+    ``one_class``, every location first takes location 0's invariant and
+    rates and every transition transition 0's guard and reset, as in the
+    bundled grid families."""
+    automaton = problem.domain
+    if one_class:
+        loc, trans = automaton.locations[0], automaton.transitions[0]
+        automaton = dataclasses.replace(
+            automaton,
+            locations=tuple(
+                dataclasses.replace(other, invariant=loc.invariant, rates=loc.rates)
+                for other in automaton.locations
+            ),
+            transitions=tuple(
+                dataclasses.replace(other, guard=trans.guard, reset=trans.reset)
+                for other in automaton.transitions
+            ),
+        )
+    return dataclasses.replace(problem, domain=parse_model(serialize_model(automaton)))
+
+
+def test_shared_and_unshared_model_objects_give_the_same_boxes(monkeypatch):
+    # The box walk keys its work by model object, which is sound whatever
+    # the sharing: each of the 14 rows (parsed, so equal values are one
+    # object) and each random draw, shared by a round trip through the
+    # parser, with its own classes of locations and transitions or with one
+    # class of each, gives the same maps, box answers and report as its
+    # rebuilt copy with no object shared.  The shared one never dwells
+    # more.
+    dwell = reach._box_dwell
+    dwells = [0]
+
+    def counted(*args):
+        dwells[0] += 1
+        return dwell(*args)
+
+    monkeypatch.setattr(reach, "_box_dwell", counted)
+    rng = random.Random(3030)
+    problems = [load_benchmark(d, p) for d, p in benchmark_problems()]
+    for _ in range(300):
+        draw = random_box_problem(rng)
+        problems += [reparsed(draw, False), reparsed(draw, True)]
+    fewer = 0
+    for problem in problems:
+        fresh = unshared(problem)
+        seen = []
+        for side in (problem, fresh):
+            dwells[0] = 0
+            box = reach.BoxSteps(side)
+            box.map(side.depth)
+            walked = dwells[0]
+            n = len(side.domain.locations)
+            answers = [reach._interval_unreachable(alpha(side, loc), box) for loc in range(n)]
+            answers.append(reach._interval_unreachable(side, box))
+            seen.append((walked, box.maps, answers, report_text(side)))
+        (shared_dwells, *shared), (fresh_dwells, *rebuilt) = seen
+        assert shared == rebuilt
+        assert shared_dwells <= fresh_dwells
+        fewer += shared_dwells < fresh_dwells
+    assert len(problems) == 614 and fewer > 100
 
 
 def counted_shared_work(monkeypatch):

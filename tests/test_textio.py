@@ -8,10 +8,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import BENCH_ROOT, benchmark_problems, load_benchmark
+import wpx.textio as textio
+from conftest import BENCH_ROOT, benchmark_problems, load_benchmark, pool_problems
 from oracles import random_automaton, reference_tokens, serialize_model
 from wpx.explain import explain
-from wpx.model import Relation, validate_model
+from wpx.model import Polyhedron, RateSpec, Relation, Reset, validate_model
 from wpx.reach import bounded_reachable
 from wpx.textio import (
     ParseError,
@@ -373,6 +374,92 @@ def test_random_automata_roundtrip():
     for _ in range(500):
         automaton = random_automaton(rng)
         assert parse_model(serialize_model(automaton)) == automaton
+
+
+def objects_and_values(automaton):
+    """Per model type, the number of distinct objects and of distinct
+    values among the automaton's regions (init, invariants and guards),
+    resets and rate tables."""
+    locations, transitions = automaton.locations, automaton.transitions
+    kinds = {
+        Polyhedron: [automaton.initial[1]]
+        + [loc.invariant for loc in locations]
+        + [t.guard for t in transitions],
+        Reset: [t.reset for t in transitions],
+        RateSpec: [loc.rates for loc in locations],
+    }
+    return {kind: (len({id(o) for o in objs}), len(set(objs))) for kind, objs in kinds.items()}
+
+
+def parsed_models():
+    """Every bundled model, and the first model of the seed-1
+    ``relational_unsat`` pool, parsed."""
+    models = []
+    for dirname in sorted({dirname for dirname, _ in benchmark_problems()}):
+        with open(os.path.join(BENCH_ROOT, dirname, dirname + ".lha"), encoding="utf-8") as fh:
+            models.append(parse_model(fh.read()))
+    return models + [pool_problems("relational_unsat", 1, cycles=1)[0].domain]
+
+
+def test_equal_values_of_a_document_are_one_object():
+    # One object per distinct region, reset and rate table: the models
+    # share a lot (wa10x10's 100 locations have one invariant), and each
+    # type's object count equals its value count.
+    models = parsed_models()
+    assert len(models) == 10
+    elements = distinct = 0
+    for automaton in models:
+        counts = objects_and_values(automaton)
+        assert all(ids == values for ids, values in counts.values()), counts
+        elements += len(automaton.locations) * 2 + len(automaton.transitions) * 2 + 1
+        distinct += sum(ids for ids, _ in counts.values())
+    assert elements > 3 * distinct
+
+
+def test_the_sharing_test_fails_without_sharing(monkeypatch):
+    # With every region, reset and rate table built afresh, the test above
+    # finds more objects than values of each type.
+    monkeypatch.setattr(textio._Parser, "region", lambda self, cs: Polyhedron(tuple(cs)))
+    monkeypatch.setattr(textio._Parser, "interval_map", lambda self, cls, iv: cls.build(iv))
+    unshared = {Polyhedron: 0, Reset: 0, RateSpec: 0}
+    for automaton in parsed_models():
+        for kind, (ids, values) in objects_and_values(automaton).items():
+            unshared[kind] += ids > values
+    assert all(unshared.values()), unshared
+
+
+SHARED = """
+vars t b
+location a { inv: t >= 1; rate t in [1, 1]; rate b in [0, 0]; }
+location c { inv: 1*t >= 1; rate b in [0, 0]; rate t in [1, 1]; }
+location d { inv: t >= 2; rate t in [1, 1]; rate b in [0, 1]; }
+location e { inv: t >= 1; b >= 0; rate t in [0, 0]; rate b in [0, 0]; }
+location f { inv: b >= 0; t >= 1; rate t in [0, 0]; rate b in [0, 0]; }
+trans a -> c { guard: 2*t - t >= 1; reset t in [0, 0]; }
+trans c -> d { guard: t >= 1; reset t in [0, 0]; }
+trans d -> e { reset t in [0, 0]; reset b in [0, 0]; }
+trans e -> f { reset b in [0, 0]; reset t in [0, 0]; }
+init a { t = 1; b = 0; }
+"""
+
+
+def test_equal_blocks_share_one_object_and_unequal_ones_do_not():
+    automaton = parse_model(SHARED)
+    a, c, d, e, f = automaton.locations
+    t0, t1, t2, t3 = automaton.transitions
+    # t >= 1, 1*t >= 1 and 2*t - t >= 1 are one constraint, in locations
+    # and guards alike; rates and resets are keyed by their sorted items.
+    assert a.invariant is c.invariant is t0.guard is t1.guard
+    assert a.rates is c.rates and t0.reset is t1.reset and t2.reset is t3.reset
+    # Another constant, another conjunct or another order is another value.
+    assert len({id(loc.invariant) for loc in (a, d, e, f)}) == 4
+    assert e.invariant != f.invariant
+    assert a.rates is not d.rates and t0.reset is not t2.reset
+    # A reset and a rate table with the same intervals stay of their types.
+    assert type(t2.reset) is Reset and type(e.rates) is RateSpec and e.rates is f.rates
+    # A problem document shares within itself.
+    problem = parse_problem("init a { t >= 1; }\ngoal c { 1*t >= 1; }\ndepth 3\n", automaton)
+    assert problem.problem.init[1] is problem.problem.goal.region
 
 
 # Grammar pieces, and characters no token matches, that a mutation splices in.
