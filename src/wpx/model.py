@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 # A number in canonical form: an int when integral, else a Fraction.  Ints
 # and Fractions compare and hash alike, so the form changes no answer.
@@ -206,6 +206,11 @@ class HybridAutomaton:
 
     Flows and invariants live on the Location records; Init is the
     ``initial`` pair (location id, polyhedron over Var).
+
+    The model keys, computed from values on construction and left out of
+    equality and ``repr``, are dense ints from one dict: ``loc_keys`` names
+    each location's distinct ``(invariant, rates)`` and ``trans_keys`` each
+    transition's distinct ``(guard, reset)``, so the two never collide.
     """
 
     locations: Tuple[Location, ...]
@@ -213,6 +218,15 @@ class HybridAutomaton:
     transitions: Tuple[Transition, ...]
     labels: Tuple[str, ...]
     initial: Tuple[int, Polyhedron]
+    loc_keys: Tuple[int, ...] = field(init=False, compare=False, repr=False)
+    trans_keys: Tuple[int, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        ids: Dict[tuple, int] = {}
+        locs = tuple(ids.setdefault((loc.invariant, loc.rates), len(ids)) for loc in self.locations)
+        trans = tuple(ids.setdefault((t.guard, t.reset), len(ids)) for t in self.transitions)
+        object.__setattr__(self, "loc_keys", locs)
+        object.__setattr__(self, "trans_keys", trans)
 
     def location(self, loc_id: int) -> Location:
         return self.locations[loc_id]

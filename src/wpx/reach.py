@@ -780,17 +780,16 @@ class BoxSteps:
     current one, so every later map repeats a goal test that already
     failed), or at the depth.
 
-    The pass keys its work by model object, which is sound whatever the
-    sharing and saves work where equal values are one object, as the
-    parser makes them (``textio``).  The box of each region object and the
-    rate table of each rate object are built once per pass, on first use.
-    A step groups a location's exits by their (guard, reset) objects and
-    dwells once per group, memoised for that step by the invariant, rates,
-    guard and reset objects and the entry bounds, so locations of one
-    class that enter with equal boxes share one dwell; a group lands once
-    per target invariant object.  No box is changed once built, so one
-    may sit under several locations of a map, but none is kept from one
-    step to the next.
+    The pass keys its work by the automaton's ``loc_keys`` and
+    ``trans_keys``, one int per distinct element (``model``).  The
+    invariant box and rate table of each location key and the guard box
+    of each transition key are built once per pass, on first use.  A step
+    groups a location's exits by transition key and dwells once per group,
+    memoised for that step by the location key, the transition key and
+    the entry bounds, so locations of one class that enter with equal
+    boxes share one dwell; a group lands once per target location key.
+    No box is changed once built, so one may sit under several locations
+    of a map, but none is kept from one step to the next.
 
     ``index`` is the automaton's ``_transition_index``: the box walk steps
     over it and every check enumerates its paths over it, so its
@@ -806,10 +805,10 @@ class BoxSteps:
         self.init = problem.init
         self.depth = problem.depth
         self.maps: List[Dict[int, _Box]] = []
-        # Keyed by id; the region is kept alongside so the id stays its own.
-        self._boxes: Dict[int, Tuple[Polyhedron, _Box]] = {}
-        # Keyed by the id of a rate table of the automaton, which holds it.
-        self._rates: Dict[int, _Rates] = {}
+        # Per location key, its invariant's box and rate table, and per
+        # transition key, its guard's box; no two keys collide (``model``).
+        self._box_of: Dict[int, _Box] = {}
+        self._rates_of: Dict[int, _Rates] = {}
         # Per row F(x) <= b, whether it holds in no reachable state
         # (``_inductive_above``); that depends only on the automaton and init.
         self.dead: Dict[_RowKey, bool] = {}
@@ -819,26 +818,22 @@ class BoxSteps:
         # pass, so a dropped pass is freed at once, not by the cycle collector.
         self._steps = BoxSteps._walk(weakref.proxy(self))
 
-    def region_box(self, region: Polyhedron) -> _Box:
-        hit = self._boxes.get(id(region))
-        if hit is None:
-            hit = self._boxes[id(region)] = (
-                region, _box_from_region(region, self.domain.variables)
-            )
-        return hit[1]
+    def _keyed_box(self, key: int, region: Polyhedron) -> _Box:
+        """The box of ``region``, the invariant or guard of model key ``key``."""
+        if key not in self._box_of:
+            self._box_of[key] = _box_from_region(region, self.domain.variables)
+        return self._box_of[key]
 
     def inv_box(self, loc_id: int) -> _Box:
-        return self.region_box(self.domain.location(loc_id).invariant)
+        return self._keyed_box(self.domain.loc_keys[loc_id], self.domain.location(loc_id).invariant)
 
     def rates(self, loc_id: int) -> _Rates:
         """The rate table of location ``loc_id``, as ``_box_dwell`` reads it."""
-        spec = self.domain.location(loc_id).rates
-        hit = self._rates.get(id(spec))
-        if hit is None:
-            hit = self._rates[id(spec)] = tuple(
-                (var, iv.lower, iv.upper) for var, iv in spec.intervals
-            )
-        return hit
+        key = self.domain.loc_keys[loc_id]
+        if key not in self._rates_of:
+            spec = self.domain.location(loc_id).rates.intervals
+            self._rates_of[key] = tuple((var, iv.lower, iv.upper) for var, iv in spec)
+        return self._rates_of[key]
 
     def map(self, step: int) -> Optional[Dict[int, _Box]]:
         """Map ``step``, stepping the walk up to it on first use; None when
@@ -852,34 +847,31 @@ class BoxSteps:
         outgoing = self.index.succ
 
         @cache
-        def exits(loc_id: int) -> List[Tuple[tuple, _Box, _Box, List[Tuple[_Box, List[int]]]]]:
-            # The outgoing transitions grouped by their (guard, reset)
-            # objects, each group whose exit requirement inv(source) & guard
-            # is nonempty as: its memo key (the invariant, rates, guard and
-            # reset objects), that requirement, the bounds its interval
-            # resets assign, and its targets grouped by invariant object.
-            loc = domain.location(loc_id)
-            groups: Dict[Tuple[int, int], Tuple[Transition, Dict[int, List[int]]]] = {}
+        def exits(loc_id: int) -> List[Tuple[tuple, _Box, _Box, List[Tuple[int, List[int]]]]]:
+            # The outgoing transitions grouped by transition key, each group
+            # whose exit requirement inv(source) & guard is nonempty as: its
+            # memo key (the location and transition keys), that
+            # requirement, the bounds its interval resets assign, and its
+            # targets grouped by location key.
+            groups: Dict[int, Tuple[Transition, Dict[int, List[int]]]] = {}
             for tid, target in outgoing.get(loc_id, ()):
-                trans = domain.transitions[tid]
-                _, lands = groups.setdefault((id(trans.guard), id(trans.reset)), (trans, {}))
-                lands.setdefault(id(domain.location(target).invariant), []).append(target)
+                _, lands = groups.setdefault(domain.trans_keys[tid], (domain.transitions[tid], {}))
+                lands.setdefault(domain.loc_keys[target], []).append(target)
             out = []
-            for (guard, reset), (trans, lands) in groups.items():
-                req = _box_intersect(self.inv_box(loc_id), self.region_box(trans.guard))
+            for key, (trans, lands) in groups.items():
+                req = _box_intersect(self.inv_box(loc_id), self._keyed_box(key, trans.guard))
                 if req is not None:
                     resets = {
                         var: (act.lower, act.upper)
                         for var, act in trans.reset.actions
                         if act.kind is not ResetKind.KEEP
                     }
-                    key = (id(loc.invariant), id(loc.rates), guard, reset)
-                    targets = [(self.inv_box(group[0]), group) for group in lands.values()]
-                    out.append((key, req, resets, targets))
+                    out.append(((domain.loc_keys[loc_id], key), req, resets, list(lands.items())))
             return out
 
         init_loc, init_region = self.init
-        first = _box_intersect(self.region_box(init_region), self.inv_box(init_loc))
+        init_box = _box_from_region(init_region, domain.variables)
+        first = _box_intersect(init_box, self.inv_box(init_loc))
         current = {} if first is None else {init_loc: first}
         seen: set = set()
         for _ in range(self.depth):
@@ -887,7 +879,7 @@ class BoxSteps:
             nxt: Dict[int, _Box] = {}
             # Per exit group's key and entry bounds, the exit box with its
             # resets merged in (None if empty) and the box it lands in per
-            # target invariant box.  It is kept for this step only, so no
+            # target location key.  It is kept for this step only, so no
             # box of one map is an entry of a dwell before it.
             memo: Dict[tuple, Optional[Tuple[_Box, Dict[int, Optional[_Box]]]]] = {}
             for loc_id, entry in current.items():
@@ -902,10 +894,10 @@ class BoxSteps:
                     if dwelt is None:
                         continue
                     merged, landed = dwelt
-                    for inv, group in targets:
-                        if id(inv) not in landed:
-                            landed[id(inv)] = _box_intersect(merged, inv)
-                        box = landed[id(inv)]
+                    for target_key, group in targets:
+                        if target_key not in landed:
+                            landed[target_key] = _box_intersect(merged, self.inv_box(group[0]))
+                        box = landed[target_key]
                         if box is not None:
                             # A box is never changed once built, so one may
                             # sit under several locations.
@@ -926,7 +918,7 @@ def _interval_unreachable(problem: PlanningProblem, box: BoxSteps) -> bool:
     goal_loc = problem.goal.location
     rates = box.rates(goal_loc)
     goal_inv = box.inv_box(goal_loc)
-    goal_box = box.region_box(problem.goal.region)
+    goal_box = _box_from_region(problem.goal.region, box.domain.variables)
     step = 0
     while (current := box.map(step)) is not None:
         # The goal is tested at the exit of a final dwell in the goal
@@ -1041,10 +1033,10 @@ class _Stages:
     which the next position is encoded.  The rows are kept in the order
     they were emitted, and no row is changed once emitted.
 
-    ``prefix`` holds the key of each stage on the stack (``keys``).  The
-    stack interns a transition's or location's key on first use, so that
-    equal ones (sibling edges with equal guards, copies of a location)
-    share one in every check of the pass.
+    ``prefix`` holds the key of each stage on the stack (``keys``): the
+    automaton's ``trans_keys`` and ``loc_keys``, so that equal transitions
+    and locations (sibling edges with equal guards, copies of a location)
+    share one key.
 
     ``kept`` is the final state of the last feasible LP that
     ``_solve_rows`` solved on these rows with inert goal rows, with its goal
@@ -1053,7 +1045,7 @@ class _Stages:
     """
 
     def __init__(self, problem: PlanningProblem) -> None:
-        self.automaton = automaton = problem.domain
+        self.automaton = problem.domain
         self.init = problem.init
         self.prefix: List[int] = []
         self.rows: List[_Row] = []
@@ -1064,22 +1056,14 @@ class _Stages:
         self.states: List[Dict[str, _Expr]] = []
         # The simplex state ``_solve_rows`` kept for ``rows`` as they are.
         self.kept: Optional[_Simplex] = None
-        interned: Dict[tuple, int] = {}
-        trans, loc = automaton.transitions, automaton.locations
-        self.trans_key = cache(
-            lambda tid: interned.setdefault((trans[tid].guard, trans[tid].reset), len(interned))
-        )
-        self.loc_key = cache(
-            lambda i: interned.setdefault((loc[i].invariant, loc[i].rates), len(interned))
-        )
 
     def keys(self, path: ConcretePath) -> List[int]:
         """The key of each stage of ``path``, in order: -1 for stage 0, the
         same on every path from the init, then each transition's and the
         next location's in turn."""
         keys = [-1] * (2 * len(path.transitions) + 1)
-        keys[1::2] = map(self.trans_key, path.transitions)
-        keys[2::2] = map(self.loc_key, path.locations[1:])
+        keys[1::2] = map(self.automaton.trans_keys.__getitem__, path.transitions)
+        keys[2::2] = map(self.automaton.loc_keys.__getitem__, path.locations[1:])
         return keys
 
     def pop_to(self, path: ConcretePath) -> None:
@@ -1132,7 +1116,7 @@ class _Stages:
                     rows.append(({fresh: 1}, upper))
                     state[var] = ({fresh: 1}, 0)
             self.ends.append(len(rows))
-            self.prefix += self.trans_key(tid), self.loc_key(path.locations[i])
+            self.prefix += automaton.trans_keys[tid], automaton.loc_keys[path.locations[i]]
 
         loc = automaton.location(path.locations[i])
         rates = dict(loc.rates.intervals)

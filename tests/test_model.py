@@ -1,13 +1,15 @@
 """Core type behavior: validation, goal widening, and the run checker."""
 
+import copy
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import assert_canonical, benchmark_problems, half_problem, load_benchmark
-from oracles import random_automaton
+from oracles import random_automaton, serialize_model
 from wpx.model import (
     GoalSpec,
     HybridAutomaton,
@@ -30,6 +32,7 @@ from wpx.model import (
     validate_model,
 )
 from wpx.reach import bounded_reachable
+from wpx.textio import parse_model
 
 
 def le(coeffs, const=0):
@@ -122,6 +125,73 @@ def test_built_models_hold_canonical_numbers(denominator):
         ints += i
         fractions += f
     assert ints > 0 and (fractions > 0) == (denominator > 1)
+
+
+def model_keys(automaton):
+    return automaton.loc_keys, automaton.trans_keys
+
+
+def test_model_keys_name_distinct_values_whatever_the_sharing():
+    # A model built in code from equal but unshared regions, resets and rate
+    # tables gets the keys of its parsed text, in which equal values are
+    # one object.  Keys are equal exactly where the values are, location
+    # keys never equal transition keys, ``dataclasses.replace`` computes
+    # them afresh, and equality ignores them.
+    rng = random.Random(3131)
+    shared = 0
+    for _ in range(200):
+        drawn = random_automaton(rng, max_locs=6)
+        built = HybridAutomaton(
+            locations=tuple(
+                Location(
+                    loc.id, loc.name, copy.deepcopy(loc.invariant), copy.deepcopy(loc.rates)
+                )
+                for loc in drawn.locations
+            ),
+            variables=drawn.variables,
+            transitions=tuple(
+                Transition(
+                    t.id, t.source, t.target, t.label,
+                    copy.deepcopy(t.guard), copy.deepcopy(t.reset),
+                )
+                for t in drawn.transitions
+            ),
+            labels=drawn.labels,
+            initial=drawn.initial,
+        )
+        objects = [loc.invariant for loc in built.locations]
+        objects += [loc.rates for loc in built.locations]
+        objects += [t.guard for t in built.transitions] + [t.reset for t in built.transitions]
+        assert len({id(o) for o in objects}) == len(objects)
+        parsed = parse_model(serialize_model(built))
+        assert parsed == built and repr(parsed) == repr(built)
+        assert model_keys(built) == model_keys(parsed) == model_keys(drawn)
+
+        loc_keys, trans_keys = model_keys(built)
+        values = [(loc.invariant, loc.rates) for loc in built.locations]
+        values += [(t.guard, t.reset) for t in built.transitions]
+        keys = loc_keys + trans_keys
+        assert sorted(set(keys)) == list(range(len(set(values))))
+        for i, j in itertools.combinations(range(len(keys)), 2):
+            assert (keys[i] == keys[j]) == (values[i] == values[j])
+        assert set(loc_keys).isdisjoint(trans_keys)
+        shared += len(set(keys)) < len(keys)
+
+        first_loc, first_trans = built.locations[0], built.transitions[0]
+        one_class = dataclasses.replace(
+            built,
+            locations=tuple(
+                dataclasses.replace(loc, invariant=first_loc.invariant, rates=first_loc.rates)
+                for loc in built.locations
+            ),
+            transitions=tuple(
+                dataclasses.replace(t, guard=first_trans.guard, reset=first_trans.reset)
+                for t in built.transitions
+            ),
+        )
+        n = len(built.locations)
+        assert model_keys(one_class) == ((0,) * n, (1,) * len(built.transitions))
+    assert shared > 50
 
 
 def test_linear_expression_drops_zero_coefficients():
