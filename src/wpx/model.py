@@ -5,7 +5,9 @@ integral and a ``fractions.Fraction`` only when it is not, as ``canonical``,
 the one normaliser, puts it; so integral data runs in native int arithmetic.
 There is no floating point anywhere in the pipeline.  Every type in this
 module is immutable after construction and safe to share across threads or
-processes.
+processes.  A region's rows and an automaton's model keys are computed on
+construction, and the parser makes one ``Polyhedron`` per distinct region
+of a document, so each distinct region's rows are built once.
 """
 
 from __future__ import annotations
@@ -20,6 +22,9 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 Rational = Union[int, Fraction]
 
 RationalLike = Union[int, Fraction, str]
+
+# F of a row ``F(x) <= b``: its ``(variable, k)`` terms, in name order, no k 0.
+Terms = Tuple[Tuple[str, Rational], ...]
 
 
 def canonical(x: Rational) -> Rational:
@@ -52,7 +57,7 @@ class LinearExpression:
     deterministically.
     """
 
-    coefficients: Tuple[Tuple[str, Rational], ...]
+    coefficients: Terms
     constant: Rational = 0
 
     @staticmethod
@@ -105,9 +110,26 @@ class LinearConstraint:
 @dataclass(frozen=True)
 class Polyhedron:
     """A conjunction of closed linear constraints; the empty list means the
-    universal set of valuations."""
+    universal set of valuations.  ``rows`` (left out of equality and
+    ``repr``) reads it as rows ``F(x) <= b``, one ``(constraint, F, b)``
+    each, in constraint order: ``expr <= 0`` gives expr's terms and
+    ``-constant``, ``expr >= 0`` the negated terms and ``constant``, and
+    ``expr = 0`` both, LE first."""
 
     constraints: Tuple[LinearConstraint, ...] = ()
+    rows: Tuple[Tuple[LinearConstraint, Terms, Rational], ...] = field(
+        init=False, compare=False, repr=False
+    )
+
+    def __post_init__(self) -> None:
+        rows = []
+        for c in self.constraints:
+            terms, constant = c.expression.coefficients, c.expression.constant
+            if c.relation is not Relation.GE:
+                rows.append((c, terms, -constant))
+            if c.relation is not Relation.LE:
+                rows.append((c, tuple((v, -k) for v, k in terms), constant))
+        object.__setattr__(self, "rows", tuple(rows))
 
     def contains(self, valuation: Mapping[str, Rational]) -> bool:
         return all(c.holds(valuation) for c in self.constraints)

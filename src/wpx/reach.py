@@ -2,9 +2,12 @@
 
 Each concrete transition path is encoded once, by ``encode_path``, as one
 linear-constraint feasibility problem over entry/exit valuations and dwell
-times, then decided exactly over the rationals.  The encoding substitutes
-exact rates, Keep resets and point resets away in one forward pass, leaving
-systems in roughly the dwell variables only.  ``_solve_rows`` turns
+times, then decided exactly over the rationals.  Like the box and the
+dead-constraint tests, it reads each region as its rows ``F(x) <= b``
+(``Polyhedron.rows``), built with the region, so once per distinct region
+of a document, whose parser makes one ``Polyhedron`` per constraint list.
+It substitutes exact rates, Keep resets and point resets away in one
+forward pass, leaving systems in roughly the dwell variables only.  ``_solve_rows`` turns
 single-variable rows into bounds, each remembering the row that set it,
 settles crossed bounds at once, and decides the rest with a
 bounded-variable simplex: one slack per multi-variable row and Bland's
@@ -30,7 +33,7 @@ stage stack and the record both read: a transition's stands for its
 guard and reset, a location's for its invariant and rates, and the rows
 up to a stage depend only on the keys up to it.  When the last row lies
 in the goal or in a transition, each goal or guard constraint there that
-the certificate uses is a candidate: written ``F(x) <= b``, it is dead
+the certificate uses is a candidate: its row ``F(x) <= b`` is dead
 when ``F(x) > b`` is inductive, which three exact tests show (no reset of
 F's variables, no rate that lowers F, and an init LP, itself certified).
 A dead constraint holds in no reachable state at any depth, so a later
@@ -83,10 +86,11 @@ from .model import (
     Plan,
     PlanningProblem,
     Polyhedron,
+    RateSpec,
     Rational,
-    Relation,
     ResetKind,
     RunSegment,
+    Terms,
     Transition,
     WitnessRun,
     canonical,
@@ -103,9 +107,9 @@ _Row = Tuple[Dict[str, Rational], Rational]
 _Expr = Tuple[Dict[str, Rational], Rational]
 # A valuation: one expression per automaton variable, in declaration order.
 _Point = Tuple[_Expr, ...]
-# A row over the model's variables in hashable form: ``(F, b)`` with F's
-# ``(variable, k)`` terms, meaning ``F(x) <= b``.
-_RowKey = Tuple[Tuple[Tuple[str, Rational], ...], Rational]
+# A row ``F(x) <= b`` of a region over the model's variables, as
+# ``Polyhedron.rows`` holds it, in hashable form: ``(F, b)``.
+_RowKey = Tuple[Terms, Rational]
 
 log = logging.getLogger(__name__)
 
@@ -651,35 +655,24 @@ class _Simplex:
 # divisions go through ``_quotient``, so no float appears.
 
 _Box = Dict[str, Tuple[Optional[Rational], Optional[Rational]]]
-# A location's rate bounds: one ``(var, lower, upper)`` per rate interval.
-_Rates = Tuple[Tuple[str, Rational, Rational], ...]
 
 
 def _box_from_region(region: Polyhedron, variables: Sequence[str]) -> _Box:
     """Relax a polyhedron to per-variable bounds, which may be empty (lo > hi);
-    multi-variable constraints are dropped (sound for overapproximation)."""
+    multi-variable rows are dropped (sound for overapproximation)."""
     box: _Box = {v: (None, None) for v in variables}
-    for c in region.constraints:
-        coeffs = c.expression.coefficients
-        if len(coeffs) != 1:
+    for _c, terms, b in region.rows:
+        if len(terms) != 1:
             continue
-        (var, k), = coeffs
-        # k*x + const REL 0
-        bound = _quotient(-c.expression.constant, k)
+        # k*x <= b bounds x above when k > 0, else below.
+        (var, k), = terms
+        bound = _quotient(b, k)
         lo, hi = box[var]
-        if c.relation is Relation.EQ:
-            relations = (Relation.LE, Relation.GE)
-        else:
-            relations = (c.relation,)
-        for rel in relations:
-            at_most = (rel is Relation.LE) == (k > 0)
-            if at_most:
-                if hi is None or bound < hi:
-                    hi = bound
-            else:
-                if lo is None or bound > lo:
-                    lo = bound
-        box[var] = (lo, hi)
+        if k > 0:
+            if hi is None or bound < hi:
+                box[var] = (lo, bound)
+        elif lo is None or bound > lo:
+            box[var] = (bound, hi)
     return box
 
 
@@ -711,11 +704,11 @@ def _box_join(a: Optional[_Box], b: _Box) -> _Box:
     return out
 
 
-def _box_dwell(entry: _Box, rates: _Rates, exit_box: _Box) -> Optional[_Box]:
+def _box_dwell(entry: _Box, rates: RateSpec, exit_box: _Box) -> Optional[_Box]:
     """Possible exit valuations after some dwell t >= 0 whose endpoint lies
     in ``exit_box``, or None when there are none; per-variable dwell
     coupling is relaxed to a shared dwell interval.  ``rates`` is the
-    location's table from ``BoxSteps.rates``."""
+    location's ``RateSpec``."""
     t_lo: Rational = 0
     t_hi: Optional[Rational] = None
 
@@ -733,33 +726,33 @@ def _box_dwell(entry: _Box, rates: _Rates, exit_box: _Box) -> Optional[_Box]:
             if bound > t_lo:
                 t_lo = bound
 
-    for var, lower, upper in rates:
+    for var, iv in rates.intervals:
         a_lo, a_hi = entry[var]
         e_lo, e_hi = exit_box[var]
         # Reachable band at dwell t: [a_lo + lower*t, a_hi + upper*t].
         if e_hi is not None and a_lo is not None:
-            tighten(a_lo - e_hi, lower)
+            tighten(a_lo - e_hi, iv.lower)
         if e_lo is not None and a_hi is not None:
-            tighten(e_lo - a_hi, -upper)
+            tighten(e_lo - a_hi, -iv.upper)
     if t_hi is not None and t_lo > t_hi:
         return None
 
     # A variable without a rate interval keeps its entry bounds.
     out = dict(entry)
-    for var, lower, upper in rates:
+    for var, iv in rates.intervals:
         a_lo, a_hi = entry[var]
         if a_lo is None:
             lo = None
-        elif lower >= 0:
-            lo = a_lo + lower * t_lo
+        elif iv.lower >= 0:
+            lo = a_lo + iv.lower * t_lo
         else:
-            lo = None if t_hi is None else a_lo + lower * t_hi
+            lo = None if t_hi is None else a_lo + iv.lower * t_hi
         if a_hi is None:
             hi = None
-        elif upper <= 0:
-            hi = a_hi + upper * t_lo
+        elif iv.upper <= 0:
+            hi = a_hi + iv.upper * t_lo
         else:
-            hi = None if t_hi is None else a_hi + upper * t_hi
+            hi = None if t_hi is None else a_hi + iv.upper * t_hi
         out[var] = (lo, hi)
     return _box_intersect(out, exit_box)
 
@@ -782,8 +775,8 @@ class BoxSteps:
 
     The pass keys its work by the automaton's ``loc_keys`` and
     ``trans_keys``, one int per distinct element (``model``).  The
-    invariant box and rate table of each location key and the guard box
-    of each transition key are built once per pass, on first use.  A step
+    invariant box of each location key and the guard box of each
+    transition key are built once per pass, on first use.  A step
     groups a location's exits by transition key and dwells once per group,
     memoised for that step by the location key, the transition key and
     the entry bounds, so locations of one class that enter with equal
@@ -805,10 +798,9 @@ class BoxSteps:
         self.init = problem.init
         self.depth = problem.depth
         self.maps: List[Dict[int, _Box]] = []
-        # Per location key, its invariant's box and rate table, and per
-        # transition key, its guard's box; no two keys collide (``model``).
+        # Per location key, its invariant's box, and per transition key, its
+        # guard's box; no two keys collide (``model``).
         self._box_of: Dict[int, _Box] = {}
-        self._rates_of: Dict[int, _Rates] = {}
         # Per row F(x) <= b, whether it holds in no reachable state
         # (``_inductive_above``); that depends only on the automaton and init.
         self.dead: Dict[_RowKey, bool] = {}
@@ -826,14 +818,6 @@ class BoxSteps:
 
     def inv_box(self, loc_id: int) -> _Box:
         return self._keyed_box(self.domain.loc_keys[loc_id], self.domain.location(loc_id).invariant)
-
-    def rates(self, loc_id: int) -> _Rates:
-        """The rate table of location ``loc_id``, as ``_box_dwell`` reads it."""
-        key = self.domain.loc_keys[loc_id]
-        if key not in self._rates_of:
-            spec = self.domain.location(loc_id).rates.intervals
-            self._rates_of[key] = tuple((var, iv.lower, iv.upper) for var, iv in spec)
-        return self._rates_of[key]
 
     def map(self, step: int) -> Optional[Dict[int, _Box]]:
         """Map ``step``, stepping the walk up to it on first use; None when
@@ -887,7 +871,7 @@ class BoxSteps:
                 for key, req, resets, targets in exits(loc_id):
                     key = key, bounds
                     if key not in memo:
-                        exit_box = _box_dwell(entry, self.rates(loc_id), req)
+                        exit_box = _box_dwell(entry, domain.locations[loc_id].rates, req)
                         # Merging keeps exit_box's key order, the declaration order.
                         memo[key] = None if exit_box is None else ({**exit_box, **resets}, {})
                     dwelt = memo[key]
@@ -916,7 +900,7 @@ def _interval_unreachable(problem: PlanningProblem, box: BoxSteps) -> bool:
     goal; False is inconclusive.  ``box`` is a pass for ``problem``'s
     automaton, init and depth; the goal is tested on each of its maps."""
     goal_loc = problem.goal.location
-    rates = box.rates(goal_loc)
+    rates = box.domain.location(goal_loc).rates
     goal_inv = box.inv_box(goal_loc)
     goal_box = _box_from_region(problem.goal.region, box.domain.variables)
     step = 0
@@ -932,24 +916,6 @@ def _interval_unreachable(problem: PlanningProblem, box: BoxSteps) -> bool:
 
 
 # --- bounded reachability -------------------------------------------------
-
-# The rows a model constraint ``expr REL 0`` gives, in emit order: one sign
-# s per row ``s*expr <= 0``, so an EQ gives its LE half, then its GE half.
-_HALVES = {Relation.LE: (1,), Relation.GE: (-1,), Relation.EQ: (1, -1)}
-
-
-def _region_rows(region: Polyhedron) -> List[Tuple[LinearConstraint, int]]:
-    """``(constraint, s)`` for each row ``encode_path`` emits for
-    ``region``, in its order: row j of the region is the j-th pair."""
-    return [(c, s) for c in region.constraints for s in _HALVES[c.relation]]
-
-
-def _model_row(c: LinearConstraint, s: int) -> _RowKey:
-    """The row ``s*expr <= 0`` of ``c`` over the model's variables, as
-    ``(F, b)`` meaning ``F(x) <= b``, with F's terms in name order."""
-    expr = c.expression
-    return tuple((v, s * k) for v, k in expr.coefficients), -s * expr.constant
-
 
 def _solve_checked(
     rows: List[_Row], stages: Optional[_Stages], lp: str
@@ -975,7 +941,7 @@ def _inductive_above(
     that lowers it and a variable without a rate at 0, is >= 0; and the
     init region with its location's invariant refutes ``F(x) <= b``, by a
     ``_solve_rows`` certificate that ``_farkas_holds`` checks."""
-    terms, _bound = row
+    terms, bound = row
     f = dict(terms)
     for trans in automaton.transitions:
         if any(act.kind is not ResetKind.KEEP and var in f for var, act in trans.reset.actions):
@@ -991,18 +957,15 @@ def _inductive_above(
             return False
     init_loc, init_region = init
     regions = (init_region, automaton.location(init_loc).invariant)
-    keys = [_model_row(c, s) for r in regions for c, s in _region_rows(r)] + [row]
-    rows = [(dict(t), b) for t, b in keys]
+    rows = [(dict(t), b) for r in regions for _c, t, b in r.rows] + [(f, bound)]
     return isinstance(_solve_checked(rows, None, "init LP"), Farkas)
 
 
 def _emit_region(rows: List[_Row], state: Dict[str, _Expr], region: Polyhedron) -> None:
-    """Append ``region``'s rows over the valuation ``state``: one row per
-    half of ``_HALVES``, in its order, as ``_region_rows`` names them."""
-    for c in region.constraints:
+    """Append ``region.rows`` over the valuation ``state``, in their order."""
+    for _c, terms, bound in region.rows:
         coeffs: Dict[str, Rational] = {}
-        const = c.expression.constant
-        for var, k in c.expression.coefficients:
+        for var, k in terms:
             scoeffs, sconst = state[var]
             for v, sk in scoeffs.items():
                 if v in coeffs:
@@ -1010,16 +973,9 @@ def _emit_region(rows: List[_Row], state: Dict[str, _Expr], region: Polyhedron) 
                 else:
                     coeffs[v] = k * sk
             if sconst:
-                const += k * sconst
+                bound -= k * sconst
         # Fractions can sum to an integer, which becomes an int again.
-        coeffs = {v: canonical(k) for v, k in coeffs.items() if k}
-        const = canonical(const)
-        # expr REL 0  ->  rows s*expr <= 0 of the form coeffs*x <= bound
-        for s in _HALVES[c.relation]:
-            if s == 1:
-                rows.append((coeffs, -const))
-            else:
-                rows.append(({v: -k for v, k in coeffs.items()}, const))
+        rows.append(({v: canonical(k) for v, k in coeffs.items() if k}, canonical(bound)))
 
 
 class _Stages:
@@ -1329,7 +1285,7 @@ class _Refutations:
         rows, the stages up to that row are a refuted prefix.  When it lies
         in the goal or a transition, each goal or guard constraint there
         whose row has a positive multiplier is tested: row j of the region
-        sits at the stage's start plus j (``_region_rows``)."""
+        sits at the stage's start plus j (``Polyhedron.rows``)."""
         stage = bisect_right(ends, max(y))
         if stage < len(ends):
             self.refute(path, stage, idx)
@@ -1342,8 +1298,8 @@ class _Refutations:
                 region = problem.domain.transitions[where].guard
             start = ends[stage - 1]
             found = len(self.found)
-            for j, (c, s) in enumerate(_region_rows(region)):
-                row = _model_row(c, s)
+            for j, (c, terms, b) in enumerate(region.rows):
+                row = terms, b
                 if y.get(start + j, 0) <= 0 or row in self.rows:
                     continue
                 dead = box.dead.get(row)
@@ -1361,8 +1317,8 @@ class _Refutations:
                 places += [(t.id, t.guard) for t in problem.domain.transitions]
                 for where, region in places:
                     if where not in self.at:
-                        for c, s in _region_rows(region):
-                            if _model_row(c, s) in self.rows:
+                        for c, terms, b in region.rows:
+                            if (terms, b) in self.rows:
                                 self.at[where] = "dead constraint %s" % c
                                 break
         if self._dead_on(path) is None:

@@ -315,9 +315,15 @@ def substituted(c, s, point, variables):
     return {v: s * k for v, k in coeffs.items() if k}, -s * const
 
 
+# The rows ``expr REL 0`` gives, one sign s per row ``s*expr <= 0``: an EQ
+# gives its LE row, then its GE row.
+SIGNS = {Relation.LE: (1,), Relation.GE: (-1,), Relation.EQ: (1, -1)}
+
+
 def test_region_rows_name_the_rows_encode_path_emits():
     # Row j of a guard or goal region, at its stage's start plus j, is the
-    # j-th (constraint, half) of ``_region_rows``: an EQ gives two rows.
+    # j-th of ``region.rows``: row s*expr <= 0 of its constraint, with the
+    # signs of SIGNS, so an EQ gives two rows.
     rng = random.Random(99)
     problems = [blocked("goal"), blocked("guard")]
     for _ in range(150):
@@ -334,7 +340,8 @@ def test_region_rows_name_the_rows_encode_path_emits():
                 for i, tid in enumerate(path.transitions)
             ] + [(ends[-1], problem.goal.region, points[-1][1])]
             for start, region, point in regions:
-                halves = reach._region_rows(region)
+                halves = [(c, s) for c in region.constraints for s in SIGNS[c.relation]]
+                assert [c for c, _f, _b in region.rows] == [c for c, _s in halves]
                 for j, (c, s) in enumerate(halves):
                     assert rows[start + j] == substituted(c, s, point, automaton.variables)
                 stages += 1

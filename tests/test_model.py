@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import assert_canonical, benchmark_problems, half_problem, load_benchmark
-from oracles import random_automaton, serialize_model
+from oracles import random_automaton, random_lp, serialize_model
 from wpx.model import (
     GoalSpec,
     HybridAutomaton,
@@ -437,3 +437,119 @@ def test_check_witness_names_the_broken_clause(model_edit, problem_edit, run_edi
     if run_edit is not None:
         run = run_edit(run)
     assert check_witness(problem.domain, problem.init, problem.goal, run) == messages
+
+
+# --- Polyhedron.rows --------------------------------------------------------
+
+
+def row_holds(terms, b, valuation):
+    """Whether the row ``F(x) <= b`` with F's ``terms`` holds at ``valuation``."""
+    return sum((k * valuation[v] for v, k in terms), 0) <= b
+
+
+def random_valuations(rng, region, variables):
+    """Random rational valuations of ``variables``, and one on each
+    constraint's hyperplane ``expr = 0``, where all three relations hold."""
+    def value():
+        return rat(Fraction(rng.randint(-12, 12), rng.choice([1, 2, 3])))
+
+    points = [{v: value() for v in variables} for _ in range(6)]
+    for c in region.constraints:
+        point = {v: value() for v in variables}
+        if c.expression.coefficients:
+            (v0, k0), *rest = c.expression.coefficients
+            point[v0] = -(c.expression.constant + sum(k * point[v] for v, k in rest)) / k0
+        points.append(point)
+    return points
+
+
+def poison(region, rows):
+    """Overwrite ``region.rows``, which no model method may read."""
+    object.__setattr__(region, "rows", rows)
+
+
+def test_polyhedron_rows_read_each_constraint_as_rows_f_le_b():
+    # Regions of random LPs (every relation, several variables, half-integral
+    # constants) and of random automata.  A constraint's rows all hold
+    # exactly where it does, EQ giving its LE row and then its GE row; the
+    # numbers are canonical; ``rows`` is left out of ==, hash and repr and
+    # recomputed by ``dataclasses.replace``; parsing a serialized model
+    # gives the same rows.  The run checker evaluates each constraint
+    # itself: with every region's rows overwritten by rows that hold
+    # nowhere, or by none at all, it gives the answers it gave before, on
+    # valid and broken runs alike.
+    rng = random.Random(3333)
+    outcomes = set()
+    ints = fractions = eqs = 0
+    for _ in range(150):
+        lp = random_lp(rng)
+        automaton = random_automaton(rng, denominator=rng.choice([1, 2]))
+        parsed = parse_model(serialize_model(automaton))
+        assert parsed == automaton
+        pairs = [(parsed.initial[1], automaton.initial[1])]
+        pairs += [(p.invariant, a.invariant) for p, a in zip(parsed.locations, automaton.locations)]
+        pairs += [(p.guard, a.guard) for p, a in zip(parsed.transitions, automaton.transitions)]
+        assert all(p.rows == a.rows for p, a in pairs)
+        regions = [(Polyhedron(lp.constraints), lp.variables)]
+        regions += [(a, automaton.variables) for _p, a in pairs]
+        for region, variables in regions:
+            per = [Polyhedron((c,)).rows for c in region.constraints]
+            assert region.rows == sum(per, ())
+            for c, rows in zip(region.constraints, per):
+                assert all(row[0] is c for row in rows)
+                assert len(rows) == (2 if c.relation is Relation.EQ else 1)
+                if c.relation is Relation.EQ:
+                    eqs += 1
+                    halves = [LinearConstraint(c.expression, r) for r in (Relation.LE, Relation.GE)]
+                    assert [row[1:] for row in rows] == [
+                        Polyhedron((h,)).rows[0][1:] for h in halves
+                    ]
+                for _c, terms, b in rows:
+                    assert all(k != 0 for _v, k in terms)
+                    assert [v for v, _k in terms] == sorted(v for v, _k in terms)
+                    for x in (b, *(k for _v, k in terms)):
+                        is_int = assert_canonical(x)
+                        ints += is_int
+                        fractions += not is_int
+            for point in random_valuations(rng, region, variables):
+                for c, rows in zip(region.constraints, per):
+                    holds = c.holds(point)
+                    assert all(row_holds(t, b, point) for _c, t, b in rows) == holds
+                    outcomes.add((c.relation, holds))
+
+            unrowed = Polyhedron(region.constraints)
+            poison(unrowed, ())
+            assert unrowed == region and hash(unrowed) == hash(region)
+            assert repr(unrowed) == repr(region) and "rows" not in repr(region)
+            assert dataclasses.replace(unrowed).rows == region.rows
+            flipped = dataclasses.replace(region, constraints=region.constraints[::-1])
+            assert flipped.rows == sum(per[::-1], ())
+    assert outcomes == {(r, h) for r in Relation for h in (True, False)}
+    assert ints > 1000 and fractions > 100 and eqs > 100
+
+    cases = []
+    for _case, model_edit, problem_edit, run_edit, _messages in WITNESS_BREAKS:
+        problem = half_problem(model_edit, problem_edit)
+        run = half_run()
+        cases.append((problem, run if run_edit is None else run_edit(run)))
+    while len(cases) < 150:
+        automaton = random_automaton(rng, denominator=rng.choice([1, 2]))
+        goal = GoalSpec(rng.randrange(len(automaton.locations)))
+        problem = PlanningProblem(automaton, automaton.initial, goal, 3)
+        run = bounded_reachable(problem).run
+        if run is not None:
+            moved = tuple((v, x + 1) for v, x in run.segments[-1].exit)
+            last = dataclasses.replace(run.segments[-1], exit=moved)
+            cases.append((problem, run))
+            cases.append((problem, dataclasses.replace(run, segments=run.segments[:-1] + (last,))))
+    before = [check_witness(p.domain, p.init, p.goal, run) for p, run in cases]
+    assert sum(not answer for answer in before) > 30 and sum(map(bool, before)) > 30
+    for nowhere in (True, False):
+        for problem, _run in cases:
+            automaton = problem.domain
+            regions = [problem.init[1], automaton.initial[1], problem.goal.region]
+            regions += [loc.invariant for loc in automaton.locations]
+            regions += [t.guard for t in automaton.transitions]
+            for region in regions:
+                poison(region, tuple((c, (), -1) for c in region.constraints) if nowhere else ())
+        assert [check_witness(p.domain, p.init, p.goal, run) for p, run in cases] == before

@@ -992,9 +992,10 @@ def test_box_agrees_with_its_references_on_non_integral_data():
 
 
 def test_box_bounds_are_ints_when_integral_and_never_floats():
-    # Region boxes and rate tables normalise the model's Fractions, so the
-    # box steps in int arithmetic wherever the data is integral.  A bound
-    # computed from a non-integral one may stay a Fraction; none is a float.
+    # Region boxes normalise the model's Fractions, and the box reads each
+    # location's rates from its RateSpec, so the box steps in int arithmetic
+    # wherever the data is integral.  A bound computed from a non-integral
+    # one may stay a Fraction; none is a float.
     rng = random.Random(1818)
     problems = [load_benchmark(d, p) for d, p in benchmark_problems()]
     problems += [random_box_problem(rng) for _ in range(200)]
@@ -1011,7 +1012,7 @@ def test_box_bounds_are_ints_when_integral_and_never_floats():
         boxes += [box.inv_box(loc.id) for loc in automaton.locations]
         normalised = [b for region_box in boxes for pair in region_box.values() for b in pair]
         for loc in automaton.locations:
-            normalised += [b for _var, lower, upper in box.rates(loc.id) for b in (lower, upper)]
+            normalised += [b for _var, iv in loc.rates.intervals for b in (iv.lower, iv.upper)]
         for b in normalised:
             if b is None:
                 continue
