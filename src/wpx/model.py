@@ -5,9 +5,10 @@ integral and a ``fractions.Fraction`` only when it is not, as ``canonical``,
 the one normaliser, puts it; so integral data runs in native int arithmetic.
 There is no floating point anywhere in the pipeline.  Every type in this
 module is immutable after construction and safe to share across threads or
-processes.  A region's rows and an automaton's model keys are computed on
-construction, and the parser makes one ``Polyhedron`` per distinct region
-of a document, so each distinct region's rows are built once.
+processes.  A region's rows, the hash of a region, a rate table or a
+reset, and an automaton's model keys are computed on construction, and the
+parser makes one ``Polyhedron`` per distinct region of a document, so each
+distinct region's rows and hash are built once.
 """
 
 from __future__ import annotations
@@ -114,7 +115,9 @@ class Polyhedron:
     ``repr``) reads it as rows ``F(x) <= b``, one ``(constraint, F, b)``
     each, in constraint order: ``expr <= 0`` gives expr's terms and
     ``-constant``, ``expr >= 0`` the negated terms and ``constant``, and
-    ``expr = 0`` both, LE first."""
+    ``expr = 0`` both, LE first.  Its hash is computed once, on
+    construction, from the rows' ``(F, b)``: equal constraints give equal
+    rows."""
 
     constraints: Tuple[LinearConstraint, ...] = ()
     rows: Tuple[Tuple[LinearConstraint, Terms, Rational], ...] = field(
@@ -130,6 +133,15 @@ class Polyhedron:
             if c.relation is not Relation.LE:
                 rows.append((c, tuple((v, -k) for v, k in terms), constant))
         object.__setattr__(self, "rows", tuple(rows))
+        object.__setattr__(self, "_hash", hash(tuple((t, b) for _c, t, b in rows)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        # Unpickled by construction, so the hash is computed again: a str
+        # hashes differently in another process.
+        return Polyhedron, (self.constraints,)
 
     def contains(self, valuation: Mapping[str, Rational]) -> bool:
         return all(c.holds(valuation) for c in self.constraints)
@@ -151,9 +163,20 @@ class RateInterval:
 
 @dataclass(frozen=True)
 class RateSpec:
-    """Per-variable derivative intervals for one location."""
+    """Per-variable derivative intervals for one location.  Its hash is
+    computed once, on construction, from plain tuples of the intervals."""
 
     intervals: Tuple[Tuple[str, RateInterval], ...]
+
+    def __post_init__(self) -> None:
+        key = tuple((v, iv.lower, iv.upper) for v, iv in self.intervals)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        return RateSpec, (self.intervals,)
 
     @staticmethod
     def build(rates: Mapping[str, Tuple[RationalLike, RationalLike]]) -> "RateSpec":
@@ -183,9 +206,21 @@ class ResetAction:
 
 @dataclass(frozen=True)
 class Reset:
-    """Per-variable reset map; variables absent from the map default to Keep."""
+    """Per-variable reset map; variables absent from the map default to
+    Keep.  Its hash is computed once, on construction, from plain tuples of
+    the actions' bounds."""
 
     actions: Tuple[Tuple[str, ResetAction], ...] = ()
+
+    def __post_init__(self) -> None:
+        key = tuple((v, act.lower, act.upper) for v, act in self.actions)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        return Reset, (self.actions,)
 
     @staticmethod
     def build(assigns: Mapping[str, Tuple[RationalLike, RationalLike]]) -> "Reset":

@@ -63,7 +63,10 @@ changed none of its pivots.  When the exact goal's first path is the path
 the last chain entry was satisfied on, its LP resumes that state with only
 its own goal rows added; Bland's rule makes that the very solve a cold
 start makes, so the witness and any certificate are the same
-(``_solve_rows``).  No pass outlives the call that built it.
+(``_solve_rows``).  The stack also flags each entry invariant row that
+repeats the exit invariant before it, and an LP's start state leaves out
+those rows and goal rows that repeat the last exit invariant, which under
+Bland's rule never move a pivot.  No pass outlives the call that built it.
 """
 
 from __future__ import annotations
@@ -77,6 +80,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import islice
 from math import gcd, lcm
+from operator import eq
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .graph import DEFAULT_PATH_CAP, ResourceCapExceeded, SuccessorIndex, iter_labelled_walks
@@ -342,14 +346,25 @@ def _solve_rows(
     assignment, or the same Farkas y.  A goal row that would set a bound,
     name a new variable, refute itself as an empty row, or need a bound
     denominator that does not divide D is solved cold instead.
+
+    A path LP repeats rows.  Where a transition changes none of its target
+    invariant's variables and the invariant is its source's, the target's
+    entry invariant rows equal the exit invariant rows before them; the
+    stack flags them (``_Stages.repeats``).  A waypoint's goal is its
+    location's invariant, so its goal rows equal the last exit invariant.
+    A cold build leaves out the flagged rows, and the goal rows when they
+    equal the last stack rows (``_Simplex.build``): a row equal to an
+    earlier one never sets a bound, and its slack never leaves the basis,
+    so the answer and the kept state are those of the build of all rows.
     """
-    simplex = None
-    if stages is not None and stages.kept is not None:
-        simplex = stages.kept.extended(rows, len(stages.rows))
-    if simplex is None:
-        simplex = _Simplex.build(rows, len(rows) if stages is None else len(stages.rows))
-        if isinstance(simplex, Farkas):
-            return simplex
+    if stages is None:
+        simplex = _Simplex.build(rows, len(rows), None)
+    else:
+        simplex = None if stages.kept is None else stages.kept.extended(rows, len(stages.rows))
+        if simplex is None:
+            simplex = _Simplex.build(rows, len(stages.rows), stages.repeats)
+    if isinstance(simplex, Farkas):
+        return simplex
     return simplex.solve(stages)
 
 
@@ -370,11 +385,30 @@ class _Simplex:
     )
 
     @classmethod
-    def build(cls, rows: List[_Row], goal: int) -> Union["_Simplex", Farkas]:
+    def build(
+        cls, rows: List[_Row], goal: int, repeats: Optional[Sequence[bool]]
+    ) -> Union["_Simplex", Farkas]:
         """The start state of ``rows``, or a Farkas certificate when a
         constant row or a pair of bounds refutes them.  The rows from
         ``goal`` on are the goal rows: the state may be kept when they set
-        no bound and name no variable that the rows before them do not."""
+        no bound and name no variable that the rows before them do not.
+
+        ``repeats`` flags rows before ``goal`` that equal an earlier row of
+        ``rows`` (``_Stages.repeats``; a row past its end is not flagged).
+        Those rows, and the goal rows when they equal the last stack rows
+        one for one, are left out; None leaves out nothing.  This is exact:
+        a row equal to an earlier one never matters.  As an empty row it is
+        refuted by the earlier one first.  As a bound it never replaces the
+        earlier row, which set the bound first.  As a slack
+        it has the earlier slack's row and a larger index.  While both are
+        basic they keep equal rows and values, so Bland's rule picks the
+        earlier one first; once the earlier one is nonbasic at its bound,
+        the later one's row is that slack alone, and it holds.  So the
+        later slack never leaves the basis, never enters a row and never
+        appears in a certificate, and no other row names it.  Therefore
+        the pivots, the assignment, every Farkas y, the parked rows and the
+        kept state are those of the cold build of all rows, with the same
+        columns less the left-out slacks."""
         lower: Dict[str, Rational] = {}
         upper: Dict[str, Rational] = {}
         # (var, is_upper) -> (i, k): rows[i] is k*var <= bound, the first row
@@ -384,7 +418,16 @@ class _Simplex:
         all_vars: set = set()
         inert = True
         path_vars = None
-        for i, (coeffs, bound) in enumerate(rows):
+        n = len(rows)
+        if repeats is None:
+            repeats = ()
+        elif 0 < n - goal <= goal and rows[goal:] == rows[2 * goal - n:goal]:
+            n = goal
+        flagged = len(repeats)
+        for i in range(n):
+            if i < flagged and repeats[i]:
+                continue
+            coeffs, bound = rows[i]
             if i == goal:
                 path_vars = len(all_vars)
             all_vars.update(coeffs)
@@ -443,12 +486,16 @@ class _Simplex:
         # tableau[b] = (den, nums) expresses the basic variable b over
         # nonbasic ones as den*x_b = sum(nums[j]*x_j), in ints with den > 0
         # and no common factor.  A row scaled by the lcm of its denominators
-        # starts that way.
+        # starts that way; a row of ints is already scaled.
         state.tableau = tableau = {}
         for i in general:
             coeffs, bound = rows[i]
-            den = lcm(*(k.denominator for k in coeffs.values()))
-            row = {index[v]: k.numerator * (den // k.denominator) for v, k in coeffs.items()}
+            if Fraction in map(type, coeffs.values()):
+                den = lcm(*(k.denominator for k in coeffs.values()))
+                row = {index[v]: k.numerator * (den // k.denominator) for v, k in coeffs.items()}
+            else:
+                den = 1
+                row = {index[v]: k for v, k in coeffs.items()}
             tableau[len(value)] = (den, row)
             value.append(sum(c * value[j] for j, c in row.items()))
             low.append(None)
@@ -994,6 +1041,11 @@ class _Stages:
     and locations (sibling edges with equal guards, copies of a location)
     share one key.
 
+    ``repeats`` flags each row that equals an earlier one, which
+    ``_Simplex.build`` leaves out: where a position has the invariant
+    object of the one before it, each entry invariant row equal to the row
+    at the same offset of that position's exit invariant.
+
     ``kept`` is the final state of the last feasible LP that
     ``_solve_rows`` solved on these rows with inert goal rows, with its goal
     slacks dropped, or None.  ``push`` and ``pop_to`` clear it whenever they
@@ -1007,6 +1059,7 @@ class _Stages:
         self.rows: List[_Row] = []
         self.points: List[Tuple[_Point, _Point]] = []
         self.ends: List[int] = []
+        self.repeats: List[bool] = []
         # Per position, each automaton variable's value after its stages,
         # as (coeffs, const).
         self.states: List[Dict[str, _Expr]] = []
@@ -1037,6 +1090,7 @@ class _Stages:
         positions = (shared + 1) // 2
         del self.prefix[2 * positions - 1:]
         del self.rows[self.ends[2 * positions - 2]:]
+        del self.repeats[self.ends[2 * positions - 2]:]
         del self.ends[2 * positions - 1:]
         del self.points[positions:]
         del self.states[positions:]
@@ -1077,7 +1131,16 @@ class _Stages:
         loc = automaton.location(path.locations[i])
         rates = dict(loc.rates.intervals)
         entry = tuple(state[var] for var in automaton.variables)
+        start = len(rows)
         _emit_region(rows, state, loc.invariant)
+        repeats = self.repeats
+        repeats += [False] * (start - len(repeats))
+        if i and loc.invariant is automaton.location(path.locations[i - 1]).invariant:
+            # Where transition i-1 changed none of its variables, an entry
+            # invariant row equals the row at the same offset of position
+            # i-1's exit invariant, which ends that position.
+            end = self.ends[2 * i - 2]
+            repeats += map(eq, rows[start:], rows[end + start - len(rows):end])
         # d_i, x@iout and x@i+1in are fresh here: no expression holds them yet.
         d = _dwell(i)
         rows.append(({d: -1}, 0))  # d_i >= 0
@@ -1108,6 +1171,7 @@ class _Stages:
                 state[var] = ({out: 1}, 0)
         self.points.append((entry, tuple(state[var] for var in automaton.variables)))
         _emit_region(rows, state, loc.invariant)
+        repeats += [False] * (len(rows) - len(repeats))
         self.ends.append(len(rows))
         self.states.append(state)
 

@@ -44,6 +44,12 @@ the dead constraint, and each later path is refuted by it.
 whose certificate refutes a prefix is followed by one that the prefix
 refutes, named by the number of the path whose certificate did.
 
+``wa6x4_l18.explain.json`` is ``explain --json`` (without ``timings_ms``)
+of ``wa6x4_l18.prob``: the bundled wa6x4 model to l18 at depth 8, which is
+solvable with a 6-step plan.  The LPs of its chain repeat rows: an entry
+invariant equal to the exit invariant before it, and goal rows equal to
+the last exit invariant, which the solver leaves out.
+
 ``golden/sat/`` holds a copy of the benchmark's first ``relational_sat``
 problem at seed 1, ``sat_00``, with its ``explain --json`` (without
 ``timings_ms``) and ``check --json``.  Its witness LPs park the rows of
@@ -171,10 +177,18 @@ def read_golden(name):
         return fh.read()
 
 
-@pytest.mark.parametrize("dirname,probname", ROWS, ids=["/".join(r) for r in ROWS])
-def test_explain_json_matches_golden(dirname, probname):
-    argv = ["explain", "--problem", os.path.join(BENCH_ROOT, dirname, probname), "--json"]
-    assert without_timings(argv) == read_golden(row_file(dirname, probname, ".json"))
+# (id, problem, golden file) of each pinned ``explain --json``.
+EXPLAIN_JSON = [
+    ("/".join((d, p)), os.path.join(BENCH_ROOT, d, p), row_file(d, p, ".json")) for d, p in ROWS
+] + [("wa6x4/l18", os.path.join(GOLDEN, "wa6x4_l18.prob"), "wa6x4_l18.explain.json")]
+
+
+@pytest.mark.parametrize(
+    "prob,golden", [e[1:] for e in EXPLAIN_JSON], ids=[e[0] for e in EXPLAIN_JSON]
+)
+def test_explain_json_matches_golden(prob, golden):
+    argv = ["explain", "--problem", prob, "--json"]
+    assert without_timings(argv) == read_golden(golden)
 
 
 @pytest.mark.parametrize("name,render", RENDERINGS, ids=[n for n, _r in RENDERINGS])

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -19,9 +20,11 @@ from wpx.model import (
     Plan,
     PlanningProblem,
     Polyhedron,
+    RateInterval,
     RateSpec,
     Relation,
     Reset,
+    ResetAction,
     ResetKind,
     RunSegment,
     Transition,
@@ -192,6 +195,39 @@ def test_model_keys_name_distinct_values_whatever_the_sharing():
         n = len(built.locations)
         assert model_keys(one_class) == ((0,) * n, (1,) * len(built.transitions))
     assert shared > 50
+
+
+def test_regions_rate_tables_and_resets_hash_once_on_construction(monkeypatch):
+    # Each random model's regions, rate tables and resets, rebuilt from
+    # equal values (a Fraction for every int): equal objects hash alike,
+    # a hash reads nothing the object holds once it is built, and a pickled
+    # copy is built again, so it hashes as one built in that process does.
+    rng = random.Random(3232)
+    built = []
+    for _ in range(50):
+        automaton = random_automaton(rng, denominator=rng.choice((1, 2)))
+        for loc in automaton.locations:
+            built.append((loc.invariant, Polyhedron(tuple(
+                LinearConstraint(LinearExpression(
+                    tuple((v, Fraction(k)) for v, k in c.expression.coefficients),
+                    Fraction(c.expression.constant),
+                ), c.relation)
+                for c in loc.invariant.constraints
+            ))))
+            built.append((loc.rates, RateSpec.build({
+                v: (Fraction(iv.lower), Fraction(iv.upper)) for v, iv in loc.rates.intervals
+            })))
+        for t in automaton.transitions:
+            built.append((t.reset, Reset(tuple(t.reset.actions))))
+    for cls in (LinearConstraint, LinearExpression, RateInterval, ResetAction):
+        monkeypatch.setattr(cls, "__hash__", None)
+    for a, b in built:
+        assert a == b and a is not b and hash(a) == hash(b)
+        pickled = pickle.dumps(a)
+        assert b"_hash" not in pickled
+        copied = pickle.loads(pickled)
+        assert copied == a and hash(copied) == hash(a)
+    assert {type(a) for a, _b in built} == {Polyhedron, RateSpec, Reset}
 
 
 def test_linear_expression_drops_zero_coefficients():

@@ -11,6 +11,7 @@ import random
 import sys
 import weakref
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -49,6 +50,7 @@ from wpx.model import (
     Polyhedron,
     Relation,
     alpha,
+    canonical,
     check_witness,
 )
 from wpx.cli import EXIT_INTERNAL, EXIT_OK, main
@@ -465,6 +467,220 @@ def test_integer_tableau_matches_fraction_tableau_on_path_lps(monkeypatch):
                 unsat += 1
     assert sat > 100 and unsat > 100
     assert parks[0] > 0  # the oracle covers parked rows
+
+
+# --- repeated rows ------------------------------------------------------------
+#
+# A path LP's entry invariant rows often repeat the exit invariant before
+# them, and a waypoint's goal rows its last exit invariant.  The stack flags
+# the first kind (``_Stages.repeats``), and ``_Simplex.build`` leaves both
+# out: under Bland's rule a row equal to an earlier one never matters.
+
+
+def answer(result, at=None):
+    """An answer of ``_solve_rows`` as data that compares each number with
+    its type: an assignment in its order, or a certificate's y, with each
+    row index ``i`` read as ``at[i]`` when ``at`` is given."""
+    if isinstance(result, reach.Farkas):
+        row = (lambda i: i) if at is None else at.__getitem__
+        return "farkas", sorted((row(i), type(m).__name__, m) for i, m in result.y.items())
+    return "sat", [(v, type(x).__name__, x) for v, x in result.items()]
+
+
+def by_column(state, at=None):
+    """A ``_Simplex`` state with each column named by its variable, or a
+    slack by the index of its row (read through ``at`` when given), so that
+    states whose slacks differ compare column for column."""
+    row = (lambda i: i) if at is None else at.__getitem__
+    key = state.names + [row(i) for i in state.general]
+    return dict(
+        names=state.names,
+        lower=state.lower,
+        upper=state.upper,
+        setter={vk: (row(i), k) for vk, (i, k) in state.setter.items()},
+        scale=state.scale,
+        keeps=state.first is not None,
+        columns={key[j]: cols for j, cols in enumerate(zip(state.low, state.high, state.value))},
+        tableau={key[b]: (den, {key[j]: e for j, e in r.items()}) for b, (den, r) in state.tableau.items()},
+        parked=[(key[n], k, {key[j]: e for j, e in r.items()}) for n, k, r in state.parked],
+    )
+
+
+def assert_same_but_left_out(skipped, full):
+    """Assert that ``skipped`` is ``full`` (both ``by_column``) without some
+    slacks, each still basic in ``full`` and named by no other row."""
+    left_out = full["columns"].keys() - skipped["columns"].keys()
+    assert left_out <= full["tableau"].keys()
+    for key in left_out:
+        del full["columns"][key], full["tableau"][key]
+    assert skipped == full
+
+
+def with_repeats(rng, rows):
+    """``rows`` with exact copies of some rows inserted after them, each
+    copy flagged, then copies of the last few rows as goal rows: returns
+    the stack rows, their flags, the goal rows, and where each of ``rows``
+    landed."""
+    stack, flags, at = [], [], []
+    for coeffs, bound in rows:
+        at.append(len(stack))
+        stack.append((coeffs, bound))
+        flags.append(False)
+        while rng.random() < 0.4:
+            coeffs, bound = stack[rng.choice(at)]
+            stack.append((dict(coeffs), bound))
+            flags.append(True)
+    goal = [(dict(coeffs), bound) for coeffs, bound in stack[len(stack) - rng.randint(0, 3):]]
+    return stack, flags, goal, at
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction"])
+def test_repeated_rows_left_out_change_no_answer_and_no_kept_state(kind):
+    # Each draw solves a random LP three ways: alone on a stack of its own
+    # rows; with flagged copies and repeated goal rows on a stack, which
+    # leaves them out; and with the copies solved cold, which keeps them.
+    # All three give the same answer, number for number and certificate
+    # row for row, which is also the Fraction tableau's, and the first two
+    # keep the same state.
+    rng = random.Random(3434)
+    sat = unsat = left_out = 0
+    for _ in range(300):
+        rows = [
+            ({v: canonical(k / (rng.choice((1, 2, 3)) if kind == "fraction" else 1))
+              for v, k in coeffs.items()}, canonical(bound))
+            for coeffs, bound in lp_rows(random_lp(rng, 8, 16))
+        ]
+        stack, flags, goal, at = with_repeats(rng, rows)
+        alone = SimpleNamespace(rows=rows, repeats=[], kept=None)
+        expected = reach._solve_rows(list(rows), stages=alone)
+        flagged = SimpleNamespace(rows=stack, repeats=flags, kept=None)
+        assert answer(reach._solve_rows(stack + goal, stages=flagged)) == answer(expected, at)
+        assert answer(reach._solve_rows(stack + goal)) == answer(expected, at)
+        oracle = fraction_tableau_rows(rows)
+        if isinstance(expected, reach.Farkas):
+            assert oracle is None and flagged.kept is None
+            unsat += 1
+        else:
+            assert expected == oracle
+            assert by_column(flagged.kept) == by_column(alone.kept, at)
+            sat += 1
+        left_out += sum(flags) + len(goal)
+    assert sat > 50 and unsat > 50 and left_out > 500
+
+
+def test_the_stack_flags_only_rows_that_repeat_an_earlier_one():
+    # Random automata, parsed so that equal invariants are one object, and
+    # every path to a random goal, each encoded on one stack as a check's
+    # paths are.  A flagged row equals an earlier row that is not flagged;
+    # the flags are those of a fresh stack; and every LP gives the same
+    # answer with the flagged rows left out as solved cold with them.
+    rng = random.Random(3535)
+    flagged = kept = 0
+    for _ in range(150):
+        automaton = parse_model(serialize_model(random_automaton(rng, denominator=rng.choice((1, 2)))))
+        goal = rng.randrange(len(automaton.locations))
+        problem = PlanningProblem(automaton, automaton.initial, GoalSpec(goal), 4)
+        stages = reach._Stages(problem)
+        for path in enumerate_concrete_paths(automaton, automaton.initial[0], goal, 4):
+            rows, _points, _ends = encode_path(problem, path, stages=stages)
+            repeats = stages.repeats
+            assert len(repeats) == len(stages.rows)
+            for i, repeat in enumerate(repeats):
+                earlier = [rows[j] for j in range(i) if not repeats[j]]
+                if repeat:
+                    assert rows[i] in earlier
+                    flagged += 1
+                elif rows[i] in earlier:
+                    kept += 1
+            fresh = reach._Stages(problem)
+            encode_path(problem, path, stages=fresh)
+            assert fresh.repeats == repeats
+            own = SimpleNamespace(rows=stages.rows, repeats=repeats, kept=None)
+            assert answer(reach._solve_rows(rows, stages=own)) == answer(reach._solve_rows(rows))
+    # Some rows repeat an earlier one that is not their entry invariant's
+    # twin, such as a guard equal to an invariant row; those stay in.
+    assert flagged > 500 and kept > 0
+
+
+def counted_simplex_work(monkeypatch):
+    """Count, for the rest of ``monkeypatch``'s scope, what the solver
+    does, and solve every LP on a stack twice more from a cold build, with
+    its repeated rows left out and with them in: the two must start and end
+    in the same state, column for column, and give the answer the solver
+    gave.  Returns the counts: LPs, cold builds, slacks built, resumed LPs,
+    pivots and parked rows."""
+    counts = dict.fromkeys(("lps", "builds", "slacks", "resumed", "pivots", "parked"), 0)
+    build, extended, solve = reach._Simplex.build, reach._Simplex.extended, reach._Simplex.solve
+    solve_rows = reach._solve_rows
+
+    class Pivots(dict):
+        def pop(self, *args):
+            counts["pivots"] += 1
+            return super().pop(*args)
+
+    def counted_build(cls, rows, goal, repeats):
+        state = build(rows, goal, repeats)
+        counts["builds"] += 1
+        counts["slacks"] += len(getattr(state, "general", ()))
+        return state
+
+    def counted_extended(self, rows, goal):
+        state = extended(self, rows, goal)
+        counts["resumed"] += state is not None
+        return state
+
+    def counted_solve(self, stages):
+        before = len(self.parked)
+        self.tableau = Pivots(self.tableau)
+        result = solve(self, stages)
+        counts["parked"] += len(self.parked) - before
+        return result
+
+    def compared(rows, *, stages=None):
+        counts["lps"] += 1
+        result = solve_rows(rows, stages=stages)
+        if stages is not None:
+            goal = len(stages.rows)
+            left_out, full = build(rows, goal, stages.repeats), build(rows, goal, None)
+            if isinstance(full, reach.Farkas):
+                assert answer(left_out) == answer(full) == answer(result)
+                return result
+            assert_same_but_left_out(by_column(left_out), by_column(full))
+            ends = []
+            for state, repeats in ((left_out, stages.repeats), (full, [])):
+                stack = SimpleNamespace(rows=stages.rows, repeats=repeats, kept=None)
+                assert answer(solve(state, stack)) == answer(result)
+                ends.append(by_column(state))
+            assert_same_but_left_out(*ends)
+        return result
+
+    monkeypatch.setattr(reach._Simplex, "build", classmethod(counted_build))
+    monkeypatch.setattr(reach._Simplex, "extended", counted_extended)
+    monkeypatch.setattr(reach._Simplex, "solve", counted_solve)
+    monkeypatch.setattr(reach, "_solve_rows", compared)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "workload,work",
+    [
+        ("bundle", (52, 52, 351, 0, 42, 0)),
+        ("relational_sat", (480, 360, 6816, 120, 4607, 2779)),
+        ("relational_unsat", (510, 450, 5940, 60, 3096, 2013)),
+    ],
+)
+def test_repeated_rows_left_out_of_a_pass_change_no_pivot(monkeypatch, workload, work):
+    # One seed-1 pass of each benchmark workload.  With every row built,
+    # the passes built 656, 6,936 and 6,060 slacks; every other count is
+    # the same either way.
+    if workload == "bundle":
+        problems = [load_benchmark(*row) for row in benchmark_problems()]
+    else:
+        problems = pool_problems(workload, 1)
+    counts = counted_simplex_work(monkeypatch)
+    for problem in problems:
+        explain(problem)
+    assert tuple(counts.values()) == work
 
 
 def test_certificates_name_the_rows_that_refute():

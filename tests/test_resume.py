@@ -128,7 +128,7 @@ def test_resumed_solves_equal_cold_ones_on_random_rows(monkeypatch, kind):
         variables = sorted({v for coeffs, _ in path for v in coeffs})
         if len(variables) < 2:
             continue
-        stack = SimpleNamespace(rows=path, kept=None)
+        stack = SimpleNamespace(rows=path, repeats=[], kept=None)
         pivoted = False
         for _ in range(4):
             full = path + goal_rows(rng, variables, kind)
@@ -154,7 +154,7 @@ VERTEX = {"x": Fraction(5, 2), "y": Fraction(3, 2)}
 
 
 def kept_stack():
-    stack = SimpleNamespace(rows=PATH, kept=None)
+    stack = SimpleNamespace(rows=PATH, repeats=[], kept=None)
     assert reach._solve_rows(list(PATH), stages=stack) == VERTEX
     assert stack.kept is not None
     return stack
@@ -234,7 +234,7 @@ def test_a_goal_row_over_a_parked_variable_resumes_exactly(monkeypatch, goal, an
     # one, and the kept state resumes the same way again.
     taken = routes(monkeypatch)
     parks = parked_rows(monkeypatch)
-    stack = SimpleNamespace(rows=PARKING, kept=None)
+    stack = SimpleNamespace(rows=PARKING, repeats=[], kept=None)
     assert reach._solve_rows(list(PARKING), stages=stack) == {"u": -5, "v": -3, "x": 0}
     kept = stack.kept
     assert parks[0] == 2 and [n for n, _, _ in kept.parked] == [0, 1]
